@@ -340,8 +340,7 @@ func (d *daemon) submit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	st := h.Status()
-	writeJSON(w, http.StatusAccepted, submitResponse{ID: h.ID(), State: st.State, Dedup: st.Submits > 1})
+	writeJSON(w, http.StatusAccepted, submitResponse{ID: h.ID(), State: h.Status().State, Dedup: h.Joined()})
 }
 
 // unavailable refuses a request with 503 and a Retry-After header: the

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -141,6 +142,44 @@ func TestDedup(t *testing.T) {
 	}
 	if !second.Dedup {
 		t.Error("second submission not flagged dedup")
+	}
+}
+
+// TestConcurrentDedup: of N identical envelopes posted at once, exactly
+// one starts the job and every other one reports a dedup join.
+func TestConcurrentDedup(t *testing.T) {
+	// A durable scheduler journals each new submission after indexing it,
+	// which is the window a racing duplicate can join in.
+	srv, _ := newTestServer(t, jobs.Options{Workers: 1, Dir: t.TempDir()})
+	const n = 8
+	resps := make(chan submitResponse, n)
+	var start sync.WaitGroup
+	start.Add(1)
+	for i := 0; i < n; i++ {
+		go func() {
+			start.Wait()
+			var sr submitResponse
+			resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(tinyFigBody))
+			if err != nil {
+				t.Error(err)
+			} else {
+				if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil || resp.StatusCode != http.StatusAccepted {
+					t.Errorf("POST /jobs = %d: %v", resp.StatusCode, err)
+				}
+				resp.Body.Close()
+			}
+			resps <- sr
+		}()
+	}
+	start.Done()
+	fresh := 0
+	for i := 0; i < n; i++ {
+		if sr := <-resps; sr.ID != "" && !sr.Dedup {
+			fresh++
+		}
+	}
+	if fresh != 1 {
+		t.Errorf("%d of %d concurrent identical submissions reported dedup:false, want exactly 1", fresh, n)
 	}
 }
 

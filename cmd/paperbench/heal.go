@@ -91,7 +91,6 @@ func runHeal(ctx context.Context, w io.Writer, cfg healConfig) error {
 		cmd := exec.Command(exe, args...)
 		cmd.Stdout = io.Discard // the worker's partial table; only journals matter
 		cmd.Stderr = stderr
-		cmd.Env = append(os.Environ(), "FTES_WORKER_ATTEMPT="+strconv.Itoa(sl.attempts))
 		if err := cmd.Start(); err != nil {
 			return fmt.Errorf("-heal: start shard %d/%d worker: %w", i, cfg.shards, err)
 		}
@@ -178,7 +177,7 @@ func runHeal(ctx context.Context, w io.Writer, cfg healConfig) error {
 	}
 	fmt.Fprintf(w, "(%s regenerated in %v)\n", jobs.FigureTitle(cfg.spec.Fig), time.Since(start).Round(time.Millisecond))
 	if cfg.trace != "" {
-		n, terr := writeMergedTrace(cfg.trace, cfg.inst.Tracer, cfg.dir)
+		n, terr := writeMergedTrace(cfg.trace, cfg.inst.Tracer, cfg.dir, cfg.inst.Log)
 		if terr != nil {
 			return fmt.Errorf("-trace: %w", terr)
 		}

@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -210,69 +208,6 @@ func TestMetricsKeepsGolden(t *testing.T) {
 	if !strings.Contains(errBuf.String(), "metrics:") ||
 		!strings.Contains(errBuf.String(), "core.runs 3") {
 		t.Errorf("metrics dump missing from stderr:\n%s", errBuf.String())
-	}
-}
-
-// TestBenchJSON checks the machine-readable benchmark record.
-func TestBenchJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs three full design strategies")
-	}
-	path := filepath.Join(t.TempDir(), "bench.json")
-	var sb strings.Builder
-	if err := run(context.Background(), []string{"-fig", "cc", "-bench-json", path}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec struct {
-		Version   string `json:"version"`
-		GoVersion string `json:"go_version"`
-		Figures   []struct {
-			Fig    string  `json:"fig"`
-			WallMs float64 `json:"wall_ms"`
-			Phases []struct {
-				Phase    string  `json:"phase"`
-				ActiveMs float64 `json:"active_ms"`
-			} `json:"phases"`
-		} `json:"figures"`
-		TotalMs float64      `json:"total_ms"`
-		Metrics obs.Snapshot `json:"metrics"`
-	}
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatalf("-bench-json output not JSON: %v", err)
-	}
-	if rec.Version == "" || rec.GoVersion == "" {
-		t.Errorf("record lacks version fields: %+v", rec)
-	}
-	if len(rec.Figures) != 1 || rec.Figures[0].Fig != "cc" || rec.Figures[0].WallMs <= 0 {
-		t.Errorf("figures = %+v", rec.Figures)
-	}
-	// The record attributes the figure's time to its progress phases: cc
-	// ticks the "cc.strategies" phase once per strategy.
-	var ccPhase bool
-	for _, ph := range rec.Figures[0].Phases {
-		if ph.Phase == "cc.strategies" {
-			ccPhase = true
-			if ph.ActiveMs <= 0 {
-				t.Errorf("cc.strategies active_ms = %v, want > 0", ph.ActiveMs)
-			}
-		}
-	}
-	if !ccPhase {
-		t.Errorf("figure phases lack cc.strategies: %+v", rec.Figures[0].Phases)
-	}
-	if rec.TotalMs <= 0 {
-		t.Errorf("total_ms = %v", rec.TotalMs)
-	}
-	if rec.Metrics.Counters["core.runs"] != 3 {
-		t.Errorf("metrics.counters[core.runs] = %d, want 3", rec.Metrics.Counters["core.runs"])
-	}
-	if rec.Metrics.Histograms["core.run"].Count != 3 {
-		t.Errorf("metrics.histograms[core.run].count = %d, want 3",
-			rec.Metrics.Histograms["core.run"].Count)
 	}
 }
 

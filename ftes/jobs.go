@@ -32,10 +32,6 @@ type (
 	JobArtifacts = jobs.Artifacts
 	// JobInstruments bundles a job's observability hooks.
 	JobInstruments = jobs.Instruments
-	// ShardedJobHandle is the coordinator's reference to a sharded sweep:
-	// per-shard jobs fanned out over the queue plus the merge that
-	// reassembles the byte-identical table when the last worker finishes.
-	ShardedJobHandle = jobs.ShardedHandle
 )
 
 // Job kinds and artifact names.
@@ -74,40 +70,3 @@ func JobStatus(s *JobScheduler, id string) (JobInfo, bool) {
 // WaitJob blocks until the job finishes (or ctx cancels) and returns its
 // artifacts and error.
 func WaitJob(ctx context.Context, h *JobHandle) (JobArtifacts, error) { return h.Wait(ctx) }
-
-// ShardableFigure reports whether fig can run as a sharded sweep (its
-// rows are all journaled, so a merge can reassemble the table without
-// computing anything): 6a, 6b, 6c, 6d and runtime.
-func ShardableFigure(fig string) bool { return jobs.ShardableFigure(fig) }
-
-// SubmitShardedJob fans a shardable figure sweep out over the given
-// number of shards — one content-addressed job per slice, sharing a shard
-// directory under the scheduler's state dir — and merges the per-shard
-// journals into the final table when the last worker finishes. The
-// merged artifact is byte-identical to a single-process run of the spec.
-func SubmitShardedJob(s *JobScheduler, spec JobSpec, shards int, o JobSubmitOptions) (*ShardedJobHandle, error) {
-	return s.SubmitSharded(spec, shards, o)
-}
-
-// MergeShardedJob reassembles a finished sharded sweep from its shard
-// directory without computing any rows; an incomplete or damaged shard is
-// a loud error naming the workers to rerun. Passing JobMergePartial
-// instead degrades: missing rows render as "!" cells and the
-// JobArtifactIncomplete report names every gap and its owning shard.
-func MergeShardedJob(ctx context.Context, spec JobSpec, dir string, inst JobInstruments, opts ...JobMergeOpt) (JobArtifacts, error) {
-	return jobs.MergeShards(ctx, spec, dir, inst, opts...)
-}
-
-// JobMergeOpt tunes MergeShardedJob.
-type JobMergeOpt = jobs.MergeOpt
-
-// JobMergePartial switches MergeShardedJob from strict to degraded mode.
-const JobMergePartial = jobs.Partial
-
-// JobArtifactIncomplete is a degraded merge's machine-readable gap
-// report (which rows are missing and which shard owns each).
-const JobArtifactIncomplete = jobs.ArtifactIncomplete
-
-// RetryJob un-quarantines a job on s: the same spec re-enqueues with a
-// fresh retry-budget window while its attempt history stays monotonic.
-func RetryJob(s *JobScheduler, id string) (*JobHandle, error) { return s.Retry(id) }

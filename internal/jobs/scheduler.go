@@ -18,7 +18,6 @@ import (
 	"repro/internal/retry"
 	"repro/internal/runctl"
 	"repro/internal/runstate"
-	"repro/internal/shard"
 )
 
 // ErrClosed is returned by Submit once the scheduler is shutting down.
@@ -71,28 +70,11 @@ type Options struct {
 	// after a backoff delay instead of going terminal, until the policy's
 	// attempt budget is spent. Attempt counts are journaled in state.jsonl
 	// so restarts never reset a budget. A permanent error, or an exhausted
-	// budget, quarantines the job: terminal until a human (or the sweep
-	// watchdog) calls Retry, with job.quarantined in the event log. Nil
-	// keeps the pre-self-healing behavior: every failure is terminal.
+	// budget, quarantines the job: terminal until a human calls Retry,
+	// with job.quarantined in the event log. Nil keeps the
+	// pre-self-healing behavior: every failure is terminal. This is the
+	// only thing that re-runs a failed sharded slice in-process.
 	Retry *retry.Policy
-	// LeaseInterval paces the heartbeat on the lease file each sharded
-	// slice maintains in its sweep directory (0 = shard.DefaultLeaseInterval).
-	LeaseInterval time.Duration
-	// LeaseStale is how old a slice lease's heartbeat must be before the
-	// sweep watchdog declares its worker dead and resubmits the slice
-	// (0 = 10s). Must be a comfortable multiple of LeaseInterval.
-	LeaseStale time.Duration
-}
-
-// defaultLeaseStale is the watchdog staleness threshold when Options
-// does not set one.
-const defaultLeaseStale = 10 * time.Second
-
-func (o Options) leaseStale() time.Duration {
-	if o.LeaseStale > 0 {
-		return o.LeaseStale
-	}
-	return defaultLeaseStale
 }
 
 // Job is one scheduled exploration. All mutable fields are guarded by
@@ -178,6 +160,10 @@ type SubmitOptions struct {
 type Handle struct {
 	s *Scheduler
 	j *Job
+	// joined is set when Submit deduplicated onto an existing job; it is
+	// decided under the scheduler lock, so of N concurrent identical
+	// submissions exactly one is not a join.
+	joined bool
 }
 
 // ID returns the job's content fingerprint.
@@ -185,6 +171,10 @@ func (h *Handle) ID() string { return h.j.id }
 
 // Job returns the underlying job.
 func (h *Handle) Job() *Job { return h.j }
+
+// Joined reports whether the Submit that returned h joined an existing
+// job with the same fingerprint instead of enqueueing a new one.
+func (h *Handle) Joined() bool { return h.joined }
 
 // Done returns a channel closed when the job finishes.
 func (h *Handle) Done() <-chan struct{} { return h.j.done }
@@ -494,7 +484,7 @@ func (s *Scheduler) Submit(spec Spec, so SubmitOptions) (*Handle, error) {
 			s.mDedup.Add(1)
 			s.log.Info("job deduplicated", "job", id, "submits", submits)
 			s.events.Emit("job.dedup", id, map[string]any{"submits": submits})
-			return &Handle{s, j}, nil
+			return &Handle{s: s, j: j, joined: true}, nil
 		}
 	}
 	j := s.newJob(id, spec, so)
@@ -527,7 +517,7 @@ func (s *Scheduler) Submit(spec Spec, so SubmitOptions) (*Handle, error) {
 	}
 	s.enqueueLocked(j)
 	s.mu.Unlock()
-	return &Handle{s, j}, nil
+	return &Handle{s: s, j: j}, nil
 }
 
 // enqueueLocked inserts j into its tenant's queue: higher priority first,
@@ -680,7 +670,7 @@ func (s *Scheduler) execute(ctx context.Context, j *Job) (art Artifacts, err err
 	switch j.spec.Kind {
 	case KindFigure:
 		rowJ := j.rowJournal
-		sliceTrace := false
+		sliceDir := "" // set for a scheduler-owned sharded slice
 		switch {
 		case rowJ != nil:
 		case j.spec.ShardCount > 1:
@@ -690,27 +680,17 @@ func (s *Scheduler) execute(ctx context.Context, j *Job) (art Artifacts, err err
 			if s.opts.Dir == "" {
 				return nil, fmt.Errorf("jobs: sharded figure job %s needs a durable scheduler (Options.Dir) or a caller-provided row journal", j.id)
 			}
-			rj, jerr := s.openShardJournal(j.spec)
+			dir, derr := s.sweepDir(j.spec)
+			if derr != nil {
+				return nil, derr
+			}
+			rj, jerr := OpenSlice(dir, j.spec, true)
 			if jerr != nil {
 				return nil, jerr
 			}
 			defer rj.Close()
 			rowJ = rj
-			sliceTrace = true
-			// Heartbeat lease for the watchdog: a dead worker's lease goes
-			// stale, a live one's never does. Advisory only (the journal
-			// flock is the mutual exclusion), so failure to install it is
-			// logged, not fatal.
-			s.mu.Lock()
-			attempt := j.attempts
-			s.mu.Unlock()
-			if dir, derr := s.sweepDir(j.spec); derr == nil {
-				if lease, lerr := shard.AcquireLease(dir, j.spec.ShardIndex, j.spec.ShardCount, attempt, s.opts.LeaseInterval); lerr != nil {
-					s.log.Error("slice lease not acquired", "job", j.id, "err", lerr.Error())
-				} else {
-					defer lease.Release()
-				}
-			}
+			sliceDir = dir
 			if rj.Restored() > 0 {
 				j.obs.Events.Emit("shard.resumed", map[string]any{
 					"index": j.spec.ShardIndex, "count": j.spec.ShardCount,
@@ -728,12 +708,12 @@ func (s *Scheduler) execute(ctx context.Context, j *Job) (art Artifacts, err err
 			rowJ = rj
 		}
 		art, ferr := runFigure(ctx, j, rowJ, s.opts.EvalCache)
-		if sliceTrace {
+		if sliceDir != "" && j.obs.Tracer != nil {
 			// Snapshot the slice's trace (final durations, open spans flagged
 			// unfinished) into the shard directory next to its journal, so the
 			// sweep merge can stitch every worker's timeline. Observation-only:
 			// a failed snapshot is logged, never fails the job.
-			if terr := s.writeShardTrace(j); terr != nil {
+			if terr := WriteSliceTrace(sliceDir, j.spec, j.obs.Tracer); terr != nil {
 				s.log.Error("shard trace not written", "job", j.id, "err", terr.Error())
 			}
 		}
@@ -771,7 +751,7 @@ func (s *Scheduler) completeJob(j *Job, artifacts Artifacts, err error) {
 	// that is neither an interruption nor a user cancel goes one of two
 	// ways instead of terminal-failed: retryable with budget left →
 	// backoff and re-enqueue; permanent or exhausted → quarantine, held
-	// for a human (or the sweep watchdog) to Retry.
+	// for a human to Retry.
 	if err != nil && !interrupted && !userCanceled && s.opts.Retry != nil && s.opts.Retry.MaxAttempts > 1 {
 		p := s.opts.Retry
 		s.mu.Lock()
@@ -953,7 +933,7 @@ func (s *Scheduler) Retry(id string) (*Handle, error) {
 	}
 	s.enqueueLocked(nj)
 	s.mu.Unlock()
-	return &Handle{s, nj}, nil
+	return &Handle{s: s, j: nj}, nil
 }
 
 // eventFields condenses a spec into the detail fields its lifecycle
@@ -978,7 +958,7 @@ func (s *Scheduler) Get(id string) (*Handle, bool) {
 	if !ok {
 		return nil, false
 	}
-	return &Handle{s, j}, true
+	return &Handle{s: s, j: j}, true
 }
 
 // Cancel cooperatively cancels a job: a queued job completes immediately

@@ -5,9 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
+	"io"
 	"path/filepath"
-	"time"
 
 	"repro/internal/fsatomic"
 	"repro/internal/obs"
@@ -33,15 +32,16 @@ func (s *Scheduler) sweepDir(spec Spec) (string, error) {
 	return filepath.Join(s.opts.Dir, "sweep-"+base), nil
 }
 
-// openShardJournal installs (or verifies) the sweep's manifest and opens
-// the slice's per-shard journal, resuming any rows an earlier attempt of
-// the same slice already completed. The journal fingerprint binds the
-// file to its exact (workload, shard index, shard count) coordinates.
-func (s *Scheduler) openShardJournal(spec Spec) (*runstate.Journal, error) {
-	dir, err := s.sweepDir(spec)
-	if err != nil {
-		return nil, err
-	}
+// OpenSlice installs (or verifies) the sweep manifest in the shard
+// directory dir and opens the journal of spec's slice (spec.ShardIndex of
+// spec.ShardCount), restoring the rows an earlier attempt of the same
+// slice already journaled when resume is set. The manifest pins
+// (workload, figure, shard count), so a slice whose spec disagrees with
+// the sweep already in dir is refused before it can write a single row;
+// the journal fingerprint binds the file to its exact (workload, shard
+// index, shard count) coordinates. Scheduler slices and paperbench shard
+// workers both open their slices here.
+func OpenSlice(dir string, spec Spec, resume bool) (*runstate.Journal, error) {
 	fp, err := shard.WorkloadFingerprint(spec.Apps, spec.Procs, spec.Seed)
 	if err != nil {
 		return nil, err
@@ -53,7 +53,45 @@ func (s *Scheduler) openShardJournal(spec Spec) (*runstate.Journal, error) {
 	}
 	return runstate.Open(
 		filepath.Join(dir, shard.JournalName(spec.ShardIndex, spec.ShardCount)),
-		shard.JournalFingerprint(fp, spec.ShardIndex, spec.ShardCount), true)
+		shard.JournalFingerprint(fp, spec.ShardIndex, spec.ShardCount), resume)
+}
+
+// WriteSliceTrace snapshots a slice's trace into the shard directory dir
+// under shard.TraceName, atomically (temp file + rename) so a concurrent
+// merge never reads a half-written snapshot. A re-run slice overwrites
+// its previous snapshot.
+func WriteSliceTrace(dir string, spec Spec, tr *obs.Tracer) error {
+	dst := filepath.Join(dir, shard.TraceName(spec.ShardIndex, spec.ShardCount))
+	return fsatomic.Install(dst, tr.WriteChromeTrace)
+}
+
+// MergeSweepTrace stitches tr's trace (skipped when nil) with every worker
+// trace snapshot in the shard directory dir into one cross-process Chrome
+// trace on w, one process lane per input, and returns the lane count.
+// Nothing is written when there are no inputs at all. Observation-only
+// and best-effort: a missing snapshot (a worker that never started) or an
+// unreadable one (logged to lg) narrows the merge rather than failing it.
+func MergeSweepTrace(w io.Writer, tr *obs.Tracer, dir string, lg *obs.Logger) (int, error) {
+	var inputs []obs.TraceData
+	if tr != nil {
+		inputs = append(inputs, tr.TraceData())
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "trace-*-of-*.json"))
+	if err != nil {
+		return 0, err
+	}
+	for _, name := range names {
+		td, err := obs.ReadTraceFile(name)
+		if err != nil {
+			lg.Error("worker trace unreadable", "file", name, "err", err.Error())
+			continue
+		}
+		inputs = append(inputs, td)
+	}
+	if len(inputs) == 0 {
+		return 0, nil
+	}
+	return len(inputs), obs.MergeTraces(w, inputs...)
 }
 
 // ShardedHandle is the coordinator's reference to a sharded sweep: the
@@ -64,7 +102,6 @@ type ShardedHandle struct {
 	baseID string
 	dir    string
 	spec   Spec // base spec, shard coordinates zeroed
-	so     SubmitOptions
 	shards []*Handle
 	inst   Instruments
 	// sweepSpan is the coordinator's span covering the whole sweep; every
@@ -175,7 +212,6 @@ func (s *Scheduler) SubmitSharded(spec Spec, shards int, so SubmitOptions) (*Sha
 	// orders it ahead of the slices' own lifecycle events.
 	h.sweepSpan = h.inst.Tracer.Start("sweep."+spec.Fig, obs.Int("shards", shards))
 	so.TraceParent = h.sweepSpan.Ref()
-	h.so = so
 	s.events.Emit("sweep.submitted", baseID, map[string]any{"fig": spec.Fig, "shards": shards})
 	for i := 0; i < shards; i++ {
 		sl := spec
@@ -197,14 +233,13 @@ func (s *Scheduler) SubmitSharded(spec Spec, shards int, so SubmitOptions) (*Sha
 }
 
 // run supervises the sweep: it waits for every shard worker, ticking the
-// coordinator's global "shard.workers" phase, and acts as the sweep
-// watchdog — a slice that fails under a stale lease held by another
-// (dead) process is resubmitted rather than counted against the sweep,
-// because its journal resumes and the re-run recomputes only what the
-// dead worker never journaled. Slices whose failures stand fail the
-// sweep (with every slice's error reported) and the merge is not
-// attempted — an incomplete sweep can only ever fail loudly, never
-// silently produce a table; -merge -partial is the explicit opt-in.
+// coordinator's global "shard.workers" phase as each one succeeds, then
+// merges. A slice that failed fails the sweep (with every failed slice's
+// error reported) and the merge is not attempted — an incomplete sweep can
+// only ever fail loudly, never silently produce a table; -merge -partial
+// is the explicit opt-in. Transient slice failures never get here while
+// Options.Retry has budget left, and resubmitting a failed sweep resumes
+// every slice from its journal.
 func (h *ShardedHandle) run(parent context.Context) {
 	defer close(h.done)
 	ph := h.inst.Progress.Phase("shard.workers")
@@ -215,78 +250,27 @@ func (h *ShardedHandle) run(parent context.Context) {
 		ctx = context.Background()
 	}
 
-	// slices holds the current incarnation of each slice job; healSlice
-	// swaps in replacements. credited remembers which slices already
-	// ticked the progress phase (a healed slice only counts once).
-	slices := make([]*Handle, n)
-	copy(slices, h.shards)
-	credited := make([]bool, n)
-
-	// Fan-in: any slice finishing (or being replaced) pokes the wake
-	// channel; the lease watchdog additionally scans on a timer so a
-	// foreign worker dying without finishing anything still gets noticed.
-	wake := make(chan struct{}, 1)
-	poke := func() {
-		select {
-		case wake <- struct{}{}:
-		default:
-		}
+	// Fan in completions so progress ticks in finish order; errs stays in
+	// shard order.
+	finished := make(chan int, n)
+	for i, sh := range h.shards {
+		go func(i int, done <-chan struct{}) { <-done; finished <- i }(i, sh.Done())
 	}
-	watch := func(c <-chan struct{}) { go func() { <-c; poke() }() }
-	for _, sh := range slices {
-		watch(sh.Done())
+	errs := make([]error, n)
+	for range h.shards {
+		i := <-finished
+		sh := h.shards[i]
+		if _, err := sh.Wait(nil); err != nil {
+			errs[i] = fmt.Errorf("shard %d/%d (job %s): %w", i, n, sh.ID(), err)
+			continue
+		}
+		ph.Add(1)
 	}
-	poll := h.s.opts.leaseStale() / 4
-	if poll < 100*time.Millisecond {
-		poll = 100 * time.Millisecond
-	}
-	ticker := time.NewTicker(poll)
-	defer ticker.Stop()
-
-	ctxDone := ctx.Done()
-	for {
-		settled := 0
-		var errs []error
-		for i, sh := range slices {
-			select {
-			case <-sh.Done():
-			default:
-				continue
-			}
-			_, err := sh.Wait(nil)
-			if err == nil {
-				settled++
-				if !credited[i] {
-					credited[i] = true
-					ph.Add(1)
-				}
-				continue
-			}
-			if nh := h.healSlice(i, sh, err); nh != nil {
-				slices[i] = nh
-				watch(nh.Done())
-				continue
-			}
-			settled++
-			errs = append(errs, fmt.Errorf("shard %d/%d (job %s): %w", i, n, sh.ID(), err))
-		}
-		if settled == n {
-			if len(errs) > 0 {
-				h.sweepSpan.End()
-				h.err = fmt.Errorf("jobs: sharded sweep %s: %w", h.baseID, errors.Join(errs...))
-				h.s.events.Emit("sweep.failed", h.baseID, map[string]any{"error": h.err.Error()})
-				return
-			}
-			break
-		}
-		select {
-		case <-ctxDone:
-			// The parent cancel reaches every slice directly; stop
-			// selecting on the closed channel and let them settle.
-			ctxDone = nil
-		case <-wake:
-		case <-ticker.C:
-		}
+	if err := errors.Join(errs...); err != nil {
+		h.sweepSpan.End()
+		h.err = fmt.Errorf("jobs: sharded sweep %s: %w", h.baseID, err)
+		h.s.events.Emit("sweep.failed", h.baseID, map[string]any{"error": h.err.Error()})
+		return
 	}
 	ph.Done()
 	h.inst.Log.Info("sharded sweep merging", "sweep", h.baseID, "dir", h.dir)
@@ -296,105 +280,13 @@ func (h *ShardedHandle) run(parent context.Context) {
 		h.s.events.Emit("sweep.failed", h.baseID, map[string]any{"error": h.err.Error()})
 		return
 	}
-	if data := h.mergedTrace(); data != nil {
-		h.artifacts[ArtifactTrace] = data
+	var trace bytes.Buffer
+	if n, err := MergeSweepTrace(&trace, h.inst.Tracer, h.dir, h.inst.Log); err != nil {
+		h.inst.Log.Error("trace merge failed", "sweep", h.baseID, "err", err.Error())
+	} else if n > 0 {
+		h.artifacts[ArtifactTrace] = trace.Bytes()
 	}
 	h.s.events.Emit("sweep.merged", h.baseID, map[string]any{
 		"fig": h.spec.Fig, "shards": len(h.shards),
 	})
-}
-
-// healSlice is the watchdog's verdict on one failed slice: when the
-// slice's lease file stopped heartbeating longer than the staleness
-// threshold ago and belongs to another process, the worker that held the
-// slice died (SIGKILL, OOM, power cut) and the failure — typically a
-// journal still flock-held at open time, or a torn write — is
-// environmental, not the spec's fault. The slice is then resubmitted (a
-// quarantined slice goes through Retry, re-opening its budget) and the
-// replacement handle returned; its journal resumes, so re-execution is
-// byte-identical. Any other failure returns nil: the error stands.
-func (h *ShardedHandle) healSlice(i int, old *Handle, cause error) *Handle {
-	if errors.Is(cause, runctl.ErrCanceled) {
-		return nil // canceled or interrupted, not dead — never resubmit
-	}
-	stale, info := shard.LeaseStale(h.dir, i, len(h.shards), h.s.opts.leaseStale())
-	if !stale || info.PID == os.Getpid() {
-		return nil
-	}
-	h.s.events.Emit("watchdog.stale", h.baseID, map[string]any{
-		"shard": i, "pid": info.PID, "attempt": info.Attempt,
-	})
-	// Reap the dead worker's lease so one stale file cannot justify a
-	// second resubmission of the same slice.
-	os.Remove(filepath.Join(h.dir, shard.LeaseName(i, len(h.shards))))
-
-	var (
-		nh  *Handle
-		err error
-	)
-	if old.Status().State == StateQuarantined {
-		nh, err = h.s.Retry(old.ID())
-	} else {
-		sl := h.spec
-		sl.ShardIndex, sl.ShardCount = i, len(h.shards)
-		nh, err = h.s.Submit(sl, h.so)
-	}
-	if err != nil {
-		h.inst.Log.Error("slice resubmit failed", "sweep", h.baseID, "shard", i, "err", err.Error())
-		return nil
-	}
-	h.s.log.Info("slice resubmitted by watchdog", "sweep", h.baseID, "shard", i, "job", nh.ID(), "dead_pid", info.PID)
-	h.s.events.Emit("sweep.resubmitted", h.baseID, map[string]any{
-		"shard": i, "job": nh.ID(), "cause": cause.Error(),
-	})
-	return nh
-}
-
-// mergedTrace stitches the coordinator's trace with every worker trace
-// snapshot found in the shard directory into one cross-process Chrome
-// trace. Best-effort and observation-only: a missing snapshot (a worker
-// that ran before tracing existed, or a copy that lost a file) narrows
-// the merge rather than failing the sweep, and with no coordinator
-// tracer and no snapshots at all there is no artifact.
-func (h *ShardedHandle) mergedTrace() []byte {
-	var inputs []obs.TraceData
-	if h.inst.Tracer != nil {
-		inputs = append(inputs, h.inst.Tracer.TraceData())
-	}
-	for i := 0; i < len(h.shards); i++ {
-		td, err := obs.ReadTraceFile(filepath.Join(h.dir, shard.TraceName(i, len(h.shards))))
-		if err != nil {
-			if !os.IsNotExist(err) {
-				h.inst.Log.Error("worker trace unreadable", "sweep", h.baseID, "shard", i, "err", err.Error())
-			}
-			continue
-		}
-		inputs = append(inputs, td)
-	}
-	if len(inputs) == 0 {
-		return nil
-	}
-	var buf bytes.Buffer
-	if err := obs.MergeTraces(&buf, inputs...); err != nil {
-		h.inst.Log.Error("trace merge failed", "sweep", h.baseID, "err", err.Error())
-		return nil
-	}
-	return buf.Bytes()
-}
-
-// writeShardTrace snapshots a slice job's trace into its sweep's shard
-// directory under shard.TraceName, atomically (temp file + rename) so a
-// concurrent merge never reads a half-written snapshot. A re-run slice
-// overwrites its previous snapshot.
-func (s *Scheduler) writeShardTrace(j *Job) error {
-	tr := j.obs.Tracer
-	if tr == nil {
-		return nil
-	}
-	dir, err := s.sweepDir(j.spec)
-	if err != nil {
-		return err
-	}
-	dst := filepath.Join(dir, shard.TraceName(j.spec.ShardIndex, j.spec.ShardCount))
-	return fsatomic.Install(dst, tr.WriteChromeTrace)
 }

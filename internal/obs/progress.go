@@ -52,9 +52,6 @@ type Phase struct {
 	pr      *Progress
 	name    string
 	started time.Time
-	// lastAdd is when the counter last advanced; started→lastAdd is the
-	// phase's active window, the per-phase duration BENCH_*.json records.
-	lastAdd time.Time
 	current int64
 	total   int64
 	best    float64
@@ -91,8 +88,7 @@ func (ph *Phase) Add(n int64) {
 	}
 	ph.pr.mu.Lock()
 	ph.current += n
-	ph.lastAdd = ph.pr.now()
-	s := progressSample{t: ph.lastAdd, n: ph.current}
+	s := progressSample{t: ph.pr.now(), n: ph.current}
 	if len(ph.samples) < rateWindow {
 		ph.samples = append(ph.samples, s)
 	} else {
@@ -163,12 +159,7 @@ type PhaseStatus struct {
 	// or the rate is unknown, or the phase is done).
 	ETA     time.Duration `json:"eta_ns,omitempty"`
 	Elapsed time.Duration `json:"elapsed_ns"`
-	// Active is the phase's active window so far — creation to the most
-	// recent counter advance (0 until the first Add). Unlike Elapsed it
-	// stops growing once the phase's work stops, which is what makes
-	// per-phase wall-time attribution in BENCH_*.json meaningful.
-	Active time.Duration `json:"active_ns,omitempty"`
-	Done   bool          `json:"done,omitempty"`
+	Done    bool          `json:"done,omitempty"`
 }
 
 // ProgressStatus is a snapshot of every phase, in creation order.
@@ -195,9 +186,6 @@ func (p *Progress) Status() ProgressStatus {
 			HasBest: ph.hasBest,
 			Elapsed: now.Sub(ph.started),
 			Done:    ph.done,
-		}
-		if !ph.lastAdd.IsZero() {
-			st.Active = ph.lastAdd.Sub(ph.started)
 		}
 		if n := len(ph.samples); n >= 2 {
 			first := ph.samples[0]

@@ -29,13 +29,12 @@ type LeaseInfo struct {
 	PID       int   `json:"pid"`
 	Index     int   `json:"index"`
 	Shards    int   `json:"shards"`
-	Attempt   int   `json:"attempt"`
 	UpdatedMS int64 `json:"updated_ms"`
 }
 
 // Lease is a live heartbeat on one slice of a sharded sweep: a lease
 // file in the shard directory rewritten (atomic temp+rename) on every
-// interval tick, so a watchdog can tell a working slice (fresh mtime)
+// interval tick, so a supervisor can tell a working slice (fresh mtime)
 // from a dead or wedged one (stale mtime). The lease is advisory —
 // mutual exclusion on the journal itself is the runstate flock — so
 // heartbeat write failures are tolerated, not fatal.
@@ -54,13 +53,13 @@ type Lease struct {
 // when interval <= 0). An existing lease file — a previous attempt that
 // died without cleaning up — is overwritten: the journal flock, not the
 // lease, arbitrates ownership.
-func AcquireLease(dir string, index, shards, attempt int, interval time.Duration) (*Lease, error) {
+func AcquireLease(dir string, index, shards int, interval time.Duration) (*Lease, error) {
 	if interval <= 0 {
 		interval = DefaultLeaseInterval
 	}
 	l := &Lease{
 		path: filepath.Join(dir, LeaseName(index, shards)),
-		info: LeaseInfo{PID: os.Getpid(), Index: index, Shards: shards, Attempt: attempt},
+		info: LeaseInfo{PID: os.Getpid(), Index: index, Shards: shards},
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -91,8 +90,8 @@ func (l *Lease) heartbeat(interval time.Duration) {
 			return
 		case <-t.C:
 			// Best effort: a failed refresh only risks a spurious stale
-			// verdict, and the resubmitted attempt then loses the journal
-			// flock race and backs off.
+			// verdict, which costs one worker restart that resumes from
+			// the journal.
 			l.write()
 		}
 	}
@@ -130,7 +129,7 @@ func ReadLease(dir string, index, shards int) (LeaseInfo, time.Time, error) {
 	if err := json.Unmarshal(data, &info); err != nil {
 		// A torn lease (the writer died mid-install before fsatomic
 		// existed, or the fs lied) still carries liveness in its mtime;
-		// report it with zeroed info rather than failing the watchdog.
+		// report it with zeroed info rather than failing the supervisor.
 		return LeaseInfo{}, st.ModTime(), nil
 	}
 	return info, st.ModTime(), nil

@@ -14,7 +14,7 @@ import (
 // removes the file so the slice never reads as stale afterwards.
 func TestLeaseLifecycle(t *testing.T) {
 	dir := t.TempDir()
-	l, err := AcquireLease(dir, 1, 3, 4, 5*time.Millisecond)
+	l, err := AcquireLease(dir, 1, 3, 5*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func TestLeaseLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.PID != os.Getpid() || info.Index != 1 || info.Shards != 3 || info.Attempt != 4 {
+	if info.PID != os.Getpid() || info.Index != 1 || info.Shards != 3 {
 		t.Fatalf("lease info = %+v", info)
 	}
 	// The heartbeat advances the mtime without a new Acquire.
@@ -56,7 +56,7 @@ func TestLeaseLifecycle(t *testing.T) {
 // reads stale and still carries the dead worker's identity.
 func TestLeaseStaleAfterSilence(t *testing.T) {
 	dir := t.TempDir()
-	l, err := AcquireLease(dir, 0, 2, 1, time.Hour) // heartbeat never fires
+	l, err := AcquireLease(dir, 0, 2, time.Hour) // heartbeat never fires
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestLeaseStaleAfterSilence(t *testing.T) {
 	if !stale {
 		t.Fatal("minute-old heartbeat not stale at a 10s threshold")
 	}
-	if info.PID != os.Getpid() || info.Attempt != 1 {
+	if info.PID != os.Getpid() {
 		t.Errorf("stale lease identity = %+v", info)
 	}
 	if stale, _ := LeaseStale(dir, 0, 2, 2*time.Minute); stale {
@@ -83,20 +83,16 @@ func TestLeaseStaleAfterSilence(t *testing.T) {
 // lease, owns mutual exclusion.
 func TestLeaseOverwrite(t *testing.T) {
 	dir := t.TempDir()
-	l1, err := AcquireLease(dir, 0, 2, 1, time.Hour)
+	l1, err := AcquireLease(dir, 0, 2, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, err := AcquireLease(dir, 0, 2, 2, time.Hour)
+	l2, err := AcquireLease(dir, 0, 2, time.Hour)
 	if err != nil {
 		t.Fatalf("second acquire over an existing lease: %v", err)
 	}
-	info, _, err := ReadLease(dir, 0, 2)
-	if err != nil {
+	if _, _, err := ReadLease(dir, 0, 2); err != nil {
 		t.Fatal(err)
-	}
-	if info.Attempt != 2 {
-		t.Errorf("lease attempt = %d, want the newer attempt 2", info.Attempt)
 	}
 	l2.Release()
 	l1.Release()
