@@ -48,6 +48,11 @@
 // one tenant's backlog cannot starve another's; within a tenant, higher
 // priority runs first.
 //
+// A figure runs as one crash-resumable job: "workers" parallelizes it,
+// -state journals its rows and -retry re-runs it after a transient
+// failure. Sweeps sharded over several processes run through paperbench
+// -shards (supervised by -heal, reassembled by -merge), not the daemon.
+//
 // With -retry N the daemon self-heals: a job failing with a retryable
 // error (ENOSPC, torn writes, a journal still held by a dying worker) is
 // re-enqueued with exponential backoff up to N attempts, then quarantined
@@ -72,9 +77,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -208,15 +211,11 @@ type daemon struct {
 	// instead of being accepted by a scheduler about to close.
 	draining   atomic.Bool
 	drainBound time.Duration
-
-	mu     sync.Mutex
-	sweeps map[string]*jobs.ShardedHandle
 }
 
 func newDaemon(sched *jobs.Scheduler, reg *obs.Registry, lg *obs.Logger, jobTimeout time.Duration, events *obs.EventLog, sampler *obs.Sampler) *daemon {
 	d := &daemon{sched: sched, reg: reg, lg: lg, jobTimeout: jobTimeout,
-		events: events, sampler: sampler, mux: http.NewServeMux(),
-		sweeps: make(map[string]*jobs.ShardedHandle)}
+		events: events, sampler: sampler, mux: http.NewServeMux()}
 	d.mux.HandleFunc("POST /jobs", d.submit)
 	d.mux.HandleFunc("GET /jobs", d.list)
 	d.mux.HandleFunc("GET /jobs/{id}", d.status)
@@ -224,9 +223,6 @@ func newDaemon(sched *jobs.Scheduler, reg *obs.Registry, lg *obs.Logger, jobTime
 	d.mux.HandleFunc("POST /jobs/{id}/retry", d.retryJob)
 	d.mux.HandleFunc("GET /jobs/{id}/artifacts/{name}", d.artifact)
 	d.mux.HandleFunc("GET /jobs/{id}/{introspect...}", d.introspect)
-	d.mux.HandleFunc("GET /sweeps", d.listSweeps)
-	d.mux.HandleFunc("GET /sweeps/{id}", d.sweepStatus)
-	d.mux.HandleFunc("GET /sweeps/{id}/artifacts/{name}", d.sweepArtifact)
 	// Everything else — /metrics, /events, /timeseries, /healthz,
 	// /debug/pprof, the index — is daemon-level introspection: the
 	// scheduler's own instruments (queue depth, queue wait, completions),
@@ -253,11 +249,6 @@ type submitRequest struct {
 	RunWorkers   int     `json:"run_workers,omitempty"`
 	AppTimeoutMs float64 `json:"app_timeout_ms,omitempty"`
 	Markdown     bool    `json:"markdown,omitempty"`
-	// Shards > 1 fans the figure out as a sharded sweep: one job per
-	// shard, merged into the final table when the last worker finishes.
-	// Needs -state (the shard directory lives there) and a shardable
-	// figure (6a, 6b, 6c, 6d, runtime). Track it under /sweeps/{id}.
-	Shards int `json:"shards,omitempty"`
 
 	// Design jobs.
 	Spec     json.RawMessage `json:"spec,omitempty"`
@@ -278,9 +269,6 @@ type submitResponse struct {
 	// Dedup reports that this submission joined an already-known job with
 	// the same content fingerprint instead of enqueuing a new run.
 	Dedup bool `json:"dedup"`
-	// Shards is set for sharded sweeps; the ID then names the sweep
-	// (GET /sweeps/{id}), not an individual job.
-	Shards int `json:"shards,omitempty"`
 }
 
 func (d *daemon) submit(w http.ResponseWriter, r *http.Request) {
@@ -327,10 +315,6 @@ func (d *daemon) submit(w http.ResponseWriter, r *http.Request) {
 		Priority: req.Priority,
 		Timeout:  timeout,
 	}
-	if req.Shards > 1 {
-		d.submitSharded(w, spec, req.Shards, so)
-		return
-	}
 	h, err := d.sched.Submit(spec, so)
 	if err != nil {
 		if errors.Is(err, jobs.ErrClosed) {
@@ -376,161 +360,6 @@ func (d *daemon) retryJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, h.Status())
-}
-
-// submitSharded fans a figure sweep out over N shard jobs and tracks the
-// coordinator under /sweeps/{id}. Resubmitting the same sweep while it is
-// live (or after it succeeded) joins it instead of double-fanning; a
-// failed sweep is replaced and runs again, with each shard resuming from
-// its journal.
-func (d *daemon) submitSharded(w http.ResponseWriter, spec jobs.Spec, shards int, so jobs.SubmitOptions) {
-	id, err := spec.Fingerprint()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	d.mu.Lock()
-	if h, ok := d.sweeps[id]; ok {
-		failed := false
-		select {
-		case <-h.Done():
-			_, werr := h.Wait(nil)
-			failed = werr != nil
-		default:
-		}
-		if !failed {
-			d.mu.Unlock()
-			writeJSON(w, http.StatusAccepted, submitResponse{
-				ID: id, State: sweepState(h), Dedup: true, Shards: len(h.Shards())})
-			return
-		}
-		delete(d.sweeps, id)
-	}
-	d.mu.Unlock()
-	h, err := d.sched.SubmitSharded(spec, shards, so)
-	if err != nil {
-		if errors.Is(err, jobs.ErrClosed) {
-			d.unavailable(w, err)
-			return
-		}
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	d.mu.Lock()
-	d.sweeps[id] = h
-	d.mu.Unlock()
-	writeJSON(w, http.StatusAccepted, submitResponse{ID: id, State: sweepState(h), Shards: shards})
-}
-
-// sweepState is the coordinator's aggregate state: running until every
-// worker finished and the merge produced the table.
-func sweepState(h *jobs.ShardedHandle) string {
-	select {
-	case <-h.Done():
-		if _, err := h.Wait(nil); err != nil {
-			return jobs.StateFailed
-		}
-		return jobs.StateDone
-	default:
-		return jobs.StateRunning
-	}
-}
-
-// sweepInfo is the aggregate status served at /sweeps/{id}: the sweep's
-// own state plus every shard job's status, so an operator sees at a
-// glance which slices are queued, running or done.
-type sweepInfo struct {
-	ID        string        `json:"id"`
-	Fig       string        `json:"fig"`
-	Shards    int           `json:"shards"`
-	State     string        `json:"state"`
-	Error     string        `json:"error,omitempty"`
-	Dir       string        `json:"dir"`
-	Jobs      []jobs.Status `json:"jobs"`
-	Artifacts []string      `json:"artifacts,omitempty"`
-}
-
-func (d *daemon) sweepInfo(h *jobs.ShardedHandle) sweepInfo {
-	shards := h.Shards()
-	info := sweepInfo{
-		ID: h.ID(), Shards: len(shards), State: sweepState(h), Dir: h.Dir(),
-	}
-	for _, sh := range shards {
-		st := sh.Status()
-		info.Fig = st.Fig
-		info.Jobs = append(info.Jobs, st)
-	}
-	if info.State != jobs.StateRunning {
-		art, err := h.Wait(nil)
-		if err != nil {
-			info.Error = err.Error()
-		}
-		for name := range art {
-			info.Artifacts = append(info.Artifacts, name)
-		}
-		sort.Strings(info.Artifacts)
-	}
-	return info
-}
-
-func (d *daemon) getSweep(id string) (*jobs.ShardedHandle, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	h, ok := d.sweeps[id]
-	return h, ok
-}
-
-func (d *daemon) listSweeps(w http.ResponseWriter, r *http.Request) {
-	d.mu.Lock()
-	handles := make([]*jobs.ShardedHandle, 0, len(d.sweeps))
-	for _, h := range d.sweeps {
-		handles = append(handles, h)
-	}
-	d.mu.Unlock()
-	sort.Slice(handles, func(a, b int) bool { return handles[a].ID() < handles[b].ID() })
-	out := struct {
-		Sweeps []sweepInfo `json:"sweeps"`
-	}{Sweeps: []sweepInfo{}}
-	for _, h := range handles {
-		out.Sweeps = append(out.Sweeps, d.sweepInfo(h))
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (d *daemon) sweepStatus(w http.ResponseWriter, r *http.Request) {
-	h, ok := d.getSweep(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("no sweep %s", r.PathValue("id")))
-		return
-	}
-	writeJSON(w, http.StatusOK, d.sweepInfo(h))
-}
-
-func (d *daemon) sweepArtifact(w http.ResponseWriter, r *http.Request) {
-	h, ok := d.getSweep(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("no sweep %s", r.PathValue("id")))
-		return
-	}
-	select {
-	case <-h.Done():
-	default:
-		httpError(w, http.StatusConflict, fmt.Errorf("sweep %s is running; the merged table appears when every shard finishes", h.ID()))
-		return
-	}
-	art, err := h.Wait(nil)
-	if err != nil {
-		httpError(w, http.StatusConflict, err)
-		return
-	}
-	name := r.PathValue("name")
-	data, ok := art[name]
-	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("sweep %s has no artifact %q", h.ID(), name))
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write(data) //nolint:errcheck — client gone is client's problem
 }
 
 // parseSubmit decodes a job envelope, falling back to treating the whole

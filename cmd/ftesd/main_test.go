@@ -249,6 +249,8 @@ func TestSubmitErrors(t *testing.T) {
 		`{"kind":"figure","fig":"6z"}`,       // unknown figure
 		`{"kind":"design"}`,                  // no document
 		`{"kind":"figure","fig":"6a","x":1}`, // unknown envelope field
+		// The retired sharding field: refused, never run unsharded.
+		`{"kind":"figure","fig":"runtime","shards":2}`,
 	} {
 		code, _ := postJSON(t, srv.URL+"/jobs", body)
 		if code != http.StatusBadRequest {
@@ -321,100 +323,5 @@ func TestEnvelopeTimeout(t *testing.T) {
 	st := pollDone(t, srv.URL, sr.ID)
 	if st.State != jobs.StateFailed || !strings.Contains(st.Error, "deadline") {
 		t.Errorf("state = %s, err = %q; want failed with deadline error", st.State, st.Error)
-	}
-}
-
-// pollSweepDone polls a sweep's aggregate status until it leaves running.
-func pollSweepDone(t *testing.T, base, id string) sweepInfo {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Minute)
-	for {
-		code, data := get(t, base+"/sweeps/"+id)
-		if code != http.StatusOK {
-			t.Fatalf("GET /sweeps/%s = %d: %s", id, code, data)
-		}
-		var info sweepInfo
-		if err := json.Unmarshal(data, &info); err != nil {
-			t.Fatal(err)
-		}
-		if info.State != jobs.StateRunning {
-			return info
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sweep %s stuck running: %+v", id, info)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// TestShardedSweep: a figure submitted with "shards":2 on a durable daemon
-// fans out, merges, and serves a table byte-identical to the unsharded
-// job's; resubmitting the sweep joins it.
-func TestShardedSweep(t *testing.T) {
-	cleanSrv, _ := newTestServer(t, jobs.Options{Workers: 1})
-	_, cr := postJSON(t, cleanSrv.URL+"/jobs", tinyFigBody)
-	if st := pollDone(t, cleanSrv.URL, cr.ID); st.State != jobs.StateDone {
-		t.Fatalf("clean run: %s (%s)", st.State, st.Error)
-	}
-	_, want := get(t, cleanSrv.URL+"/jobs/"+cr.ID+"/artifacts/table.txt")
-
-	srv, _ := newTestServer(t, jobs.Options{Workers: 2, Dir: t.TempDir()})
-	body := `{"kind":"figure","fig":"6a","apps":2,"procs":[20],"seed":3,"shards":2}`
-	code, sr := postJSON(t, srv.URL+"/jobs", body)
-	if code != http.StatusAccepted || sr.Shards != 2 {
-		t.Fatalf("POST sharded = %d, shards = %d", code, sr.Shards)
-	}
-	info := pollSweepDone(t, srv.URL, sr.ID)
-	if info.State != jobs.StateDone {
-		t.Fatalf("sweep state = %s (%s)", info.State, info.Error)
-	}
-	if info.Shards != 2 || len(info.Jobs) != 2 || info.Fig != "6a" {
-		t.Errorf("sweep info = %+v", info)
-	}
-	for _, st := range info.Jobs {
-		if st.State != jobs.StateDone {
-			t.Errorf("shard job %s state = %s", st.ID, st.State)
-		}
-	}
-
-	code, got := get(t, srv.URL+"/sweeps/"+sr.ID+"/artifacts/table.txt")
-	if code != http.StatusOK {
-		t.Fatalf("sweep artifact = %d: %s", code, got)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("sharded sweep table differs from unsharded job:\n%s\nwant:\n%s", got, want)
-	}
-
-	code, listing := get(t, srv.URL+"/sweeps")
-	if code != http.StatusOK || !bytes.Contains(listing, []byte(sr.ID)) {
-		t.Errorf("GET /sweeps (%d):\n%s", code, listing)
-	}
-
-	code, again := postJSON(t, srv.URL+"/jobs", body)
-	if code != http.StatusAccepted || !again.Dedup || again.ID != sr.ID {
-		t.Errorf("resubmitted sweep: code=%d dedup=%v id=%s (want dedup join of %s)",
-			code, again.Dedup, again.ID, sr.ID)
-	}
-}
-
-// TestShardedSweepErrors: sweep submissions that cannot work are 400s with
-// the reason, and unknown sweeps are 404s.
-func TestShardedSweepErrors(t *testing.T) {
-	mem, _ := newTestServer(t, jobs.Options{Workers: 1})
-	code, _ := postJSON(t, mem.URL+"/jobs", `{"kind":"figure","fig":"6a","shards":2}`)
-	if code != http.StatusBadRequest {
-		t.Errorf("sharded sweep on a stateless daemon = %d, want 400", code)
-	}
-
-	srv, _ := newTestServer(t, jobs.Options{Workers: 1, Dir: t.TempDir()})
-	code, _ = postJSON(t, srv.URL+"/jobs", `{"kind":"figure","fig":"cc","shards":2}`)
-	if code != http.StatusBadRequest {
-		t.Errorf("non-shardable sharded figure = %d, want 400", code)
-	}
-	if code, _ := get(t, srv.URL+"/sweeps/nope"); code != http.StatusNotFound {
-		t.Errorf("GET unknown sweep = %d, want 404", code)
-	}
-	if code, _ := get(t, srv.URL+"/sweeps/nope/artifacts/table.txt"); code != http.StatusNotFound {
-		t.Errorf("GET unknown sweep artifact = %d, want 404", code)
 	}
 }

@@ -15,6 +15,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"repro/internal/jobs"
 )
 
 // Client talks to one ftesd daemon.
@@ -36,11 +38,14 @@ type Client struct {
 
 // SubmitResult is the daemon's acknowledgment of an accepted submission.
 type SubmitResult struct {
-	ID     string `json:"id"`
-	State  string `json:"state"`
-	Dedup  bool   `json:"dedup"`
-	Shards int    `json:"shards,omitempty"`
+	ID    string `json:"id"`
+	State string `json:"state"`
+	Dedup bool   `json:"dedup"`
 }
+
+// JobInfo is a point-in-time snapshot of one job, as GET /jobs/{id}
+// serves it.
+type JobInfo = jobs.Status
 
 // apiError is the daemon's {"error": "..."} body, surfaced verbatim.
 type apiError struct {

@@ -273,9 +273,8 @@ type (
 	// Strategy selects OPT, MIN or MAX.
 	Strategy = core.Strategy
 	// EvalCache is the disk-backed, content-addressed store of memoized
-	// evaluation work. Install one via Options.EvalCache (or
-	// JobSchedulerOptions.EvalCache) to warm-start runs across
-	// processes; it can only short-cut to values the engine would
+	// evaluation work. Install one via Options.EvalCache to warm-start
+	// runs across processes; it can only short-cut to values the engine would
 	// recompute identically, never change a result.
 	EvalCache = evalcache.Cache
 )

@@ -43,8 +43,7 @@ func RuntimeStudy(ctx context.Context, cfg Config, ser, hpd float64) (*Table, er
 	strategies := []core.Strategy{core.MIN, core.MAX, core.OPT}
 	// Slice-local progress totals: a sharded worker only handles the rows
 	// its shard owns, so that — not the whole grid — is what /progress and
-	// -progress report against. The coordinator aggregates global
-	// completion across workers.
+	// -progress report against.
 	owned := 0
 	for _, n := range cfg.Procs {
 		for _, s := range strategies {

@@ -44,11 +44,6 @@ const (
 // byte-identical to what cmd/paperbench prints for the same flags.
 const ArtifactTable = "table.txt"
 
-// ArtifactTrace is the artifact name of a sharded sweep's merged Chrome
-// trace: the coordinator's spans plus every worker's trace snapshot,
-// stitched by obs.MergeTraces into one cross-process timeline.
-const ArtifactTrace = "trace.json"
-
 // ArtifactIncomplete is the artifact name of a partial (degraded) merge's
 // machine-readable gap report: which rows are missing and which shard
 // owns each, so an operator knows exactly what to re-run.
@@ -91,10 +86,11 @@ type Spec struct {
 	Markdown bool `json:"markdown,omitempty"`
 	// ShardIndex/ShardCount make a figure job one slice of a sharded
 	// sweep: with ShardCount > 1 the job computes only the rows
-	// shard.Index assigns to ShardIndex, journaling them into the sweep's
-	// shard directory for a later merge. Both participate in the
-	// fingerprint, so every slice is its own content-addressed job.
-	// Only shardable figures (ShardableFigure) accept them.
+	// shard.Index assigns to ShardIndex, journaling them into the
+	// caller-owned slice journal (OpenSlice, SubmitOptions.RowJournal)
+	// for a later merge. Both participate in the fingerprint, so every
+	// slice is its own content-addressed job. Only shardable figures
+	// (ShardableFigure) accept them.
 	ShardIndex int `json:"shard_index,omitempty"`
 	ShardCount int `json:"shard_count,omitempty"`
 
@@ -227,7 +223,7 @@ type Instruments struct {
 	// Events is the job's scope into the scheduler's event log. The
 	// scheduler fills it in when Options.Events is configured and the
 	// submitter left it nil; runners emit low-rate lifecycle events
-	// (app timeouts, shard resumes) through it.
+	// (app timeouts) through it.
 	Events *obs.EventScope
 }
 
