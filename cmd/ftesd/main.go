@@ -82,7 +82,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/evalcache"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/obs/obshttp"
@@ -106,7 +105,6 @@ func run(args []string, stderr io.Writer) error {
 	jobTimeout := fs.Duration("job-timeout", 0, "default per-job deadline when a submission does not set timeout_ms (0 = none)")
 	logFormat := fs.String("log", "text", "structured log format on stderr: text, json or off")
 	logLevel := fs.String("log-level", "info", "minimum log level: debug, info, warn or error")
-	evalCacheDir := fs.String("eval-cache", "", "warm-start directory for the disk-backed evaluation cache shared by all jobs: repeated and resubmitted workloads skip recomputation (results are identical either way)")
 	sample := fs.Duration("sample", time.Second, "interval of the /timeseries metrics sampler")
 	retryN := fs.Int("retry", 0, "self-healing attempt budget: jobs failing with retryable errors re-enqueue with backoff up to N attempts, then quarantine until POST /jobs/{id}/retry (0 or 1 = every failure is terminal)")
 	if err := fs.Parse(args); err != nil {
@@ -118,12 +116,6 @@ func run(args []string, stderr io.Writer) error {
 		return err
 	}
 	reg := obs.NewRegistry()
-	var ec *evalcache.Cache
-	if *evalCacheDir != "" {
-		if ec, err = evalcache.Open(*evalCacheDir); err != nil {
-			return err
-		}
-	}
 	// The lifecycle event journal shares the daemon's durability story:
 	// with -state it is an append-only CRC-framed file that replays on
 	// restart, so /events?since=0 shows the fleet's history across
@@ -146,7 +138,7 @@ func run(args []string, stderr io.Writer) error {
 	if *retryN > 1 {
 		pol = &retry.Policy{MaxAttempts: *retryN}
 	}
-	sched, err := jobs.New(jobs.Options{Workers: *workers, Dir: *state, Metrics: reg, Log: lg, EvalCache: ec, Events: events, Retry: pol})
+	sched, err := jobs.New(jobs.Options{Workers: *workers, Dir: *state, Metrics: reg, Log: lg, Events: events, Retry: pol})
 	if err != nil {
 		return err
 	}
@@ -422,13 +414,18 @@ func (d *daemon) artifact(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Errorf("no job %s", r.PathValue("id")))
 		return
 	}
-	select {
-	case <-h.Done():
-	default:
-		httpError(w, http.StatusConflict, fmt.Errorf("job %s is %s; artifacts appear when it finishes", h.ID(), h.Status().State))
+	// A job's terminal state (and its job.* event) is published just
+	// before its waiters wake, so a client reacting to either can land in
+	// that gap: wait it out instead of refusing.
+	switch st := h.Status().State; st {
+	case jobs.StateQueued, jobs.StateRunning:
+		httpError(w, http.StatusConflict, fmt.Errorf("job %s is %s; artifacts appear when it finishes", h.ID(), st))
 		return
 	}
-	art, _ := h.Wait(nil)
+	art, err := h.Wait(r.Context())
+	if err != nil && r.Context().Err() != nil {
+		return
+	}
 	name := r.PathValue("name")
 	data, ok := art[name]
 	if !ok {

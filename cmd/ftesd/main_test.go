@@ -183,9 +183,9 @@ func TestConcurrentDedup(t *testing.T) {
 	}
 }
 
-// TestBareSpecioDesign: POSTing a bare specio problem document (no
-// envelope) runs it as a design job with text and JSON result artifacts.
-func TestBareSpecioDesign(t *testing.T) {
+// designDoc is a small bare specio problem document (a design job).
+func designDoc(t *testing.T) string {
+	t.Helper()
 	inst, err := taskgen.Generate(taskgen.DefaultConfig(3, 10, 1e-11, 25))
 	if err != nil {
 		t.Fatal(err)
@@ -195,9 +195,16 @@ func TestBareSpecioDesign(t *testing.T) {
 		Gamma: inst.Goal.Gamma, TauMs: inst.Goal.Tau}); err != nil {
 		t.Fatal(err)
 	}
+	return doc.String()
+}
+
+// TestBareSpecioDesign: POSTing a bare specio problem document (no
+// envelope) runs it as a design job with text and JSON result artifacts.
+func TestBareSpecioDesign(t *testing.T) {
+	doc := designDoc(t)
 
 	srv, _ := newTestServer(t, jobs.Options{Workers: 1})
-	code, sr := postJSON(t, srv.URL+"/jobs", doc.String())
+	code, sr := postJSON(t, srv.URL+"/jobs", doc)
 	if code != http.StatusAccepted {
 		t.Fatalf("POST bare specio = %d", code)
 	}
@@ -216,6 +223,57 @@ func TestBareSpecioDesign(t *testing.T) {
 	}
 	if _, ok := rec["feasible"]; !ok {
 		t.Errorf("result.json has no feasible field:\n%s", js)
+	}
+}
+
+// stallDoneLog is a log sink that holds the scheduler's "job done" line
+// (written after the job's terminal state is visible, before its waiters
+// wake) until release is closed, signalling stalled when it gets there.
+type stallDoneLog struct{ stalled, release chan struct{} }
+
+func (l stallDoneLog) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte("job done")) {
+		close(l.stalled)
+		<-l.release
+	}
+	return len(p), nil
+}
+
+// TestArtifactAtTerminalState: a client that sees a job's terminal state
+// before the scheduler has woken its waiters (the window in which the
+// terminal log line and job.done event are written) gets the artifact,
+// not a 409.
+func TestArtifactAtTerminalState(t *testing.T) {
+	doc := designDoc(t)
+	l := stallDoneLog{stalled: make(chan struct{}), release: make(chan struct{})}
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(l.release) }) }
+	srv, _ := newTestServer(t, jobs.Options{Workers: 1, Log: obs.NewTextLogger(l, nil)})
+	t.Cleanup(release) // runs before the server cleanup closes the scheduler
+
+	code, sr := postJSON(t, srv.URL+"/jobs", doc)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST = %d", code)
+	}
+	<-l.stalled
+	var st jobs.Status
+	if _, data := get(t, srv.URL+"/jobs/"+sr.ID); json.Unmarshal(data, &st) != nil || st.State != jobs.StateDone {
+		t.Fatalf("status during the stall: %s", data)
+	}
+	got := make(chan int, 1)
+	go func() {
+		resp, err := http.Get(srv.URL + "/jobs/" + sr.ID + "/artifacts/result.json")
+		if err != nil {
+			got <- 0
+			return
+		}
+		resp.Body.Close()
+		got <- resp.StatusCode
+	}()
+	time.Sleep(50 * time.Millisecond) // let the GET reach the handler mid-stall
+	release()
+	if c := <-got; c != http.StatusOK {
+		t.Errorf("GET result.json at terminal state = %d, want 200", c)
 	}
 }
 

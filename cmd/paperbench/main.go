@@ -37,9 +37,8 @@
 //
 // Sharded sweeps trace across processes: every worker snapshots its
 // trace into the shard directory, and -merge -trace FILE stitches all
-// of them (plus the merge itself) into one timeline. -trace-parent (or
-// $FTES_TRACE_PARENT) reconnects a worker's spans under a coordinator
-// span across the process boundary.
+// of them (plus the merge itself) into one timeline, one lane per
+// worker.
 //
 // All diagnostics (-progress, -log, -metrics, the -serve banner) go to
 // stderr or to files; stdout carries only the tables, so redirecting it
@@ -62,10 +61,11 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
+	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/evalcache"
 	"repro/internal/fsatomic"
 	"repro/internal/jobs"
 	"repro/internal/obs"
@@ -151,9 +151,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	heal := fs.Bool("heal", false, "self-healing coordinator: spawn one worker subprocess per shard (-shards/-shard-dir), restart dead or wedged workers with backoff until every slice's journal is complete, then merge in-process — the final table is byte-identical to a clean run")
 	healAttempts := fs.Int("heal-attempts", 25, "with -heal: worker (re)starts allowed per shard before the sweep gives up")
 	healStale := fs.Duration("heal-stale", 10*time.Second, "with -heal: how long a worker's lease heartbeat may go quiet before the supervisor declares it wedged and replaces it")
-	evalCacheDir := fs.String("eval-cache", "", "warm-start directory for the disk-backed evaluation cache: memoized schedules/solutions are loaded from and flushed to it, so repeated runs skip recomputation (results are identical either way)")
-	traceParent := fs.String("trace-parent", os.Getenv("FTES_TRACE_PARENT"), "cross-process parent span reference (traceID:spanID) this run's root spans attach to; a sweep coordinator passes it to its shard workers so the merged trace is one tree (default: $FTES_TRACE_PARENT)")
-	sampleInterval := fs.Duration("sample-interval", time.Second, "with -serve: interval of the /timeseries metrics sampler")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -217,7 +214,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		// /timeseries keeps a ring of counter snapshots.
 		events = obs.NewEventLog()
 		defer events.Close()
-		sampler = obs.NewSampler(reg, *sampleInterval, 0)
+		sampler = obs.NewSampler(reg, time.Second, 0)
 		sampler.Start()
 		defer sampler.Stop()
 		srv, err := obshttp.Serve(*serve, obshttp.Options{
@@ -250,8 +247,8 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 
 	base := jobs.Spec{Kind: jobs.KindFigure, Apps: *apps, Seed: *seed,
 		Workers: *workers, RunWorkers: *runWorkers, AppTimeout: *appTimeout, Markdown: *md}
-	for _, tok := range splitInts(*procs) {
-		base.Procs = append(base.Procs, tok)
+	if base.Procs, err = splitInts(*procs); err != nil {
+		return err
 	}
 	if len(base.Procs) == 0 {
 		return fmt.Errorf("no process counts in -procs")
@@ -405,20 +402,10 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		}
 	}
 
-	// Reconnect this process's root spans under the coordinator's span
-	// when one was handed down (no-op on an empty ref).
-	tracer.SetRemoteParent(*traceParent)
-
 	// One single-worker scheduler runs the figures in order; the process
 	// instruments ride along on every job, so -serve, -trace and -metrics
 	// observe all figures in one place exactly as before.
-	var ec *evalcache.Cache
-	if *evalCacheDir != "" {
-		if ec, err = evalcache.Open(*evalCacheDir); err != nil {
-			return err
-		}
-	}
-	sched, err := jobs.New(jobs.Options{Workers: 1, Metrics: reg, Log: lg, EvalCache: ec, Events: events})
+	sched, err := jobs.New(jobs.Options{Workers: 1, Metrics: reg, Log: lg, Events: events})
 	if err != nil {
 		return err
 	}
@@ -492,7 +479,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		if *mergeDir != "" {
 			// Merge mode stitches the fleet: this process's merge spans plus
 			// every worker snapshot found in the shard directory, one
-			// process lane each, cross-process parents resolved.
+			// process lane each.
 			n, err := writeMergedTrace(*trace, tracer, *mergeDir, lg)
 			if err != nil {
 				return fmt.Errorf("-trace: %w", err)
@@ -625,27 +612,21 @@ func writeMergedTrace(path string, tr *obs.Tracer, dir string, lg *obs.Logger) (
 	return n, err
 }
 
-// splitInts parses a comma-separated list of positive ints, ignoring empty
-// tokens.
-func splitInts(s string) []int {
+// splitInts parses a comma-separated list of positive ints. Spaces
+// around a token and empty tokens are ignored; any other token is an
+// error naming it.
+func splitInts(s string) ([]int, error) {
 	var out []int
-	cur := 0
-	has := false
-	flush := func() {
-		if has && cur > 0 {
-			out = append(out, cur)
+	for _, tok := range strings.Split(s, ",") {
+		tok = strings.TrimSpace(tok)
+		if tok == "" {
+			continue
 		}
-		cur, has = 0, false
-	}
-	for _, r := range s {
-		switch {
-		case r >= '0' && r <= '9':
-			cur = cur*10 + int(r-'0')
-			has = true
-		case r == ',':
-			flush()
+		n, err := strconv.Atoi(tok)
+		if err != nil || n <= 0 {
+			return nil, fmt.Errorf("-procs: %q is not a positive integer", tok)
 		}
+		out = append(out, n)
 	}
-	flush()
-	return out
+	return out, nil
 }

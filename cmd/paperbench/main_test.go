@@ -21,8 +21,28 @@ func TestSplitInts(t *testing.T) {
 		{" 20 , 40 ", []int{20, 40}},
 	}
 	for _, c := range cases {
-		if got := splitInts(c.in); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("splitInts(%q) = %v, want %v", c.in, got, c.want)
+		got, err := splitInts(c.in)
+		if err != nil || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("splitInts(%q) = %v, %v; want %v", c.in, got, err, c.want)
+		}
+	}
+	// Malformed lists are refused, naming the first bad token, instead of
+	// gluing digits together or dropping tokens.
+	bad := []struct{ in, tok string }{
+		{"20 40", `"20 40"`},
+		{"20;40", `"20;40"`},
+		{"-20", `"-20"`},
+		{"0,40", `"0"`},
+		{"20,x,0", `"x"`},
+	}
+	for _, c := range bad {
+		got, err := splitInts(c.in)
+		if err == nil {
+			t.Errorf("splitInts(%q) = %v, want error", c.in, got)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.tok) {
+			t.Errorf("splitInts(%q) error %q does not name %s", c.in, err, c.tok)
 		}
 	}
 }
@@ -34,6 +54,9 @@ func TestUnknownFigure(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-fig", "6a", "-procs", ","}, &sb); err == nil {
 		t.Error("want error for empty process list")
+	}
+	if err := run(context.Background(), []string{"-fig", "6a", "-procs", "20 40"}, &sb); err == nil {
+		t.Error("want error for a space-separated process list")
 	}
 }
 

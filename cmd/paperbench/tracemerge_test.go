@@ -123,30 +123,3 @@ func TestShardedTraceMergeCLI(t *testing.T) {
 		}
 	}
 }
-
-// TestWorkerTraceParent: a worker launched with -trace-parent records the
-// coordinator's span reference on its root spans, so a later merge that
-// includes the coordinator's trace reconnects them.
-func TestWorkerTraceParent(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "sweep")
-	runOut(t, append(shardArgs("6a"),
-		"-shards", "2", "-shard", "0", "-shard-dir", dir,
-		"-trace-parent", "feedc0de-1-2:7")...)
-	events := readTraceEvents(t, filepath.Join(dir, shard.TraceName(0, 2)))
-	var roots, withRef int
-	for _, ev := range events {
-		if ev.Ph != "X" {
-			continue
-		}
-		if _, hasParent := ev.Args["parent_id"]; hasParent {
-			continue
-		}
-		roots++
-		if ref, _ := ev.Args["parent_ref"].(string); ref == "feedc0de-1-2:7" {
-			withRef++
-		}
-	}
-	if roots == 0 || withRef != roots {
-		t.Errorf("%d/%d root spans carry the trace parent ref", withRef, roots)
-	}
-}

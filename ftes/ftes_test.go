@@ -3,7 +3,6 @@ package ftes_test
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"testing"
 
 	"repro/ftes"
@@ -158,33 +157,5 @@ func TestFacadeRunContext(t *testing.T) {
 	}
 	if res == nil {
 		t.Fatal("canceled run returned no partial result")
-	}
-}
-
-// TestFacadeJournal round-trips a row through the exported journal API.
-func TestFacadeJournal(t *testing.T) {
-	fp, err := ftes.JournalFingerprint(map[string]int{"apps": 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "j.jsonl")
-	j, err := ftes.OpenJournal(path, fp, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Record("row-1", map[string]float64{"OPT": 90}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	j, err = ftes.OpenJournal(path, fp, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	var got map[string]float64
-	if !j.Lookup("row-1", &got) || got["OPT"] != 90 {
-		t.Errorf("restored row = %v", got)
 	}
 }

@@ -293,8 +293,9 @@ func (e *Evaluator) evaluate(mapping, levels []int) (*redundancy.Solution, error
 		return nil, err
 	}
 	ks, reliable, err := redundancy.ReExecutionOptAnalysis(analysis, p.Goal, e.maxK())
-	e.st.stats.reExecNanos.Add(int64(time.Since(start)))
-	e.st.mReexec.Observe(time.Since(start))
+	d := time.Since(start)
+	e.st.stats.reExecNanos.Add(int64(d))
+	e.st.mReexec.Observe(d)
 	if err != nil {
 		return nil, err
 	}
@@ -315,8 +316,9 @@ func (e *Evaluator) evaluate(mapping, levels []int) (*redundancy.Solution, error
 		Bus:     p.Bus,
 		Model:   p.Model,
 	}, &e.ws)
-	e.st.stats.schedNanos.Add(int64(time.Since(start)))
-	e.st.mSched.Observe(time.Since(start))
+	d = time.Since(start)
+	e.st.stats.schedNanos.Add(int64(d))
+	e.st.mSched.Observe(d)
 	if err != nil {
 		return nil, err
 	}

@@ -45,7 +45,6 @@ func AblationBus(ctx context.Context, cfg Config, pt Point) (*Table, error) {
 						Strategy:      s,
 						MaxCost:       pt.ArC,
 						MappingParams: cfg.MappingParams,
-						EvalCache:     cfg.EvalCache,
 					})
 					if err != nil {
 						return nil, err

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/evalcache"
 	"repro/internal/evalengine"
 	"repro/internal/mapping"
 	"repro/internal/obs"
@@ -132,10 +131,6 @@ type Config struct {
 	// after it was freshly computed (journal-restored rows do not fire
 	// it). Tests use it to cancel at exact row boundaries.
 	RowDone func(key string)
-	// EvalCache, when non-nil, is the disk-backed evaluation cache every
-	// design run loads from and flushes to (core.Options.EvalCache):
-	// reruns and CI repeats warm-start instead of recomputing schedules.
-	EvalCache *evalcache.Cache
 }
 
 // MissingRows collects, during a degraded merge, the journal key of
@@ -378,7 +373,6 @@ func AcceptanceStats(ctx context.Context, cfg Config, pt Point) (Rates, map[core
 				Metrics:       cfg.Metrics,
 				Progress:      cfg.Progress,
 				Log:           cfg.Log,
-				EvalCache:     cfg.EvalCache,
 			})
 			if err != nil {
 				// A per-app deadline miss while the sweep itself is live:

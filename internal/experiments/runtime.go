@@ -128,7 +128,6 @@ func RuntimeStudy(ctx context.Context, cfg Config, ser, hpd float64) (*Table, er
 					Metrics:       cfg.Metrics,
 					Progress:      cfg.Progress,
 					Log:           cfg.Log,
-					EvalCache:     cfg.EvalCache,
 				})
 				cancelApp()
 				if err != nil {

@@ -50,7 +50,6 @@ func SimulationStudy(ctx context.Context, cfg Config, ser float64, iterations in
 					Strategy:      core.OPT,
 					Model:         model,
 					MappingParams: cfg.MappingParams,
-					EvalCache:     cfg.EvalCache,
 				})
 				if err != nil {
 					return nil, err

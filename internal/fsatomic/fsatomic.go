@@ -3,7 +3,7 @@
 // it, rename it over the destination, then fsync the parent directory so
 // a power cut after the rename cannot leave the publish unrecorded in
 // the directory itself. Every temp+rename site in the tree (shard
-// manifests, lease files, evalcache entries, trace snapshots) goes
+// manifests, lease files, evaluation-cache entries, trace snapshots) goes
 // through here, and the failpoint-aware variants cooperate with
 // faultject to inject ENOSPC, short writes, and torn renames exactly at
 // the install boundary.

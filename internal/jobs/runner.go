@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/core"
-	"repro/internal/evalcache"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/runctl"
@@ -29,7 +28,7 @@ import (
 // the experiment functions return their completed rows alongside the
 // typed error, so an interrupted job carries its deterministic partial
 // table.
-func runFigure(ctx context.Context, j *Job, rowJ *runstate.Journal, ec *evalcache.Cache) (Artifacts, error) {
+func runFigure(ctx context.Context, j *Job, rowJ *runstate.Journal) (Artifacts, error) {
 	spec := j.spec
 	cfg := experiments.Config{
 		Apps: spec.Apps, Procs: spec.Procs, Seed: spec.Seed,
@@ -37,8 +36,7 @@ func runFigure(ctx context.Context, j *Job, rowJ *runstate.Journal, ec *evalcach
 		AppTimeout: spec.AppTimeout,
 		ShardIndex: spec.ShardIndex, ShardCount: spec.ShardCount,
 		Metrics: j.obs.Metrics, Progress: j.obs.Progress, Log: j.obs.Log,
-		Events:    j.obs.Events,
-		EvalCache: ec,
+		Events: j.obs.Events,
 	}
 	if rowJ != nil {
 		// Guarded: a nil *runstate.Journal inside the RowStore interface
@@ -49,7 +47,7 @@ func runFigure(ctx context.Context, j *Job, rowJ *runstate.Journal, ec *evalcach
 		id := j.id
 		cfg.RowDone = func(key string) { testFigRowDone(id, key) }
 	}
-	return renderFigure(ctx, spec, cfg, j.obs, ec)
+	return renderFigure(ctx, spec, cfg, j.obs)
 }
 
 // MergeOpt tunes a MergeShards call.
@@ -127,14 +125,14 @@ func MergeShards(ctx context.Context, spec Spec, dir string, inst Instruments, o
 		ShardIndex: -1, ShardCount: m.Shards,
 		RequireJournaled: true,
 		Metrics:          inst.Metrics, Progress: inst.Progress, Log: inst.Log,
-		Events:           inst.Events,
+		Events: inst.Events,
 	}
 	var missing *experiments.MissingRows
 	if partial {
 		missing = &experiments.MissingRows{}
 		cfg.Missing = missing
 	}
-	art, err := renderFigure(ctx, base, cfg, inst, nil)
+	art, err := renderFigure(ctx, base, cfg, inst)
 	if partial && art != nil {
 		rep, jerr := incompleteReport(base.Fig, m.Shards, rows.Len(), reasons, missing.Keys())
 		if jerr != nil {
@@ -184,7 +182,7 @@ func incompleteReport(fig string, shards, present int, reasons map[int]string, m
 
 // renderFigure dispatches one figure run (live, sharded or merge — the
 // difference lives entirely in cfg) and renders the ArtifactTable bytes.
-func renderFigure(ctx context.Context, spec Spec, cfg experiments.Config, inst Instruments, ec *evalcache.Cache) (Artifacts, error) {
+func renderFigure(ctx context.Context, spec Spec, cfg experiments.Config, inst Instruments) (Artifacts, error) {
 	span := inst.Tracer.Start("fig." + spec.Fig)
 	defer span.End()
 	cfg.Span = span
@@ -224,7 +222,7 @@ func renderFigure(ctx context.Context, spec Spec, cfg experiments.Config, inst I
 	case "6d":
 		err = table(experiments.Fig6d)
 	case "cc":
-		err = runCC(ctx, &buf, render, spec.RunWorkers, span, inst.Metrics, inst.Progress, lg, ec)
+		err = runCC(ctx, &buf, render, spec.RunWorkers, span, inst.Metrics, inst.Progress, lg)
 	case "runtime":
 		err = renderResult(experiments.RuntimeStudy(ctx, cfg, 1e-11, 25))
 	case "simulation":
@@ -271,7 +269,7 @@ func runAblation(ctx context.Context, w io.Writer, cfg experiments.Config,
 // lg are the optional observability hooks (nil disables each): the three
 // design runs nest under span, fold their counters into reg, tick the
 // "cc.strategies" progress phase and log per-run records.
-func runCC(ctx context.Context, w io.Writer, render func(*experiments.Table) error, runWorkers int, span *obs.Span, reg *obs.Registry, prog *obs.Progress, lg *obs.Logger, ec *evalcache.Cache) error {
+func runCC(ctx context.Context, w io.Writer, render func(*experiments.Table) error, runWorkers int, span *obs.Span, reg *obs.Registry, prog *obs.Progress, lg *obs.Logger) error {
 	inst, err := cc.Instance()
 	if err != nil {
 		return err
@@ -291,7 +289,6 @@ func runCC(ctx context.Context, w io.Writer, render func(*experiments.Table) err
 		res, err := core.RunContext(ctx, inst.App, inst.Platform, core.Options{
 			Goal: inst.Goal, Strategy: s, Workers: runWorkers,
 			ParentSpan: span, Metrics: reg, Progress: prog, Log: lg,
-			EvalCache: ec,
 		})
 		if err != nil {
 			return err
@@ -329,14 +326,13 @@ func runCC(ctx context.Context, w io.Writer, render func(*experiments.Table) err
 // runDesign runs one design optimization over the spec's specio document
 // and produces an ftopt-style text summary (ArtifactResultText) and a
 // machine-readable record (ArtifactResultJSON).
-func runDesign(ctx context.Context, spec Spec, inst Instruments, ec *evalcache.Cache) (Artifacts, error) {
+func runDesign(ctx context.Context, spec Spec, inst Instruments) (Artifacts, error) {
 	doc, err := specio.Read(bytes.NewReader(spec.Design))
 	if err != nil {
 		return nil, err
 	}
 	opts := core.Options{Goal: doc.Goal(), MaxCost: spec.MaxCost, Workers: spec.RunWorkers,
-		Metrics: inst.Metrics, Progress: inst.Progress, Log: inst.Log,
-		EvalCache: ec}
+		Metrics: inst.Metrics, Progress: inst.Progress, Log: inst.Log}
 	switch spec.Strategy {
 	case "", "OPT":
 		opts.Strategy = core.OPT

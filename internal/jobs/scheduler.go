@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/evalcache"
 	"repro/internal/obs"
 	"repro/internal/retry"
 	"repro/internal/runctl"
@@ -54,16 +53,10 @@ type Options struct {
 	Log *obs.Logger
 	// Events, when non-nil, receives the fleet lifecycle event stream:
 	// job submitted/started/done/failed/canceled/interrupted, dedup hits,
-	// resumes, shard starts, eval-cache warm/cold, panics recovered.
+	// resumes, shard starts, panics recovered.
 	// ftesd opens a durable log under its state dir so the stream
 	// survives restarts; paperbench -serve uses a memory-only log.
 	Events *obs.EventLog
-	// EvalCache, when non-nil, is the disk-backed evaluation cache every
-	// job's design runs share (core.Options.EvalCache): resubmitted and
-	// repeated jobs warm-start from what earlier jobs persisted. It lives
-	// on Options, not Spec — specs are content-addressed and a cache
-	// location must not change a job's identity.
-	EvalCache *evalcache.Cache
 	// Retry, when non-nil, is the self-healing policy: a job failing with
 	// a retryable error (retry.IsRetryable — torn journal writes, ENOSPC,
 	// a slice journal still flock-held by a dying worker) is re-enqueued
@@ -619,29 +612,7 @@ func (s *Scheduler) runJob(j *Job) {
 		runCtx, cancelTimeout = context.WithTimeout(ctx, j.timeout)
 	}
 
-	var cacheBefore evalcache.Stats
-	if s.opts.EvalCache != nil {
-		cacheBefore = s.opts.EvalCache.Stats()
-	}
-
 	artifacts, err := s.execute(runCtx, j)
-
-	if s.opts.EvalCache != nil {
-		// Warm vs cold is a per-job, best-effort read of the shared cache:
-		// did this run load anything an earlier run persisted? Concurrent
-		// jobs can blur the delta; the answer is still the right signal for
-		// "was the cache worth having" dashboards.
-		after := s.opts.EvalCache.Stats()
-		typ := "evalcache.cold"
-		if after.LoadHits > cacheBefore.LoadHits {
-			typ = "evalcache.warm"
-		}
-		s.events.Emit(typ, j.id, map[string]any{
-			"load_hits": after.LoadHits - cacheBefore.LoadHits,
-			"loads":     after.Loads - cacheBefore.Loads,
-			"saves":     after.Saves - cacheBefore.Saves,
-		})
-	}
 
 	if cancelTimeout != nil {
 		cancelTimeout()
@@ -676,9 +647,9 @@ func (s *Scheduler) execute(ctx context.Context, j *Job) (art Artifacts, err err
 			defer rj.Close()
 			rowJ = rj
 		}
-		return runFigure(ctx, j, rowJ, s.opts.EvalCache)
+		return runFigure(ctx, j, rowJ)
 	case KindDesign:
-		return runDesign(ctx, j.spec, j.obs, s.opts.EvalCache)
+		return runDesign(ctx, j.spec, j.obs)
 	case kindTest:
 		if testRunHook != nil {
 			return testRunHook(ctx, j)

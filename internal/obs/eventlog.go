@@ -10,9 +10,9 @@ import (
 
 // EventLog is the fleet lifecycle journal of the observability layer: an
 // ordered stream of small structured events — job submitted/started/
-// finished, shard started/resumed/merged, eval-cache warm/cold, panic
-// recovered — that the jobs scheduler and the ftesd daemon emit and that
-// obshttp's /events endpoint streams to watchers.
+// finished, shard started, panic recovered — that the jobs scheduler
+// and the ftesd daemon emit and that obshttp's /events endpoint streams
+// to watchers.
 //
 // Two modes share one type. NewEventLog keeps events in memory only (a
 // bounded ring), which is what `paperbench -serve` uses for the lifetime

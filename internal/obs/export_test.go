@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
@@ -70,66 +69,11 @@ func TestSnapshotMutationIsolated(t *testing.T) {
 	}
 }
 
-// TestSpanRefAndRemoteParent covers the cross-process linkage surface:
-// Ref() serializes to "traceID:spanID", and a tracer with a remote
-// parent exports parent_ref on its root spans only.
-func TestSpanRefAndRemoteParent(t *testing.T) {
-	parent := NewTracer()
-	ps := parent.Start("sweep")
-	ref := ps.Ref()
-	if want := parent.ID() + ":1"; ref != want {
-		t.Fatalf("Ref() = %q, want %q", ref, want)
-	}
-	if !strings.Contains(ref, ":") || parent.ID() == "" {
-		t.Fatalf("ref %q / trace id %q malformed", ref, parent.ID())
-	}
-
-	child := NewTracer()
-	if child.ID() == parent.ID() {
-		t.Fatalf("two tracers share trace ID %q", child.ID())
-	}
-	child.SetRemoteParent(ref)
-	root := child.Start("fig")
-	sub := root.Child("inner")
-	sub.End()
-	root.End()
-
-	evs := child.Events()
-	for _, ev := range evs {
-		switch ev.Name {
-		case "fig":
-			if ev.Args["parent_ref"] != ref {
-				t.Errorf("root span parent_ref = %v, want %q", ev.Args["parent_ref"], ref)
-			}
-		case "inner":
-			if _, has := ev.Args["parent_ref"]; has {
-				t.Errorf("non-root span carries parent_ref: %v", ev.Args)
-			}
-		}
-	}
-
-	td := child.TraceData()
-	if td.Meta.TraceID != child.ID() || td.Meta.ParentRef != ref {
-		t.Errorf("TraceData meta = %+v", td.Meta)
-	}
-	if td.Meta.WallUS <= 0 {
-		t.Errorf("TraceData wall origin missing: %+v", td.Meta)
-	}
-}
-
-// TestDisabledTraceSurface: the new cross-process API keeps the
+// TestDisabledTraceSurface: the cross-process merge API keeps the
 // nil-receiver contract.
 func TestDisabledTraceSurface(t *testing.T) {
 	var tr *Tracer
-	if tr.ID() != "" {
-		t.Error("nil tracer has an ID")
-	}
 	tr.SetProcessLabel("x")
-	tr.SetRemoteParent("a:1")
-	var s *Span
-	if s.Ref() != "" {
-		t.Error("nil span has a ref")
-	}
 	td := tr.TraceData()
 	if td.Meta != (TraceMeta{}) || td.Events != nil {
 		t.Errorf("nil tracer TraceData = %+v", td)

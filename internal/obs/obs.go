@@ -45,10 +45,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -84,17 +82,9 @@ type Tracer struct {
 	// are measured on t0's monotonic clock; wall anchors them to real time
 	// so MergeTraces can align traces recorded by different processes.
 	wall time.Time
-	// id identifies this tracer across processes: span references
-	// ("traceID:spanID") from one process resolve against another's trace
-	// during a merge. Unique per tracer, stable for its lifetime.
-	id string
 	// proc labels this tracer's lane group in a merged trace (e.g.
 	// "shard 0/2"); empty means the merger invents a name.
 	proc string
-	// parentRef, when set, is the remote parent span reference
-	// ("traceID:spanID") that this tracer's root spans hang under once
-	// traces are merged. It is exported as args.parent_ref.
-	parentRef string
 	// spans holds every span ever started, in start order. Events are
 	// built from it at export time — never cached — so a span that ends
 	// between two exports gets its final duration in the second one, and
@@ -107,28 +97,13 @@ type Tracer struct {
 	nextID int64
 }
 
-// traceSeq disambiguates tracers created in the same nanosecond within
-// one process.
-var traceSeq atomic.Int64
-
 // NewTracer returns an enabled tracer whose clock starts now.
 func NewTracer() *Tracer {
 	wall := time.Now()
 	return &Tracer{
 		t0:   wall,
 		wall: wall.Round(0), // strip the monotonic reading; only the wall time matters
-		id:   fmt.Sprintf("%x-%x-%x", wall.UnixNano(), os.Getpid(), traceSeq.Add(1)),
 	}
-}
-
-// ID returns the tracer's process-unique trace identifier ("" on the
-// disabled tracer). Together with a span ID it forms a span reference
-// (see Span.Ref) that stays meaningful across process boundaries.
-func (t *Tracer) ID() string {
-	if t == nil {
-		return ""
-	}
-	return t.id
 }
 
 // SetProcessLabel names this tracer's process lane in a merged trace
@@ -139,21 +114,6 @@ func (t *Tracer) SetProcessLabel(name string) {
 	}
 	t.mu.Lock()
 	t.proc = name
-	t.mu.Unlock()
-}
-
-// SetRemoteParent declares that this tracer's root spans are logically
-// children of a span in another process, identified by its reference
-// (Span.Ref from the parent process, handed over by flag or env). The
-// reference is exported as args.parent_ref on root spans; MergeTraces
-// resolves it to a concrete parent_id when the parent's trace is part of
-// the merge. An empty ref or a nil tracer is a no-op.
-func (t *Tracer) SetRemoteParent(ref string) {
-	if t == nil || ref == "" {
-		return
-	}
-	t.mu.Lock()
-	t.parentRef = ref
 	t.mu.Unlock()
 }
 
@@ -196,17 +156,6 @@ func (s *Span) ID() int64 {
 		return 0
 	}
 	return s.id
-}
-
-// Ref returns the span's cross-process reference, "traceID:spanID" ("" on
-// the disabled span). A child process given this string via
-// Tracer.SetRemoteParent records it on its root spans, and MergeTraces
-// reconnects the two traces into one tree.
-func (s *Span) Ref() string {
-	if s == nil {
-		return ""
-	}
-	return fmt.Sprintf("%s:%d", s.tr.id, s.id)
 }
 
 // SetAttr appends annotations to the span. It must be called by the
@@ -308,13 +257,11 @@ func micros(d time.Duration) float64 { return float64(d) / float64(time.Microsec
 // tracer mutex. The Args map is freshly allocated on every export:
 // callers own the snapshot they get and may rewrite it (MergeTraces
 // remaps IDs in place) without corrupting later exports.
-func (s *Span) event(now time.Duration, parentRef string) Event {
+func (s *Span) event(now time.Duration) Event {
 	args := make(map[string]any, len(s.attrs)+3)
 	args["span_id"] = s.id
 	if s.parent != 0 {
 		args["parent_id"] = s.parent
-	} else if parentRef != "" {
-		args["parent_ref"] = parentRef
 	}
 	for _, a := range s.attrs {
 		args[a.Key] = a.Value
@@ -336,14 +283,12 @@ func (s *Span) event(now time.Duration, parentRef string) Event {
 	}
 }
 
-// TraceMeta identifies one process's trace: who recorded it, under which
-// remote parent, and where its clock zero sits on the wall clock (µs
-// since the Unix epoch) so a merger can align traces across machines.
+// TraceMeta identifies one process's trace: who recorded it and where
+// its clock zero sits on the wall clock (µs since the Unix epoch) so a
+// merger can align traces across machines.
 type TraceMeta struct {
-	TraceID   string  `json:"trace_id,omitempty"`
-	Process   string  `json:"process,omitempty"`
-	ParentRef string  `json:"parent_ref,omitempty"`
-	WallUS    float64 `json:"wall_us,omitempty"`
+	Process string  `json:"process,omitempty"`
+	WallUS  float64 `json:"wall_us,omitempty"`
 }
 
 // TraceData is one process's exportable trace: its meta plus the event
@@ -378,11 +323,7 @@ func (t *Tracer) Events() []Event {
 	t.mu.Lock()
 	evs := make([]Event, 0, len(t.spans))
 	for _, s := range t.spans {
-		ref := ""
-		if s.parent == 0 {
-			ref = t.parentRef
-		}
-		evs = append(evs, s.event(now, ref))
+		evs = append(evs, s.event(now))
 	}
 	t.mu.Unlock()
 	sort.SliceStable(evs, func(a, b int) bool { return evs[a].TS < evs[b].TS })
@@ -397,12 +338,7 @@ func (t *Tracer) TraceData() TraceData {
 	}
 	evs := t.Events()
 	t.mu.Lock()
-	meta := TraceMeta{
-		TraceID:   t.id,
-		Process:   t.proc,
-		ParentRef: t.parentRef,
-		WallUS:    float64(t.wall.UnixMicro()),
-	}
+	meta := TraceMeta{Process: t.proc, WallUS: float64(t.wall.UnixMicro())}
 	t.mu.Unlock()
 	return TraceData{Meta: meta, Events: evs}
 }

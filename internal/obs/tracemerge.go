@@ -11,9 +11,8 @@ import (
 // This file is the cross-process half of the tracer: reading the trace
 // files individual workers snapshot into a shard directory and stitching
 // them into one Chrome trace with a lane group per process, span IDs
-// remapped into disjoint ranges, cross-process parent references resolved
-// to concrete parent links, and clocks aligned on the recorded wall-time
-// origins. The output is a plain trace_event document — Perfetto renders
+// remapped into disjoint ranges, and clocks aligned on the recorded
+// wall-time origins. The output is a plain trace_event document — Perfetto renders
 // a sharded sweep as one timeline, coordinator on top, workers below.
 
 // ReadTrace parses a Chrome trace_event document previously produced by
@@ -67,21 +66,16 @@ func spanID(v any) (int64, bool) {
 //
 // Span IDs are rewritten into disjoint ranges so the merged document has
 // globally unique span_id values; parent_id links are remapped within
-// their own trace, and parent_ref links ("traceID:spanID" recorded by
-// Tracer.SetRemoteParent) are resolved to concrete parent_id values when
-// the referenced trace is part of the merge — reconnecting a worker's
-// root spans under the coordinator's sweep span. Unresolvable references
-// are kept verbatim.
+// their own trace.
 //
 // Timestamps are normalized onto one clock: each trace's events shift by
 // the offset of its wall-clock origin (Meta.WallUS) from the earliest
 // origin among the inputs. Traces without a recorded origin stay at
 // offset zero. Events are emitted in global timestamp order.
 func MergeTraces(w io.Writer, traces ...TraceData) error {
-	// First pass: assign the remapped ID of every span, keyed both
-	// per-trace (for parent_id) and globally (for parent_ref).
+	// First pass: assign the remapped ID of every span, keyed per trace
+	// so parent_id links follow.
 	perTrace := make([]map[int64]int64, len(traces))
-	global := make(map[string]int64)
 	var next int64
 	for i, td := range traces {
 		ids := make(map[int64]int64)
@@ -92,9 +86,6 @@ func MergeTraces(w io.Writer, traces ...TraceData) error {
 			}
 			next++
 			ids[old] = next
-			if td.Meta.TraceID != "" {
-				global[fmt.Sprintf("%s:%d", td.Meta.TraceID, old)] = next
-			}
 		}
 		perTrace[i] = ids
 	}
@@ -134,12 +125,6 @@ func MergeTraces(w io.Writer, traces ...TraceData) error {
 			}
 			if old, ok := spanID(args["parent_id"]); ok {
 				args["parent_id"] = perTrace[i][old]
-			}
-			if ref, ok := args["parent_ref"].(string); ok {
-				if id, ok := global[ref]; ok {
-					args["parent_id"] = id
-					delete(args, "parent_ref")
-				}
 			}
 			ev.Args = args
 			ev.PID = pid

@@ -4,18 +4,18 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
 
-// buildWorkerTrace records a random span tree on a fresh tracer whose
-// roots hang under parentRef. Every span gets a globally unique name so
-// the property test can check exactly-once presence after the merge.
-// Returns the tracer and the names it recorded.
-func buildWorkerTrace(rng *rand.Rand, worker int, parentRef string) (*Tracer, []string) {
+// buildWorkerTrace records a random span tree on a fresh tracer. Every
+// span gets a globally unique name so the property test can check
+// exactly-once presence after the merge. Returns the tracer and the
+// names it recorded.
+func buildWorkerTrace(rng *rand.Rand, worker int) (*Tracer, []string) {
 	tr := NewTracer()
 	tr.SetProcessLabel(fmt.Sprintf("shard %d", worker))
-	tr.SetRemoteParent(parentRef)
 	var names []string
 	n := 0
 	var grow func(parent *Span, depth int)
@@ -59,10 +59,20 @@ func roundTrip(t *testing.T, td TraceData) TraceData {
 	return back
 }
 
+// legacySnapshot is a worker trace snapshot in the older on-disk form,
+// whose ftesMeta also carried trace_id and parent_ref keys. %.0f is the
+// wall-clock origin.
+const legacySnapshot = `{"traceEvents":[
+{"name":"legacy.root","ph":"X","ts":5,"dur":40,"pid":1,"tid":1,"args":{"span_id":1,"worker":9}},
+{"name":"legacy.child","ph":"X","ts":10,"dur":20,"pid":1,"tid":1,"args":{"span_id":2,"parent_id":1}}],
+"displayTimeUnit":"ms",
+"ftesMeta":{"trace_id":"18f0c0de-1a2b-1","process":"shard 9/10","parent_ref":"18f0c0de-1a2b-2:1","wall_us":%.0f}}`
+
 // TestMergeTracesProperties is the merged-trace property test: across
-// random sweep shapes, the merged document contains every worker's spans
-// exactly once, all parent links (including cross-process parent_ref)
-// resolve, and timestamps are monotone within every (pid, tid) lane.
+// random sweep shapes, plus one snapshot in the older on-disk form, the
+// merged document contains every worker's spans exactly once, all parent
+// links resolve, and timestamps are monotone within every (pid, tid)
+// lane.
 func TestMergeTracesProperties(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -75,7 +85,7 @@ func TestMergeTracesProperties(t *testing.T) {
 		inputs := []TraceData{coord.TraceData()}
 		wantNames := map[string]bool{"sweep.runtime": true}
 		for w := 0; w < workers; w++ {
-			tr, names := buildWorkerTrace(rng, w, sweep.Ref())
+			tr, names := buildWorkerTrace(rng, w)
 			for _, n := range names {
 				wantNames[n] = true
 			}
@@ -83,10 +93,23 @@ func TestMergeTracesProperties(t *testing.T) {
 		}
 		sweep.End()
 		inputs[0] = coord.TraceData()
+		legacy, err := ReadTrace(strings.NewReader(fmt.Sprintf(legacySnapshot, inputs[0].Meta.WallUS)))
+		if err != nil {
+			t.Fatalf("seed %d: older snapshot does not read: %v", seed, err)
+		}
+		if legacy.Meta.Process != "shard 9/10" || len(legacy.Events) != 2 {
+			t.Fatalf("seed %d: older snapshot read as %+v", seed, legacy)
+		}
+		inputs = append(inputs, legacy)
+		wantNames["legacy.root"] = true
+		wantNames["legacy.child"] = true
 
 		var buf bytes.Buffer
 		if err := MergeTraces(&buf, inputs...); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if bytes.Contains(buf.Bytes(), []byte("parent_ref")) || bytes.Contains(buf.Bytes(), []byte("trace_id")) {
+			t.Errorf("seed %d: merged trace carries a cross-process link key", seed)
 		}
 		merged, err := ReadTrace(&buf)
 		if err != nil {
@@ -96,7 +119,6 @@ func TestMergeTracesProperties(t *testing.T) {
 		ids := map[int64]bool{}
 		seen := map[string]int{}
 		procs := map[int]bool{}
-		var sweepID int64
 		for _, ev := range merged.Events {
 			if ev.Ph == "M" {
 				procs[ev.PID] = true
@@ -111,14 +133,11 @@ func TestMergeTracesProperties(t *testing.T) {
 				t.Fatalf("seed %d: duplicate span_id %d after merge", seed, id)
 			}
 			ids[id] = true
-			if ev.Name == "sweep.runtime" {
-				sweepID = id
-			}
 		}
 
 		// Every process got a named lane group.
-		if len(procs) != workers+1 {
-			t.Errorf("seed %d: %d process_name events, want %d", seed, len(procs), workers+1)
+		if len(procs) != len(inputs) {
+			t.Errorf("seed %d: %d process_name events, want %d", seed, len(procs), len(inputs))
 		}
 		// Every worker span exactly once, nothing else.
 		for name := range wantNames {
@@ -132,29 +151,20 @@ func TestMergeTracesProperties(t *testing.T) {
 			}
 		}
 
-		// All parent links resolve; worker roots resolved onto the sweep span.
+		// All parent links resolve within the merge; only process roots
+		// (the coordinator's sweep span and the worker roots, which carry
+		// the "worker" attr) are parentless.
 		lastTS := map[[2]int]float64{}
 		for _, ev := range merged.Events {
 			if ev.Ph != "X" {
 				continue
 			}
-			if ref, has := ev.Args["parent_ref"]; has {
-				t.Errorf("seed %d: unresolved parent_ref %v on %q", seed, ref, ev.Name)
-			}
 			if pid, ok := spanID(ev.Args["parent_id"]); ok {
 				if !ids[pid] {
 					t.Errorf("seed %d: span %q parent_id %d not in merge", seed, ev.Name, pid)
 				}
-			} else if ev.Name != "sweep.runtime" {
-				// Only the coordinator's root may be parentless.
+			} else if _, root := ev.Args["worker"]; !root && ev.Name != "sweep.runtime" {
 				t.Errorf("seed %d: span %q has no parent link", seed, ev.Name)
-			}
-			if _, root := ev.Args["worker"]; root && ev.Args["parent_ref"] == nil {
-				// Worker roots carry the "worker" attr and must now point at
-				// the coordinator's sweep span.
-				if pid, _ := spanID(ev.Args["parent_id"]); hasNoLocalParent(ev) && pid != sweepID {
-					t.Errorf("seed %d: worker root %q parent_id %v, want sweep %d", seed, ev.Name, ev.Args["parent_id"], sweepID)
-				}
 			}
 			// Monotone timestamps per (pid, tid) lane.
 			lane := [2]int{ev.PID, ev.TID}
@@ -169,28 +179,18 @@ func TestMergeTracesProperties(t *testing.T) {
 	}
 }
 
-// hasNoLocalParent reports whether the event was a root span in its own
-// process (its only parent link, if any, came from parent_ref
-// resolution — i.e. its name marks it w<i>-s0-style root or it carries
-// the worker attr with the lowest sibling index). The property test only
-// needs a conservative check: roots built by buildWorkerTrace at depth 0.
-func hasNoLocalParent(ev Event) bool {
-	_, isWorkerAttr := ev.Args["worker"]
-	return isWorkerAttr
-}
-
 // TestMergeTracesClockAlignment: traces whose wall-clock origins differ
 // are shifted onto the earliest origin.
 func TestMergeTracesClockAlignment(t *testing.T) {
 	a := TraceData{
-		Meta: TraceMeta{TraceID: "a", Process: "first", WallUS: 1_000_000},
+		Meta: TraceMeta{Process: "first", WallUS: 1_000_000},
 		Events: []Event{{
 			Name: "a1", Ph: "X", TS: 10, Dur: 5, TID: 1,
 			Args: map[string]any{"span_id": int64(1)},
 		}},
 	}
 	b := TraceData{
-		Meta: TraceMeta{TraceID: "b", Process: "second", WallUS: 1_000_250},
+		Meta: TraceMeta{Process: "second", WallUS: 1_000_250},
 		Events: []Event{{
 			Name: "b1", Ph: "X", TS: 10, Dur: 5, TID: 1,
 			Args: map[string]any{"span_id": int64(1)},
