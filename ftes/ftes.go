@@ -205,7 +205,8 @@ const (
 type (
 	// Evaluator is the stateful, memoizing evaluation engine shared by the
 	// mapping and design-strategy layers. One Evaluator serves one
-	// goroutine.
+	// goroutine. The solutions it serves carry the schedule length but no
+	// schedule; Evaluator.Schedule rebuilds the schedule of one of them.
 	Evaluator = evalengine.Evaluator
 	// ConcurrentEvaluator is the multi-goroutine evaluation engine: N
 	// worker Evaluators over shared caches.

@@ -89,7 +89,7 @@ func TestConcurrentMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fresh task %d: %v", i, err)
 		}
-		assertSameSolution(t, fmt.Sprintf("task %d (mapping %v levels %v)", i, mappings[tk.m], levels[tk.l]), results[i], want)
+		assertSameSolution(t, fmt.Sprintf("task %d (mapping %v levels %v)", i, mappings[tk.m], levels[tk.l]), ce.Worker(0), mappings[tk.m], results[i], want)
 	}
 
 	// RedundancyOpt across workers: every worker optimizes a different
@@ -115,7 +115,7 @@ func TestConcurrentMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameSolution(t, fmt.Sprintf("opt %d", w), opts[w], want)
+		assertSameSolution(t, fmt.Sprintf("opt %d", w), ce.Worker(w), mappings[w], opts[w], want)
 	}
 
 	st := ce.Stats()
@@ -247,7 +247,7 @@ func TestConcurrentSingleWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameSolution(t, "single worker", got, want)
+	assertSameSolution(t, "single worker", ce.Worker(0), m, got, want)
 }
 
 // TestSharedCacheSynthetic: workers over synthetic apps, checking that a

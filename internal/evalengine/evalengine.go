@@ -8,7 +8,7 @@
 // node, so the same (architecture, hardening vector, mapping) triples are
 // evaluated over and over. The engine owns
 //
-//   - a memoization cache from (hardening vector, mapping) to the full
+//   - a memoization cache from (hardening vector, mapping) to the
 //     redundancy.Solution — the architecture node-set, goal, bus and slack
 //     model are fixed per SetProblem and invalidate the cache when they
 //     change;
@@ -23,9 +23,18 @@
 //     memoization is observable in the experiment reports rather than
 //     asserted.
 //
+// Probes are length-only. The searches rank a probe by feasibility, cost
+// and worst-case schedule length, so a cache miss builds its schedule
+// into the workspace, keeps Solution.Length and the schedulability
+// verdict, and lets the next build overwrite the schedule. Cached
+// solutions hold no schedule. A caller that walks a solution — the tabu
+// search reading the current solution's critical path, or returning its
+// best design — rebuilds the full schedule with Evaluator.Schedule.
+//
 // Cached and fresh evaluation are bit-identical: the engine delegates to
-// redundancy.ReExecutionOptAnalysis and sched.BuildInto, which run the
-// exact arithmetic of the uncached path (enforced by
+// redundancy.ReExecutionOptAnalysis and sched.BuildIncremental, which run
+// the exact arithmetic of the uncached path, and Schedule rebuilds the
+// schedule redundancy.Evaluate builds (enforced by
 // TestEvaluatorMatchesFresh).
 //
 // An Evaluator is a single-goroutine handle: its scratch buffers (schedule
@@ -256,10 +265,11 @@ func appendInts(dst []byte, vals []int) []byte {
 	return dst
 }
 
-// Evaluate returns the full solution (re-executions, schedule, cost,
-// feasibility) for the given mapping and hardening vector, from cache when
-// possible. The returned Solution is shared across callers and must be
-// treated as immutable.
+// Evaluate returns the solution (re-executions, worst-case schedule
+// length, cost, feasibility) for the given mapping and hardening vector,
+// from cache when possible. Its Schedule is nil; Schedule builds it for a
+// solution the caller keeps. The returned Solution is shared across
+// callers and must be treated as immutable.
 func (e *Evaluator) Evaluate(mapping, levels []int) (*redundancy.Solution, error) {
 	st := e.st
 	st.stats.evaluations.Add(1)
@@ -284,7 +294,10 @@ func (e *Evaluator) Evaluate(mapping, levels []int) (*redundancy.Solution, error
 
 // evaluate is the cache-miss path: the exact pipeline of
 // redundancy.Evaluate, with the SFP node analyses served from the node
-// cache and the schedule built through the reusable workspace.
+// cache and the schedule built into the reusable workspace. The search
+// only ranks the solution, so it keeps the schedule's length and verdict
+// and leaves the schedule itself in the workspace, to be overwritten by
+// the next build.
 func (e *Evaluator) evaluate(mapping, levels []int) (*redundancy.Solution, error) {
 	p := &e.prob
 	start := time.Now()
@@ -308,14 +321,7 @@ func (e *Evaluator) evaluate(mapping, levels []int) (*redundancy.Solution, error
 	// probes most of the pop sequence is unchanged — and is bit-identical
 	// to a fresh BuildInto (TestBuildIncrementalMatchesBuildInto,
 	// TestEvaluatorMatchesFresh).
-	s, err := sched.BuildIncremental(sched.Input{
-		App:     p.App,
-		Arch:    ar,
-		Mapping: mapping,
-		Ks:      ks,
-		Bus:     p.Bus,
-		Model:   p.Model,
-	}, &e.ws)
+	s, err := sched.BuildIncremental(e.input(mapping, ks), &e.ws)
 	d = time.Since(start)
 	e.st.stats.schedNanos.Add(int64(d))
 	e.st.mSched.Observe(d)
@@ -326,11 +332,39 @@ func (e *Evaluator) evaluate(mapping, levels []int) (*redundancy.Solution, error
 	return &redundancy.Solution{
 		Levels:      append([]int(nil), levels...),
 		Ks:          ks,
-		Schedule:    s,
+		Length:      s.Length,
 		Cost:        ar.Cost(),
 		Reliable:    reliable,
 		Schedulable: e.ws.Schedulable(s),
 	}, nil
+}
+
+// input is the scheduler input for mapping and ks on the private
+// architecture clone, whose Levels the caller has set.
+func (e *Evaluator) input(mapping, ks []int) sched.Input {
+	return sched.Input{
+		App:     e.prob.App,
+		Arch:    e.archBuf,
+		Mapping: mapping,
+		Ks:      ks,
+		Bus:     e.prob.Bus,
+		Model:   e.prob.Model,
+	}
+}
+
+// Schedule builds the full static schedule of a solution this engine
+// served for mapping, which carries only its length (Solution.Schedule is
+// nil). The schedule is rebuilt from sol.Levels and sol.Ks on the bound
+// problem's bus and slack model; it is freshly allocated and bit-identical
+// to the schedule redundancy.Evaluate builds for the same configuration.
+// Rebuilds are not counted in Stats.ScheduleBuilds or SchedTime: they
+// belong to the caller that walks the solution, not to the search.
+func (e *Evaluator) Schedule(mapping []int, sol *redundancy.Solution) (*sched.Schedule, error) {
+	if len(sol.Levels) != len(e.archBuf.Levels) {
+		return nil, fmt.Errorf("evalengine: solution levels cover %d of %d nodes", len(sol.Levels), len(e.archBuf.Levels))
+	}
+	copy(e.archBuf.Levels, sol.Levels)
+	return sched.BuildInto(e.input(mapping, sol.Ks), &e.ws)
 }
 
 // analysisFor assembles the SFP analysis for (mapping, levels) from the
@@ -408,8 +442,9 @@ func (e *Evaluator) analysisFor(mapping, levels []int) (*sfp.Analysis, error) {
 // 6.3 for the given mapping (or evaluates the problem's FixedLevels when
 // set), memoized per mapping: the tabu search of package mapping revisits
 // mappings constantly, and a revisited mapping costs one cache lookup
-// instead of a full hardening search. The returned Solution is shared and
-// must be treated as immutable.
+// instead of a full hardening search. Like Evaluate's, the returned
+// Solution carries no Schedule, is shared and must be treated as
+// immutable.
 func (e *Evaluator) RedundancyOpt(mapping []int) (*redundancy.Solution, error) {
 	st := e.st
 	st.stats.optRuns.Add(1)

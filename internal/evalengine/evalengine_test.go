@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/cc"
 	"repro/internal/paper"
 	"repro/internal/platform"
 	"repro/internal/redundancy"
@@ -39,9 +40,11 @@ func sameInts(a, b []int) bool {
 	return true
 }
 
-// assertSameSolution fails unless the two solutions are bit-identical in
-// every field, including the full schedule.
-func assertSameSolution(t *testing.T, label string, got, want *redundancy.Solution) {
+// assertSameSolution fails unless the engine's solution got for mapping
+// is bit-identical in every field to the fresh solution want: got carries
+// no schedule, its Length is want's schedule length, and the schedule ev
+// rebuilds for it matches want's array by array.
+func assertSameSolution(t *testing.T, label string, ev *Evaluator, mapping []int, got, want *redundancy.Solution) {
 	t.Helper()
 	if (got == nil) != (want == nil) {
 		t.Fatalf("%s: got %v, want %v", label, got, want)
@@ -62,15 +65,20 @@ func assertSameSolution(t *testing.T, label string, got, want *redundancy.Soluti
 		t.Errorf("%s: reliable/schedulable %v/%v, want %v/%v",
 			label, got.Reliable, got.Schedulable, want.Reliable, want.Schedulable)
 	}
-	gs, ws := got.Schedule, want.Schedule
-	if (gs == nil) != (ws == nil) {
-		t.Fatalf("%s: schedule presence differs", label)
+	if got.Schedule != nil {
+		t.Errorf("%s: engine solution holds a schedule", label)
 	}
-	if gs == nil {
-		return
+	ws := want.Schedule
+	if math.Float64bits(got.Length) != math.Float64bits(ws.Length) ||
+		math.Float64bits(want.Length) != math.Float64bits(ws.Length) {
+		t.Errorf("%s: SL %v (fresh field %v), want %v", label, got.Length, want.Length, ws.Length)
+	}
+	gs, err := ev.Schedule(mapping, got)
+	if err != nil {
+		t.Fatalf("%s: rebuild: %v", label, err)
 	}
 	if math.Float64bits(gs.Length) != math.Float64bits(ws.Length) {
-		t.Errorf("%s: SL %v, want %v", label, gs.Length, ws.Length)
+		t.Errorf("%s: rebuilt SL %v, want %v", label, gs.Length, ws.Length)
 	}
 	for _, c := range []struct {
 		name      string
@@ -141,7 +149,7 @@ func checkMatchesFresh(t *testing.T, label string, p redundancy.Problem, mapping
 			if werr != nil {
 				continue
 			}
-			assertSameSolution(t, fmt.Sprintf("%s levels %v round %d", label, levels, round), got, want)
+			assertSameSolution(t, fmt.Sprintf("%s levels %v round %d", label, levels, round), ev, mapping, got, want)
 		}
 	}
 	want, werr := redundancy.RedundancyOpt(fresh)
@@ -150,7 +158,7 @@ func checkMatchesFresh(t *testing.T, label string, p redundancy.Problem, mapping
 		t.Fatalf("%s opt: errors differ: %v vs %v", label, gerr, werr)
 	}
 	if werr == nil {
-		assertSameSolution(t, label+" opt", got, want)
+		assertSameSolution(t, label+" opt", ev, mapping, got, want)
 	}
 	st := ev.Stats()
 	if st.CacheHits == 0 {
@@ -392,4 +400,58 @@ func benchProblem(b *testing.B) (redundancy.Problem, []int) {
 		Goal: inst.Goal,
 		Bus:  ttp.NewBus(2, inst.Platform.Bus.SlotLen),
 	}, m
+}
+
+// TestCachesHoldNoSchedules: probes are length-only. After a cruise
+// controller RedundancyOpt sweep — a round-robin mapping and every
+// single-process move away from it — no entry of the solution or opt
+// caches holds a schedule, and each carries its worst-case length.
+func TestCachesHoldNoSchedules(t *testing.T) {
+	inst, err := cc.Instance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ar := platform.NewEnumerator(inst.Platform).Arch(len(inst.Platform.Nodes), 0)
+	if ar == nil {
+		t.Fatal("no full cruise-controller architecture")
+	}
+	ev := New(redundancy.Problem{
+		App:  inst.App,
+		Arch: ar,
+		Goal: inst.Goal,
+		Bus:  ttp.NewBus(len(ar.Nodes), inst.Platform.Bus.SlotLen),
+	})
+	base := make([]int, inst.App.NumProcesses())
+	for pid := range base {
+		base[pid] = pid % len(ar.Nodes)
+	}
+	sweep := [][]int{base}
+	for pid := range base {
+		for j := range ar.Nodes {
+			if j != base[pid] {
+				m := append([]int(nil), base...)
+				m[pid] = j
+				sweep = append(sweep, m)
+			}
+		}
+	}
+	for _, m := range sweep {
+		if _, err := ev.RedundancyOpt(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sols, opts := ev.st.sols.snapshotMap(), ev.st.opts.snapshotMap()
+	if len(sols) == 0 || len(opts) != len(sweep) {
+		t.Fatalf("sweep cached %d solutions and %d opt results for %d mappings", len(sols), len(opts), len(sweep))
+	}
+	for name, cache := range map[string]map[string]*redundancy.Solution{"solution": sols, "opt": opts} {
+		for k, sol := range cache {
+			if sol.Schedule != nil {
+				t.Fatalf("%s cache entry %x holds a schedule", name, k)
+			}
+			if !(sol.Length > 0) {
+				t.Fatalf("%s cache entry %x has length %v", name, k, sol.Length)
+			}
+		}
+	}
 }

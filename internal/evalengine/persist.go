@@ -11,10 +11,13 @@ import (
 	"repro/internal/ttp"
 )
 
-// persistFormat versions the persistent cache key layout. It is folded
-// into the problem fingerprint, so bumping it orphans entries written
-// under an incompatible key scheme instead of misreading them.
-const persistFormat = 1
+// persistFormat versions the persistent cache layout: the key scheme and
+// what a stored solution carries. It is folded into the problem
+// fingerprint, so bumping it orphans entries written under an
+// incompatible layout instead of misreading them. Format 2 stores
+// length-only solutions (Solution.Length set, no Schedule); a format-1
+// entry would decode with Length zero.
+const persistFormat = 2
 
 // busFingerprint reduces a bus to the parameters that determine its
 // message timing. The in-memory caches compare buses by pointer (a fresh
@@ -45,6 +48,11 @@ func busFingerprint(b sched.Bus) (kind string, slot, round float64, ok bool) {
 // means the problem cannot be fingerprinted (unknown bus type, missing
 // pieces) and must not be persisted.
 func problemFingerprint(p redundancy.Problem) (string, bool) {
+	return formatFingerprint(p, persistFormat)
+}
+
+// formatFingerprint is problemFingerprint under the given cache format.
+func formatFingerprint(p redundancy.Problem, format int) (string, bool) {
 	if p.App == nil || p.Arch == nil {
 		return "", false
 	}
@@ -63,7 +71,7 @@ func problemFingerprint(p redundancy.Problem) (string, bool) {
 		MaxK        int
 		Model       int
 		FixedLevels []int
-	}{persistFormat, p.App, p.Arch.Nodes, p.Goal, kind, slot, round, p.MaxK, int(p.Model), p.FixedLevels}
+	}{format, p.App, p.Arch.Nodes, p.Goal, kind, slot, round, p.MaxK, int(p.Model), p.FixedLevels}
 	fp, err := runstate.Fingerprint(v)
 	if err != nil {
 		return "", false

@@ -81,9 +81,17 @@ func TestPersistentWarmStart(t *testing.T) {
 		t.Fatalf("warm run rebuilt: %d schedules, %d SFP analyses", ws.ScheduleBuilds, ws.SFPBuilds)
 	}
 	if got.Cost != want.Cost || got.Reliable != want.Reliable || got.Schedulable != want.Schedulable ||
-		got.Schedule.Length != want.Schedule.Length {
+		got.Length != want.Length {
 		t.Fatalf("warm solution diverges: got %+v want %+v", got, want)
 	}
+	// The warm, disk-served solution rebuilds the fresh path's schedule.
+	fresh := p2
+	fresh.Mapping = m
+	ref, err := redundancy.RedundancyOpt(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameSolution(t, "warm", warm, m, got, ref)
 }
 
 // TestPersistentSetProblemFlushes pins the rebind lifecycle: moving to
@@ -118,4 +126,62 @@ func TestPersistentSetProblemFlushes(t *testing.T) {
 	if s := ce.Stats(); s.ScheduleBuilds != 0 {
 		t.Fatalf("returning to a flushed problem rebuilt %d schedules", s.ScheduleBuilds)
 	}
+}
+
+// TestPersistFormatGuard: entries a format-1 engine persisted — full
+// solutions whose Length field did not exist and decodes as zero — live
+// under the format-1 fingerprint, so a current engine never loads them.
+// It starts cold and computes true lengths instead of serving zeros.
+func TestPersistFormatGuard(t *testing.T) {
+	p, m := persistProblem(t, 11)
+	fp1, ok := formatFingerprint(p, 1)
+	if !ok {
+		t.Fatal("problem cannot be fingerprinted")
+	}
+	if fp, _ := problemFingerprint(p); fp == fp1 {
+		t.Fatal("current fingerprint equals the format-1 one")
+	}
+	// What a format-1 engine would have stored: the same keys, no Length.
+	old := New(p)
+	if _, err := old.RedundancyOpt(m); err != nil {
+		t.Fatal(err)
+	}
+	stale := func(in map[string]*redundancy.Solution) map[string]*redundancy.Solution {
+		out := make(map[string]*redundancy.Solution, len(in))
+		for k, sol := range in {
+			c := *sol
+			c.Length = 0
+			out[k] = &c
+		}
+		return out
+	}
+	cache, err := evalcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cache.Save(fp1, &evalcache.Entry{Sols: stale(old.st.sols.snapshotMap()), Opts: stale(old.st.opts.snapshotMap())}); err != nil {
+		t.Fatal(err)
+	}
+
+	p2, _ := persistProblem(t, 11)
+	ev := New(p2)
+	ev.SetPersistent(cache)
+	if hits := cache.Stats().LoadHits; hits != 0 {
+		t.Fatalf("current engine loaded %d format-1 entries", hits)
+	}
+	got, err := ev.RedundancyOpt(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A cold start redoes exactly the first engine's work.
+	if st, cold := ev.Stats(), old.Stats(); st.OptHits != 0 || st.ScheduleBuilds != cold.ScheduleBuilds {
+		t.Fatalf("not a cold start: %v, first engine %v", st, cold)
+	}
+	fresh := p2
+	fresh.Mapping = m
+	want, err := redundancy.RedundancyOpt(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameSolution(t, "after format-1 store", ev, m, got, want)
 }

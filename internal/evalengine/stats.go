@@ -33,8 +33,10 @@ type Stats struct {
 	// from the per-mapping cache without re-running the hardening search.
 	OptRuns int64
 	OptHits int64
-	// ScheduleBuilds counts list-scheduler invocations (one per solution
-	// cache miss).
+	// ScheduleBuilds counts the length-only list-scheduler invocations of
+	// the search (one per solution cache miss). Full schedules rebuilt by
+	// Evaluator.Schedule for the solutions a caller walks are not counted,
+	// nor is their time in SchedTime.
 	ScheduleBuilds int64
 	// SFPBuilds counts per-node SFP analyses computed (sfp.NewNode);
 	// SFPHits were served from the node-analysis cache.

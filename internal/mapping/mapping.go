@@ -88,7 +88,7 @@ func (p Params) withDefaults() Params {
 }
 
 // Result is the outcome of the mapping optimization: the best mapping
-// found and its fully evaluated redundancy solution.
+// found and its fully evaluated redundancy solution, schedule included.
 type Result struct {
 	Mapping  []int
 	Solution *redundancy.Solution
@@ -105,9 +105,9 @@ func objective(cf CostFunction, sol *redundancy.Solution) [3]float64 {
 	}
 	switch cf {
 	case ArchitectureCost:
-		return [3]float64{feas, sol.Cost, sol.Schedule.Length}
+		return [3]float64{feas, sol.Cost, sol.Length}
 	default:
-		return [3]float64{feas, sol.Schedule.Length, sol.Cost}
+		return [3]float64{feas, sol.Length, sol.Cost}
 	}
 }
 
@@ -206,6 +206,17 @@ func optimize(ctx context.Context, ev *evalengine.Evaluator, batch func([][]int)
 	}
 	best := &Result{Mapping: append([]int(nil), cur...), Solution: curSol}
 	bestObj := objective(cf, curSol)
+	// done attaches the best solution's schedule, which every Result
+	// carries, and stamps the evaluation count.
+	done := func() error {
+		sol, err := withSchedule(ev, best.Mapping, best.Solution)
+		if err != nil {
+			return err
+		}
+		best.Solution = sol
+		best.Evaluations = evals
+		return nil
+	}
 
 	tabu := make([]int, n)    // iterations left in tabu state
 	waiting := make([]int, n) // iterations since last move
@@ -225,12 +236,26 @@ func optimize(ctx context.Context, ev *evalengine.Evaluator, batch func([][]int)
 		if cerr := runctl.Err(ctx); cerr != nil {
 			reg.Counter("mapping.canceled").Add(1)
 			span.SetAttr(obs.Bool("canceled", true))
-			best.Evaluations = evals
+			if err := done(); err != nil {
+				return nil, err
+			}
 			return best, fmt.Errorf("mapping: canceled at iteration %d: %w", iter, cerr)
 		}
 		if numNodes == 1 {
 			break // nothing to move
 		}
+		// The critical path walks the current solution's schedule: one
+		// rebuild per iteration, where the neighborhood below only needs
+		// lengths. When the current solution is also the best one, the
+		// Result shares the rebuilt schedule.
+		full, err := withSchedule(ev, cur, curSol)
+		if err != nil {
+			return nil, err
+		}
+		if best.Solution == curSol {
+			best.Solution = full
+		}
+		curSol = full
 		cands := criticalPath(pred, cur, curSol)
 		// The iteration's neighborhood, in the canonical order (critical
 		// path × target nodes). Selection below scans the same order with
@@ -281,7 +306,9 @@ func optimize(ctx context.Context, ev *evalengine.Evaluator, batch func([][]int)
 			if errors.Is(err, runctl.ErrCanceled) {
 				reg.Counter("mapping.canceled").Add(1)
 				span.SetAttr(obs.Bool("canceled", true))
-				best.Evaluations = evals
+				if derr := done(); derr != nil {
+					return nil, derr
+				}
 				return best, fmt.Errorf("mapping: canceled at iteration %d: %w", iter, err)
 			}
 			return nil, err
@@ -349,13 +376,32 @@ func optimize(ctx context.Context, ev *evalengine.Evaluator, batch func([][]int)
 			noImprove++
 		}
 	}
-	best.Evaluations = evals
+	if err := done(); err != nil {
+		return nil, err
+	}
 	span.SetAttr(
 		obs.Int("evaluations", evals),
 		obs.Bool("feasible", best.Solution.Feasible()),
-		obs.Float("schedule_length", best.Solution.Schedule.Length),
+		obs.Float("schedule_length", best.Solution.Length),
 		obs.Float("cost", best.Solution.Cost))
 	return best, nil
+}
+
+// withSchedule returns sol with its full schedule attached: sol itself
+// when it already carries one, otherwise a copy holding the schedule the
+// engine rebuilds for it. The engine's solutions are shared, so they are
+// copied rather than filled in.
+func withSchedule(ev *evalengine.Evaluator, mapping []int, sol *redundancy.Solution) (*redundancy.Solution, error) {
+	if sol.Schedule != nil {
+		return sol, nil
+	}
+	s, err := ev.Schedule(mapping, sol)
+	if err != nil {
+		return nil, err
+	}
+	full := *sol
+	full.Schedule = s
+	return &full, nil
 }
 
 // criticalPath returns the processes on the chain that determines the

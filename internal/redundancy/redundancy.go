@@ -64,7 +64,14 @@ type Solution struct {
 	// Ks[j] is the number of software re-executions on node j.
 	Ks []int
 	// Schedule is the static schedule built for this configuration.
+	// Evaluate and RedundancyOpt fill it; solutions served by the
+	// evaluation engine (package evalengine) leave it nil and carry only
+	// Length, and the engine rebuilds the schedule on request.
 	Schedule *sched.Schedule
+	// Length is the worst-case schedule length SL of the configuration
+	// (Schedule.Length whenever Schedule is set). The searches rank
+	// candidates by it.
+	Length float64
 	// Cost is the architecture cost at these levels.
 	Cost float64
 	// Reliable reports whether the SFP analysis meets the goal with Ks.
@@ -123,12 +130,17 @@ func ReExecutionOptAnalysis(analysis *sfp.Analysis, goal sfp.Goal, maxK int) ([]
 		return nil, false, err
 	}
 	ks := make([]int, len(analysis.Nodes))
-	if analysis.MeetsGoal(ks, goal) {
-		return ks, true, nil
-	}
 	fails := make([]float64, len(analysis.Nodes))
 	for j, n := range analysis.Nodes {
 		fails[j] = n.FailureProb(0)
+	}
+	// The goal test of Analysis.MeetsGoal, on the failure vector the
+	// greedy loop maintains anyway.
+	meets := func() bool {
+		return sfp.Reliability(sfp.SystemFailureProb(fails), analysis.Period, goal.Tau) >= goal.Rho()
+	}
+	if meets() {
+		return ks, true, nil
 	}
 	for {
 		// Pick the increment with the lowest resulting union failure
@@ -157,7 +169,7 @@ func ReExecutionOptAnalysis(analysis *sfp.Analysis, goal sfp.Goal, maxK int) ([]
 		}
 		ks[best]++
 		fails[best] = analysis.Nodes[best].FailureProb(ks[best])
-		if sfp.Reliability(sfp.SystemFailureProb(fails), analysis.Period, goal.Tau) >= goal.Rho() {
+		if meets() {
 			return ks, true, nil
 		}
 	}
@@ -188,6 +200,7 @@ func Evaluate(p Problem, levels []int) (*Solution, error) {
 		Levels:      append([]int(nil), levels...),
 		Ks:          ks,
 		Schedule:    s,
+		Length:      s.Length,
 		Cost:        ar.Cost(),
 		Reliable:    reliable,
 		Schedulable: s.Schedulable(p.App),
@@ -218,7 +231,9 @@ func RedundancyOpt(p Problem) (*Solution, error) {
 
 // RedundancyOptWith is RedundancyOpt with the per-vector evaluation
 // pluggable, so a memoizing evaluator (package evalengine) can intercept
-// every probe. The search logic is identical to RedundancyOpt.
+// every probe. The search logic is identical to RedundancyOpt. It ranks
+// probes by feasibility, Cost and Length only, so eval may return
+// solutions without a Schedule; the result then carries none either.
 func RedundancyOptWith(p Problem, eval EvalFunc) (*Solution, error) {
 	if p.FixedLevels != nil {
 		if len(p.FixedLevels) != len(p.Arch.Nodes) {
@@ -277,7 +292,7 @@ func RedundancyOptWith(p Problem, eval EvalFunc) (*Solution, error) {
 				continue
 			}
 			if best == nil || cand.Cost < best.Cost ||
-				(cand.Cost == best.Cost && cand.Schedule.Length < best.Schedule.Length) {
+				(cand.Cost == best.Cost && cand.Length < best.Length) {
 				best, bestJ = cand, j
 			}
 		}
@@ -302,8 +317,8 @@ func better(a, b *Solution) bool {
 	if a.Reliable != b.Reliable {
 		return a.Reliable
 	}
-	if a.Schedule.Length != b.Schedule.Length {
-		return a.Schedule.Length < b.Schedule.Length
+	if a.Length != b.Length {
+		return a.Length < b.Length
 	}
 	return a.Cost < b.Cost
 }

@@ -158,3 +158,66 @@ func TestBuildIncrementalColdStart(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildIncrementalOwnsSchedule: BuildIncremental hands out the
+// workspace's own schedule, overwritten by the next incremental build,
+// while BuildInto on the same workspace returns schedules that no later
+// build touches — the mix the evaluation engine runs (length-only probes
+// plus full rebuilds of the solutions a search walks).
+func TestBuildIncrementalOwnsSchedule(t *testing.T) {
+	inst, err := taskgen.Generate(taskgen.DefaultConfig(9, 16, 1e-11, 25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ar := platform.NewEnumerator(inst.Platform).Arch(2, 0)
+	if ar == nil {
+		t.Fatal("no 2-node architecture")
+	}
+	n := inst.App.NumProcesses()
+	rng := rand.New(rand.NewSource(9))
+	mapping := make([]int, n)
+	ks := []int{1, 2}
+	bus := ttp.NewBus(len(ar.Nodes), 2)
+	refBus := ttp.NewBus(len(ar.Nodes), 2)
+
+	var ws sched.Workspace
+	var own *sched.Schedule
+	type keptPair struct{ full, ref *sched.Schedule }
+	var kept []keptPair
+	for it := 0; it < 200; it++ {
+		mapping[rng.Intn(n)] = rng.Intn(len(ar.Nodes))
+		in := sched.Input{App: inst.App, Arch: ar, Mapping: mapping, Ks: ks, Bus: bus}
+		refIn := in
+		refIn.Bus = refBus
+		ref, err := sched.BuildInto(refIn, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inc, err := sched.BuildIncremental(in, &ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if own != nil && inc != own {
+			t.Fatalf("iter %d: BuildIncremental returned a new schedule, not the workspace's", it)
+		}
+		own = inc
+		if !schedulesIdentical(inc, ref) {
+			t.Fatalf("iter %d: incremental schedule diverges from fresh build", it)
+		}
+		if it%5 == 0 {
+			full, err := sched.BuildInto(in, &ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if full == inc {
+				t.Fatalf("iter %d: BuildInto returned the workspace's schedule", it)
+			}
+			kept = append(kept, keptPair{full, ref})
+		}
+	}
+	for i, k := range kept {
+		if !schedulesIdentical(k.full, k.ref) {
+			t.Fatalf("kept schedule %d was changed by later builds on its workspace", i)
+		}
+	}
+}

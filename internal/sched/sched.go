@@ -207,48 +207,14 @@ type Workspace struct {
 	absDeadline                            []float64
 	vers                                   []*platform.HVersion // per-node selected version, hoisted per build
 
-	// slabF and slabP carve the returned Schedule's arrays out of large
-	// pointer-free chunks instead of per-build allocations: callers that
-	// retain thousands of schedules (the evaluation engine's solution
-	// cache) cost the allocator and the garbage collector one chunk per
-	// ~hundred builds rather than five objects per build. Carved slices
-	// are never reused — the workspace only hands each region out once —
-	// so returned schedules stay independent of the workspace.
-	slabF []float64
-	slabP []appmodel.ProcID
+	// out is the workspace's own schedule, the destination of
+	// BuildIncremental; outF and outP back its arrays. Each incremental
+	// build overwrites them in place.
+	out  Schedule
+	outF []float64
+	outP []appmodel.ProcID
 
 	tr trace
-}
-
-// slabChunk is the slab allocation granularity in elements.
-const slabChunk = 1 << 14
-
-// carveF returns k fresh zeroed float64s off the workspace slab.
-func (ws *Workspace) carveF(k int) []float64 {
-	if len(ws.slabF) < k {
-		c := slabChunk
-		if k > c {
-			c = k
-		}
-		ws.slabF = make([]float64, c)
-	}
-	out := ws.slabF[:k:k]
-	ws.slabF = ws.slabF[k:]
-	return out
-}
-
-// carveP returns k fresh zeroed ProcIDs off the workspace slab.
-func (ws *Workspace) carveP(k int) []appmodel.ProcID {
-	if len(ws.slabP) < k {
-		c := slabChunk
-		if k > c {
-			c = k
-		}
-		ws.slabP = make([]appmodel.ProcID, c)
-	}
-	out := ws.slabP[:k:k]
-	ws.slabP = ws.slabP[k:]
-	return out
 }
 
 // trace records the selection decisions of the last successful build so
@@ -344,6 +310,12 @@ func BuildInto(in Input, ws *Workspace) (*Schedule, error) {
 // as a defensive floor and are never required for correctness. With no
 // usable trace (first build, different application, Release mode) it is
 // exactly BuildInto.
+//
+// The returned Schedule is the workspace's own: it allocates nothing
+// once the workspace has grown to the application, and the next
+// BuildIncremental on the same workspace overwrites it. Callers that
+// keep a schedule beyond that copy what they need or rebuild it with
+// BuildInto.
 func BuildIncremental(in Input, ws *Workspace, changed ...appmodel.ProcID) (*Schedule, error) {
 	return buildWith(in, ws, true, changed)
 }
@@ -433,25 +405,12 @@ func buildWith(in Input, ws *Workspace, incremental bool, changed []appmodel.Pro
 	tr.popOrder = tr.popOrder[:n]
 	tr.readyStep = tr.readyStep[:n]
 
-	// One slab carve backs the three per-process and two per-edge arrays;
-	// NodeOrder gets a single spine sized from the mapping histogram. The
-	// schedule stays independent of the workspace — carved regions are
-	// handed out exactly once — only the allocation count shrinks.
+	// The schedule's three per-process and two per-edge arrays share one
+	// float buffer; NodeOrder gets a single spine sized from the mapping
+	// histogram. An incremental build writes into the workspace's own
+	// schedule, every other build into a fresh one.
 	m := len(in.Arch.Nodes)
 	ne := len(app.Edges)
-	fbuf := ws.carveF(3*n + 2*ne)
-	msg := fbuf[3*n:]
-	for i := range msg {
-		msg[i] = math.NaN()
-	}
-	s := &Schedule{
-		Start:       fbuf[0:n:n],
-		Finish:      fbuf[n : 2*n : 2*n],
-		WorstFinish: fbuf[2*n : 3*n : 3*n],
-		MsgStart:    msg[0:ne:ne],
-		MsgEnd:      msg[ne : 2*ne : 2*ne],
-		NodeOrder:   make([][]appmodel.ProcID, m),
-	}
 	if cap(ws.nodeCount) < m {
 		ws.nodeCount = make([]int, m)
 	}
@@ -462,10 +421,16 @@ func buildWith(in Input, ws *Workspace, incremental bool, changed []appmodel.Pro
 	for _, j := range in.Mapping {
 		counts[j]++
 	}
-	spine := ws.carveP(n)
-	for j, off := 0, 0; j < m; j++ {
-		s.NodeOrder[j] = spine[off : off : off+counts[j]]
-		off += counts[j]
+	var s *Schedule
+	if incremental {
+		s = &ws.out
+		if cap(ws.outP) < n {
+			ws.outP = make([]appmodel.ProcID, n)
+		}
+		s.layout(floats(&ws.outF, 3*n+2*ne), ws.outP[:n], n, counts)
+	} else {
+		s = &Schedule{}
+		s.layout(make([]float64, 3*n+2*ne), make([]appmodel.ProcID, n), n, counts)
 	}
 
 	pred := ws.pred
@@ -651,6 +616,32 @@ func buildWith(in Input, ws *Workspace, incremental bool, changed []appmodel.Pro
 		tr.valid = true
 	}
 	return s, nil
+}
+
+// layout points the schedule's arrays into fbuf — three zeroed
+// per-process arrays followed by two per-edge arrays — and spine, marks
+// every message window NaN, resets Length and empties NodeOrder with room
+// for counts[j] processes on node j.
+func (s *Schedule) layout(fbuf []float64, spine []appmodel.ProcID, n int, counts []int) {
+	ne := (len(fbuf) - 3*n) / 2
+	msg := fbuf[3*n:]
+	for i := range msg {
+		msg[i] = math.NaN()
+	}
+	s.Start = fbuf[0:n:n]
+	s.Finish = fbuf[n : 2*n : 2*n]
+	s.WorstFinish = fbuf[2*n : 3*n : 3*n]
+	s.MsgStart = msg[0:ne:ne]
+	s.MsgEnd = msg[ne : 2*ne : 2*ne]
+	if cap(s.NodeOrder) < len(counts) {
+		s.NodeOrder = make([][]appmodel.ProcID, len(counts))
+	}
+	s.NodeOrder = s.NodeOrder[:len(counts)]
+	for j, off := 0, 0; j < len(counts); j++ {
+		s.NodeOrder[j] = spine[off : off : off+counts[j]]
+		off += counts[j]
+	}
+	s.Length = 0
 }
 
 // busSlotEstimate returns the edge weight used in the priority function

@@ -62,13 +62,16 @@ func (g Goal) Validate() error {
 
 // Node is the per-node SFP analysis for a fixed set of processes mapped on
 // one h-version: it caches Pr(0) and the f-fault probabilities so that
-// Pr(f > k) queries for varying k are O(1) after an O(maxK·m) setup.
+// Pr(f > k) queries for varying k are O(1) after the setup. Only the
+// prefix up to the saturation point is stored: beyond it every Pr(f) is
+// exactly zero and Pr(f > k) is constant, so the queries answer from the
+// last stored entry.
 type Node struct {
-	probs []float64
-	pr0   float64
-	// prf[f] is Pr(f; N_j^h) for f = 1..maxK (index 0 unused).
+	pr0  float64
+	maxK int
+	// prf[f] is Pr(f; N_j^h) for f = 1..len(prf)-1 (index 0 unused).
 	prf []float64
-	// fail[k] is Pr(f > k; N_j^h) for k = 0..maxK.
+	// fail[k] is Pr(f > k; N_j^h) for k = 0..len(fail)-1.
 	fail []float64
 }
 
@@ -84,24 +87,20 @@ func NewNode(probs []float64, maxK int) (*Node, error) {
 	if maxK < 0 {
 		maxK = 0
 	}
+	sum := 0.0
 	for _, p := range probs {
 		if !(p >= 0 && p < 1) {
 			return nil, fmt.Errorf("%w: %v", ErrBadProb, p)
 		}
+		sum += p
 	}
-	n := &Node{probs: append([]float64(nil), probs...)}
+	n := &Node{maxK: maxK}
 	// Formula (1), rounded down.
 	pr0 := 1.0
 	for _, p := range probs {
 		pr0 *= 1 - p
 	}
 	n.pr0 = prob.FloorP(pr0)
-	h, err := prob.CompleteHomogeneous(probs, maxK)
-	if err != nil {
-		return nil, err
-	}
-	n.prf = make([]float64, maxK+1)
-	n.fail = make([]float64, maxK+1)
 	// Formula (4) accumulated over k. The paper works in decimal with
 	// 1e-11 accuracy: every Pr(f) is rounded down and the residual
 	// 1 − Pr(0) − Σ Pr(f) is rounded up. Because all rounded quantities
@@ -113,12 +112,48 @@ func NewNode(probs []float64, maxK int) (*Node, error) {
 	// n.pr0 and n.prf are tick multiples up to one ulp; Round recovers the
 	// exact integer tick count.
 	residualTicks := ticksPerUnit - int64(math.Round(n.pr0*1e11))
-	n.fail[0] = clampTicks(residualTicks)
-	for f := 1; f <= maxK; f++ {
-		n.prf[f] = prob.FloorP(n.pr0 * h[f])
-		residualTicks -= int64(math.Round(n.prf[f] * 1e11))
-		n.fail[f] = clampTicks(residualTicks)
+	// The prefix is assembled in fixed-size buffers, which stay on the
+	// stack for the usual maxK, and copied out once its length is known.
+	var prfBuf, failBuf [DefaultMaxK + 1]float64
+	prf, fail := prfBuf[:1], failBuf[:1]
+	fail[0] = clampTicks(residualTicks)
+	// h_f(p) is computed one fault count at a time: row[i] holds h_{f-1}
+	// over the first i+1 processes and is overwritten in place by h_f.
+	// This is the recurrence of prob.CompleteHomogeneous,
+	// h_f(p_1..p_i) = h_f(p_1..p_{i-1}) + p_i · h_{f-1}(p_1..p_i), with
+	// the same operands in the same order, so every h_f is bit-identical —
+	// but the rows can stop at saturation instead of running to maxK.
+	var rowBuf [64]float64
+	row := rowBuf[:0]
+	if len(probs) > len(rowBuf) {
+		row = make([]float64, len(probs))
 	}
+	row = row[:len(probs)]
+	for i := range row {
+		row[i] = 1 // h_0
+	}
+	for f := 1; f <= maxK; f++ {
+		hf := 0.0 // h_f over the empty prefix
+		for i, x := range probs {
+			hf = hf + x*row[i]
+			row[i] = hf
+		}
+		prf = append(prf, prob.FloorP(n.pr0*hf))
+		residualTicks -= int64(math.Round(prf[f] * 1e11))
+		fail = append(fail, clampTicks(residualTicks))
+		// Saturation: Pr(f) rounds to zero with a margin, and Σp ≤ 1/2
+		// gives h_{f+1} ≤ h_f·Σp ≤ h_f/2 (each multiset of f+1 faults
+		// extends one of f faults by one process). Every later Pr(f) is
+		// then exactly zero and the residual no longer moves.
+		if prf[f] == 0 && n.pr0*hf*1e11 < 0.5 && sum <= 0.5 {
+			break
+		}
+	}
+	out := make([]float64, 2*len(fail))
+	n.prf = out[:len(prf):len(prf)]
+	n.fail = out[len(prf):]
+	copy(n.prf, prf)
+	copy(n.fail, fail)
 	return n, nil
 }
 
@@ -132,7 +167,7 @@ func clampTicks(t int64) float64 {
 }
 
 // MaxK returns the largest supported re-execution count.
-func (n *Node) MaxK() int { return len(n.fail) - 1 }
+func (n *Node) MaxK() int { return n.maxK }
 
 // PrZero returns Pr(0; N_j^h): the probability that one iteration of the
 // application executes on this node without any fault (formula 1, rounded
@@ -143,8 +178,11 @@ func (n *Node) PrZero() float64 { return n.pr0 }
 // from exactly f faults (formula 3, rounded down). f must be in
 // [1, MaxK()].
 func (n *Node) PrExactly(f int) (float64, error) {
-	if f < 1 || f >= len(n.prf) {
-		return 0, fmt.Errorf("sfp: PrExactly(%d) outside [1,%d]", f, len(n.prf)-1)
+	if f < 1 || f > n.maxK {
+		return 0, fmt.Errorf("sfp: PrExactly(%d) outside [1,%d]", f, n.maxK)
+	}
+	if f >= len(n.prf) {
+		return 0, nil // past saturation
 	}
 	return n.prf[f], nil
 }
@@ -172,6 +210,8 @@ func (n *Node) SaturationK() int {
 			return k
 		}
 	}
+	// Past the stored prefix the failure probability is constant, so the
+	// last stored k is the answer whether or not it is MaxK.
 	return len(n.fail) - 1
 }
 
