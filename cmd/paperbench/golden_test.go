@@ -83,3 +83,14 @@ func TestGoldenRuntime(t *testing.T) {
 	}
 	checkGolden(t, "runtime.golden", sb.String())
 }
+
+// TestGoldenPolicies pins the E12/E13 policy-comparison table at the
+// default scale: feasibility counts and mean worst-case schedule lengths
+// of re-execution, checkpointing and single-process replication.
+func TestGoldenPolicies(t *testing.T) {
+	var sb strings.Builder
+	if err := run(context.Background(), []string{"-fig", "policies"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "policies.golden", sb.String())
+}
