@@ -305,7 +305,7 @@ func (e *Evaluator) evaluate(mapping, levels []int) (*redundancy.Solution, error
 	if err != nil {
 		return nil, err
 	}
-	ks, reliable, err := redundancy.ReExecutionOptAnalysis(analysis, p.Goal, e.maxK())
+	ks, reliable, err := redundancy.ReExecutionOptAnalysis(analysis, p.Goal, nil)
 	d := time.Since(start)
 	e.st.stats.reExecNanos.Add(int64(d))
 	e.st.mReexec.Observe(d)

@@ -118,22 +118,28 @@ func ReExecutionOpt(app *appmodel.Application, ar *platform.Architecture, mappin
 	if err != nil {
 		return nil, false, err
 	}
-	return ReExecutionOptAnalysis(analysis, goal, maxK)
+	return ReExecutionOptAnalysis(analysis, goal, nil)
 }
 
-// ReExecutionOptAnalysis is ReExecutionOpt on a prebuilt SFP analysis. It
-// lets callers that cache the per-node analyses (package evalengine) skip
-// the combinatorial setup of sfp.NewAnalysis while running the exact same
-// greedy k-assignment.
-func ReExecutionOptAnalysis(analysis *sfp.Analysis, goal sfp.Goal, maxK int) ([]int, bool, error) {
+// ReExecutionOptAnalysis is the greedy k-assignment of ReExecutionOpt on a
+// prebuilt SFP analysis, capped per node at Node.MaxK. It is the one
+// re-execution allocator of the module: the evaluation engine calls it on
+// its cached per-node analyses, and the recovery-policy extensions call it
+// on analyses over checkpoint segments or hyperperiod jobs.
+//
+// fixed lists failure terms that no re-execution can lower, joined to the
+// per-node terms in the system failure union (formula 5) — replication's
+// all-replicas-fail products. nil means the paper's plain union.
+func ReExecutionOptAnalysis(analysis *sfp.Analysis, goal sfp.Goal, fixed []float64) ([]int, bool, error) {
 	if err := goal.Validate(); err != nil {
 		return nil, false, err
 	}
 	ks := make([]int, len(analysis.Nodes))
-	fails := make([]float64, len(analysis.Nodes))
+	fails := make([]float64, len(analysis.Nodes)+len(fixed))
 	for j, n := range analysis.Nodes {
 		fails[j] = n.FailureProb(0)
 	}
+	copy(fails[len(analysis.Nodes):], fixed)
 	// The goal test of Analysis.MeetsGoal, on the failure vector the
 	// greedy loop maintains anyway.
 	meets := func() bool {
@@ -149,7 +155,7 @@ func ReExecutionOptAnalysis(analysis *sfp.Analysis, goal sfp.Goal, maxK int) ([]
 		best := -1
 		bestUnion := 0.0
 		for j, n := range analysis.Nodes {
-			if ks[j] >= maxK {
+			if ks[j] >= n.MaxK() {
 				continue
 			}
 			nf := n.FailureProb(ks[j] + 1)
