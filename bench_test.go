@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/ftes"
 	"repro/internal/cc"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
@@ -17,7 +18,6 @@ import (
 	"repro/internal/policyopt"
 	"repro/internal/prob"
 	"repro/internal/redundancy"
-	"repro/internal/replication"
 	"repro/internal/sched"
 	"repro/internal/sfp"
 	"repro/internal/taskgen"
@@ -371,8 +371,8 @@ func BenchmarkCheckpointEvaluate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ar := newArch(collect(pl, []int{0, 1}))
 		ar.Levels = []int{2, 2}
-		sol, err := checkpoint.Evaluate(app, ar, []int{0, 0, 1, 1}, goal,
-			checkpoint.Overheads{Chi: 1, Alpha: 1}, ttp.NewBus(2, pl.Bus.SlotLen), 8)
+		sol, err := ftes.EvaluateCheckpointing(app, ar, []int{0, 0, 1, 1}, goal,
+			ftes.CheckpointOverheads{Chi: 1, Alpha: 1}, ttp.NewBus(2, pl.Bus.SlotLen), 8)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -392,9 +392,9 @@ func BenchmarkReplicationEvaluate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ar := newArch(collect(pl, []int{0, 1}))
 		ar.Levels = []int{2, 2}
-		_, err := replication.Evaluate(replication.Problem{
+		_, err := ftes.EvaluateReplication(ftes.ReplicationProblem{
 			App: app, Arch: ar, Mapping: []int{0, 0, 1, 1},
-			Replicas: replication.Assignment{1: {0, 1}},
+			Replicas: ftes.ReplicaAssignment{1: {0, 1}},
 			Goal:     goal,
 			Bus:      ttp.NewBus(2, pl.Bus.SlotLen),
 		})

@@ -173,7 +173,7 @@ func TestHealFlagValidation(t *testing.T) {
 		{append(shardArgs("6a"), "-heal", "-shards", "2"), "-shard-dir"},
 		{append(shardArgs("6a"), "-heal", "-shards", "2", "-shard-dir", dir, "-shard", "0"), "-shard"},
 		{append(shardArgs("6a"), "-heal", "-shards", "2", "-shard-dir", dir, "-merge", dir), "-merge"},
-		{append(shardArgs("6a"), "-heal", "-shards", "2", "-shard-dir", dir, "-journal", dir + "/j.jsonl"), "-journal"},
+		{append(shardArgs("6a"), "-heal", "-shards", "2", "-shard-dir", dir, "-journal", dir+"/j.jsonl"), "-journal"},
 		{append(shardArgs("6a"), "-heal", "-shards", "2", "-shard-dir", dir, "-heal-attempts", "0"), "-heal-attempts"},
 		{append(shardArgs("cc"), "-heal", "-shards", "2", "-shard-dir", dir), "not shardable"},
 	}

@@ -19,7 +19,6 @@ import (
 	"repro/internal/paper"
 	"repro/internal/policyopt"
 	"repro/internal/redundancy"
-	"repro/internal/replication"
 	"repro/internal/sfp"
 	"repro/internal/ttp"
 )
@@ -47,8 +46,8 @@ func main() {
 		reexec.Ks, reexec.Schedule.Length, reexec.Feasible())
 
 	// --- Checkpointing (χ = α = 1 ms) ---------------------------------
-	cp, err := checkpoint.Evaluate(app, ar, mapping, goal,
-		checkpoint.Overheads{Chi: 1, Alpha: 1}, ttp.NewBus(2, pl.Bus.SlotLen), 8)
+	cp, err := ftes.EvaluateCheckpointing(app, ar, mapping, goal,
+		ftes.CheckpointOverheads{Chi: 1, Alpha: 1}, ttp.NewBus(2, pl.Bus.SlotLen), 8)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,9 +55,9 @@ func main() {
 		cp.Ks, cp.Plan.Segments, cp.Schedule.Length, cp.Feasible())
 
 	// --- Active replication of the critical producer P2 ---------------
-	repl, err := replication.Evaluate(replication.Problem{
+	repl, err := ftes.EvaluateReplication(ftes.ReplicationProblem{
 		App: app, Arch: ar, Mapping: mapping,
-		Replicas: replication.Assignment{1: {0, 1}}, // P2 on both nodes
+		Replicas: ftes.ReplicaAssignment{1: {0, 1}}, // P2 on both nodes
 		Goal:     goal,
 		Bus:      ttp.NewBus(2, pl.Bus.SlotLen),
 	})

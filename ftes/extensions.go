@@ -28,7 +28,7 @@ type (
 	// scheduler overrides.
 	CheckpointPlan = checkpoint.Plan
 	// CheckpointSolution is one evaluated checkpointing configuration.
-	CheckpointSolution = checkpoint.Solution
+	CheckpointSolution = policyopt.Solution
 )
 
 // OptimalSegments returns the segment count minimizing the worst-case
@@ -38,9 +38,14 @@ func OptimalSegments(t float64, k int, o CheckpointOverheads, mu float64, maxN i
 }
 
 // EvaluateCheckpointing analyses and schedules a mapped application under
-// checkpointed recovery with shared slack.
+// checkpointed recovery with shared slack: the policy evaluation with
+// every process on checkpointing. maxSegments bounds the segment counts
+// (0 = 8).
 func EvaluateCheckpointing(app *Application, ar *Architecture, mapping []int, goal Goal, o CheckpointOverheads, bus Bus, maxSegments int) (*CheckpointSolution, error) {
-	return checkpoint.Evaluate(app, ar, mapping, goal, o, bus, maxSegments)
+	return policyopt.Evaluate(policyopt.Problem{
+		App: app, Arch: ar, Mapping: mapping, Goal: goal,
+		Overheads: o, Bus: bus, MaxSegments: maxSegments,
+	}, policyopt.NewAssignment(app.NumProcesses(), policyopt.Checkpointing, nil))
 }
 
 // Active replication (a process succeeds if any replica succeeds).
@@ -50,12 +55,20 @@ type (
 	// ReplicationProblem bundles a replication-aware evaluation.
 	ReplicationProblem = replication.Problem
 	// ReplicationSolution is one evaluated replication configuration.
-	ReplicationSolution = replication.Solution
+	ReplicationSolution = policyopt.Solution
 )
 
-// EvaluateReplication analyses and schedules a replication configuration.
+// EvaluateReplication analyses and schedules a replication configuration:
+// the policy evaluation with the replicated processes on replication and
+// every other process on re-execution.
 func EvaluateReplication(p ReplicationProblem) (*ReplicationSolution, error) {
-	return replication.Evaluate(p)
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return policyopt.Evaluate(policyopt.Problem{
+		App: p.App, Arch: p.Arch, Mapping: p.Mapping, Goal: p.Goal,
+		Bus: p.Bus, MaxK: p.MaxK,
+	}, policyopt.NewAssignment(p.App.NumProcesses(), policyopt.ReExecution, p.Replicas))
 }
 
 // WCET analysis substrate (structured programs → worst-case execution

@@ -34,8 +34,6 @@ import (
 	"repro/internal/appmodel"
 	"repro/internal/platform"
 	"repro/internal/prob"
-	"repro/internal/sched"
-	"repro/internal/sfp"
 )
 
 // Overheads are the per-process checkpointing overheads in milliseconds.
@@ -140,51 +138,6 @@ type Plan struct {
 	Recovery []float64
 }
 
-// NewPlan chooses the segment counts for every process of a mapped
-// application: the closed-form optimum for the expected per-node fault
-// count ks[j], bounded by maxSegments.
-func NewPlan(app *appmodel.Application, ar *platform.Architecture, mapping []int, ks []int, o Overheads, maxSegments int) (*Plan, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	if maxSegments < 1 {
-		maxSegments = 1
-	}
-	n := app.NumProcesses()
-	if len(mapping) != n {
-		return nil, fmt.Errorf("checkpoint: mapping covers %d of %d processes", len(mapping), n)
-	}
-	p := &Plan{
-		Segments:  make([]int, n),
-		ExtraExec: make([]float64, n),
-		Recovery:  make([]float64, n),
-	}
-	for pid := 0; pid < n; pid++ {
-		j := mapping[pid]
-		if j < 0 || j >= len(ar.Nodes) {
-			return nil, fmt.Errorf("checkpoint: process %d mapped to invalid node %d", pid, j)
-		}
-		v := ar.Version(j)
-		if v == nil {
-			return nil, fmt.Errorf("checkpoint: node %d has no selected version", j)
-		}
-		t := v.WCET[pid]
-		mu := app.Procs[pid].Mu
-		k := 0
-		if j < len(ks) {
-			k = ks[j]
-		}
-		seg := OptimalSegments(t, k, o, mu, maxSegments)
-		p.Segments[pid] = seg
-		// The paper's base WCET already includes one error-detection and
-		// result-commit step (Section 3), so n segments add n−1 extra
-		// checkpoint/detection pairs.
-		p.ExtraExec[pid] = float64(seg-1) * (o.Chi + o.Alpha)
-		p.Recovery[pid] = RecoveryCost(t, seg, mu)
-	}
-	return p, nil
-}
-
 // NewSharedSlackPlan chooses segment counts for the *shared* recovery
 // slack model of the paper's scheduler, where a node's slack is
 // k_j × max_i (recovery_i): only the quantum-defining processes are worth
@@ -267,138 +220,10 @@ func NewSharedSlackPlan(app *appmodel.Application, ar *platform.Architecture, ma
 		}
 	}
 	for pid := 0; pid < n; pid++ {
-		// As in NewPlan: the base WCET covers one detection/commit, so n
-		// segments add n−1 checkpoint/detection pairs.
+		// The paper's base WCET already includes one error-detection and
+		// result-commit step (Section 3), so n segments add n−1 extra
+		// checkpoint/detection pairs.
 		plan.ExtraExec[pid] = float64(plan.Segments[pid]-1) * oh
 	}
 	return plan, nil
-}
-
-// NodeSegmentProbs returns, per architecture node, the failure
-// probabilities of every segment executed on it — the inputs to the SFP
-// analysis under checkpointing.
-func NodeSegmentProbs(app *appmodel.Application, ar *platform.Architecture, mapping []int, plan *Plan) ([][]float64, error) {
-	probs := make([][]float64, len(ar.Nodes))
-	for pid := 0; pid < app.NumProcesses(); pid++ {
-		j := mapping[pid]
-		v := ar.Version(j)
-		if v == nil {
-			return nil, fmt.Errorf("checkpoint: node %d has no selected version", j)
-		}
-		segP := SegmentFailProb(v.FailProb[pid], plan.Segments[pid])
-		for s := 0; s < plan.Segments[pid]; s++ {
-			probs[j] = append(probs[j], segP)
-		}
-	}
-	return probs, nil
-}
-
-// Solution is one evaluated checkpointing configuration.
-type Solution struct {
-	Plan        *Plan
-	Ks          []int
-	Schedule    *sched.Schedule
-	Reliable    bool
-	Schedulable bool
-}
-
-// Feasible reports whether the solution is reliable and schedulable.
-func (s *Solution) Feasible() bool { return s != nil && s.Reliable && s.Schedulable }
-
-// Evaluate runs the full checkpointing evaluation for a fixed mapping and
-// hardening selection: assign re-executions greedily on the segmented SFP
-// analysis, choose segment counts, and build the schedule with segment
-// recovery costs. maxSegments bounds n_i (0 = 8).
-func Evaluate(app *appmodel.Application, ar *platform.Architecture, mapping []int, goal sfp.Goal, o Overheads, bus sched.Bus, maxSegments int) (*Solution, error) {
-	if err := goal.Validate(); err != nil {
-		return nil, err
-	}
-	if maxSegments <= 0 {
-		maxSegments = 8
-	}
-	// Fixed-point between ks and segment counts: segment probabilities
-	// depend on n, and the optimal n depends on k. Two rounds suffice in
-	// practice (n is insensitive to k beyond small values); we iterate a
-	// bounded number of times.
-	ks := make([]int, len(ar.Nodes))
-	var plan *Plan
-	for round := 0; round < 4; round++ {
-		var err error
-		plan, err = NewSharedSlackPlan(app, ar, mapping, ks, o, maxSegments)
-		if err != nil {
-			return nil, err
-		}
-		probs, err := NodeSegmentProbs(app, ar, mapping, plan)
-		if err != nil {
-			return nil, err
-		}
-		analysis, err := sfp.NewAnalysis(probs, app.EffectivePeriod(), sfp.DefaultMaxK)
-		if err != nil {
-			return nil, err
-		}
-		next, ok := greedyKs(analysis, goal)
-		if !ok {
-			return &Solution{Plan: plan, Ks: next, Reliable: false}, nil
-		}
-		if equalInts(next, ks) {
-			ks = next
-			break
-		}
-		ks = next
-	}
-	s, err := sched.Build(sched.Input{
-		App:       app,
-		Arch:      ar,
-		Mapping:   mapping,
-		Ks:        ks,
-		Bus:       bus,
-		ExtraExec: plan.ExtraExec,
-		Recovery:  plan.Recovery,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Solution{
-		Plan:        plan,
-		Ks:          ks,
-		Schedule:    s,
-		Reliable:    true,
-		Schedulable: s.Schedulable(app),
-	}, nil
-}
-
-// greedyKs mirrors redundancy.ReExecutionOpt on a prebuilt analysis.
-func greedyKs(a *sfp.Analysis, goal sfp.Goal) ([]int, bool) {
-	ks := make([]int, len(a.Nodes))
-	for !a.MeetsGoal(ks, goal) {
-		best, bestRel := -1, 0.0
-		for j, n := range a.Nodes {
-			if ks[j] >= n.MaxK() || n.FailureProb(ks[j]+1) >= n.FailureProb(ks[j]) {
-				continue
-			}
-			ks[j]++
-			rel := a.SystemReliability(ks, goal.Tau)
-			ks[j]--
-			if best < 0 || rel > bestRel {
-				best, bestRel = j, rel
-			}
-		}
-		if best < 0 {
-			return ks, false
-		}
-		ks[best]++
-	}
-	return ks, true
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/paper"
 	"repro/internal/platform"
-	"repro/internal/sfp"
-	"repro/internal/ttp"
 )
 
 func TestWorstCaseTimeFormulae(t *testing.T) {
@@ -112,137 +110,6 @@ func fig4aSetup(t *testing.T) (*platform.Platform, *platform.Architecture, []int
 	return pl, ar, []int{0, 0, 1, 1}
 }
 
-func TestNewPlan(t *testing.T) {
-	app := paper.Fig1Application()
-	_, ar, mapping := fig4aSetup(t)
-	o := Overheads{Chi: 3, Alpha: 2}
-	plan, err := NewPlan(app, ar, mapping, []int{1, 1}, o, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pid, n := range plan.Segments {
-		if n < 1 || n > 8 {
-			t.Errorf("process %d: %d segments", pid, n)
-		}
-		if plan.ExtraExec[pid] != float64(n-1)*5 {
-			t.Errorf("process %d: extra %v", pid, plan.ExtraExec[pid])
-		}
-		wcet := ar.Version(mapping[pid]).WCET[pid]
-		want := wcet/float64(n) + app.Procs[pid].Mu
-		if math.Abs(plan.Recovery[pid]-want) > 1e-12 {
-			t.Errorf("process %d: recovery %v, want %v", pid, plan.Recovery[pid], want)
-		}
-	}
-	// Bad inputs.
-	if _, err := NewPlan(app, ar, []int{0}, []int{1, 1}, o, 8); err == nil {
-		t.Error("want error for short mapping")
-	}
-	if _, err := NewPlan(app, ar, []int{0, 0, 1, 9}, []int{1, 1}, o, 8); err == nil {
-		t.Error("want error for bad mapping")
-	}
-	if _, err := NewPlan(app, ar, mapping, []int{1, 1}, Overheads{Chi: -1}, 8); err == nil {
-		t.Error("want error for bad overheads")
-	}
-}
-
-func TestNodeSegmentProbs(t *testing.T) {
-	app := paper.Fig1Application()
-	_, ar, mapping := fig4aSetup(t)
-	plan, err := NewPlan(app, ar, mapping, []int{1, 1}, Overheads{Chi: 1, Alpha: 1}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probs, err := NodeSegmentProbs(app, ar, mapping, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Node 0 hosts P1 and P2: segment count sums match.
-	want0 := plan.Segments[0] + plan.Segments[1]
-	if len(probs[0]) != want0 {
-		t.Errorf("node 0: %d segment probs, want %d", len(probs[0]), want0)
-	}
-}
-
-// TestEvaluateCheckpointingBeatsReExecution: on the Fig. 4a architecture
-// with cheap checkpoints, checkpointing yields a shorter worst-case
-// schedule than plain re-execution because the recovery quantum shrinks
-// from a whole process to one segment.
-func TestEvaluateCheckpointingBeatsReExecution(t *testing.T) {
-	app := paper.Fig1Application()
-	pl, ar, mapping := fig4aSetup(t)
-	goal := sfp.Goal{Gamma: paper.Fig1Gamma, Tau: paper.Hour}
-
-	sol, err := Evaluate(app, ar, mapping, goal, Overheads{Chi: 1, Alpha: 1}, ttp.NewBus(2, pl.Bus.SlotLen), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sol.Feasible() {
-		t.Fatalf("checkpointing should be feasible: %+v", sol)
-	}
-	// Plain re-execution on the same configuration: worst case 340 ms
-	// (see the sched tests). Checkpointing must beat it.
-	if sol.Schedule.Length >= 340 {
-		t.Errorf("checkpointed worst case %v, want < 340 (re-execution)", sol.Schedule.Length)
-	}
-	// Segments were actually used.
-	usedSegments := false
-	for _, n := range sol.Plan.Segments {
-		if n > 1 {
-			usedSegments = true
-		}
-	}
-	if !usedSegments {
-		t.Error("no process was checkpointed")
-	}
-}
-
-// TestEvaluateExpensiveCheckpointsDegrade: with prohibitive overheads the
-// planner falls back to n = 1 (plain re-execution semantics).
-func TestEvaluateExpensiveCheckpointsDegrade(t *testing.T) {
-	app := paper.Fig1Application()
-	pl, ar, mapping := fig4aSetup(t)
-	goal := sfp.Goal{Gamma: paper.Fig1Gamma, Tau: paper.Hour}
-	sol, err := Evaluate(app, ar, mapping, goal, Overheads{Chi: 500, Alpha: 500}, ttp.NewBus(2, pl.Bus.SlotLen), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pid, n := range sol.Plan.Segments {
-		if n != 1 {
-			t.Errorf("process %d: %d segments despite prohibitive overheads", pid, n)
-		}
-	}
-}
-
-// TestEvaluateUnreachableGoal reports unreliable instead of looping.
-func TestEvaluateUnreachableGoal(t *testing.T) {
-	app := paper.Fig1Application()
-	pl, ar, mapping := fig4aSetup(t)
-	_ = pl
-	impossible := sfp.Goal{Gamma: 1e-300, Tau: paper.Hour}
-	sol, err := Evaluate(app, ar, mapping, impossible, Overheads{Chi: 1, Alpha: 1}, nil, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Reliable {
-		t.Error("impossible goal reported reliable")
-	}
-	if sol.Feasible() {
-		t.Error("impossible goal reported feasible")
-	}
-}
-
-func TestEvaluateValidation(t *testing.T) {
-	app := paper.Fig1Application()
-	_, ar, mapping := fig4aSetup(t)
-	if _, err := Evaluate(app, ar, mapping, sfp.Goal{}, Overheads{}, nil, 8); err == nil {
-		t.Error("want error for invalid goal")
-	}
-	goal := sfp.Goal{Gamma: 1e-5, Tau: paper.Hour}
-	if _, err := Evaluate(app, ar, []int{9, 9, 9, 9}, goal, Overheads{}, nil, 8); err == nil {
-		t.Error("want error for invalid mapping")
-	}
-}
-
 // TestSharedSlackPlanTargetsQuantum: under shared slack only the
 // quantum-defining processes should be segmented; small processes stay
 // at n = 1.
@@ -252,6 +119,21 @@ func TestSharedSlackPlanTargetsQuantum(t *testing.T) {
 	plan, err := NewSharedSlackPlan(app, ar, mapping, []int{1, 1}, Overheads{Chi: 1, Alpha: 1}, 8)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Every process pays n−1 checkpoint/detection pairs and recovers one
+	// segment: t/n + μ.
+	for pid, n := range plan.Segments {
+		if n < 1 || n > 8 {
+			t.Errorf("process %d: %d segments", pid, n)
+		}
+		if plan.ExtraExec[pid] != float64(n-1)*2 {
+			t.Errorf("process %d: extra %v", pid, plan.ExtraExec[pid])
+		}
+		wcet := ar.Version(mapping[pid]).WCET[pid]
+		want := wcet/float64(n) + app.Procs[pid].Mu
+		if math.Abs(plan.Recovery[pid]-want) > 1e-12 {
+			t.Errorf("process %d: recovery %v, want %v", pid, plan.Recovery[pid], want)
+		}
 	}
 	// The recovery quantum of each node must have shrunk below the
 	// single-segment recovery cost of its largest process.
@@ -289,7 +171,7 @@ func TestSharedSlackPlanZeroK(t *testing.T) {
 	}
 }
 
-// TestSharedSlackPlanValidation mirrors the NewPlan error paths.
+// TestSharedSlackPlanValidation rejects bad mappings and overheads.
 func TestSharedSlackPlanValidation(t *testing.T) {
 	app := paper.Fig1Application()
 	_, ar, _ := fig4aSetup(t)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mapping"
+	"repro/internal/redundancy"
 	"repro/internal/runctl"
 	"repro/internal/sched"
 	"repro/internal/sfp"
@@ -112,7 +113,10 @@ func AblationGradient(ctx context.Context, cfg Config, ser float64) (*Table, err
 			if err != nil {
 				return nil, err
 			}
-			g, ok := gradientKs(analysis, inst.Goal)
+			g, ok, err := redundancy.ReExecutionOptAnalysis(analysis, inst.Goal, nil)
+			if err != nil {
+				return nil, err
+			}
 			if !ok {
 				continue // goal unreachable: skip instance for both
 			}
@@ -133,30 +137,6 @@ func AblationGradient(ctx context.Context, cfg Config, ser float64) (*Table, err
 	t.AddRow([]string{"gradient-guided (paper)", fmt.Sprint(guided), fmt.Sprintf("%.2f", float64(guided)/float64(apps))})
 	t.AddRow([]string{"uniform lockstep", fmt.Sprint(uniform), fmt.Sprintf("%.2f", float64(uniform)/float64(apps))})
 	return t, nil
-}
-
-// gradientKs mirrors redundancy.ReExecutionOpt on a prebuilt analysis.
-func gradientKs(a *sfp.Analysis, goal sfp.Goal) ([]int, bool) {
-	ks := make([]int, len(a.Nodes))
-	for !a.MeetsGoal(ks, goal) {
-		best, bestRel := -1, 0.0
-		for j, n := range a.Nodes {
-			if ks[j] >= n.MaxK() || n.FailureProb(ks[j]+1) >= n.FailureProb(ks[j]) {
-				continue
-			}
-			ks[j]++
-			rel := a.SystemReliability(ks, goal.Tau)
-			ks[j]--
-			if best < 0 || rel > bestRel {
-				best, bestRel = j, rel
-			}
-		}
-		if best < 0 {
-			return ks, false
-		}
-		ks[best]++
-	}
-	return ks, true
 }
 
 // uniformKs increments every node's budget in lockstep.

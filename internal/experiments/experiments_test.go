@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/policyopt"
+	"repro/internal/replication"
 )
 
 // tinyConfig keeps test runtime reasonable; determinism makes the results
@@ -165,8 +167,14 @@ func TestAblationMapping(t *testing.T) {
 	}
 }
 
+// TestPolicyComparison checks the E12/E13 table shape and pins why the
+// replication row reads 0/N: one process replicated on both nodes fails
+// an iteration when both replicas fail, and that product alone exceeds
+// the per-iteration budget γ·T/τ, so no re-execution budget can meet the
+// goal.
 func TestPolicyComparison(t *testing.T) {
-	tab, err := PolicyComparison(context.Background(), tinyConfig(), 1e-10, 0.5)
+	cfg := tinyConfig()
+	tab, err := PolicyComparison(context.Background(), cfg, 1e-10, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,6 +185,32 @@ func TestPolicyComparison(t *testing.T) {
 		if !strings.Contains(row[1], "/") {
 			t.Errorf("row %v missing feasibility fraction", row)
 		}
+	}
+	if got, want := tab.Rows[2][1], fmt.Sprintf("0/%d", cfg.Apps*len(cfg.Procs)); got != want {
+		t.Errorf("replication row feasible %s, want %s", got, want)
+	}
+
+	inst, ar, m, err := policyInstance(cfg.Seed+int64(cfg.Procs[0])*1000003, cfg.Procs[0], 1e-10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pid := mostExposed(inst, ar, m)
+	sol, err := policyopt.Evaluate(policyopt.Problem{App: inst.App, Arch: ar, Mapping: m, Goal: inst.Goal},
+		policyopt.NewAssignment(inst.App.NumProcesses(), policyopt.ReExecution,
+			replication.Assignment{pid: {m[pid], 1 - m[pid]}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	product := ar.Version(0).FailProb[pid] * ar.Version(1).FailProb[pid]
+	budget := inst.Goal.Gamma * inst.App.EffectivePeriod() / inst.Goal.Tau
+	if sol.Reliable {
+		t.Error("single-process replication reported reliable")
+	}
+	if sol.SystemFailureProb < product {
+		t.Errorf("system failure %g below the all-replicas-fail product %g", sol.SystemFailureProb, product)
+	}
+	if product <= budget {
+		t.Errorf("all-replicas-fail product %g within the per-iteration budget %g", product, budget)
 	}
 }
 

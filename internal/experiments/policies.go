@@ -9,6 +9,7 @@ import (
 	"repro/internal/evalengine"
 	"repro/internal/mapping"
 	"repro/internal/platform"
+	"repro/internal/policyopt"
 	"repro/internal/redundancy"
 	"repro/internal/replication"
 	"repro/internal/runctl"
@@ -34,32 +35,17 @@ func PolicyComparison(ctx context.Context, cfg Config, ser float64, chiAlpha flo
 			if cerr := runctl.Err(ctx); cerr != nil {
 				return nil, fmt.Errorf("experiments: policy comparison: %w", cerr)
 			}
-			seed := cfg.Seed + int64(i) + int64(n)*1000003
-			inst, err := taskgen.Generate(taskgen.DefaultConfig(seed, n, ser, 25))
+			inst, ar, m, err := policyInstance(cfg.Seed+int64(i)+int64(n)*1000003, n, ser)
 			if err != nil {
 				return nil, err
-			}
-			ar := platform.NewArchitecture([]*platform.Node{
-				&inst.Platform.Nodes[0], &inst.Platform.Nodes[1],
-			})
-			for j, nd := range ar.Nodes {
-				lv := nd.MinLevel() + 1
-				if lv > nd.MaxLevel() {
-					lv = nd.MaxLevel()
-				}
-				ar.Levels[j] = lv
 			}
 			prob := redundancy.Problem{
-				App:  inst.App,
-				Arch: ar,
-				Goal: inst.Goal,
-				Bus:  ttp.NewBus(2, inst.Platform.Bus.SlotLen),
+				App:     inst.App,
+				Arch:    ar,
+				Mapping: m,
+				Goal:    inst.Goal,
+				Bus:     ttp.NewBus(2, inst.Platform.Bus.SlotLen),
 			}
-			m, err := mapping.GreedyInitial(evalengine.New(prob))
-			if err != nil {
-				return nil, err
-			}
-			prob.Mapping = m
 			instances++
 
 			// Re-execution at the fixed levels.
@@ -69,15 +55,17 @@ func PolicyComparison(ctx context.Context, cfg Config, ser float64, chiAlpha flo
 			}
 			record(results["re-execution"], re.Feasible(), re.Schedule.Length)
 
-			// Checkpointing.
-			cp, err := checkpoint.Evaluate(inst.App, ar, m, inst.Goal,
-				checkpoint.Overheads{Chi: chiAlpha, Alpha: chiAlpha},
-				ttp.NewBus(2, inst.Platform.Bus.SlotLen), 8)
+			// Checkpointing. Its mean covers the reliable instances only.
+			cp, err := policyopt.Evaluate(policyopt.Problem{
+				App: inst.App, Arch: ar, Mapping: m, Goal: inst.Goal,
+				Overheads: checkpoint.Overheads{Chi: chiAlpha, Alpha: chiAlpha},
+				Bus:       ttp.NewBus(2, inst.Platform.Bus.SlotLen),
+			}, policyopt.NewAssignment(inst.App.NumProcesses(), policyopt.Checkpointing, nil))
 			if err != nil {
 				return nil, err
 			}
 			slCp := 0.0
-			if cp.Schedule != nil {
+			if cp.Reliable {
 				slCp = cp.Schedule.Length
 			}
 			record(results["checkpointing"], cp.Feasible(), slCp)
@@ -85,14 +73,11 @@ func PolicyComparison(ctx context.Context, cfg Config, ser float64, chiAlpha flo
 			// Replication of the process with the largest p×t exposure.
 			pid := mostExposed(inst, ar, m)
 			other := 1 - m[pid]
-			rp, err := replication.Evaluate(replication.Problem{
-				App:      inst.App,
-				Arch:     ar,
-				Mapping:  m,
-				Replicas: replication.Assignment{pid: {m[pid], other}},
-				Goal:     inst.Goal,
-				Bus:      ttp.NewBus(2, inst.Platform.Bus.SlotLen),
-			})
+			rp, err := policyopt.Evaluate(policyopt.Problem{
+				App: inst.App, Arch: ar, Mapping: m, Goal: inst.Goal,
+				Bus: ttp.NewBus(2, inst.Platform.Bus.SlotLen),
+			}, policyopt.NewAssignment(inst.App.NumProcesses(), policyopt.ReExecution,
+				replication.Assignment{pid: {m[pid], other}}))
 			if err != nil {
 				return nil, err
 			}
@@ -110,6 +95,32 @@ func PolicyComparison(ctx context.Context, cfg Config, ser float64, chiAlpha flo
 		t.AddRow([]string{name, fmt.Sprintf("%d/%d", a.feasible, instances), mean})
 	}
 	return t, nil
+}
+
+// policyInstance generates one instance of the policy comparison: the
+// two fastest node types at the middle hardening level and the greedy
+// initial mapping.
+func policyInstance(seed int64, n int, ser float64) (*taskgen.Instance, *platform.Architecture, []int, error) {
+	inst, err := taskgen.Generate(taskgen.DefaultConfig(seed, n, ser, 25))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	ar := platform.NewArchitecture([]*platform.Node{
+		&inst.Platform.Nodes[0], &inst.Platform.Nodes[1],
+	})
+	for j, nd := range ar.Nodes {
+		ar.Levels[j] = min(nd.MinLevel()+1, nd.MaxLevel())
+	}
+	m, err := mapping.GreedyInitial(evalengine.New(redundancy.Problem{
+		App:  inst.App,
+		Arch: ar,
+		Goal: inst.Goal,
+		Bus:  ttp.NewBus(2, inst.Platform.Bus.SlotLen),
+	}))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return inst, ar, m, nil
 }
 
 // policyAgg accumulates per-policy feasibility and schedule statistics.

@@ -251,9 +251,9 @@ func TestValidation(t *testing.T) {
 		{},
 		{Kind: "mystery"},
 		{Kind: KindFigure, Fig: "6z"},
-		{Kind: KindFigure, Fig: "6a"},                               // no apps
-		{Kind: KindFigure, Fig: "6a", Apps: 2},                      // no procs
-		{Kind: KindDesign},                                          // no document
+		{Kind: KindFigure, Fig: "6a"},          // no apps
+		{Kind: KindFigure, Fig: "6a", Apps: 2}, // no procs
+		{Kind: KindDesign},                     // no document
 		{Kind: KindDesign, Design: []byte("{}"), Strategy: "BEST"},  // bad strategy
 		{Kind: KindDesign, Design: []byte("{}"), Slack: "borrowed"}, // bad slack
 	}

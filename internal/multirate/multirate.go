@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/appmodel"
 	"repro/internal/platform"
+	"repro/internal/redundancy"
 	"repro/internal/sched"
 	"repro/internal/sfp"
 )
@@ -213,34 +214,16 @@ func Evaluate(s *Spec, ar *platform.Architecture, mapping []int, goal sfp.Goal, 
 	if err != nil {
 		return nil, err
 	}
-	ks := make([]int, len(ar.Nodes))
-	reliable := true
-	for !analysis.MeetsGoal(ks, goal) {
-		best, bestRel := -1, 0.0
-		for j, node := range analysis.Nodes {
-			if ks[j] >= node.MaxK() || node.FailureProb(ks[j]+1) >= node.FailureProb(ks[j]) {
-				continue
-			}
-			ks[j]++
-			rel := analysis.SystemReliability(ks, goal.Tau)
-			ks[j]--
-			if best < 0 || rel > bestRel {
-				best, bestRel = j, rel
-			}
-		}
-		if best < 0 {
-			reliable = false
-			break
-		}
-		ks[best]++
+	ks, reliable, err := redundancy.ReExecutionOptAnalysis(analysis, goal, nil)
+	if err != nil {
+		return nil, err
 	}
 
 	// Schedule the job set with releases; the scheduler needs WCET and
 	// failure tables indexed by job ID.
-	jobArch := jobView(ar, u)
 	schedule, err := sched.Build(sched.Input{
 		App:     u.App,
-		Arch:    jobArch,
+		Arch:    ar.View(u.JobOf),
 		Mapping: jobMapping,
 		Ks:      ks,
 		Bus:     bus,
@@ -256,29 +239,4 @@ func Evaluate(s *Spec, ar *platform.Architecture, mapping []int, goal sfp.Goal, 
 		Reliable:    reliable,
 		Schedulable: schedule.Schedulable(u.App),
 	}, nil
-}
-
-// jobView re-indexes the selected h-versions over the job set.
-func jobView(ar *platform.Architecture, u *Unrolled) *platform.Architecture {
-	nodes := make([]*platform.Node, len(ar.Nodes))
-	for j := range ar.Nodes {
-		v := ar.Version(j)
-		w := make([]float64, len(u.JobOf))
-		fp := make([]float64, len(u.JobOf))
-		for job, orig := range u.JobOf {
-			w[job] = v.WCET[orig]
-			fp[job] = v.FailProb[orig]
-		}
-		nodes[j] = &platform.Node{
-			ID:   platform.NodeID(j),
-			Name: ar.Nodes[j].Name,
-			Versions: []platform.HVersion{{
-				Level:    1,
-				Cost:     v.Cost,
-				WCET:     w,
-				FailProb: fp,
-			}},
-		}
-	}
-	return platform.NewArchitecture(nodes)
 }

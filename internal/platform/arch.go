@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/appmodel"
 )
 
 // Architecture is a selected subset of the platform's node types together
@@ -54,6 +56,34 @@ func (ar *Architecture) SetMaxHardening() {
 // Version returns the currently selected h-version of node j.
 func (ar *Architecture) Version(j int) *HVersion {
 	return ar.Nodes[j].Version(ar.Levels[j])
+}
+
+// View returns a single-level architecture over a derived process set,
+// such as replica clones or hyperperiod jobs: on every node, derived
+// process i takes the WCET and failure probability that the selected
+// h-version gives its origin process origin[i].
+func (ar *Architecture) View(origin []appmodel.ProcID) *Architecture {
+	nodes := make([]*Node, len(ar.Nodes))
+	for j := range ar.Nodes {
+		v := ar.Version(j)
+		w := make([]float64, len(origin))
+		fp := make([]float64, len(origin))
+		for pid, orig := range origin {
+			w[pid] = v.WCET[orig]
+			fp[pid] = v.FailProb[orig]
+		}
+		nodes[j] = &Node{
+			ID:   NodeID(j),
+			Name: ar.Nodes[j].Name,
+			Versions: []HVersion{{
+				Level:    1,
+				Cost:     v.Cost,
+				WCET:     w,
+				FailProb: fp,
+			}},
+		}
+	}
+	return NewArchitecture(nodes)
 }
 
 // Cost returns the total cost of the selected h-versions (the objective

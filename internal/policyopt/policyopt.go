@@ -14,12 +14,17 @@
 //   - the remaining processes recover by re-execution, with the
 //     shared-slack-aware checkpoint planner deciding which of them are
 //     segmented (a plain re-execution is a one-segment plan);
-//   - the re-execution budgets k_j are assigned greedily on the combined
-//     failure model, and the schedule is built with per-process recovery
-//     costs (one segment + μ for checkpointed processes, zero for
-//     replicas).
+//   - the re-execution budgets k_j are assigned by the paper's greedy
+//     ReExecutionOpt (redundancy.ReExecutionOptAnalysis) over the segment
+//     analysis, with the all-replicas-fail terms as fixed failure terms,
+//     and the schedule is built with per-process recovery costs (one
+//     segment + μ for checkpointed processes, zero for replicas).
 //
-// Optimize starts from the all-re-execution assignment and greedily
+// A uniform assignment gives the single-mechanism evaluations: all
+// Checkpointing is the checkpointing extension of E12, and replicated
+// processes over ReExecution are the replication extension of E13.
+//
+// Optimize starts from the all-checkpointing assignment and greedily
 // replicates, one at a time, the process whose replication most shortens
 // the worst-case schedule, as long as it helps; checkpointing is always
 // applied where profitable by the planner.
@@ -27,11 +32,13 @@ package policyopt
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/appmodel"
 	"repro/internal/checkpoint"
 	"repro/internal/platform"
 	"repro/internal/prob"
+	"repro/internal/redundancy"
 	"repro/internal/replication"
 	"repro/internal/sched"
 	"repro/internal/sfp"
@@ -89,6 +96,21 @@ type Assignment struct {
 	Replicas replication.Assignment
 }
 
+// NewAssignment assigns pol to every one of n processes except those in
+// replicas, which are replicated on the listed nodes. All Checkpointing
+// with no replicas is the checkpointing extension; ReExecution with
+// replicas is the replication extension.
+func NewAssignment(n int, pol Policy, replicas replication.Assignment) *Assignment {
+	a := &Assignment{Policies: make([]Policy, n), Replicas: replicas}
+	for pid := range a.Policies {
+		a.Policies[pid] = pol
+		if _, ok := replicas[appmodel.ProcID(pid)]; ok {
+			a.Policies[pid] = Replication
+		}
+	}
+	return a
+}
+
 // Solution is one evaluated assignment.
 type Solution struct {
 	Assignment *Assignment
@@ -97,12 +119,18 @@ type Solution struct {
 	Plan *checkpoint.Plan
 	// Ks are the per-node re-execution budgets.
 	Ks []int
-	// Schedule is the static schedule of the expanded application.
+	// Schedule is the static schedule of the expanded application (all
+	// replicas placed). Original processes keep their IDs; replica clones
+	// follow. It is built also when the goal is out of reach.
 	Schedule *sched.Schedule
 	// ReplicaOf maps expanded processes to original IDs.
 	ReplicaOf   []appmodel.ProcID
 	Reliable    bool
 	Schedulable bool
+	// SystemFailureProb is the per-iteration system failure probability
+	// with Ks: the union of the per-node terms and the all-replicas-fail
+	// terms.
+	SystemFailureProb float64
 }
 
 // Feasible reports whether the solution is reliable and schedulable.
@@ -147,7 +175,6 @@ func Evaluate(p Problem, a *Assignment) (*Solution, error) {
 		Arch:     p.Arch,
 		Mapping:  p.Mapping,
 		Replicas: a.Replicas,
-		Goal:     p.Goal,
 	}
 	if err := rp.Validate(); err != nil {
 		return nil, err
@@ -156,29 +183,38 @@ func Evaluate(p Problem, a *Assignment) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	expArch := replication.ExpandedArch(rp, replicaOf)
+	fixed := replicaFailures(p, a)
 
-	// Fixed point between budgets and segment plans, as in
-	// checkpoint.Evaluate.
+	// Fixed point between budgets and segment plans: segment failure
+	// probabilities depend on the segment counts, and the planner's counts
+	// on the budgets. The counts are insensitive to k beyond small values,
+	// so a bounded number of rounds suffices.
 	ks := make([]int, len(p.Arch.Nodes))
 	var plan *checkpoint.Plan
+	var analysis *sfp.Analysis
 	reliable := false
 	for round := 0; round < 4; round++ {
-		plan, err = planSegments(p, a, ks)
+		if plan, err = planSegments(p, a, ks); err != nil {
+			return nil, err
+		}
+		if analysis, err = segmentAnalysis(p, a, plan); err != nil {
+			return nil, err
+		}
+		next, ok, err := redundancy.ReExecutionOptAnalysis(analysis, p.Goal, fixed)
 		if err != nil {
 			return nil, err
 		}
-		next, ok := assignKs(p, a, plan)
-		if !ok {
-			return &Solution{Assignment: a, Plan: plan, Ks: next, ReplicaOf: replicaOf}, nil
-		}
-		reliable = true
-		if equalInts(next, ks) {
-			ks = next
+		converged := slices.Equal(next, ks)
+		ks, reliable = next, ok
+		if !ok || converged {
 			break
 		}
-		ks = next
 	}
+	fails := make([]float64, 0, len(analysis.Nodes)+len(fixed))
+	for j, node := range analysis.Nodes {
+		fails = append(fails, node.FailureProb(ks[j]))
+	}
+	fails = append(fails, fixed...)
 
 	// Scheduler overrides over the expanded process set.
 	extra := make([]float64, expApp.NumProcesses())
@@ -186,16 +222,14 @@ func Evaluate(p Problem, a *Assignment) (*Solution, error) {
 	for pid := 0; pid < expApp.NumProcesses(); pid++ {
 		orig := replicaOf[pid]
 		if a.Policies[orig] == Replication {
-			extra[pid] = 0
-			recovery[pid] = 0
-			continue
+			continue // replicas are never re-executed
 		}
 		extra[pid] = plan.ExtraExec[orig]
 		recovery[pid] = plan.Recovery[orig]
 	}
 	s, err := sched.Build(sched.Input{
 		App:       expApp,
-		Arch:      expArch,
+		Arch:      p.Arch.View(replicaOf),
 		Mapping:   expMapping,
 		Ks:        ks,
 		Bus:       p.Bus,
@@ -206,13 +240,14 @@ func Evaluate(p Problem, a *Assignment) (*Solution, error) {
 		return nil, err
 	}
 	return &Solution{
-		Assignment:  a,
-		Plan:        plan,
-		Ks:          ks,
-		Schedule:    s,
-		ReplicaOf:   replicaOf,
-		Reliable:    reliable,
-		Schedulable: s.Schedulable(expApp),
+		Assignment:        a,
+		Plan:              plan,
+		Ks:                ks,
+		Schedule:          s,
+		ReplicaOf:         replicaOf,
+		Reliable:          reliable,
+		Schedulable:       s.Schedulable(expApp),
+		SystemFailureProb: sfp.SystemFailureProb(fails),
 	}, nil
 }
 
@@ -243,27 +278,29 @@ func planSegments(p Problem, a *Assignment, ks []int) (*checkpoint.Plan, error) 
 	return plan, nil
 }
 
-// assignKs runs the gradient-guided budget assignment over the combined
-// failure model (segment probabilities for re-executed/checkpointed
-// processes plus all-replicas-fail terms).
-func assignKs(p Problem, a *Assignment, plan *checkpoint.Plan) ([]int, bool) {
+// segmentAnalysis builds the per-node SFP analysis over the executed
+// segments of the non-replicated processes: a process of n segments
+// contributes n segment failure probabilities on its node.
+func segmentAnalysis(p Problem, a *Assignment, plan *checkpoint.Plan) (*sfp.Analysis, error) {
 	nodeProbs := make([][]float64, len(p.Arch.Nodes))
 	for pid := 0; pid < p.App.NumProcesses(); pid++ {
 		if a.Policies[pid] == Replication {
 			continue
 		}
 		j := p.Mapping[pid]
-		v := p.Arch.Version(j)
-		segP := checkpoint.SegmentFailProb(v.FailProb[pid], plan.Segments[pid])
+		segP := checkpoint.SegmentFailProb(p.Arch.Version(j).FailProb[pid], plan.Segments[pid])
 		for s := 0; s < plan.Segments[pid]; s++ {
 			nodeProbs[j] = append(nodeProbs[j], segP)
 		}
 	}
-	analysis, err := sfp.NewAnalysis(nodeProbs, p.App.EffectivePeriod(), p.maxK())
-	if err != nil {
-		return nil, false
-	}
-	var replFail []float64
+	return sfp.NewAnalysis(nodeProbs, p.App.EffectivePeriod(), p.maxK())
+}
+
+// replicaFailures returns the all-replicas-fail probability of every
+// replicated process in ProcID order: the process fails the iteration
+// exactly when each of its replicas fails.
+func replicaFailures(p Problem, a *Assignment) []float64 {
+	var fixed []float64
 	for pid := 0; pid < p.App.NumProcesses(); pid++ {
 		nodes, ok := a.Replicas[appmodel.ProcID(pid)]
 		if !ok {
@@ -273,36 +310,9 @@ func assignKs(p Problem, a *Assignment, plan *checkpoint.Plan) ([]int, bool) {
 		for _, j := range nodes {
 			prod *= p.Arch.Version(j).FailProb[pid]
 		}
-		replFail = append(replFail, prob.Clamp01(prob.CeilP(prod)))
+		fixed = append(fixed, prob.Clamp01(prob.CeilP(prod)))
 	}
-	sysFail := func(ks []int) float64 {
-		fails := make([]float64, 0, len(analysis.Nodes)+len(replFail))
-		for j, node := range analysis.Nodes {
-			fails = append(fails, node.FailureProb(ks[j]))
-		}
-		fails = append(fails, replFail...)
-		return sfp.SystemFailureProb(fails)
-	}
-	ks := make([]int, len(p.Arch.Nodes))
-	for sfp.Reliability(sysFail(ks), analysis.Period, p.Goal.Tau) < p.Goal.Rho() {
-		best, bestFail := -1, 0.0
-		for j, node := range analysis.Nodes {
-			if ks[j] >= node.MaxK() || node.FailureProb(ks[j]+1) >= node.FailureProb(ks[j]) {
-				continue
-			}
-			ks[j]++
-			f := sysFail(ks)
-			ks[j]--
-			if best < 0 || f < bestFail {
-				best, bestFail = j, f
-			}
-		}
-		if best < 0 {
-			return ks, false
-		}
-		ks[best]++
-	}
-	return ks, true
+	return fixed
 }
 
 // Optimize greedily improves the policy assignment: starting from
@@ -314,13 +324,7 @@ func assignKs(p Problem, a *Assignment, plan *checkpoint.Plan) ([]int, bool) {
 // terminates after at most n improving rounds.
 func Optimize(p Problem) (*Solution, error) {
 	n := p.App.NumProcesses()
-	cur := &Assignment{
-		Policies: make([]Policy, n),
-		Replicas: replication.Assignment{},
-	}
-	for pid := 0; pid < n; pid++ {
-		cur.Policies[pid] = Checkpointing
-	}
+	cur := NewAssignment(n, Checkpointing, replication.Assignment{})
 	best, err := Evaluate(p, cur)
 	if err != nil {
 		return nil, err
@@ -360,13 +364,14 @@ func Optimize(p Problem) (*Solution, error) {
 	}
 }
 
-// better prefers feasible solutions, then shorter worst-case schedules.
+// better ranks solutions: feasible beats infeasible, then reliable beats
+// unreliable, then the shorter worst-case schedule wins.
 func better(a, b *Solution) bool {
 	if a.Feasible() != b.Feasible() {
 		return a.Feasible()
 	}
-	if a.Schedule == nil || b.Schedule == nil {
-		return a.Schedule != nil
+	if a.Reliable != b.Reliable {
+		return a.Reliable
 	}
 	return a.Schedule.Length < b.Schedule.Length-1e-9
 }
@@ -400,16 +405,4 @@ func cloneAssignment(a *Assignment) *Assignment {
 		cp.Replicas[pid] = append([]int(nil), nodes...)
 	}
 	return cp
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

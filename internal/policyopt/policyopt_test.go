@@ -8,6 +8,7 @@ import (
 	"repro/internal/paper"
 	"repro/internal/platform"
 	"repro/internal/replication"
+	"repro/internal/sched"
 	"repro/internal/sfp"
 	"repro/internal/ttp"
 )
@@ -27,11 +28,7 @@ func fig1Problem() Problem {
 }
 
 func allPolicy(n int, pol Policy) *Assignment {
-	a := &Assignment{Policies: make([]Policy, n), Replicas: replication.Assignment{}}
-	for i := range a.Policies {
-		a.Policies[i] = pol
-	}
-	return a
+	return NewAssignment(n, pol, replication.Assignment{})
 }
 
 func TestPolicyString(t *testing.T) {
@@ -224,5 +221,60 @@ func TestOptimizeReplicatesWhenProfitable(t *testing.T) {
 	}
 	if sol.Assignment.Policies[big] != Replication {
 		t.Errorf("bottleneck not replicated: %v (SL=%v)", sol.Assignment.Policies, sol.Schedule.Length)
+	}
+}
+
+// TestNewAssignment: replicated processes take Replication, every other
+// process the given policy.
+func TestNewAssignment(t *testing.T) {
+	a := NewAssignment(4, Checkpointing, replication.Assignment{2: {1, 0}})
+	want := []Policy{Checkpointing, Checkpointing, Replication, Checkpointing}
+	for pid, pol := range a.Policies {
+		if pol != want[pid] {
+			t.Errorf("process %d: %v, want %v", pid, pol, want[pid])
+		}
+	}
+}
+
+// TestEvaluateUnreliableKeepsSchedule: an unreachable goal still yields a
+// schedule, and the system failure probability covers the
+// all-replicas-fail term.
+func TestEvaluateUnreliableKeepsSchedule(t *testing.T) {
+	p := fig1Problem()
+	p.Goal = sfp.Goal{Gamma: 1e-300, Tau: paper.Hour}
+	a := NewAssignment(4, ReExecution, replication.Assignment{1: {0, 1}})
+	sol, err := Evaluate(p, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Reliable || sol.Schedule == nil {
+		t.Fatalf("reliable=%v schedule=%v, want an unreliable scheduled solution", sol.Reliable, sol.Schedule != nil)
+	}
+	product := p.Arch.Version(0).FailProb[1] * p.Arch.Version(1).FailProb[1]
+	if sol.SystemFailureProb < product {
+		t.Errorf("system failure %g below the all-replicas-fail product %g", sol.SystemFailureProb, product)
+	}
+}
+
+// TestBetterRanking: feasible beats infeasible, reliable beats
+// unreliable, then the shorter schedule wins.
+func TestBetterRanking(t *testing.T) {
+	mk := func(reliable, schedulable bool, length float64) *Solution {
+		return &Solution{Reliable: reliable, Schedulable: schedulable, Schedule: &sched.Schedule{Length: length}}
+	}
+	cases := []struct {
+		a, b *Solution
+		want bool
+	}{
+		{mk(true, true, 300), mk(true, false, 200), true},
+		{mk(true, false, 300), mk(false, true, 200), true},
+		{mk(false, true, 200), mk(true, false, 300), false},
+		{mk(true, true, 200), mk(true, true, 300), true},
+		{mk(true, true, 300), mk(true, true, 300), false},
+	}
+	for i, c := range cases {
+		if got := better(c.a, c.b); got != c.want {
+			t.Errorf("case %d: better = %v, want %v", i, got, c.want)
+		}
 	}
 }

@@ -19,6 +19,10 @@
 // where the per-node f-fault analysis of package sfp runs over the
 // non-replicated processes only, and a replicated process fails the
 // system exactly when all of its replicas fail in the same iteration.
+//
+// This package validates and expands replica assignments; the analysis
+// and scheduling of a replicated application is policyopt.Evaluate with
+// the replicated processes on Replication and the rest on ReExecution.
 package replication
 
 import (
@@ -27,7 +31,6 @@ import (
 
 	"repro/internal/appmodel"
 	"repro/internal/platform"
-	"repro/internal/prob"
 	"repro/internal/sched"
 	"repro/internal/sfp"
 )
@@ -82,143 +85,6 @@ func (p *Problem) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Solution is one evaluated replication configuration.
-type Solution struct {
-	// Ks are the re-execution counts of the architecture nodes (covering
-	// the non-replicated processes).
-	Ks []int
-	// Schedule is the static schedule of the expanded application (all
-	// replicas placed). Process IDs of the original application keep
-	// their IDs; replica clones follow.
-	Schedule *sched.Schedule
-	// ReplicaOf maps each process of the expanded application to the
-	// original ProcID (identity for originals).
-	ReplicaOf []appmodel.ProcID
-	// Reliable and Schedulable are the two feasibility components.
-	Reliable    bool
-	Schedulable bool
-	// SystemFailureProb is the per-iteration failure probability.
-	SystemFailureProb float64
-}
-
-// Feasible reports whether the solution meets both requirements.
-func (s *Solution) Feasible() bool { return s != nil && s.Reliable && s.Schedulable }
-
-// Evaluate analyses and schedules the replication configuration.
-func Evaluate(p Problem) (*Solution, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if err := p.Goal.Validate(); err != nil {
-		return nil, err
-	}
-	maxK := p.MaxK
-	if maxK <= 0 {
-		maxK = sfp.DefaultMaxK
-	}
-
-	// --- Reliability ------------------------------------------------
-	// Per-node probabilities over non-replicated processes.
-	nodeProbs := make([][]float64, len(p.Arch.Nodes))
-	for pid := 0; pid < p.App.NumProcesses(); pid++ {
-		if _, ok := p.Replicas[appmodel.ProcID(pid)]; ok {
-			continue
-		}
-		j := p.Mapping[pid]
-		v := p.Arch.Version(j)
-		if v == nil {
-			return nil, fmt.Errorf("replication: node %d has no selected version", j)
-		}
-		nodeProbs[j] = append(nodeProbs[j], v.FailProb[pid])
-	}
-	analysis, err := sfp.NewAnalysis(nodeProbs, p.App.EffectivePeriod(), maxK)
-	if err != nil {
-		return nil, err
-	}
-	// All-replicas-fail probabilities, one per replicated process.
-	var replFail []float64
-	replPids := sortedPids(p.Replicas)
-	for _, pid := range replPids {
-		prod := 1.0
-		for _, j := range p.Replicas[pid] {
-			v := p.Arch.Version(j)
-			if v == nil {
-				return nil, fmt.Errorf("replication: node %d has no selected version", j)
-			}
-			prod *= v.FailProb[pid]
-		}
-		replFail = append(replFail, prob.Clamp01(prob.CeilP(prod)))
-	}
-	sysFail := func(ks []int) float64 {
-		fails := make([]float64, 0, len(analysis.Nodes)+len(replFail))
-		for j, n := range analysis.Nodes {
-			fails = append(fails, n.FailureProb(ks[j]))
-		}
-		fails = append(fails, replFail...)
-		return sfp.SystemFailureProb(fails)
-	}
-	ks := make([]int, len(p.Arch.Nodes))
-	reliable := true
-	for sfp.Reliability(sysFail(ks), analysis.Period, p.Goal.Tau) < p.Goal.Rho() {
-		best, bestFail := -1, 0.0
-		for j, n := range analysis.Nodes {
-			if ks[j] >= n.MaxK() || n.FailureProb(ks[j]+1) >= n.FailureProb(ks[j]) {
-				continue
-			}
-			ks[j]++
-			f := sysFail(ks)
-			ks[j]--
-			if best < 0 || f < bestFail {
-				best, bestFail = j, f
-			}
-		}
-		if best < 0 {
-			reliable = false // saturated (e.g. the replicas themselves too weak)
-			break
-		}
-		ks[best]++
-	}
-
-	// --- Scheduling ---------------------------------------------------
-	expApp, expMapping, replicaOf, err := Expand(p)
-	if err != nil {
-		return nil, err
-	}
-	// The platform's WCET tables are indexed by original ProcID; build a
-	// view of the selected h-versions re-indexed over the expanded
-	// process set so the scheduler can look clones up directly.
-	expArch := ExpandedArch(p, replicaOf)
-	recovery := make([]float64, expApp.NumProcesses())
-	for pid := 0; pid < expApp.NumProcesses(); pid++ {
-		orig := replicaOf[pid]
-		if _, ok := p.Replicas[orig]; ok {
-			recovery[pid] = 0 // replicas are never re-executed
-			continue
-		}
-		v := p.Arch.Version(expMapping[pid])
-		recovery[pid] = v.WCET[orig] + expApp.Procs[pid].Mu
-	}
-	s, err := sched.Build(sched.Input{
-		App:      expApp,
-		Arch:     expArch,
-		Mapping:  expMapping,
-		Ks:       ks,
-		Bus:      p.Bus,
-		Recovery: recovery,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Solution{
-		Ks:                ks,
-		Schedule:          s,
-		ReplicaOf:         replicaOf,
-		Reliable:          reliable,
-		Schedulable:       s.Schedulable(expApp),
-		SystemFailureProb: sysFail(ks),
-	}, nil
 }
 
 // Expand clones every replicated process onto its replica nodes: the
@@ -293,33 +159,6 @@ func Expand(p Problem) (*appmodel.Application, []int, []appmodel.ProcID, error) 
 		return nil, nil, nil, fmt.Errorf("replication: expanded application invalid: %w", err)
 	}
 	return exp, mapping, replicaOf, nil
-}
-
-// ExpandedArch builds a single-level architecture whose WCET and failure
-// probability tables are re-indexed over the expanded process set (clones
-// inherit their original's entries on every node).
-func ExpandedArch(p Problem, replicaOf []appmodel.ProcID) *platform.Architecture {
-	nodes := make([]*platform.Node, len(p.Arch.Nodes))
-	for j := range p.Arch.Nodes {
-		v := p.Arch.Version(j)
-		w := make([]float64, len(replicaOf))
-		fp := make([]float64, len(replicaOf))
-		for pid, orig := range replicaOf {
-			w[pid] = v.WCET[orig]
-			fp[pid] = v.FailProb[orig]
-		}
-		nodes[j] = &platform.Node{
-			ID:   platform.NodeID(j),
-			Name: p.Arch.Nodes[j].Name,
-			Versions: []platform.HVersion{{
-				Level:    1,
-				Cost:     v.Cost,
-				WCET:     w,
-				FailProb: fp,
-			}},
-		}
-	}
-	return platform.NewArchitecture(nodes)
 }
 
 // sortedPids returns the assignment's keys in ascending order for

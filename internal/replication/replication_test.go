@@ -1,4 +1,4 @@
-package replication
+package replication_test
 
 import (
 	"math"
@@ -7,15 +7,27 @@ import (
 	"repro/internal/appmodel"
 	"repro/internal/paper"
 	"repro/internal/platform"
+	"repro/internal/policyopt"
+	"repro/internal/replication"
 	"repro/internal/sfp"
 	"repro/internal/ttp"
 )
 
-func fig1Problem(replicas Assignment) Problem {
+// evaluate analyses and schedules a replication configuration the way the
+// module does: the policy evaluation with the replicated processes on
+// replication and every other process on re-execution.
+func evaluate(p replication.Problem) (*policyopt.Solution, error) {
+	return policyopt.Evaluate(policyopt.Problem{
+		App: p.App, Arch: p.Arch, Mapping: p.Mapping, Goal: p.Goal,
+		Bus: p.Bus, MaxK: p.MaxK,
+	}, policyopt.NewAssignment(p.App.NumProcesses(), policyopt.ReExecution, p.Replicas))
+}
+
+func fig1Problem(replicas replication.Assignment) replication.Problem {
 	pl := paper.Fig1Platform()
 	ar := platform.NewArchitecture([]*platform.Node{&pl.Nodes[0], &pl.Nodes[1]})
 	ar.Levels = []int{2, 2}
-	return Problem{
+	return replication.Problem{
 		App:      paper.Fig1Application(),
 		Arch:     ar,
 		Mapping:  []int{0, 0, 1, 1},
@@ -28,15 +40,15 @@ func fig1Problem(replicas Assignment) Problem {
 func TestValidateRejects(t *testing.T) {
 	cases := []struct {
 		name string
-		mut  func(*Problem)
+		mut  func(*replication.Problem)
 	}{
-		{"nil app", func(p *Problem) { p.App = nil }},
-		{"short mapping", func(p *Problem) { p.Mapping = []int{0} }},
-		{"unknown process", func(p *Problem) { p.Replicas = Assignment{99: {0, 1}} }},
-		{"single replica", func(p *Problem) { p.Replicas = Assignment{0: {0}} }},
-		{"bad node", func(p *Problem) { p.Replicas = Assignment{0: {0, 7}} }},
-		{"duplicate node", func(p *Problem) { p.Replicas = Assignment{0: {0, 0}} }},
-		{"primary mismatch", func(p *Problem) { p.Replicas = Assignment{0: {1, 0}} }},
+		{"nil app", func(p *replication.Problem) { p.App = nil }},
+		{"short mapping", func(p *replication.Problem) { p.Mapping = []int{0} }},
+		{"unknown process", func(p *replication.Problem) { p.Replicas = replication.Assignment{99: {0, 1}} }},
+		{"single replica", func(p *replication.Problem) { p.Replicas = replication.Assignment{0: {0}} }},
+		{"bad node", func(p *replication.Problem) { p.Replicas = replication.Assignment{0: {0, 7}} }},
+		{"duplicate node", func(p *replication.Problem) { p.Replicas = replication.Assignment{0: {0, 0}} }},
+		{"primary mismatch", func(p *replication.Problem) { p.Replicas = replication.Assignment{0: {1, 0}} }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -52,7 +64,7 @@ func TestValidateRejects(t *testing.T) {
 // TestNoReplicationMatchesReExecution: an empty assignment must reproduce
 // the plain re-execution analysis (k = 1 per node on Fig. 4a).
 func TestNoReplicationMatchesReExecution(t *testing.T) {
-	sol, err := Evaluate(fig1Problem(nil))
+	sol, err := evaluate(fig1Problem(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +83,8 @@ func TestNoReplicationMatchesReExecution(t *testing.T) {
 // it from the re-execution analysis; its replicas never extend the
 // recovery quantum.
 func TestReplicatedProcessNeedsNoSlack(t *testing.T) {
-	p := fig1Problem(Assignment{0: {0, 1}})
-	sol, err := Evaluate(p)
+	p := fig1Problem(replication.Assignment{0: {0, 1}})
+	sol, err := evaluate(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +110,11 @@ func TestReplicatedProcessNeedsNoSlack(t *testing.T) {
 // nodes, no re-executions are needed at all, and the system failure
 // probability is the union of the per-process products.
 func TestReplicationReliabilityMath(t *testing.T) {
-	p := fig1Problem(Assignment{
+	p := fig1Problem(replication.Assignment{
 		0: {0, 1}, 1: {0, 1}, 2: {1, 0}, 3: {1, 0},
 	})
 	p.Mapping = []int{0, 0, 1, 1}
-	sol, err := Evaluate(p)
+	sol, err := evaluate(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +144,11 @@ func TestReplicationReliabilityMath(t *testing.T) {
 // schedule grows relative to no replication on the same mapping when the
 // replicated process is off the recovery-critical node.
 func TestReplicationCostsBusAndTime(t *testing.T) {
-	base, err := Evaluate(fig1Problem(nil))
+	base, err := evaluate(fig1Problem(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	repl, err := Evaluate(fig1Problem(Assignment{1: {0, 1}}))
+	repl, err := evaluate(fig1Problem(replication.Assignment{1: {0, 1}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +169,8 @@ func TestReplicationCostsBusAndTime(t *testing.T) {
 // TestExpandPreservesDeadlines: clones belong to the original's graph and
 // deadlines are checked for them too.
 func TestExpandPreservesDeadlines(t *testing.T) {
-	p := fig1Problem(Assignment{3: {1, 0}})
-	sol, err := Evaluate(p)
+	p := fig1Problem(replication.Assignment{3: {1, 0}})
+	sol, err := evaluate(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,21 +190,24 @@ func TestExpandPreservesDeadlines(t *testing.T) {
 // TestReplicationUnreachableGoal: if even full replication cannot reach an
 // absurd goal, the evaluation reports unreliable.
 func TestReplicationUnreachableGoal(t *testing.T) {
-	p := fig1Problem(Assignment{0: {0, 1}})
+	p := fig1Problem(replication.Assignment{0: {0, 1}})
 	p.Goal = sfp.Goal{Gamma: 1e-300, Tau: paper.Hour}
-	sol, err := Evaluate(p)
+	sol, err := evaluate(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sol.Reliable {
 		t.Error("absurd goal reported reliable")
 	}
+	if sol.Schedule == nil {
+		t.Error("no schedule for the unreliable configuration")
+	}
 }
 
 // TestReplicaOfIdentityForOriginals: the first NumProcesses entries map to
 // themselves.
 func TestReplicaOfIdentityForOriginals(t *testing.T) {
-	sol, err := Evaluate(fig1Problem(Assignment{2: {1, 0}}))
+	sol, err := evaluate(fig1Problem(replication.Assignment{2: {1, 0}}))
 	if err != nil {
 		t.Fatal(err)
 	}
