@@ -39,17 +39,13 @@ func PolicyComparison(ctx context.Context, cfg Config, ser float64, chiAlpha flo
 			if err != nil {
 				return nil, err
 			}
-			prob := redundancy.Problem{
-				App:     inst.App,
-				Arch:    ar,
-				Mapping: m,
-				Goal:    inst.Goal,
-				Bus:     ttp.NewBus(2, inst.Platform.Bus.SlotLen),
-			}
+			bus := ttp.NewBus(2, inst.Platform.Bus.SlotLen)
 			instances++
 
 			// Re-execution at the fixed levels.
-			re, err := redundancy.Evaluate(prob, ar.Levels)
+			re, err := redundancy.Evaluate(redundancy.Problem{
+				App: inst.App, Arch: ar, Mapping: m, Goal: inst.Goal, Bus: bus,
+			}, ar.Levels)
 			if err != nil {
 				return nil, err
 			}
@@ -59,7 +55,7 @@ func PolicyComparison(ctx context.Context, cfg Config, ser float64, chiAlpha flo
 			cp, err := policyopt.Evaluate(policyopt.Problem{
 				App: inst.App, Arch: ar, Mapping: m, Goal: inst.Goal,
 				Overheads: checkpoint.Overheads{Chi: chiAlpha, Alpha: chiAlpha},
-				Bus:       ttp.NewBus(2, inst.Platform.Bus.SlotLen),
+				Bus:       bus,
 			}, policyopt.NewAssignment(inst.App.NumProcesses(), policyopt.Checkpointing, nil))
 			if err != nil {
 				return nil, err
@@ -74,8 +70,7 @@ func PolicyComparison(ctx context.Context, cfg Config, ser float64, chiAlpha flo
 			pid := mostExposed(inst, ar, m)
 			other := 1 - m[pid]
 			rp, err := policyopt.Evaluate(policyopt.Problem{
-				App: inst.App, Arch: ar, Mapping: m, Goal: inst.Goal,
-				Bus: ttp.NewBus(2, inst.Platform.Bus.SlotLen),
+				App: inst.App, Arch: ar, Mapping: m, Goal: inst.Goal, Bus: bus,
 			}, policyopt.NewAssignment(inst.App.NumProcesses(), policyopt.ReExecution,
 				replication.Assignment{pid: {m[pid], other}}))
 			if err != nil {
