@@ -6,6 +6,7 @@ package ftes
 // analysis substrate, and the visualization helpers.
 
 import (
+	"errors"
 	"io"
 
 	"repro/internal/appmodel"
@@ -52,18 +53,31 @@ func EvaluateCheckpointing(app *Application, ar *Architecture, mapping []int, go
 type (
 	// ReplicaAssignment maps replicated processes to their replica nodes.
 	ReplicaAssignment = replication.Assignment
-	// ReplicationProblem bundles a replication-aware evaluation.
-	ReplicationProblem = replication.Problem
 	// ReplicationSolution is one evaluated replication configuration.
 	ReplicationSolution = policyopt.Solution
 )
+
+// ReplicationProblem bundles a replication-aware evaluation.
+type ReplicationProblem struct {
+	App  *Application
+	Arch *Architecture
+	// Mapping[i] is the node of process i (for replicated processes: the
+	// primary replica's node, which must equal Replicas[i][0]).
+	Mapping []int
+	// Replicas assigns replica node sets to replicated processes.
+	Replicas ReplicaAssignment
+	Goal     Goal
+	Bus      Bus
+	// MaxK caps re-executions per node (0 = the default).
+	MaxK int
+}
 
 // EvaluateReplication analyses and schedules a replication configuration:
 // the policy evaluation with the replicated processes on replication and
 // every other process on re-execution.
 func EvaluateReplication(p ReplicationProblem) (*ReplicationSolution, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
+	if p.App == nil {
+		return nil, errors.New("ftes: nil application")
 	}
 	return policyopt.Evaluate(policyopt.Problem{
 		App: p.App, Arch: p.Arch, Mapping: p.Mapping, Goal: p.Goal,

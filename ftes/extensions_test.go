@@ -81,6 +81,9 @@ func TestFacadeReplication(t *testing.T) {
 	if len(sol.ReplicaOf) != 3 {
 		t.Errorf("expanded to %d processes, want 3", len(sol.ReplicaOf))
 	}
+	if _, err := ftes.EvaluateReplication(ftes.ReplicationProblem{Arch: ar}); err == nil {
+		t.Error("want error for a nil application")
+	}
 }
 
 func TestFacadeWCET(t *testing.T) {

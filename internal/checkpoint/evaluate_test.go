@@ -110,4 +110,10 @@ func TestEvaluateValidation(t *testing.T) {
 	if _, err := evaluate(ar, []int{9, 9, 9, 9}, goal, checkpoint.Overheads{}, nil, 8); err == nil {
 		t.Error("want error for invalid mapping")
 	}
+	// A node whose selected level has no h-version is an error even when
+	// no process is mapped to it.
+	ar.Levels[1] = 7
+	if _, err := evaluate(ar, []int{0, 0, 0, 0}, goal, checkpoint.Overheads{}, nil, 8); err == nil {
+		t.Error("want error for a node without a selected version")
+	}
 }

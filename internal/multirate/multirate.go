@@ -221,9 +221,13 @@ func Evaluate(s *Spec, ar *platform.Architecture, mapping []int, goal sfp.Goal, 
 
 	// Schedule the job set with releases; the scheduler needs WCET and
 	// failure tables indexed by job ID.
+	jobArch, err := ar.View(u.JobOf)
+	if err != nil {
+		return nil, err
+	}
 	schedule, err := sched.Build(sched.Input{
 		App:     u.App,
-		Arch:    ar.View(u.JobOf),
+		Arch:    jobArch,
 		Mapping: jobMapping,
 		Ks:      ks,
 		Bus:     bus,

@@ -61,11 +61,15 @@ func (ar *Architecture) Version(j int) *HVersion {
 // View returns a single-level architecture over a derived process set,
 // such as replica clones or hyperperiod jobs: on every node, derived
 // process i takes the WCET and failure probability that the selected
-// h-version gives its origin process origin[i].
-func (ar *Architecture) View(origin []appmodel.ProcID) *Architecture {
+// h-version gives its origin process origin[i]. It fails when a node's
+// selected level has no h-version.
+func (ar *Architecture) View(origin []appmodel.ProcID) (*Architecture, error) {
 	nodes := make([]*Node, len(ar.Nodes))
 	for j := range ar.Nodes {
 		v := ar.Version(j)
+		if v == nil {
+			return nil, fmt.Errorf("platform: node %d has no selected version", j)
+		}
 		w := make([]float64, len(origin))
 		fp := make([]float64, len(origin))
 		for pid, orig := range origin {
@@ -83,7 +87,7 @@ func (ar *Architecture) View(origin []appmodel.ProcID) *Architecture {
 			}},
 		}
 	}
-	return NewArchitecture(nodes)
+	return NewArchitecture(nodes), nil
 }
 
 // Cost returns the total cost of the selected h-versions (the objective

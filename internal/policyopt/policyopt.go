@@ -155,6 +155,9 @@ func Evaluate(p Problem, a *Assignment) (*Solution, error) {
 	if err := p.Goal.Validate(); err != nil {
 		return nil, err
 	}
+	if p.App == nil || p.Arch == nil {
+		return nil, fmt.Errorf("policyopt: nil application or architecture")
+	}
 	n := p.App.NumProcesses()
 	if len(p.Mapping) != n {
 		return nil, fmt.Errorf("policyopt: mapping covers %d of %d processes", len(p.Mapping), n)
@@ -180,6 +183,12 @@ func Evaluate(p Problem, a *Assignment) (*Solution, error) {
 		return nil, err
 	}
 	expApp, expMapping, replicaOf, err := replication.Expand(rp)
+	if err != nil {
+		return nil, err
+	}
+	// The view checks that every node has a selected h-version before
+	// anything below reads one.
+	expArch, err := p.Arch.View(replicaOf)
 	if err != nil {
 		return nil, err
 	}
@@ -229,7 +238,7 @@ func Evaluate(p Problem, a *Assignment) (*Solution, error) {
 	}
 	s, err := sched.Build(sched.Input{
 		App:       expApp,
-		Arch:      p.Arch.View(replicaOf),
+		Arch:      expArch,
 		Mapping:   expMapping,
 		Ks:        ks,
 		Bus:       p.Bus,

@@ -141,8 +141,8 @@ func checkAllocator(t *testing.T, name string, a *sfp.Analysis, goal sfp.Goal, f
 // 10–1000 ms and 0–2 fixed all-replicas-fail terms. The argmin-union form
 // must match exactly. The argmax-reliability form must match except on
 // deployments so far from the goal that a whole greedy step ties at zero
-// reliability (about 3 in 10,000 of these vectors); none of the generated
-// instances below is one.
+// reliability (about 3 in 10,000 of these vectors; TestAllocatorZeroReliabilityTie
+// pins one); none of the generated instances below is one.
 func TestAllocatorMatchesReferences(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	runs := 20000
@@ -209,5 +209,45 @@ func TestAllocatorMatchesReferencesGradientAblation(t *testing.T) {
 				checkAllocator(t, fmt.Sprintf("SER %g, %d procs, seed %d", ser, n, seed), a, inst.Goal, nil, false)
 			}
 		}
+	}
+}
+
+// TestAllocatorZeroReliabilityTie pins the one case where the allocator
+// parts from the argmax-reliability form on purpose. Three nodes at a
+// 5 ms period are so far from γ = 9e-4/h that every first increment
+// leaves the one-hour reliability at zero. The argmax form cannot rank
+// them and spends the first two re-executions on node 0, the least
+// failure-prone node; the allocator lowers the union failure probability
+// at every step and meets the goal with one re-execution fewer.
+func TestAllocatorZeroReliabilityTie(t *testing.T) {
+	a, err := sfp.NewAnalysis([][]float64{{1e-5}, {8e-5}, {8e-5}}, 5, sfp.DefaultMaxK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goal := sfp.Goal{Gamma: 9e-4, Tau: 3.6e6}
+	for j := range a.Nodes {
+		ks := make([]int, len(a.Nodes))
+		ks[j] = 1
+		if rel := a.SystemReliability(ks, goal.Tau); rel != 0 {
+			t.Fatalf("reliability with ks=%v is %g, want a zero-reliability tie", ks, rel)
+		}
+	}
+	ks, ok, err := ReExecutionOptAnalysis(a, goal, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{1, 2, 2}; !reflect.DeepEqual(ks, want) || !ok {
+		t.Errorf("allocator ks=%v ok=%v, want %v true", ks, ok, want)
+	}
+	unionKs, _, path := refArgminUnion(a, goal, nil)
+	if !reflect.DeepEqual(unionKs, ks) {
+		t.Errorf("argmin-union reference ks=%v, allocator %v", unionKs, ks)
+	}
+	argmaxKs, argmaxOK, refPath := refArgmaxReliability(a, goal)
+	if want := []int{2, 2, 2}; !reflect.DeepEqual(argmaxKs, want) || !argmaxOK {
+		t.Errorf("argmax-reliability reference ks=%v ok=%v, want %v true", argmaxKs, argmaxOK, want)
+	}
+	if !zeroTie(a, goal, path, refPath) {
+		t.Errorf("paths %v and %v do not part at a zero-reliability tie", path, refPath)
 	}
 }

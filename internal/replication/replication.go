@@ -31,8 +31,6 @@ import (
 
 	"repro/internal/appmodel"
 	"repro/internal/platform"
-	"repro/internal/sched"
-	"repro/internal/sfp"
 )
 
 // Assignment maps each replicated process to the architecture nodes its
@@ -40,7 +38,8 @@ import (
 // from the map use re-execution on their mapped node as usual.
 type Assignment map[appmodel.ProcID][]int
 
-// Problem bundles the inputs of a replication-aware evaluation.
+// Problem is a replication configuration: a mapped application and the
+// replica nodes of its replicated processes.
 type Problem struct {
 	App  *appmodel.Application
 	Arch *platform.Architecture
@@ -49,9 +48,6 @@ type Problem struct {
 	Mapping []int
 	// Replicas assigns replica node sets to replicated processes.
 	Replicas Assignment
-	Goal     sfp.Goal
-	Bus      sched.Bus
-	MaxK     int
 }
 
 // Validate checks the replication assignment against the mapping.

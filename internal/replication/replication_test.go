@@ -9,31 +9,41 @@ import (
 	"repro/internal/platform"
 	"repro/internal/policyopt"
 	"repro/internal/replication"
+	"repro/internal/sched"
 	"repro/internal/sfp"
 	"repro/internal/ttp"
 )
 
+// problem is a replication configuration with the goal and bus it is
+// evaluated under.
+type problem struct {
+	replication.Problem
+	Goal sfp.Goal
+	Bus  sched.Bus
+}
+
 // evaluate analyses and schedules a replication configuration the way the
 // module does: the policy evaluation with the replicated processes on
 // replication and every other process on re-execution.
-func evaluate(p replication.Problem) (*policyopt.Solution, error) {
+func evaluate(p problem) (*policyopt.Solution, error) {
 	return policyopt.Evaluate(policyopt.Problem{
-		App: p.App, Arch: p.Arch, Mapping: p.Mapping, Goal: p.Goal,
-		Bus: p.Bus, MaxK: p.MaxK,
+		App: p.App, Arch: p.Arch, Mapping: p.Mapping, Goal: p.Goal, Bus: p.Bus,
 	}, policyopt.NewAssignment(p.App.NumProcesses(), policyopt.ReExecution, p.Replicas))
 }
 
-func fig1Problem(replicas replication.Assignment) replication.Problem {
+func fig1Problem(replicas replication.Assignment) problem {
 	pl := paper.Fig1Platform()
 	ar := platform.NewArchitecture([]*platform.Node{&pl.Nodes[0], &pl.Nodes[1]})
 	ar.Levels = []int{2, 2}
-	return replication.Problem{
-		App:      paper.Fig1Application(),
-		Arch:     ar,
-		Mapping:  []int{0, 0, 1, 1},
-		Replicas: replicas,
-		Goal:     sfp.Goal{Gamma: paper.Fig1Gamma, Tau: paper.Hour},
-		Bus:      ttp.NewBus(2, pl.Bus.SlotLen),
+	return problem{
+		Problem: replication.Problem{
+			App:      paper.Fig1Application(),
+			Arch:     ar,
+			Mapping:  []int{0, 0, 1, 1},
+			Replicas: replicas,
+		},
+		Goal: sfp.Goal{Gamma: paper.Fig1Gamma, Tau: paper.Hour},
+		Bus:  ttp.NewBus(2, pl.Bus.SlotLen),
 	}
 }
 
@@ -53,7 +63,7 @@ func TestValidateRejects(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			p := fig1Problem(nil)
-			c.mut(&p)
+			c.mut(&p.Problem)
 			if err := p.Validate(); err == nil {
 				t.Error("want error")
 			}
@@ -201,6 +211,11 @@ func TestReplicationUnreachableGoal(t *testing.T) {
 	}
 	if sol.Schedule == nil {
 		t.Error("no schedule for the unreliable configuration")
+	}
+	// A replica node whose selected level has no h-version is an error.
+	p.Arch.Levels[1] = 7
+	if _, err := evaluate(p); err == nil {
+		t.Error("want error for a replica node without a selected version")
 	}
 }
 
