@@ -19,7 +19,8 @@
 //	                                 retry budget; see -retry)
 //	GET    /jobs/{id}/metrics        per-job introspection (obshttp):
 //	       /jobs/{id}/progress       Prometheus metrics, progress JSON,
-//	       /jobs/{id}/trace          Chrome trace snapshot
+//	       /jobs/{id}/trace          Chrome trace snapshot (410 Gone once
+//	                                 the trace is released, see below)
 //	       /jobs/{id}/events         this job's lifecycle events (SSE)
 //	GET    /events                   fleet-wide lifecycle event stream
 //	                                 (server-sent events; ?since=0 replays
@@ -58,6 +59,11 @@
 // re-enqueued with exponential backoff up to N attempts, then quarantined
 // — held, with its attempt history, until POST /jobs/{id}/retry re-opens
 // the budget. Attempt counts are journaled, so restarts never reset them.
+//
+// The daemon keeps every job's status, artifacts, metrics and progress,
+// but only the 16 most recently finished jobs keep their trace: an older
+// job's /jobs/{id}/trace answers 410 Gone. A finished design job also
+// drops its problem document, unless it is quarantined and may be retried.
 //
 // While draining (after the first SIGINT/SIGTERM), submissions are
 // refused with 503 and a Retry-After header naming the drain bound, so
@@ -442,7 +448,9 @@ func (d *daemon) artifact(w http.ResponseWriter, r *http.Request) {
 
 // introspect mounts the standard obshttp endpoints over one job's own
 // instruments: /jobs/{id}/metrics, /jobs/{id}/progress, /jobs/{id}/trace
-// (plus /healthz and /debug) scoped to exactly that run.
+// (plus /healthz and /debug) scoped to exactly that run. Only the most
+// recently finished jobs keep their trace; an older one's /trace answers
+// 410 Gone.
 func (d *daemon) introspect(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	h, ok := d.sched.Get(id)
@@ -451,6 +459,10 @@ func (d *daemon) introspect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	inst := h.Job().Instruments()
+	if inst.Tracer == nil && r.PathValue("introspect") == "trace" {
+		httpError(w, http.StatusGone, fmt.Errorf("job %s: trace released (only the most recently finished jobs keep theirs)", id))
+		return
+	}
 	// The job's own event stream: the daemon log filtered down to this id
 	// (EventJob), alongside its private metrics/progress/trace.
 	sub := obshttp.Handler(obshttp.Options{Registry: inst.Metrics, Progress: inst.Progress, Tracer: inst.Tracer,

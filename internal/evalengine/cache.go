@@ -37,6 +37,10 @@ func shardOf(key string) int {
 type solCache struct {
 	shards   [nShards]solShard
 	shardCap int // per-shard entry backstop; whole shard dropped at cap
+	// entries tracks the population across shards, updated under the
+	// shard locks. It lives outside the cache (in the store's liveCounts)
+	// so a live gauge can read it without reaching the entries.
+	entries *atomic.Int64
 }
 
 type solShard struct {
@@ -44,8 +48,8 @@ type solShard struct {
 	m  map[string]*redundancy.Solution
 }
 
-func newSolCache(totalCap int) *solCache {
-	c := &solCache{shardCap: totalCap / nShards}
+func newSolCache(totalCap int, entries *atomic.Int64) *solCache {
+	c := &solCache{shardCap: totalCap / nShards, entries: entries}
 	for i := range c.shards {
 		c.shards[i].m = make(map[string]*redundancy.Solution)
 	}
@@ -68,12 +72,15 @@ func (c *solCache) get(key string) (*redundancy.Solution, bool) {
 func (c *solCache) put(key string, sol *redundancy.Solution) (evicted int64) {
 	sh := &c.shards[shardOf(key)]
 	sh.mu.Lock()
-	if _, exists := sh.m[key]; !exists && len(sh.m) >= c.shardCap {
-		for k := range sh.m {
-			delete(sh.m, k)
-			evicted++
-			break
+	if _, exists := sh.m[key]; !exists {
+		if len(sh.m) >= c.shardCap {
+			for k := range sh.m {
+				delete(sh.m, k)
+				evicted++
+				break
+			}
 		}
+		c.entries.Add(1 - evicted)
 	}
 	sh.m[key] = sol
 	sh.mu.Unlock()
@@ -84,23 +91,14 @@ func (c *solCache) clear() {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
+		c.entries.Add(-int64(len(sh.m)))
 		sh.m = make(map[string]*redundancy.Solution)
 		sh.mu.Unlock()
 	}
 }
 
-// size returns the current entry count across all shards. It takes the
-// shard locks, so it is for observation (live gauges), not hot paths.
-func (c *solCache) size() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
-}
+// size returns the current entry count across all shards.
+func (c *solCache) size() int { return int(c.entries.Load()) }
 
 // SFPCache is the concurrency-safe per-node-type SFP analysis cache:
 // (node type, hardening level, mapped process set) → *sfp.Node. It is the
@@ -193,6 +191,16 @@ type workerCounters struct {
 	_           [48]byte
 }
 
+// liveCounts are the values the evalengine.live.* gauges report. They are
+// allocated apart from the store, and the gauge closures capture only
+// them: a registry that outlives its engine (a finished job's) then keeps
+// three counters alive, not the caches.
+type liveCounts struct {
+	evaluations atomic.Int64 // Stats.Evaluations
+	solEntries  atomic.Int64 // solution-cache population
+	optEntries  atomic.Int64 // opt-cache population
+}
+
 // store bundles the caches and counters shared by every Evaluator of one
 // engine: a solo Evaluator owns a private store; a Concurrent engine hands
 // the same store to all its workers.
@@ -200,7 +208,8 @@ type store struct {
 	sols      *solCache // (levels, mapping) → solution
 	opts      *solCache // mapping → RedundancyOpt result
 	sfp       *SFPCache
-	stats     atomicStats
+	stats     atomicStats // every counter but evaluations, which is live
+	live      *liveCounts
 	perWorker []workerCounters
 
 	// persist is the optional disk-backed cache behind warm starts;
@@ -240,10 +249,12 @@ func newStore(sfpc *SFPCache, workers int) *store {
 	if workers < 1 {
 		workers = 1
 	}
+	live := new(liveCounts)
 	return &store{
-		sols:      newSolCache(maxSolutionEntries),
-		opts:      newSolCache(maxOptEntries),
+		sols:      newSolCache(maxSolutionEntries, &live.solEntries),
+		opts:      newSolCache(maxOptEntries, &live.optEntries),
 		sfp:       sfpc,
+		live:      live,
 		perWorker: make([]workerCounters, workers),
 	}
 }
@@ -257,8 +268,8 @@ func newStore(sfpc *SFPCache, workers int) *store {
 // Registration is idempotent: reinstalling the same registry (as
 // jobs.Runner does per job) leaves exactly one gauge set behind, and
 // installing a different registry — or nil — first deregisters the
-// closures from the previous one, so a retired store is not kept alive by
-// a registry that outlives it.
+// closures from the previous one. The closures read only st.live, so a
+// registry left holding them keeps the counters, never the store.
 func (st *store) setMetrics(r *obs.Registry) {
 	if st.gaugeReg != nil && st.gaugeReg != r {
 		for _, name := range liveGaugeNames {
@@ -270,14 +281,15 @@ func (st *store) setMetrics(r *obs.Registry) {
 	st.mSched = r.Histogram("evalengine.sched")
 	st.mOpt = r.Histogram("evalengine.redundancy_opt")
 	if r != nil && st.gaugeReg != r {
+		live := st.live
 		r.GaugeFunc("evalengine.live.evaluations", func() float64 {
-			return float64(st.stats.evaluations.Load())
+			return float64(live.evaluations.Load())
 		})
 		r.GaugeFunc("evalengine.live.cache_entries", func() float64 {
-			return float64(st.sols.size())
+			return float64(live.solEntries.Load())
 		})
 		r.GaugeFunc("evalengine.live.opt_entries", func() float64 {
-			return float64(st.opts.size())
+			return float64(live.optEntries.Load())
 		})
 	}
 	st.gaugeReg = r
@@ -286,6 +298,7 @@ func (st *store) setMetrics(r *obs.Registry) {
 // resetStats zeroes the engine-wide and per-worker counters.
 func (st *store) resetStats() {
 	st.stats.reset()
+	st.live.evaluations.Store(0)
 	for i := range st.perWorker {
 		st.perWorker[i].evaluations.Store(0)
 		st.perWorker[i].cacheMisses.Store(0)
@@ -296,6 +309,7 @@ func (st *store) resetStats() {
 // when the engine has more than one worker.
 func (st *store) snapshotStats() Stats {
 	s := st.stats.snapshot()
+	s.Evaluations = st.live.evaluations.Load()
 	if len(st.perWorker) > 1 {
 		s.PerWorker = make([]WorkerStats, len(st.perWorker))
 		for i := range st.perWorker {

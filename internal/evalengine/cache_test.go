@@ -2,8 +2,11 @@ package evalengine
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/platform"
@@ -15,7 +18,7 @@ import (
 // reset: overflowing a shard must displace exactly one resident entry per
 // insert (reported through the return value), never wipe the shard.
 func TestSolCachePutEvictsOneVictim(t *testing.T) {
-	c := newSolCache(nShards * 4) // shardCap = 4
+	c := newSolCache(nShards*4, new(atomic.Int64)) // shardCap = 4
 	sol := &redundancy.Solution{}
 
 	// Fill one shard to its cap. Keys are grouped by shard index.
@@ -130,5 +133,93 @@ func TestSetMetricsIdempotent(t *testing.T) {
 	st.setMetrics(nil)
 	if n := countLiveGauges(b); n != 0 {
 		t.Fatalf("registry still holds %d live gauges after SetMetrics(nil)", n)
+	}
+}
+
+// population counts a cache's entries shard by shard, independently of
+// the entries counter the live gauges read.
+func population(c *solCache) int {
+	n := 0
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.RLock()
+		n += len(sh.m)
+		sh.mu.RUnlock()
+	}
+	return n
+}
+
+// liveGauges returns the evalengine.live.* values of a registry snapshot.
+func liveGauges(r *obs.Registry) map[string]float64 {
+	out := map[string]float64{}
+	for name, v := range r.Snapshot().Gauges {
+		if strings.HasPrefix(name, "evalengine.live.") {
+			out[name] = v
+		}
+	}
+	return out
+}
+
+// TestRegistryDoesNotPinEngine pins the gauge leak behind a finished
+// job's memory: a registry that outlives its engine must not keep the
+// engine's store (and with it every cached solution) alive through the
+// evalengine.live.* callbacks, and those gauges must still report the
+// values they had when the engine was dropped.
+func TestRegistryDoesNotPinEngine(t *testing.T) {
+	p, m := benchProblem(t)
+	reg := obs.NewRegistry()
+	collected := make(chan struct{})
+	want := func() map[string]float64 {
+		ev := New(p)
+		ev.SetMetrics(reg)
+		if _, err := ev.RedundancyOpt(m); err != nil {
+			t.Fatal(err)
+		}
+		st := ev.st
+		want := map[string]float64{
+			"evalengine.live.evaluations":   float64(ev.Stats().Evaluations),
+			"evalengine.live.cache_entries": float64(population(st.sols)),
+			"evalengine.live.opt_entries":   float64(population(st.opts)),
+		}
+		if want["evalengine.live.evaluations"] == 0 || want["evalengine.live.cache_entries"] == 0 || want["evalengine.live.opt_entries"] == 0 {
+			t.Fatalf("the run left nothing to observe: %v", want)
+		}
+		if got := liveGauges(reg); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("live gauges %v, want %v", got, want)
+		}
+		runtime.SetFinalizer(st, func(*store) { close(collected) })
+		return want
+	}()
+
+	deadline := time.After(5 * time.Second)
+	for done := false; !done; {
+		runtime.GC()
+		select {
+		case <-collected:
+			done = true
+		case <-deadline:
+			t.Fatal("the registry keeps the dropped engine's store alive")
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if got := liveGauges(reg); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("live gauges after the engine was collected: %v, want %v", got, want)
+	}
+}
+
+// TestLiveEntryCounts checks the entry counters against the shard maps
+// through puts, overflow evictions and a clear.
+func TestLiveEntryCounts(t *testing.T) {
+	c := newSolCache(nShards*2, new(atomic.Int64))
+	sol := &redundancy.Solution{}
+	for i := 0; i < 200; i++ {
+		c.put(fmt.Sprintf("k%d", i%150), sol)
+		if got, want := c.size(), population(c); got != want {
+			t.Fatalf("after put %d: counter %d, shards hold %d", i, got, want)
+		}
+	}
+	c.clear()
+	if n := c.size(); n != 0 {
+		t.Fatalf("counter after clear = %d", n)
 	}
 }

@@ -272,7 +272,7 @@ func appendInts(dst []byte, vals []int) []byte {
 // callers and must be treated as immutable.
 func (e *Evaluator) Evaluate(mapping, levels []int) (*redundancy.Solution, error) {
 	st := e.st
-	st.stats.evaluations.Add(1)
+	st.live.evaluations.Add(1)
 	st.perWorker[e.wid].evaluations.Add(1)
 	e.keyBuf = appendInts(appendInts(e.keyBuf[:0], levels), mapping)
 	key := string(e.keyBuf)

@@ -384,11 +384,11 @@ func BenchmarkEvaluatorWarm(b *testing.B) {
 	}
 }
 
-func benchProblem(b *testing.B) (redundancy.Problem, []int) {
-	b.Helper()
+func benchProblem(tb testing.TB) (redundancy.Problem, []int) {
+	tb.Helper()
 	inst, err := taskgen.Generate(taskgen.DefaultConfig(6, 20, 1e-11, 25))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	m := make([]int, 20)
 	for i := range m {

@@ -138,9 +138,10 @@ func (s Stats) String() string {
 
 // atomicStats is the concurrency-safe backing store of Stats: the same
 // counters as atomics, so workers of a Concurrent engine increment them
-// without coordination. snapshot renders a plain Stats for reporting.
+// without coordination. snapshot renders a plain Stats for reporting;
+// Evaluations is not among them, since it lives in the store's liveCounts
+// where the live gauge reads it.
 type atomicStats struct {
-	evaluations    atomic.Int64
 	cacheHits      atomic.Int64
 	cacheMisses    atomic.Int64
 	optRuns        atomic.Int64
@@ -156,7 +157,6 @@ type atomicStats struct {
 
 func (a *atomicStats) snapshot() Stats {
 	return Stats{
-		Evaluations:    a.evaluations.Load(),
 		CacheHits:      a.cacheHits.Load(),
 		CacheMisses:    a.cacheMisses.Load(),
 		OptRuns:        a.optRuns.Load(),
@@ -172,7 +172,6 @@ func (a *atomicStats) snapshot() Stats {
 }
 
 func (a *atomicStats) reset() {
-	a.evaluations.Store(0)
 	a.cacheHits.Store(0)
 	a.cacheMisses.Store(0)
 	a.optRuns.Store(0)

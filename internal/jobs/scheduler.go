@@ -25,6 +25,11 @@ var ErrClosed = errors.New("jobs: scheduler closed")
 // stateFingerprint binds the scheduler's state journal to this layout.
 const stateFingerprint = "ftes-jobs-state-v1"
 
+// retainedTraces is how many of the most recently finished jobs keep
+// their Tracer. An older job's tracer is released, so a long-lived daemon
+// holds a bounded number of traces; its metrics and progress stay.
+const retainedTraces = 16
+
 // testRunHook, when non-nil, runs kindTest jobs; scheduler tests use it
 // to control execution timing deterministically. Never set in production.
 var testRunHook func(ctx context.Context, j *Job) (Artifacts, error)
@@ -73,6 +78,7 @@ type Options struct {
 // the owning scheduler's mutex; artifacts and err are immutable once the
 // done channel closes.
 type Job struct {
+	s        *Scheduler
 	id       string
 	spec     Spec
 	tenant   string
@@ -107,12 +113,15 @@ type Job struct {
 // ID returns the job's content fingerprint.
 func (j *Job) ID() string { return j.id }
 
-// Spec returns the job's spec.
-func (j *Job) Spec() Spec { return j.spec }
-
 // Instruments returns the job's observability hooks; ftesd mounts
 // obshttp handlers over them for per-job /metrics, /progress and /trace.
-func (j *Job) Instruments() Instruments { return j.obs }
+// Tracer is nil once the job has left the window of the retainedTraces
+// most recently finished jobs.
+func (j *Job) Instruments() Instruments {
+	j.s.mu.Lock()
+	defer j.s.mu.Unlock()
+	return j.obs
+}
 
 // SubmitOptions carry everything about a submission that is not part of
 // the job's content-addressed identity.
@@ -200,6 +209,11 @@ type Scheduler struct {
 	closing    bool
 	seq        int64
 	resumed    int
+
+	// traced holds the retainedTraces most recently finished jobs, oldest
+	// at tracedNext; see retireLocked.
+	traced     [retainedTraces]*Job
+	tracedNext int
 
 	wg    sync.WaitGroup
 	state *runstate.Journal
@@ -364,12 +378,14 @@ func (s *Scheduler) recover() {
 				j.state = StateFailed
 				j.err = errors.New(rec.Err)
 			}
+			s.retireLocked(j)
 			close(j.done)
 			continue
 		}
 		if msg, ok := quar[p.id]; ok {
 			j.state = StateQuarantined
 			j.err = errors.New(msg)
+			s.retireLocked(j)
 			close(j.done)
 			continue
 		}
@@ -405,6 +421,7 @@ func (s *Scheduler) Resumed() int {
 // newJob builds a Job (caller inserts it under s.mu where needed).
 func (s *Scheduler) newJob(id string, spec Spec, so SubmitOptions) *Job {
 	j := &Job{
+		s:           s,
 		id:          id,
 		spec:        spec,
 		tenant:      so.Tenant,
@@ -720,6 +737,7 @@ func (s *Scheduler) completeJob(j *Job, artifacts Artifacts, err error) {
 		j.state = StateFailed
 	}
 	state := j.state
+	s.retireLocked(j)
 	s.mu.Unlock()
 
 	var pe *runctl.PanicError
@@ -751,6 +769,23 @@ func (s *Scheduler) completeJob(j *Job, artifacts Artifacts, err error) {
 	// Waiters wake only after the terminal event is in the log, so a
 	// waiter that resubmits at once logs its job.dedup after it.
 	close(j.done)
+}
+
+// retireLocked releases what a job that just reached a terminal state no
+// longer needs. A design job's problem document goes, except under
+// quarantine: Retry re-runs a quarantined job's spec, and nothing else
+// reads a spec after its run. And the job enters the window of the
+// retainedTraces most recently finished jobs, pushing the oldest one out
+// of it and releasing that job's Tracer. Caller holds s.mu.
+func (s *Scheduler) retireLocked(j *Job) {
+	if j.state != StateQuarantined {
+		j.spec.Design = nil
+	}
+	if old := s.traced[s.tracedNext]; old != nil {
+		old.obs.Tracer = nil
+	}
+	s.traced[s.tracedNext] = j
+	s.tracedNext = (s.tracedNext + 1) % retainedTraces
 }
 
 // scheduleRetry re-enqueues j after a backoff delay. The job's done
@@ -803,6 +838,7 @@ func (s *Scheduler) quarantine(j *Job, artifacts Artifacts, err error) {
 	j.finishedAt = time.Now()
 	j.state = StateQuarantined
 	attempts := j.attempts
+	s.retireLocked(j)
 	s.mu.Unlock()
 	if s.state != nil {
 		rec := quarRecord{Err: err.Error(), Attempts: attempts}
