@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -138,5 +139,44 @@ func TestRestoredJobsDropDocument(t *testing.T) {
 		if kept := h.Job().spec.Design != nil; kept != keep {
 			t.Errorf("restored %s job (%s) keeps its document = %v, want %v", label, h.Status().State, kept, keep)
 		}
+	}
+}
+
+// TestInstrumentsWhileReleasing reads jobs' instruments from other
+// goroutines while their tracers are being released, as ftesd's HTTP
+// handlers do; under -race it checks the hand-off is synchronized.
+func TestInstrumentsWhileReleasing(t *testing.T) {
+	withHook(t, traceHook)
+	s := newTestScheduler(t, Options{Workers: 2})
+
+	const n = 3 * retainedTraces
+	hs := make([]*Handle, n)
+	for i := range hs {
+		hs[i] = mustSubmit(t, s, docSpec(fmt.Sprint(i)), SubmitOptions{})
+	}
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, h := range hs {
+				<-h.Done()
+				for _, o := range hs {
+					if tr := o.Job().Instruments().Tracer; tr != nil {
+						tr.SpanCount()
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	released := 0
+	for _, h := range hs {
+		if h.Job().Instruments().Tracer == nil {
+			released++
+		}
+	}
+	if released != n-retainedTraces {
+		t.Errorf("%d of %d finished jobs released their tracer, want %d", released, n, n-retainedTraces)
 	}
 }
