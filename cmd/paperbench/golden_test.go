@@ -94,3 +94,23 @@ func TestGoldenPolicies(t *testing.T) {
 	}
 	checkGolden(t, "policies.golden", sb.String())
 }
+
+// TestGoldenAblation pins the four ablation tables (slack model, mapping
+// search, gradient guidance, bus model) on a small batch.
+func TestGoldenAblation(t *testing.T) {
+	var sb strings.Builder
+	if err := run(context.Background(), []string{"-fig", "ablation", "-apps", "2", "-procs", "10"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "ablation.golden", sb.String())
+}
+
+// TestGoldenSimulation pins the E14 simulation-vs-analysis table on a
+// small batch.
+func TestGoldenSimulation(t *testing.T) {
+	var sb strings.Builder
+	if err := run(context.Background(), []string{"-fig", "simulation", "-apps", "2", "-procs", "10"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "simulation.golden", sb.String())
+}
