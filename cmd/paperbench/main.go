@@ -143,7 +143,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	appTimeout := fs.Duration("app-timeout", 0, "per-application deadline; a timed-out application counts as rejected instead of aborting the sweep (0 = none)")
 	journalPath := fs.String("journal", "", "journal completed experiment rows to this crash-safe append-only file")
 	resume := fs.Bool("resume", false, "with -journal or -shard-dir: restore rows a previous interrupted run already journaled instead of recomputing them")
-	shards := fs.Int("shards", 0, "shard the sweep this many ways; this process computes only shard -shard's rows, journaling them into -shard-dir (shardable figures: 6a, 6b, 6c, 6d, runtime)")
+	shards := fs.Int("shards", 0, "shard the sweep this many ways; this process computes only shard -shard's rows, journaling them into -shard-dir (every figure but cc)")
 	shardIdx := fs.Int("shard", -1, "with -shards: this worker's shard index in [0, shards)")
 	shardDir := fs.String("shard-dir", "", "with -shards: the sweep's shard directory (manifest + per-shard journals), shared by all workers")
 	mergeDir := fs.String("merge", "", "merge the per-shard journals in this directory into the final table; computes nothing, and refuses (naming the incomplete shards) unless every shard finished")
@@ -310,8 +310,12 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		if len(selected) != 1 {
 			return fmt.Errorf("sharded sweeps take exactly one -fig, not %q", *fig)
 		}
-		if !jobs.ShardableFigure(selected[0]) {
-			return fmt.Errorf("figure %s is not shardable (its rows are not fully journaled; shardable: 6a, 6b, 6c, 6d, runtime)", selected[0])
+		// Validated as a slice up front, so a figure that cannot shard is
+		// refused before a worker, supervisor or merge touches the directory.
+		sl := base
+		sl.Fig, sl.ShardIndex, sl.ShardCount = selected[0], 0, 2
+		if err := sl.Validate(); err != nil {
+			return err
 		}
 	}
 	if *heal {

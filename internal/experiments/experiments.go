@@ -7,25 +7,28 @@
 // An application is accepted when the strategy finds an implementation
 // that meets its reliability goal, is schedulable, and does not exceed the
 // maximum architectural cost.
+//
+// Every figure is a list of rows run through one row loop (runRows): a
+// row is one rendered table row, or one acceptance point, and the loop
+// journals, restores, shards and merges every figure's rows the same
+// way. A row computes over one batch of generated applications through
+// one iterator (forApps), which owns the seeds, the per-application
+// deadline and panic recovery.
 package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/evalengine"
 	"repro/internal/mapping"
 	"repro/internal/obs"
-	"repro/internal/runctl"
+	"repro/internal/platform"
 	"repro/internal/sched"
-	"repro/internal/shard"
 	"repro/internal/taskgen"
 )
 
@@ -40,9 +43,9 @@ type RowStore interface {
 	Record(key string, v any) error
 }
 
-// jobsStarted counts batch jobs that began real work, across all
-// AcceptanceStats calls; the fail-fast regression test reads it to prove
-// that a failing batch does not run to completion.
+// jobsStarted counts batch applications that began real work, across all
+// rows; the fail-fast regression test reads it to prove that a failing
+// batch does not run to completion.
 var jobsStarted atomic.Int64
 
 // testAppHook, when non-nil, runs at the start of every application job.
@@ -76,13 +79,13 @@ type Config struct {
 	// Graphs splits each generated application into this many task
 	// graphs (0 or 1 = single graph).
 	Graphs int
-	// Span, when non-nil, nests the harness's per-point and per-app spans
+	// Span, when non-nil, nests the harness's per-row and per-app spans
 	// (and the design runs under them) below it; Metrics receives the
 	// counters of every run; Progress receives live progress (the
-	// "experiments.apps" phase per batch application, "experiments.rows"
-	// per runtime-study row, plus the per-run phases underneath); Log
-	// receives structured records (one per sweep point / study row). All
-	// are optional observability hooks — see internal/obs.
+	// "experiments.rows" phase per row, "experiments.apps" per batch
+	// application, plus the per-run phases underneath); Log receives
+	// structured records (one per row). All are optional observability
+	// hooks — see internal/obs.
 	Span     *obs.Span
 	Metrics  *obs.Registry
 	Progress *obs.Progress
@@ -93,13 +96,14 @@ type Config struct {
 	// observation-only and nil-disabled.
 	Events *obs.EventScope
 	// AppTimeout, when > 0, puts a deadline on each application's design
-	// runs. An application that exceeds it is counted as rejected for
-	// every strategy (and in the experiments.app_timeouts counter) and the
-	// sweep continues — a single pathological instance slows a row down,
-	// it does not kill the run.
+	// runs. An application that exceeds it is counted in the
+	// experiments.app_timeouts counter and the row moves on: acceptance
+	// rows count it as rejected by the strategies it did not finish, the
+	// other rows leave it out — a single pathological instance slows a
+	// row down, it does not kill the run.
 	AppTimeout time.Duration
 	// Journal, when non-nil, makes the sweep crash-safe: every completed
-	// row (acceptance point or runtime-study row) is recorded under a
+	// row (an acceptance point or a rendered table row) is recorded under a
 	// deterministic key, and a later run with the same configuration
 	// restores recorded rows instead of recomputing them. Deterministic
 	// generation makes restored and recomputed rows byte-identical.
@@ -156,51 +160,6 @@ func (m *MissingRows) Keys() []string {
 	return out
 }
 
-// missingRates is the degraded-merge marker for an unrestorable point:
-// NaN per strategy, which cell renders as "!".
-func missingRates() Rates {
-	return Rates{core.MIN: math.NaN(), core.MAX: math.NaN(), core.OPT: math.NaN()}
-}
-
-// rowDone journals a freshly computed row and fires the RowDone hook.
-func (c Config) rowDone(key string, v any) error {
-	if c.Journal != nil {
-		if err := c.Journal.Record(key, v); err != nil {
-			return err
-		}
-	}
-	if c.RowDone != nil {
-		c.RowDone(key)
-	}
-	return nil
-}
-
-// rowRestore consults the journal for a previously completed row.
-func (c Config) rowRestore(key string, v any) bool {
-	return c.Journal != nil && c.Journal.Lookup(key, v)
-}
-
-// owns reports whether this process is responsible for computing the row
-// with the given journal key under the configured sharding (always true
-// unsharded; ShardIndex -1 owns everything).
-func (c Config) owns(key string) bool {
-	if c.ShardCount <= 1 || c.ShardIndex < 0 {
-		return true
-	}
-	return shard.Index(key, c.ShardCount) == c.ShardIndex
-}
-
-// missingRow is the strict-mode (merge) error for a row that did not
-// restore: it names the shard whose journal should hold the row, so the
-// operator knows which worker to rerun before merging again.
-func (c Config) missingRow(key string) error {
-	if c.ShardCount > 1 {
-		return fmt.Errorf("experiments: row %q is not journaled — shard %d of %d is incomplete (rerun that worker with -resume, then merge again)",
-			key, shard.Index(key, c.ShardCount), c.ShardCount)
-	}
-	return fmt.Errorf("experiments: row %q is not journaled", key)
-}
-
 // DefaultConfig returns a configuration sized for minutes-scale runs.
 func DefaultConfig() Config {
 	return Config{Apps: 20, Procs: []int{20, 40}, Seed: 1}
@@ -223,250 +182,84 @@ type Point struct {
 // Rates maps each strategy to its acceptance percentage at a point.
 type Rates map[core.Strategy]float64
 
+// strategies are the design strategies of an acceptance row, in the
+// order they run on each application.
+var strategies = []core.Strategy{core.MIN, core.MAX, core.OPT}
+
 // pointKey is the journal key of one acceptance point. The slack model
 // and tabu tuning participate because the ablation studies revisit the
-// same (SER, HPD, ArC) coordinates under different models; the figure
-// name deliberately does not, so identical points shared between figures
-// (Fig. 6a and 6c both evaluate SER=1e-11, HPD=5, ArC=20) are computed
-// once per journal.
+// same (SER, HPD, ArC) coordinates under different models.
 func (c Config) pointKey(pt Point) string {
-	mp := c.MappingParams
-	return fmt.Sprintf("acceptance|model=%d|tabu=%d,%d,%d|graphs=%d|ser=%g|hpd=%g|arc=%g",
-		c.Model, mp.TabuTenure, mp.MaxNoImprove, mp.MaxIterations, c.Graphs, pt.SER, pt.HPD, pt.ArC)
+	return c.key("acceptance", "graphs=%d|ser=%g|hpd=%g|arc=%g", c.Graphs, pt.SER, pt.HPD, pt.ArC)
+}
+
+// pointRates is the journal payload of an acceptance row: each
+// strategy's acceptance percentage under its name.
+type pointRates map[string]float64
+
+// acceptanceRow is the row of one acceptance point: MIN, MAX and OPT run
+// on every application of the batch, and a strategy's rate is the
+// percentage of applications it implements within pt.ArC. An application
+// that times out keeps the strategies that finished before the deadline
+// and counts as rejected for the rest. With idealBus the TDMA bus is
+// replaced by an instantaneous one (zero slot length makes core.Run skip
+// the bus), for the bus ablation.
+func (c Config) acceptanceRow(pt Point, idealBus bool) row[pointRates] {
+	key := c.pointKey(pt)
+	if idealBus {
+		key += "|bus=instantaneous"
+	}
+	return row[pointRates]{key: key, run: func(ctx context.Context, span *obs.Span) (pointRates, error) {
+		gen := taskgen.DefaultConfig(0, 0, pt.SER, pt.HPD)
+		gen.NumGraphs = c.Graphs
+		apps, err := forApps(ctx, c, span, gen, func(ctx context.Context, a app) (feasible [3]bool, err error) {
+			if idealBus {
+				a.inst.Platform.Bus = platform.BusSpec{}
+			}
+			for i, s := range strategies {
+				opts := c.options(a, s)
+				opts.MaxCost = pt.ArC
+				res, err := core.RunContext(ctx, a.inst.App, a.inst.Platform, opts)
+				if err != nil {
+					return feasible, err
+				}
+				feasible[i] = res.Feasible
+			}
+			return feasible, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		rates := make(pointRates, len(strategies))
+		for i, s := range strategies {
+			n := 0
+			for _, feasible := range apps {
+				if feasible[i] {
+					n++
+				}
+			}
+			rates[s.String()] = 100 * float64(n) / float64(len(apps))
+		}
+		return rates, nil
+	}}
 }
 
 // Acceptance evaluates all three strategies at the given point over the
-// configured application batch and returns the acceptance percentages.
-// The context is consulted between applications and between the
-// strategies of one application; a done context drains the in-flight
-// jobs and returns an error wrapping runctl.ErrCanceled.
+// configured application batch and returns the acceptance percentages:
+// one acceptance row through the row loop. A point another shard owns, or
+// that a degraded merge found missing, returns nil rates. The context is
+// consulted between applications; a done context cancels the in-flight
+// applications and returns an error wrapping runctl.ErrCanceled.
 func Acceptance(ctx context.Context, cfg Config, pt Point) (Rates, error) {
-	rates, _, err := AcceptanceStats(ctx, cfg, pt)
-	return rates, err
-}
-
-// AcceptanceStats is Acceptance plus the per-strategy evaluation-engine
-// counters summed over the batch, for the runtime instrumentation
-// reports. A point restored from cfg.Journal returns its recorded rates
-// with empty stats (no work was performed).
-func AcceptanceStats(ctx context.Context, cfg Config, pt Point) (Rates, map[core.Strategy]evalengine.Stats, error) {
-	strategies := []core.Strategy{core.MIN, core.MAX, core.OPT}
-	type job struct {
-		seed  int64
-		procs int
-	}
-	var jobs []job
-	for _, n := range cfg.Procs {
-		for i := 0; i < cfg.Apps; i++ {
-			jobs = append(jobs, job{seed: cfg.Seed + int64(i) + int64(n)*1000003, procs: n})
-		}
-	}
-	if len(jobs) == 0 {
-		return nil, nil, fmt.Errorf("experiments: empty batch (Apps=%d, Procs=%v)", cfg.Apps, cfg.Procs)
-	}
-	key := cfg.pointKey(pt)
-	if saved := make(map[string]float64); cfg.rowRestore(key, &saved) {
-		// JSON round-trips float64 exactly, so a restored rate formats to
-		// the same bytes the original run printed.
-		rates := make(Rates, len(strategies))
-		for _, s := range strategies {
-			rates[s] = saved[s.String()]
-		}
-		appPh := cfg.Progress.Phase("experiments.apps")
-		appPh.AddTotal(int64(len(jobs)))
-		appPh.Add(int64(len(jobs)))
-		cfg.Metrics.Counter("experiments.rows_restored").Add(1)
-		cfg.Log.Info("acceptance point restored from journal",
-			"ser", pt.SER, "hpd", pt.HPD, "arc", pt.ArC, "key", key)
-		return rates, map[core.Strategy]evalengine.Stats{}, nil
-	}
-	if cfg.RequireJournaled {
-		if cfg.Missing != nil {
-			// Degraded merge: record the hole and render it as "!" cells
-			// instead of refusing the whole table.
-			cfg.Missing.add(key)
-			cfg.Metrics.Counter("experiments.rows_missing").Add(1)
-			return missingRates(), map[core.Strategy]evalengine.Stats{}, nil
-		}
-		return nil, nil, cfg.missingRow(key)
-	}
-	if !cfg.owns(key) {
-		// Another shard computes this point: report nothing (callers render
-		// "-" cells) and contribute nothing to the progress totals, so a
-		// worker's /progress is slice-local.
-		return nil, nil, nil
-	}
-	if cerr := runctl.Err(ctx); cerr != nil {
-		cfg.Metrics.Counter("experiments.canceled").Add(1)
-		return nil, nil, fmt.Errorf("experiments: acceptance point: %w", cerr)
-	}
-	ptSpan := cfg.Span.Child("acceptance",
-		obs.Float("ser", pt.SER),
-		obs.Float("hpd", pt.HPD),
-		obs.Float("arc", pt.ArC),
-		obs.Int("jobs", len(jobs)))
-	defer ptSpan.End()
-	appPh := cfg.Progress.Phase("experiments.apps")
-	appPh.AddTotal(int64(len(jobs)))
-
-	counts := make(map[core.Strategy]int)
-	stats := make(map[core.Strategy]evalengine.Stats)
-	var mu sync.Mutex
-	var firstErr error
-	// A failing batch fails fast: the first error stops new jobs from
-	// launching and makes in-flight jobs bail before their next strategy,
-	// instead of grinding through the rest of the batch for a result that
-	// is discarded anyway. Cancellation rides the same machinery.
-	var stop atomic.Bool
-	record := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		stop.Store(true)
-	}
-	// runApp runs the three strategies for one application. A panic
-	// anywhere inside — these run on batch goroutines, where an escaped
-	// panic would kill the whole process — comes back as a
-	// *runctl.PanicError.
-	runApp := func(jb job) (err error) {
-		defer runctl.Recover(fmt.Sprintf("experiments app (seed %d, %d procs)", jb.seed, jb.procs), &err)
-		if testAppHook != nil {
-			testAppHook(jb.seed)
-		}
-		appSpan := ptSpan.Child("app",
-			obs.Int64("seed", jb.seed),
-			obs.Int("processes", jb.procs))
-		defer appSpan.End()
-		appCtx := ctx
-		if cfg.AppTimeout > 0 {
-			parent := ctx
-			if parent == nil {
-				parent = context.Background()
-			}
-			var cancel context.CancelFunc
-			appCtx, cancel = context.WithTimeout(parent, cfg.AppTimeout)
-			defer cancel()
-		}
-		gcfg := taskgen.DefaultConfig(jb.seed, jb.procs, pt.SER, pt.HPD)
-		gcfg.NumGraphs = cfg.Graphs
-		inst, err := taskgen.Generate(gcfg)
-		if err != nil {
-			return err
-		}
-		for _, s := range strategies {
-			if stop.Load() {
-				return nil
-			}
-			if cerr := runctl.Err(ctx); cerr != nil {
-				return cerr
-			}
-			res, err := core.RunContext(appCtx, inst.App, inst.Platform, core.Options{
-				Goal:          inst.Goal,
-				Strategy:      s,
-				MaxCost:       pt.ArC,
-				Model:         cfg.Model,
-				MappingParams: cfg.MappingParams,
-				Workers:       cfg.RunWorkers,
-				ParentSpan:    appSpan,
-				Metrics:       cfg.Metrics,
-				Progress:      cfg.Progress,
-				Log:           cfg.Log,
-			})
-			if err != nil {
-				// A per-app deadline miss while the sweep itself is live:
-				// the application counts as rejected for every strategy and
-				// the batch moves on.
-				if errors.Is(err, context.DeadlineExceeded) && runctl.Err(ctx) == nil {
-					cfg.Metrics.Counter("experiments.app_timeouts").Add(1)
-					cfg.Log.Warn("application timed out, counted as rejected",
-						"seed", jb.seed, "processes", jb.procs,
-						"strategy", s.String(), "timeout", cfg.AppTimeout)
-					cfg.Events.Emit("app.timeout", map[string]any{
-						"seed": jb.seed, "processes": jb.procs,
-						"strategy": s.String(), "timeout_ms": cfg.AppTimeout.Milliseconds(),
-					})
-					appSpan.SetAttr(obs.Bool("timeout", true))
-					return nil
-				}
-				return err
-			}
-			mu.Lock()
-			if res.Feasible {
-				counts[s]++
-			}
-			agg := stats[s]
-			agg.Add(res.EvalStats)
-			stats[s] = agg
-			mu.Unlock()
-		}
-		return nil
-	}
-	sem := make(chan struct{}, cfg.workers())
-	var wg sync.WaitGroup
-	for _, jb := range jobs {
-		if stop.Load() {
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(jb job) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if stop.Load() {
-				return
-			}
-			jobsStarted.Add(1)
-			defer appPh.Add(1) // abandoned jobs still count toward the batch
-			if err := runApp(jb); err != nil {
-				record(err)
-			}
-		}(jb)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		if errors.Is(firstErr, runctl.ErrCanceled) {
-			cfg.Metrics.Counter("experiments.canceled").Add(1)
-			cfg.Log.Info("acceptance point canceled",
-				"ser", pt.SER, "hpd", pt.HPD, "arc", pt.ArC, "span", ptSpan.ID())
-			return nil, nil, fmt.Errorf("experiments: acceptance point: %w", firstErr)
-		}
-		cfg.Log.Error("acceptance point failed",
-			"ser", pt.SER, "hpd", pt.HPD, "arc", pt.ArC,
-			"err", firstErr.Error(), "span", ptSpan.ID())
-		return nil, nil, firstErr
+	res, err := runRows(ctx, cfg, []row[pointRates]{cfg.acceptanceRow(pt, false)})
+	if err != nil || res[0].state != rowDone {
+		return nil, err
 	}
 	rates := make(Rates, len(strategies))
-	payload := make(map[string]float64, len(strategies))
 	for _, s := range strategies {
-		rates[s] = 100 * float64(counts[s]) / float64(len(jobs))
-		payload[s.String()] = rates[s]
+		rates[s] = res[0].val[s.String()]
 	}
-	if err := cfg.rowDone(key, payload); err != nil {
-		return nil, nil, err
-	}
-	cfg.Log.Info("acceptance point done",
-		"ser", pt.SER, "hpd", pt.HPD, "arc", pt.ArC, "jobs", len(jobs),
-		"min", rates[core.MIN], "max", rates[core.MAX], "opt", rates[core.OPT],
-		"span", ptSpan.ID())
-	return rates, stats, nil
-}
-
-// Sweep evaluates a list of points and returns the rates in order. On
-// cancellation the returned slice still carries every completed point —
-// nil entries mark the rest — alongside the typed error, so callers can
-// render partial tables.
-func Sweep(ctx context.Context, cfg Config, pts []Point) ([]Rates, error) {
-	out := make([]Rates, len(pts))
-	for i, pt := range pts {
-		r, err := Acceptance(ctx, cfg, pt)
-		if err != nil {
-			return out, fmt.Errorf("experiments: point %+v: %w", pt, err)
-		}
-		out[i] = r
-	}
-	return out, nil
+	return rates, nil
 }
 
 // The sweep axes of the paper's Fig. 6.
@@ -479,17 +272,17 @@ var (
 	ArCs = []float64{15, 20, 25}
 )
 
-// cell formats one strategy's acceptance rate, "-" when the point was
-// not reached before cancellation or belongs to another shard, or "!"
-// when a degraded merge found the point missing from every journal.
-func cell(r Rates, s core.Strategy) string {
-	if r == nil {
+// cell formats one strategy's acceptance rate at a point: "-" when the
+// point was not reached before cancellation or belongs to another shard,
+// "!" when a degraded merge found it missing from every journal.
+func cell(r rowResult[pointRates], s core.Strategy) string {
+	switch r.state {
+	case rowAbsent:
 		return "-"
-	}
-	if v := r[s]; math.IsNaN(v) {
+	case rowMissing:
 		return "!"
 	}
-	return fmt.Sprintf("%.0f", r[s])
+	return fmt.Sprintf("%.0f", r.val[s.String()])
 }
 
 // Fig6a reproduces Fig. 6a: % accepted architectures as a function of HPD
@@ -501,47 +294,31 @@ func Fig6a(ctx context.Context, cfg Config) (*Table, error) {
 	for i, hpd := range HPDs {
 		pts[i] = Point{SER: 1e-11, HPD: hpd, ArC: 20}
 	}
-	rates, err := Sweep(ctx, cfg, pts)
-	if err != nil && !errors.Is(err, runctl.ErrCanceled) {
-		return nil, err
-	}
-	t := NewTable("Fig. 6a — % accepted vs HPD (SER=1e-11, ArC=20)",
-		append([]string{"strategy"}, labels(HPDs, "HPD=%g%%")...))
-	for _, s := range []core.Strategy{core.MAX, core.MIN, core.OPT} {
-		row := []string{s.String()}
-		for i := range pts {
-			row = append(row, cell(rates[i], s))
-		}
-		t.AddRow(row)
-	}
-	return t, err
+	return pointColumns(ctx, cfg, "Fig. 6a — % accepted vs HPD (SER=1e-11, ArC=20)", labels(HPDs, "HPD=%g%%"), pts)
 }
 
 // Fig6b reproduces the Fig. 6b table: % accepted for each HPD and maximum
-// architecture cost at SER = 1e-11. On cancellation the rows completed so
-// far come back with the typed error.
+// architecture cost at SER = 1e-11.
 func Fig6b(ctx context.Context, cfg Config) (*Table, error) {
-	t := NewTable("Fig. 6b — % accepted by HPD and ArC (SER=1e-11)",
-		[]string{"HPD", "ArC", "MAX", "MIN", "OPT"})
+	var pts []Point
+	var rows []row[pointRates]
 	for _, hpd := range HPDs {
 		for _, arc := range ArCs {
-			r, err := Acceptance(ctx, cfg, Point{SER: 1e-11, HPD: hpd, ArC: arc})
-			if err != nil {
-				if errors.Is(err, runctl.ErrCanceled) {
-					return t, err
-				}
-				return nil, err
-			}
-			t.AddRow([]string{
-				fmt.Sprintf("%g%%", hpd),
-				fmt.Sprintf("%g", arc),
-				cell(r, core.MAX),
-				cell(r, core.MIN),
-				cell(r, core.OPT),
-			})
+			pt := Point{SER: 1e-11, HPD: hpd, ArC: arc}
+			pts = append(pts, pt)
+			rows = append(rows, cfg.acceptanceRow(pt, false))
 		}
 	}
-	return t, nil
+	return figure(ctx, cfg, rows, func(res []rowResult[pointRates]) *Table {
+		t := NewTable("Fig. 6b — % accepted by HPD and ArC (SER=1e-11)",
+			[]string{"HPD", "ArC", "MAX", "MIN", "OPT"})
+		for i, pt := range pts {
+			r := res[i]
+			t.AddRow([]string{fmt.Sprintf("%g%%", pt.HPD), fmt.Sprintf("%g", pt.ArC),
+				cell(r, core.MAX), cell(r, core.MIN), cell(r, core.OPT)})
+		}
+		return t
+	})
 }
 
 // Fig6c reproduces Fig. 6c: % accepted as a function of SER for HPD = 5%
@@ -561,20 +338,40 @@ func serSweep(ctx context.Context, cfg Config, hpd float64, name string) (*Table
 	for i, ser := range SERs {
 		pts[i] = Point{SER: ser, HPD: hpd, ArC: 20}
 	}
-	rates, err := Sweep(ctx, cfg, pts)
-	if err != nil && !errors.Is(err, runctl.ErrCanceled) {
-		return nil, err
+	return pointColumns(ctx, cfg, fmt.Sprintf("%s — %% accepted vs SER (HPD=%g%%, ArC=20)", name, hpd), labels(SERs, "SER=%.0e"), pts)
+}
+
+// pointColumns runs one acceptance row per point and renders the points
+// as columns, one table row per strategy.
+func pointColumns(ctx context.Context, cfg Config, title string, labels []string, pts []Point) (*Table, error) {
+	rows := make([]row[pointRates], len(pts))
+	for i, pt := range pts {
+		rows[i] = cfg.acceptanceRow(pt, false)
 	}
-	t := NewTable(fmt.Sprintf("%s — %% accepted vs SER (HPD=%g%%, ArC=20)", name, hpd),
-		append([]string{"strategy"}, labels(SERs, "SER=%.0e")...))
-	for _, s := range []core.Strategy{core.MAX, core.MIN, core.OPT} {
-		row := []string{s.String()}
-		for i := range pts {
-			row = append(row, cell(rates[i], s))
+	return figure(ctx, cfg, rows, func(res []rowResult[pointRates]) *Table {
+		t := NewTable(title, append([]string{"strategy"}, labels...))
+		for _, s := range []core.Strategy{core.MAX, core.MIN, core.OPT} {
+			cells := []string{s.String()}
+			for _, r := range res {
+				cells = append(cells, cell(r, s))
+			}
+			t.AddRow(cells)
 		}
-		t.AddRow(row)
-	}
-	return t, err
+		return t
+	})
+}
+
+// variants runs one acceptance row per variant of an ablation and renders
+// each as a table row: the variant's name, then MIN, MAX and OPT.
+func variants(ctx context.Context, cfg Config, title, kind string, names []string, rows []row[pointRates]) (*Table, error) {
+	return figure(ctx, cfg, rows, func(res []rowResult[pointRates]) *Table {
+		t := NewTable(title, []string{kind, "MIN", "MAX", "OPT"})
+		for i, name := range names {
+			r := res[i]
+			t.AddRow([]string{name, cell(r, core.MIN), cell(r, core.MAX), cell(r, core.OPT)})
+		}
+		return t
+	})
 }
 
 func labels(xs []float64, format string) []string {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/policyopt"
 	"repro/internal/replication"
+	"repro/internal/taskgen"
 )
 
 // tinyConfig keeps test runtime reasonable; determinism makes the results
@@ -190,7 +191,11 @@ func TestPolicyComparison(t *testing.T) {
 		t.Errorf("replication row feasible %s, want %s", got, want)
 	}
 
-	inst, ar, m, err := policyInstance(cfg.Seed+int64(cfg.Procs[0])*1000003, cfg.Procs[0], 1e-10)
+	inst, err := taskgen.Generate(taskgen.DefaultConfig(cfg.Seed+int64(cfg.Procs[0])*1000003, cfg.Procs[0], 1e-10, 25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ar, m, err := policyInstance(inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +327,7 @@ func TestAblationBus(t *testing.T) {
 func TestAcceptanceStatsFailFast(t *testing.T) {
 	cfg := Config{Apps: 50, Procs: []int{20}, Seed: 3, Workers: 1}
 	before := jobsStarted.Load()
-	_, _, err := AcceptanceStats(context.Background(), cfg, Point{SER: -1, HPD: 25, ArC: 20})
+	_, err := Acceptance(context.Background(), cfg, Point{SER: -1, HPD: 25, ArC: 20})
 	if err == nil {
 		t.Fatal("want error for negative SER")
 	}

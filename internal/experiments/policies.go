@@ -8,11 +8,11 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/evalengine"
 	"repro/internal/mapping"
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/policyopt"
 	"repro/internal/redundancy"
 	"repro/internal/replication"
-	"repro/internal/runctl"
 	"repro/internal/taskgen"
 	"repro/internal/ttp"
 )
@@ -22,84 +22,102 @@ import (
 // chiAlpha ms) and active replication of the most failure-exposed process
 // — on the same mapped synthetic instances (two fastest node types at the
 // middle hardening level, greedy mapping) and reports feasibility counts
-// and mean worst-case schedule lengths (experiments E12/E13).
+// and mean worst-case schedule lengths (experiments E12/E13). Each policy
+// is one row.
 func PolicyComparison(ctx context.Context, cfg Config, ser float64, chiAlpha float64) (*Table, error) {
-	results := map[string]*policyAgg{
-		"re-execution":  {},
-		"checkpointing": {},
-		"replication":   {},
+	policies := []string{"re-execution", "checkpointing", "replication"}
+	instances := cfg.Apps * len(cfg.Procs)
+	rows := make([]row[[]string], len(policies))
+	for p, name := range policies {
+		rows[p] = row[[]string]{key: cfg.key("policies", "ser=%g|chi=%g|policy=%s", ser, chiAlpha, name),
+			run: func(ctx context.Context, span *obs.Span) ([]string, error) {
+				outs, err := forApps(ctx, cfg, span, taskgen.DefaultConfig(0, 0, ser, 25), func(_ context.Context, a app) (policyOutcome, error) {
+					return evalPolicy(a.inst, name, chiAlpha)
+				})
+				if err != nil {
+					return nil, err
+				}
+				feasible, covered, sumSL := 0, 0, 0.0
+				for _, o := range outs {
+					if o.feasible {
+						feasible++
+					}
+					if o.sl > 0 {
+						sumSL += o.sl
+						covered++
+					}
+				}
+				mean := "-"
+				if covered > 0 {
+					mean = fmt.Sprintf("%.1f", sumSL/float64(covered))
+				}
+				return []string{name, fmt.Sprintf("%d/%d", feasible, instances), mean}, nil
+			}}
 	}
-	instances := 0
-	for _, n := range cfg.Procs {
-		for i := 0; i < cfg.Apps; i++ {
-			if cerr := runctl.Err(ctx); cerr != nil {
-				return nil, fmt.Errorf("experiments: policy comparison: %w", cerr)
-			}
-			inst, ar, m, err := policyInstance(cfg.Seed+int64(i)+int64(n)*1000003, n, ser)
-			if err != nil {
-				return nil, err
-			}
-			bus := ttp.NewBus(2, inst.Platform.Bus.SlotLen)
-			instances++
-
-			// Re-execution at the fixed levels.
-			re, err := redundancy.Evaluate(redundancy.Problem{
-				App: inst.App, Arch: ar, Mapping: m, Goal: inst.Goal, Bus: bus,
-			}, ar.Levels)
-			if err != nil {
-				return nil, err
-			}
-			record(results["re-execution"], re.Feasible(), re.Schedule.Length)
-
-			// Checkpointing. Its mean covers the reliable instances only.
-			cp, err := policyopt.Evaluate(policyopt.Problem{
-				App: inst.App, Arch: ar, Mapping: m, Goal: inst.Goal,
-				Overheads: checkpoint.Overheads{Chi: chiAlpha, Alpha: chiAlpha},
-				Bus:       bus,
-			}, policyopt.NewAssignment(inst.App.NumProcesses(), policyopt.Checkpointing, nil))
-			if err != nil {
-				return nil, err
-			}
-			slCp := 0.0
-			if cp.Reliable {
-				slCp = cp.Schedule.Length
-			}
-			record(results["checkpointing"], cp.Feasible(), slCp)
-
-			// Replication of the process with the largest p×t exposure.
-			pid := mostExposed(inst, ar, m)
-			other := 1 - m[pid]
-			rp, err := policyopt.Evaluate(policyopt.Problem{
-				App: inst.App, Arch: ar, Mapping: m, Goal: inst.Goal, Bus: bus,
-			}, policyopt.NewAssignment(inst.App.NumProcesses(), policyopt.ReExecution,
-				replication.Assignment{pid: {m[pid], other}}))
-			if err != nil {
-				return nil, err
-			}
-			record(results["replication"], rp.Feasible(), rp.Schedule.Length)
+	return figure(ctx, cfg, rows, func(res []rowResult[[]string]) *Table {
+		t := NewTable(fmt.Sprintf("Policy comparison (SER=%.0e, χ=α=%g ms, %d instances)", ser, chiAlpha, instances),
+			[]string{"policy", "feasible", "mean worst-case SL (ms)"})
+		for p, r := range res {
+			addCells(t, r, policies[p])
 		}
-	}
-	t := NewTable(fmt.Sprintf("Policy comparison (SER=%.0e, χ=α=%g ms, %d instances)", ser, chiAlpha, instances),
-		[]string{"policy", "feasible", "mean worst-case SL (ms)"})
-	for _, name := range []string{"re-execution", "checkpointing", "replication"} {
-		a := results[name]
-		mean := "-"
-		if a.count > 0 {
-			mean = fmt.Sprintf("%.1f", a.sumSL/float64(a.count))
-		}
-		t.AddRow([]string{name, fmt.Sprintf("%d/%d", a.feasible, instances), mean})
-	}
-	return t, nil
+		return t
+	})
 }
 
-// policyInstance generates one instance of the policy comparison: the
-// two fastest node types at the middle hardening level and the greedy
-// initial mapping.
-func policyInstance(seed int64, n int, ser float64) (*taskgen.Instance, *platform.Architecture, []int, error) {
-	inst, err := taskgen.Generate(taskgen.DefaultConfig(seed, n, ser, 25))
+// policyOutcome is one policy's result on one instance: its feasibility
+// and the worst-case schedule length its mean covers (0 = not covered).
+type policyOutcome struct {
+	feasible bool
+	sl       float64
+}
+
+// evalPolicy evaluates the named policy of PolicyComparison on inst.
+func evalPolicy(inst *taskgen.Instance, policy string, chiAlpha float64) (policyOutcome, error) {
+	ar, m, err := policyInstance(inst)
 	if err != nil {
-		return nil, nil, nil, err
+		return policyOutcome{}, err
 	}
+	bus := ttp.NewBus(2, inst.Platform.Bus.SlotLen)
+	switch policy {
+	case "re-execution": // at the fixed levels
+		re, err := redundancy.Evaluate(redundancy.Problem{
+			App: inst.App, Arch: ar, Mapping: m, Goal: inst.Goal, Bus: bus,
+		}, ar.Levels)
+		if err != nil {
+			return policyOutcome{}, err
+		}
+		return policyOutcome{re.Feasible(), re.Schedule.Length}, nil
+	case "checkpointing": // its mean covers the reliable instances only
+		cp, err := policyopt.Evaluate(policyopt.Problem{
+			App: inst.App, Arch: ar, Mapping: m, Goal: inst.Goal,
+			Overheads: checkpoint.Overheads{Chi: chiAlpha, Alpha: chiAlpha},
+			Bus:       bus,
+		}, policyopt.NewAssignment(inst.App.NumProcesses(), policyopt.Checkpointing, nil))
+		if err != nil {
+			return policyOutcome{}, err
+		}
+		o := policyOutcome{feasible: cp.Feasible()}
+		if cp.Reliable {
+			o.sl = cp.Schedule.Length
+		}
+		return o, nil
+	}
+	// Replication of the process with the largest p×t exposure.
+	pid := mostExposed(inst, ar, m)
+	rp, err := policyopt.Evaluate(policyopt.Problem{
+		App: inst.App, Arch: ar, Mapping: m, Goal: inst.Goal, Bus: bus,
+	}, policyopt.NewAssignment(inst.App.NumProcesses(), policyopt.ReExecution,
+		replication.Assignment{pid: {m[pid], 1 - m[pid]}}))
+	if err != nil {
+		return policyOutcome{}, err
+	}
+	return policyOutcome{rp.Feasible(), rp.Schedule.Length}, nil
+}
+
+// policyInstance maps one instance of the policy comparison: the two
+// fastest node types at the middle hardening level and the greedy
+// initial mapping.
+func policyInstance(inst *taskgen.Instance) (*platform.Architecture, []int, error) {
 	ar := platform.NewArchitecture([]*platform.Node{
 		&inst.Platform.Nodes[0], &inst.Platform.Nodes[1],
 	})
@@ -113,26 +131,9 @@ func policyInstance(seed int64, n int, ser float64) (*taskgen.Instance, *platfor
 		Bus:  ttp.NewBus(2, inst.Platform.Bus.SlotLen),
 	}))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return inst, ar, m, nil
-}
-
-// policyAgg accumulates per-policy feasibility and schedule statistics.
-type policyAgg struct {
-	feasible int
-	sumSL    float64
-	count    int
-}
-
-func record(a *policyAgg, feasible bool, sl float64) {
-	if feasible {
-		a.feasible++
-	}
-	if sl > 0 {
-		a.sumSL += sl
-		a.count++
-	}
+	return ar, m, nil
 }
 
 // mostExposed returns the process with the largest p×t product on its

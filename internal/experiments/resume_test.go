@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/runctl"
 	"repro/internal/runstate"
 )
@@ -271,6 +272,59 @@ func TestFig6aCanceledPartialCells(t *testing.T) {
 		if row[1] == "-" {
 			t.Errorf("first point should be rendered, got %v", row)
 		}
+	}
+}
+
+// TestCanceledPartialRows: the ablation and policy tables, like Fig. 6a,
+// keep every row finished before a cancel — the first row rendered, the
+// rows cancellation never reached as "-" cells.
+func TestCanceledPartialRows(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fig  func(context.Context, Config) (*Table, error)
+	}{
+		{"gradient", func(ctx context.Context, cfg Config) (*Table, error) { return AblationGradient(ctx, cfg, 1e-10) }},
+		{"policies", func(ctx context.Context, cfg Config) (*Table, error) { return PolicyComparison(ctx, cfg, 1e-10, 0.5) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cfg := tinyConfig()
+			cfg.RowDone = func(string) { cancel() } // cancel after the first row
+			tab, err := tc.fig(ctx, cfg)
+			if !errors.Is(err, runctl.ErrCanceled) {
+				t.Fatalf("err = %v, want ErrCanceled", err)
+			}
+			if tab == nil {
+				t.Fatal("no partial table")
+			}
+			if len(tab.Rows) < 2 {
+				t.Fatalf("partial table has %d rows:\n%s", len(tab.Rows), tab)
+			}
+			if first := tab.Rows[0]; first[1] == "-" {
+				t.Errorf("first row should be rendered, got %v", first)
+			}
+			for _, row := range tab.Rows[1:] {
+				if row[1] != "-" {
+					t.Errorf("row cancellation never reached rendered as %v, want \"-\" cells", row)
+				}
+			}
+		})
+	}
+}
+
+// TestRowKeysStable pins the journal keys of acceptance points and
+// runtime rows: journals written before the one row loop must resume
+// under it, every row restored.
+func TestRowKeysStable(t *testing.T) {
+	cfg := tinyConfig()
+	if got, want := cfg.pointKey(Point{SER: 1e-11, HPD: 25, ArC: 20}),
+		"acceptance|model=0|tabu=0,0,0|graphs=0|ser=1e-11|hpd=25|arc=20"; got != want {
+		t.Errorf("acceptance key %q, want %q", got, want)
+	}
+	if got, want := cfg.rowKey(1e-11, 25, 20, core.OPT),
+		"runtime|model=0|tabu=0,0,0|ser=1e-11|hpd=25|n=20|strategy=OPT"; got != want {
+		t.Errorf("runtime key %q, want %q", got, want)
 	}
 }
 

@@ -2,22 +2,18 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/evalengine"
 	"repro/internal/obs"
-	"repro/internal/runctl"
 	"repro/internal/taskgen"
 )
 
 // rowKey is the journal key of one runtime-study row.
 func (c Config) rowKey(ser, hpd float64, n int, s core.Strategy) string {
-	mp := c.MappingParams
-	return fmt.Sprintf("runtime|model=%d|tabu=%d,%d,%d|ser=%g|hpd=%g|n=%d|strategy=%s",
-		c.Model, mp.TabuTenure, mp.MaxNoImprove, mp.MaxIterations, ser, hpd, n, s)
+	return c.key("runtime", "ser=%g|hpd=%g|n=%d|strategy=%s", ser, hpd, n, s)
 }
 
 // RuntimeStudy measures the wall-clock execution time of the design
@@ -29,167 +25,89 @@ func (c Config) rowKey(ser, hpd float64, n int, s core.Strategy) string {
 // spent in the re-execution and scheduling layers — which dominate the
 // cost.
 //
-// The context is consulted between applications; cancellation returns
-// the rows completed so far together with an error wrapping
-// runctl.ErrCanceled. Completed rows are journaled (cfg.Journal) as
-// their rendered cells, so a resumed study replays them verbatim;
-// cfg.AppTimeout bounds each application, and a timed-out application is
-// skipped (counted in experiments.app_timeouts) rather than sinking the
-// whole row.
+// Rows are journaled as their rendered cells, so a resumed study replays
+// them verbatim. A timed-out application (cfg.AppTimeout) is left out of
+// its row's means; a row whose applications all time out is journaled
+// empty and renders as nothing. Rows another shard owns, or that
+// cancellation never reached, render as nothing either.
 func RuntimeStudy(ctx context.Context, cfg Config, ser, hpd float64) (*Table, error) {
-	t := NewTable(fmt.Sprintf("Strategy runtime (SER=%.0e, HPD=%g%%, %d apps per size)", ser, hpd, cfg.Apps),
-		[]string{"processes", "strategy", "mean", "max", "mean archs", "mean evals",
-			"cache hit", "opt hit", "sched builds", "sfp built/reused", "reexec", "sched"})
-	strategies := []core.Strategy{core.MIN, core.MAX, core.OPT}
-	// Slice-local progress totals: a sharded worker only handles the rows
-	// its shard owns, so that — not the whole grid — is what /progress and
-	// -progress report against.
-	owned := 0
+	var rows []row[[]string]
+	var ids [][]string
 	for _, n := range cfg.Procs {
 		for _, s := range strategies {
-			if cfg.owns(cfg.rowKey(ser, hpd, n, s)) {
-				owned++
-			}
+			rows = append(rows, cfg.runtimeRow(ser, hpd, n, s))
+			ids = append(ids, []string{fmt.Sprint(n), s.String()})
 		}
 	}
-	rowPh := cfg.Progress.Phase("experiments.rows")
-	rowPh.AddTotal(int64(owned))
-	canceled := func(cause error) (*Table, error) {
-		cfg.Metrics.Counter("experiments.canceled").Add(1)
-		return t, fmt.Errorf("experiments: runtime study: %w", cause)
-	}
-	for _, n := range cfg.Procs {
-		for _, s := range strategies {
-			key := cfg.rowKey(ser, hpd, n, s)
-			if saved := []string(nil); cfg.rowRestore(key, &saved) {
-				t.AddRow(saved)
-				rowPh.Add(1)
-				cfg.Metrics.Counter("experiments.rows_restored").Add(1)
-				cfg.Log.Info("runtime row restored from journal",
-					"processes", n, "strategy", s.String(), "key", key)
-				continue
+	return figure(ctx, cfg, rows, func(res []rowResult[[]string]) *Table {
+		t := NewTable(fmt.Sprintf("Strategy runtime (SER=%.0e, HPD=%g%%, %d apps per size)", ser, hpd, cfg.Apps),
+			[]string{"processes", "strategy", "mean", "max", "mean archs", "mean evals",
+				"cache hit", "opt hit", "sched builds", "sfp built/reused", "reexec", "sched"})
+		for i, r := range res {
+			if r.state != rowAbsent {
+				addCells(t, r, ids[i]...)
 			}
-			if cfg.RequireJournaled {
-				if cfg.Missing != nil {
-					// Degraded merge: keep the row's identity columns and
-					// render every measurement as "!" instead of refusing.
-					cfg.Missing.add(key)
-					cfg.Metrics.Counter("experiments.rows_missing").Add(1)
-					cells := []string{fmt.Sprint(n), s.String()}
-					for len(cells) < len(t.Header) {
-						cells = append(cells, "!")
-					}
-					t.AddRow(cells)
-					rowPh.Add(1)
-					continue
-				}
-				return nil, cfg.missingRow(key)
-			}
-			if !cfg.owns(key) {
-				continue // another shard computes this row; the merge reassembles it
-			}
-			if cerr := runctl.Err(ctx); cerr != nil {
-				return canceled(cerr)
-			}
-			rowSpan := cfg.Span.Child("runtime-row",
-				obs.Int("processes", n),
-				obs.String("strategy", s.String()))
-			var total, max time.Duration
-			var archs, evals, runs int
-			var agg evalengine.Stats
-			for i := 0; i < cfg.Apps; i++ {
-				if cerr := runctl.Err(ctx); cerr != nil {
-					// The in-progress row is discarded whole — a canceled
-					// study never journals or renders a half-measured row.
-					rowSpan.End()
-					return canceled(cerr)
-				}
-				seed := cfg.Seed + int64(i) + int64(n)*1000003
-				inst, err := taskgen.Generate(taskgen.DefaultConfig(seed, n, ser, hpd))
-				if err != nil {
-					rowSpan.End()
-					return nil, err
-				}
-				appCtx, cancelApp := ctx, context.CancelFunc(func() {})
-				if cfg.AppTimeout > 0 {
-					parent := ctx
-					if parent == nil {
-						parent = context.Background()
-					}
-					appCtx, cancelApp = context.WithTimeout(parent, cfg.AppTimeout)
-				}
-				start := time.Now()
-				res, err := core.RunContext(appCtx, inst.App, inst.Platform, core.Options{
-					Goal:          inst.Goal,
-					Strategy:      s,
-					MappingParams: cfg.MappingParams,
-					Workers:       cfg.RunWorkers,
-					ParentSpan:    rowSpan,
-					Metrics:       cfg.Metrics,
-					Progress:      cfg.Progress,
-					Log:           cfg.Log,
-				})
-				cancelApp()
-				if err != nil {
-					if errors.Is(err, context.DeadlineExceeded) && runctl.Err(ctx) == nil {
-						cfg.Metrics.Counter("experiments.app_timeouts").Add(1)
-						cfg.Log.Warn("application timed out, skipped",
-							"seed", seed, "processes", n,
-							"strategy", s.String(), "timeout", cfg.AppTimeout)
-						continue
-					}
-					rowSpan.End()
-					if errors.Is(err, runctl.ErrCanceled) {
-						return canceled(err)
-					}
-					return nil, err
-				}
-				elapsed := time.Since(start)
-				total += elapsed
-				if elapsed > max {
-					max = elapsed
-				}
-				archs += res.ArchsExplored
-				evals += res.Evaluations
-				agg.Add(res.EvalStats)
-				runs++
-			}
-			rowSpan.SetAttr(obs.Int("runs", runs))
-			rowSpan.End()
-			rowPh.Add(1)
-			cfg.Log.Info("runtime row done",
-				"processes", n, "strategy", s.String(), "runs", runs,
-				"mean", total/time.Duration(maxInt(runs, 1)),
-				"span", rowSpan.ID())
-			if runs == 0 {
-				continue
-			}
-			cells := []string{
-				fmt.Sprint(n),
-				s.String(),
-				(total / time.Duration(runs)).Round(time.Millisecond).String(),
-				max.Round(time.Millisecond).String(),
-				fmt.Sprintf("%.1f", float64(archs)/float64(runs)),
-				fmt.Sprintf("%.0f", float64(evals)/float64(runs)),
-				fmt.Sprintf("%.1f%%", agg.HitRate()*100),
-				fmt.Sprintf("%.1f%%", agg.OptHitRate()*100),
-				fmt.Sprint(agg.ScheduleBuilds),
-				fmt.Sprintf("%d/%d", agg.SFPBuilds, agg.SFPHits),
-				agg.ReExecTime.Round(time.Millisecond).String(),
-				agg.SchedTime.Round(time.Millisecond).String(),
-			}
-			if err := cfg.rowDone(key, cells); err != nil {
-				return nil, err
-			}
-			t.AddRow(cells)
 		}
-	}
-	return t, nil
+		return t
+	})
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+// runtimeRow is the row of strategy s on the applications of size n. The
+// applications run one at a time, so each run's wall time is its own.
+func (c Config) runtimeRow(ser, hpd float64, n int, s core.Strategy) row[[]string] {
+	return row[[]string]{key: c.rowKey(ser, hpd, n, s), run: func(ctx context.Context, span *obs.Span) ([]string, error) {
+		b := c
+		b.Procs, b.Workers = []int{n}, 1
+		type run struct {
+			ok           bool
+			elapsed      time.Duration
+			archs, evals int
+			stats        evalengine.Stats
+		}
+		runs, err := forApps(ctx, b, span, taskgen.DefaultConfig(0, 0, ser, hpd), func(ctx context.Context, a app) (run, error) {
+			start := time.Now()
+			res, err := core.RunContext(ctx, a.inst.App, a.inst.Platform, b.options(a, s))
+			if err != nil {
+				return run{}, err
+			}
+			return run{true, time.Since(start), res.ArchsExplored, res.Evaluations, res.EvalStats}, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		var total, max time.Duration
+		var archs, evals, done int
+		var agg evalengine.Stats
+		for _, r := range runs {
+			if !r.ok {
+				continue
+			}
+			total += r.elapsed
+			if r.elapsed > max {
+				max = r.elapsed
+			}
+			archs += r.archs
+			evals += r.evals
+			agg.Add(r.stats)
+			done++
+		}
+		span.SetAttr(obs.Int("runs", done))
+		if done == 0 {
+			return nil, nil
+		}
+		return []string{
+			fmt.Sprint(n),
+			s.String(),
+			(total / time.Duration(done)).Round(time.Millisecond).String(),
+			max.Round(time.Millisecond).String(),
+			fmt.Sprintf("%.1f", float64(archs)/float64(done)),
+			fmt.Sprintf("%.0f", float64(evals)/float64(done)),
+			fmt.Sprintf("%.1f%%", agg.HitRate()*100),
+			fmt.Sprintf("%.1f%%", agg.OptHitRate()*100),
+			fmt.Sprint(agg.ScheduleBuilds),
+			fmt.Sprintf("%d/%d", agg.SFPBuilds, agg.SFPHits),
+			agg.ReExecTime.Round(time.Millisecond).String(),
+			agg.SchedTime.Round(time.Millisecond).String(),
+		}, nil
+	}}
 }

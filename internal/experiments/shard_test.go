@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -103,33 +104,54 @@ func TestShardedSweepEquivalence(t *testing.T) {
 
 // TestShardedRuntimeStudyEquivalence: the runtime figure — whose duration
 // cells are non-deterministic — merges byte-identical because rows are
-// journaled as rendered cells and a merge never recomputes them.
+// journaled as rendered cells and a merge never recomputes them. A row
+// whose applications all time out is journaled empty, so its sweep merges
+// too, to the same empty table as the unsharded run.
 func TestShardedRuntimeStudyEquivalence(t *testing.T) {
-	rt := func(ctx context.Context, cfg Config) (*Table, error) {
-		return RuntimeStudy(ctx, cfg, 1e-11, 25)
-	}
-	dir, m := shardSweepDir(t, "runtime", 2)
-	for idx := 0; idx < 2; idx++ {
-		runShardWorker(t, dir, m, idx, rt)
-	}
-	merged, err := mergeShards(t, dir, rt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The merged table must be the exact union of what the workers
-	// journaled: re-merging yields identical bytes (byte-determinism of
-	// the merge itself), and every row cell is filled in.
-	again, err := mergeShards(t, dir, rt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.String() != again.String() {
-		t.Error("merge is not deterministic")
-	}
-	for _, s := range []string{"MIN", "MAX", "OPT"} {
-		if !strings.Contains(merged.String(), s) {
-			t.Errorf("merged runtime table is missing the %s row:\n%s", s, merged)
-		}
+	for _, tc := range []struct {
+		name       string
+		appTimeout time.Duration
+	}{
+		{"complete", 0},
+		{"all apps time out", time.Nanosecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := func(ctx context.Context, cfg Config) (*Table, error) {
+				cfg.AppTimeout = tc.appTimeout
+				return RuntimeStudy(ctx, cfg, 1e-11, 25)
+			}
+			clean, err := rt(context.Background(), tinyConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir, m := shardSweepDir(t, "runtime", 2)
+			for idx := 0; idx < 2; idx++ {
+				runShardWorker(t, dir, m, idx, rt)
+			}
+			merged, err := mergeShards(t, dir, rt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The merged table must be the exact union of what the workers
+			// journaled: re-merging yields identical bytes (byte-determinism
+			// of the merge itself), and it holds the unsharded run's rows.
+			again, err := mergeShards(t, dir, rt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if merged.String() != again.String() {
+				t.Error("merge is not deterministic")
+			}
+			if len(merged.Rows) != len(clean.Rows) {
+				t.Fatalf("merged table has %d rows, the unsharded run %d:\n%s\nwant:\n%s",
+					len(merged.Rows), len(clean.Rows), merged, clean)
+			}
+			for i, row := range clean.Rows {
+				if got := merged.Rows[i]; got[0] != row[0] || got[1] != row[1] || strings.Contains(strings.Join(got, " "), "!") {
+					t.Errorf("merged row %d = %v, want the unsharded run's %v", i, got, row[:2])
+				}
+			}
+		})
 	}
 }
 

@@ -89,8 +89,8 @@ type Spec struct {
 	// shard.Index assigns to ShardIndex, journaling them into the
 	// caller-owned slice journal (OpenSlice, SubmitOptions.RowJournal)
 	// for a later merge. Both participate in the fingerprint, so every
-	// slice is its own content-addressed job. Only shardable figures
-	// (ShardableFigure) accept them.
+	// slice is its own content-addressed job. Every figure but cc — one
+	// fixed instance, not a sweep — accepts them.
 	ShardIndex int `json:"shard_index,omitempty"`
 	ShardCount int `json:"shard_count,omitempty"`
 
@@ -132,18 +132,6 @@ func FigureOrder() []string {
 // KnownFigure reports whether fig names a figure job.
 func KnownFigure(fig string) bool { _, ok := figureTitles[fig]; return ok }
 
-// shardableFigures are the figures whose every row is journaled under a
-// deterministic key, which is what sharding requires: a merge reassembles
-// the table purely from journaled rows. The other figures (cc, policies,
-// simulation, ablation) compute rows outside the journal and would
-// silently recompute during a merge, so they are refused.
-var shardableFigures = map[string]bool{
-	"6a": true, "6b": true, "6c": true, "6d": true, "runtime": true,
-}
-
-// ShardableFigure reports whether fig can run as a sharded sweep.
-func ShardableFigure(fig string) bool { return shardableFigures[fig] }
-
 // FigureTitle returns the display title of a figure ("" when unknown).
 func FigureTitle(fig string) string { return figureTitles[fig] }
 
@@ -169,8 +157,8 @@ func (s Spec) Validate() error {
 			if s.ShardIndex < 0 || s.ShardIndex >= s.ShardCount {
 				return fmt.Errorf("jobs: shard index %d out of range [0, %d)", s.ShardIndex, s.ShardCount)
 			}
-			if !ShardableFigure(s.Fig) {
-				return fmt.Errorf("jobs: figure %s is not shardable (its rows are not fully journaled; shardable: 6a, 6b, 6c, 6d, runtime)", s.Fig)
+			if s.Fig == "cc" {
+				return fmt.Errorf("jobs: figure cc is not shardable (one fixed instance, not a sweep)")
 			}
 		}
 		return nil

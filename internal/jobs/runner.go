@@ -78,17 +78,17 @@ func MergeShards(ctx context.Context, spec Spec, dir string, inst Instruments, o
 	if spec.Kind == "" {
 		spec.Kind = KindFigure
 	}
+	if spec.Kind != KindFigure {
+		return nil, fmt.Errorf("jobs: merge of a %s job (only figure sweeps shard)", spec.Kind)
+	}
+	// A merge is validated as a slice of the sweep it merges, so exactly
+	// the figures a slice refuses are refused here.
 	base := spec
-	base.ShardIndex, base.ShardCount = 0, 0
+	base.ShardIndex, base.ShardCount = 0, 2
 	if err := base.Validate(); err != nil {
 		return nil, err
 	}
-	if base.Kind != KindFigure {
-		return nil, fmt.Errorf("jobs: merge of a %s job (only figure sweeps shard)", base.Kind)
-	}
-	if !ShardableFigure(base.Fig) {
-		return nil, fmt.Errorf("jobs: figure %s is not shardable, nothing to merge", base.Fig)
-	}
+	base.ShardCount = 0
 	var (
 		rows    *shard.Rows
 		reasons map[int]string

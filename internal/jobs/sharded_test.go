@@ -46,36 +46,47 @@ func runSlices(t *testing.T, dir string, spec Spec, n int, resume bool) {
 	}
 }
 
-// TestSubmitShardedEquivalence: a sharded sweep, its slices run through
-// the one slice path (OpenSlice + caller-owned RowJournal + MergeShards),
-// merges into a table byte-identical to an unsharded run of the same
-// spec. Running every slice again into the same directory, resuming its
-// journal, merges to the same bytes.
+// TestSubmitShardedEquivalence: for every kind of figure row — acceptance
+// points (6a and the ablations), rendered policy rows and simulation
+// rows — a sharded sweep, its slices run through the one slice path
+// (OpenSlice + caller-owned RowJournal + MergeShards), merges into a
+// table byte-identical to an unsharded run of the same spec. Running
+// every slice again into the same directory, resuming its journal,
+// merges to the same bytes.
 func TestSubmitShardedEquivalence(t *testing.T) {
-	clean := newTestScheduler(t, Options{Workers: 1})
-	want, err := mustSubmit(t, clean, tinyFigSpec(), SubmitOptions{}).Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, fig := range []string{"6a", "ablation", "policies", "simulation"} {
+		t.Run(fig, func(t *testing.T) {
+			spec := tinyFigSpec()
+			spec.Fig = fig
+			if fig != "6a" {
+				spec.Procs = []int{10}
+			}
+			clean := newTestScheduler(t, Options{Workers: 1})
+			want, err := mustSubmit(t, clean, spec, SubmitOptions{}).Wait(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	dir := runSweep(t, tinyFigSpec(), 3)
-	got, err := MergeShards(context.Background(), tinyFigSpec(), dir, Instruments{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got[ArtifactTable], want[ArtifactTable]) {
-		t.Errorf("sharded table differs from unsharded run:\n%s\nwant:\n%s",
-			got[ArtifactTable], want[ArtifactTable])
-	}
+			dir := runSweep(t, spec, 3)
+			got, err := MergeShards(context.Background(), spec, dir, Instruments{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got[ArtifactTable], want[ArtifactTable]) {
+				t.Errorf("sharded table differs from unsharded run:\n%s\nwant:\n%s",
+					got[ArtifactTable], want[ArtifactTable])
+			}
 
-	runSlices(t, dir, tinyFigSpec(), 3, true)
-	got2, err := MergeShards(context.Background(), tinyFigSpec(), dir, Instruments{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got2[ArtifactTable], want[ArtifactTable]) {
-		t.Errorf("re-run sweep's table differs from unsharded run:\n%s\nwant:\n%s",
-			got2[ArtifactTable], want[ArtifactTable])
+			runSlices(t, dir, spec, 3, true)
+			got2, err := MergeShards(context.Background(), spec, dir, Instruments{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got2[ArtifactTable], want[ArtifactTable]) {
+				t.Errorf("re-run sweep's table differs from unsharded run:\n%s\nwant:\n%s",
+					got2[ArtifactTable], want[ArtifactTable])
+			}
+		})
 	}
 }
 
