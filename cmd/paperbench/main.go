@@ -140,7 +140,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	logFormat := fs.String("log", "", "emit structured logs on stderr: text or json")
 	logLevel := fs.String("log-level", "info", "minimum structured-log level: debug, info, warn or error")
 	timeout := fs.Duration("timeout", 0, "overall run deadline; on expiry the run stops at the next row boundary and flushes partial tables (0 = none)")
-	appTimeout := fs.Duration("app-timeout", 0, "per-application deadline; a timed-out application counts as rejected instead of aborting the sweep (0 = none)")
+	appTimeout := fs.Duration("app-timeout", 0, "per-application deadline; a timed-out application counts as rejected (runtime and simulation rows leave it out) instead of aborting the sweep (0 = none)")
 	journalPath := fs.String("journal", "", "journal completed experiment rows to this crash-safe append-only file")
 	resume := fs.Bool("resume", false, "with -journal or -shard-dir: restore rows a previous interrupted run already journaled instead of recomputing them")
 	shards := fs.Int("shards", 0, "shard the sweep this many ways; this process computes only shard -shard's rows, journaling them into -shard-dir (every figure but cc)")

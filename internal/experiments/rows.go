@@ -193,10 +193,11 @@ type app struct {
 }
 
 // forApps runs fn on every application of a row's batch: c.Apps
-// applications per process count in c.Procs, the i-th of size n generated
-// from gen with seed c.Seed + i + n*1000003, at most c.workers() at a
-// time. It returns fn's results in batch order, so a row reduces its
-// batch in the same order whatever order the applications finish in.
+// applications per process count in c.Procs, each generated from gen
+// with its own seed (the one seed formula of the package, below), at
+// most c.workers() at a time. It returns fn's results in batch order, so
+// a row reduces its batch in the same order whatever order the
+// applications finish in.
 //
 // Each application runs under its own context, bounded by c.AppTimeout.
 // An application whose deadline expires while ctx is live is counted
