@@ -231,8 +231,9 @@ func runSequential(ctx context.Context, app *appmodel.Application, pl *platform.
 	res := &Result{}
 	// One evaluation engine is shared across the whole architecture loop:
 	// rebinding it per candidate invalidates exactly what the architecture
-	// change invalidates (solution caches when the node set differs, nothing
-	// when only the mapping seed differs between the two Optimize calls),
+	// change invalidates (the opt cache and probe memos when the node set
+	// differs, nothing when only the mapping seed differs between the two
+	// Optimize calls),
 	// while the per-node SFP analyses survive across candidates that reuse
 	// the same platform nodes.
 	var ev *evalengine.Evaluator

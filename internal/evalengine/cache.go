@@ -31,9 +31,10 @@ func shardOf(key string) int {
 	return int(maphash.String(shardSeed, key) % nShards)
 }
 
-// solCache is a sharded string → Solution memoization cache. Concurrent
-// same-key computations are benign: both workers derive the identical
-// Solution from the same inputs, and last-put-wins keeps either.
+// solCache is a sharded string → Solution memoization cache, the
+// per-mapping RedundancyOpt cache. Concurrent same-key computations are
+// benign: both workers derive the identical Solution from the same
+// inputs, and last-put-wins keeps either.
 type solCache struct {
 	shards   [nShards]solShard
 	shardCap int // per-shard entry backstop; whole shard dropped at cap
@@ -197,7 +198,7 @@ type workerCounters struct {
 // three counters alive, not the caches.
 type liveCounts struct {
 	evaluations atomic.Int64 // Stats.Evaluations
-	solEntries  atomic.Int64 // solution-cache population
+	memoEntries atomic.Int64 // probe-memo population, summed over workers
 	optEntries  atomic.Int64 // opt-cache population
 }
 
@@ -205,7 +206,6 @@ type liveCounts struct {
 // engine: a solo Evaluator owns a private store; a Concurrent engine hands
 // the same store to all its workers.
 type store struct {
-	sols      *solCache // (levels, mapping) → solution
 	opts      *solCache // mapping → RedundancyOpt result
 	sfp       *SFPCache
 	stats     atomicStats // every counter but evaluations, which is live
@@ -213,8 +213,8 @@ type store struct {
 	perWorker []workerCounters
 
 	// persist is the optional disk-backed cache behind warm starts;
-	// persistFP is the problem fingerprint the current solution caches
-	// belong to, and persistSeeded how many entries the load seeded (so a
+	// persistFP is the problem fingerprint the current opt cache belongs
+	// to, and persistSeeded how many entries the load seeded (so a
 	// flush that learned nothing can be skipped). See persist.go.
 	persist       *evalcache.Cache
 	persistFP     string
@@ -251,7 +251,6 @@ func newStore(sfpc *SFPCache, workers int) *store {
 	}
 	live := new(liveCounts)
 	return &store{
-		sols:      newSolCache(maxSolutionEntries, &live.solEntries),
 		opts:      newSolCache(maxOptEntries, &live.optEntries),
 		sfp:       sfpc,
 		live:      live,
@@ -286,7 +285,7 @@ func (st *store) setMetrics(r *obs.Registry) {
 			return float64(live.evaluations.Load())
 		})
 		r.GaugeFunc("evalengine.live.cache_entries", func() float64 {
-			return float64(live.solEntries.Load())
+			return float64(live.memoEntries.Load())
 		})
 		r.GaugeFunc("evalengine.live.opt_entries", func() float64 {
 			return float64(live.optEntries.Load())
@@ -324,7 +323,6 @@ func (st *store) snapshotStats() Stats {
 }
 
 func (st *store) dropSolutions() {
-	st.sols.clear()
 	st.opts.clear()
 	st.stats.invalidations.Add(1)
 }

@@ -178,7 +178,7 @@ func TestRegistryDoesNotPinEngine(t *testing.T) {
 		st := ev.st
 		want := map[string]float64{
 			"evalengine.live.evaluations":   float64(ev.Stats().Evaluations),
-			"evalengine.live.cache_entries": float64(population(st.sols)),
+			"evalengine.live.cache_entries": float64(len(ev.memo)),
 			"evalengine.live.opt_entries":   float64(population(st.opts)),
 		}
 		if want["evalengine.live.evaluations"] == 0 || want["evalengine.live.cache_entries"] == 0 || want["evalengine.live.opt_entries"] == 0 {

@@ -7,11 +7,12 @@ import (
 )
 
 // Concurrent is the multi-goroutine face of the evaluation engine: N
-// worker Evaluators over one shared store (solution caches, SFP node
-// cache, atomic counters). Each worker is handed to exactly one goroutine
-// at a time — workers own mutable scratch (schedule workspace, key
-// buffer, bus clone) — while everything a worker computes lands in the
-// shared caches, so work done by one worker is a cache hit for the rest.
+// worker Evaluators over one shared store (opt cache, SFP node cache,
+// atomic counters). Each worker is handed to exactly one goroutine at a
+// time — workers own their probe memo and mutable scratch (schedule
+// workspace, key buffers, bus clone) — while every RedundancyOpt result
+// and SFP node analysis a worker computes lands in the shared caches, so
+// work done by one worker is a cache hit for the rest.
 //
 // Determinism: a cache is only ever a shortcut to a value the worker
 // would have computed itself bit-for-bit (see evalengine.go), so results
@@ -47,7 +48,7 @@ func NewConcurrentWith(p redundancy.Problem, workers int, sfpc *SFPCache) *Concu
 	st := newStore(sfpc, workers)
 	c := &Concurrent{st: st, workers: make([]*Evaluator, workers)}
 	for i := range c.workers {
-		c.workers[i] = &Evaluator{st: st, wid: i}
+		c.workers[i] = newEvaluator(st, i)
 	}
 	c.bind(p)
 	return c
@@ -92,6 +93,9 @@ func (c *Concurrent) SetProblem(p redundancy.Problem) {
 	willDrop := w0.willDropSolutions(p)
 	if willDrop {
 		c.st.flushPersistent()
+		for _, w := range c.workers {
+			w.clearMemo()
+		}
 	}
 	w0.invalidateFor(p)
 	c.bind(p)

@@ -28,10 +28,11 @@ func fig4aProblem() (redundancy.Problem, []int) {
 }
 
 // TestConcurrentMatchesFresh hammers one engine from all workers at once
-// — every (mapping, levels) pair of the Fig. 4a neighborhood, twice so
-// cache hits and misses both occur under contention — and then verifies
-// every result bit-identical to the free-function pipeline. Run under
-// -race this is also the data-race test for the shared caches.
+// — every (mapping, levels) pair of the Fig. 4a neighborhood, twice, and
+// then a hardening search per worker, whose revisited vectors hit its
+// probe memo — and then verifies every result bit-identical to the
+// free-function pipeline. Run under -race this is also the data-race test
+// for the shared caches.
 func TestConcurrentMatchesFresh(t *testing.T) {
 	p, seed := fig4aProblem()
 	const workers = 4

@@ -5,44 +5,49 @@
 //
 // The tabu search of package mapping revisits mappings constantly, and
 // RedundancyOpt probes many hardening vectors that differ in a single
-// node, so the same (architecture, hardening vector, mapping) triples are
-// evaluated over and over. The engine owns
+// node. The engine owns
 //
-//   - a memoization cache from (hardening vector, mapping) to the
-//     redundancy.Solution — the architecture node-set, goal, bus and slack
-//     model are fixed per SetProblem and invalidate the cache when they
-//     change;
+//   - a per-mapping cache of RedundancyOpt results, so a revisited
+//     mapping costs one lookup instead of a hardening search — the
+//     architecture node-set, goal, bus and slack model are fixed per
+//     SetProblem and invalidate the cache when they change;
+//   - a probe memo from hardening vector to redundancy.Solution, scoped
+//     to one hardening search: RedundancyOpt revisits level vectors while
+//     it raises and lowers hardening, and no other search ever asks for
+//     them again, so each Evaluator keeps a plain map for the mapping it
+//     is searching and clears it when the next search starts;
 //   - a cache of per-node SFP analyses keyed on (node type, hardening
 //     level, mapped process set), so the combinatorial
 //     complete-homogeneous-polynomial setup of sfp.NewNode runs once per
 //     distinct configuration instead of once per probe;
 //   - a sched.Workspace, so schedule builds stop re-deriving adjacency and
 //     re-allocating scratch buffers on every probe;
-//   - instrumentation counters (evaluations, cache hits and misses,
+//   - instrumentation counters (evaluations, probe-memo hits and misses,
 //     schedule builds, SFP analyses, wall time per layer) so the effect of
 //     memoization is observable in the experiment reports rather than
 //     asserted.
 //
 // Probes are length-only. The searches rank a probe by feasibility, cost
-// and worst-case schedule length, so a cache miss builds its schedule
+// and worst-case schedule length, so a memo miss builds its schedule
 // into the workspace, keeps Solution.Length and the schedulability
-// verdict, and lets the next build overwrite the schedule. Cached
-// solutions hold no schedule. A caller that walks a solution — the tabu
-// search reading the current solution's critical path, or returning its
-// best design — rebuilds the full schedule with Evaluator.Schedule.
+// verdict, and lets the next build overwrite the schedule. Memoized and
+// cached solutions hold no schedule. A caller that walks a solution — the
+// tabu search reading the current solution's critical path, or returning
+// its best design — rebuilds the full schedule with Evaluator.Schedule.
 //
-// Cached and fresh evaluation are bit-identical: the engine delegates to
-// redundancy.ReExecutionOptAnalysis and sched.BuildIncremental, which run
-// the exact arithmetic of the uncached path, and Schedule rebuilds the
+// Memoized and fresh evaluation are bit-identical: the engine delegates to
+// redundancy.ReExecutionOptAnalysis and sched.BuildInPlace, which run the
+// exact arithmetic of the uncached path, and Schedule rebuilds the
 // schedule redundancy.Evaluate builds (enforced by
 // TestEvaluatorMatchesFresh).
 //
-// An Evaluator is a single-goroutine handle: its scratch buffers (schedule
-// workspace, key buffer, bus) are not safe for concurrent use. The caches
-// behind it are concurrency-safe and shared — NewConcurrent builds an
-// engine with one Evaluator per worker over the same caches, so parallel
-// design-space exploration (package mapping, package core) reuses exactly
-// what the sequential path reuses. See concurrent.go.
+// An Evaluator is a single-goroutine handle: its probe memo and scratch
+// buffers (schedule workspace, key buffers, bus) are not safe for
+// concurrent use. The opt and SFP caches behind it are concurrency-safe
+// and shared — NewConcurrent builds an engine with one Evaluator per
+// worker over the same caches, so parallel design-space exploration
+// (package mapping, package core) reuses exactly what the sequential path
+// reuses. See concurrent.go.
 package evalengine
 
 import (
@@ -62,9 +67,8 @@ import (
 // The caps are far above what a single architecture's search touches; they
 // only bound pathological runs.
 const (
-	maxSolutionEntries = 1 << 15
-	maxOptEntries      = 1 << 14
-	maxSFPEntries      = 1 << 15
+	maxOptEntries = 1 << 14
+	maxSFPEntries = 1 << 15
 )
 
 // Evaluator is a single-goroutine handle onto the memoized evaluation
@@ -72,12 +76,12 @@ const (
 // it to the next candidate architecture with SetProblem, and evaluate
 // hardening vectors and mappings with Evaluate / RedundancyOpt. The SFP
 // node cache survives SetProblem (node types recur across candidate
-// architectures); the solution caches are dropped whenever an input that
-// affects them changes.
+// architectures); the opt cache and the probe memo are dropped whenever
+// an input that affects them changes.
 //
-// The caches and counters live in a store that may be shared by several
-// workers (see Concurrent); the per-Evaluator fields below are scratch
-// owned by one goroutine.
+// The opt and SFP caches and the counters live in a store that may be
+// shared by several workers (see Concurrent); the per-Evaluator fields
+// below, the probe memo among them, are owned by one goroutine.
 type Evaluator struct {
 	prob   redundancy.Problem
 	period float64
@@ -108,14 +112,24 @@ type Evaluator struct {
 	// problem change or analysisFor error.
 	lastMapping []int
 	lastLevels  []int
+	// memo is the probe memo of the current hardening search: hardening
+	// vector → solution under memoMapping. memoKey is its own key buffer,
+	// since analysisFor reuses keyBuf in the middle of a probe.
+	memo        map[string]*redundancy.Solution
+	memoMapping []int
+	memoKey     []byte
 }
 
 // New returns an Evaluator for the given problem. The problem's Mapping
 // field is ignored — mappings are per-call inputs.
 func New(p redundancy.Problem) *Evaluator {
-	e := &Evaluator{st: newStore(NewSFPCache(), 1)}
+	e := newEvaluator(newStore(NewSFPCache(), 1), 0)
 	e.set(p)
 	return e
+}
+
+func newEvaluator(st *store, wid int) *Evaluator {
+	return &Evaluator{st: st, wid: wid, memo: make(map[string]*redundancy.Solution)}
 }
 
 // SetTraceSpan installs the span this evaluator's expensive operations
@@ -161,17 +175,18 @@ func (e *Evaluator) ResetStats() { e.st.resetStats() }
 // change invalidates: a new application or re-execution cap drops
 // everything including the SFP node cache; any other change to the
 // architecture node-set, goal, bus, slack model or fixed levels drops the
-// solution caches only. Rebinding to an identical problem keeps all
-// caches warm (core.Run relies on this when re-optimizing the mapping for
-// cost on the same architecture).
+// opt cache and the probe memo only. Rebinding to an identical problem
+// keeps all caches warm (core.Run relies on this when re-optimizing the
+// mapping for cost on the same architecture).
 //
 // With a disk cache installed (SetPersistent), a rebind that drops the
-// solution caches first flushes them under the outgoing problem's
-// fingerprint and then seeds them from the incoming one's entry.
+// opt cache first flushes it under the outgoing problem's fingerprint and
+// then seeds it from the incoming one's entry.
 func (e *Evaluator) SetProblem(p redundancy.Problem) {
 	willDrop := e.willDropSolutions(p)
 	if willDrop {
 		e.st.flushPersistent()
+		e.clearMemo()
 	}
 	e.invalidateFor(p)
 	e.set(p)
@@ -181,8 +196,8 @@ func (e *Evaluator) SetProblem(p redundancy.Problem) {
 	}
 }
 
-// willDropSolutions reports whether rebinding to p will drop the solution
-// caches (the condition invalidateFor acts on).
+// willDropSolutions reports whether rebinding to p will drop the opt
+// cache and the probe memos (the condition invalidateFor acts on).
 func (e *Evaluator) willDropSolutions(p redundancy.Problem) bool {
 	return e.prob.App != p.App || e.prob.MaxK != p.MaxK || !e.compatible(p)
 }
@@ -217,7 +232,7 @@ func (e *Evaluator) set(p redundancy.Problem) {
 	e.lastMapping = e.lastMapping[:0]
 }
 
-// compatible reports whether the cached solutions remain valid under p:
+// compatible reports whether the memoized solutions remain valid under p:
 // every input of the evaluation pipeline other than the per-call mapping
 // and hardening vector must be unchanged.
 func (e *Evaluator) compatible(p redundancy.Problem) bool {
@@ -267,16 +282,21 @@ func appendInts(dst []byte, vals []int) []byte {
 
 // Evaluate returns the solution (re-executions, worst-case schedule
 // length, cost, feasibility) for the given mapping and hardening vector,
-// from cache when possible. Its Schedule is nil; Schedule builds it for a
-// solution the caller keeps. The returned Solution is shared across
-// callers and must be treated as immutable.
+// from the probe memo when this hardening search has already probed it.
+// The memo holds one mapping's probes: a call with another mapping clears
+// it first. Its Schedule is nil; Schedule builds it for a solution the
+// caller keeps. The returned Solution is shared across callers and must
+// be treated as immutable.
 func (e *Evaluator) Evaluate(mapping, levels []int) (*redundancy.Solution, error) {
 	st := e.st
 	st.live.evaluations.Add(1)
 	st.perWorker[e.wid].evaluations.Add(1)
-	e.keyBuf = appendInts(appendInts(e.keyBuf[:0], levels), mapping)
-	key := string(e.keyBuf)
-	if sol, ok := st.sols.get(key); ok {
+	if !slices.Equal(e.memoMapping, mapping) {
+		e.clearMemo()
+		e.memoMapping = append(e.memoMapping[:0], mapping...)
+	}
+	e.memoKey = appendInts(e.memoKey[:0], levels)
+	if sol, ok := e.memo[string(e.memoKey)]; ok {
 		st.stats.cacheHits.Add(1)
 		return sol, nil
 	}
@@ -286,13 +306,19 @@ func (e *Evaluator) Evaluate(mapping, levels []int) (*redundancy.Solution, error
 	if err != nil {
 		return nil, err
 	}
-	if ev := st.sols.put(key, sol); ev > 0 {
-		st.stats.evictions.Add(ev)
-	}
+	e.memo[string(e.memoKey)] = sol
+	st.live.memoEntries.Add(1)
 	return sol, nil
 }
 
-// evaluate is the cache-miss path: the exact pipeline of
+// clearMemo empties the probe memo, keeping its map for the next search.
+func (e *Evaluator) clearMemo() {
+	e.st.live.memoEntries.Add(-int64(len(e.memo)))
+	clear(e.memo)
+	e.memoMapping = e.memoMapping[:0]
+}
+
+// evaluate is the memo-miss path: the exact pipeline of
 // redundancy.Evaluate, with the SFP node analyses served from the node
 // cache and the schedule built into the reusable workspace. The search
 // only ranks the solution, so it keeps the schedule's length and verdict
@@ -315,13 +341,7 @@ func (e *Evaluator) evaluate(mapping, levels []int) (*redundancy.Solution, error
 	ar := e.archBuf
 	copy(ar.Levels, levels)
 	start = time.Now()
-	// BuildIncremental replays the untouched schedule prefix from the
-	// previous build in this workspace — across the tabu search's
-	// single-process remaps and RedundancyOpt's single-node hardening
-	// probes most of the pop sequence is unchanged — and is bit-identical
-	// to a fresh BuildInto (TestBuildIncrementalMatchesBuildInto,
-	// TestEvaluatorMatchesFresh).
-	s, err := sched.BuildIncremental(e.input(mapping, ks), &e.ws)
+	s, err := sched.BuildInPlace(e.input(mapping, ks), &e.ws)
 	d = time.Since(start)
 	e.st.stats.schedNanos.Add(int64(d))
 	e.st.mSched.Observe(d)
@@ -453,9 +473,11 @@ func (e *Evaluator) RedundancyOpt(mapping []int) (*redundancy.Solution, error) {
 		st.stats.optHits.Add(1)
 		return sol, nil
 	}
-	// Cache miss: the full hardening search runs. Only misses get a span —
-	// at ~20k opt requests per run the hits would drown the trace, while
-	// the ~1k misses are exactly where the time goes.
+	// Cache miss: the full hardening search runs, with a fresh probe memo.
+	// Only misses get a span — at ~20k opt requests per run the hits would
+	// drown the trace, while the ~1k misses are exactly where the time
+	// goes.
+	e.clearMemo()
 	sp := e.span.Child("redundancy-opt", obs.Int("processes", len(mapping)))
 	start := time.Now()
 	q := e.prob

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cc"
+	"repro/internal/obs"
 	"repro/internal/paper"
 	"repro/internal/platform"
 	"repro/internal/redundancy"
@@ -402,10 +403,11 @@ func benchProblem(tb testing.TB) (redundancy.Problem, []int) {
 	}, m
 }
 
-// TestCachesHoldNoSchedules: probes are length-only. After a cruise
+// TestCachesHoldNoSchedules: probes are length-only. Across a cruise
 // controller RedundancyOpt sweep — a round-robin mapping and every
-// single-process move away from it — no entry of the solution or opt
-// caches holds a schedule, and each carries its worst-case length.
+// single-process move away from it — no probe-memo entry of any
+// hardening search and no opt-cache entry holds a schedule, and each
+// carries its worst-case length.
 func TestCachesHoldNoSchedules(t *testing.T) {
 	inst, err := cc.Instance()
 	if err != nil {
@@ -435,23 +437,72 @@ func TestCachesHoldNoSchedules(t *testing.T) {
 			}
 		}
 	}
-	for _, m := range sweep {
+	check := func(name string, cache map[string]*redundancy.Solution) {
+		t.Helper()
+		for k, sol := range cache {
+			if sol.Schedule != nil {
+				t.Fatalf("%s entry %x holds a schedule", name, k)
+			}
+			if !(sol.Length > 0) {
+				t.Fatalf("%s entry %x has length %v", name, k, sol.Length)
+			}
+		}
+	}
+	for i, m := range sweep {
 		if _, err := ev.RedundancyOpt(m); err != nil {
 			t.Fatal(err)
 		}
-	}
-	sols, opts := ev.st.sols.snapshotMap(), ev.st.opts.snapshotMap()
-	if len(sols) == 0 || len(opts) != len(sweep) {
-		t.Fatalf("sweep cached %d solutions and %d opt results for %d mappings", len(sols), len(opts), len(sweep))
-	}
-	for name, cache := range map[string]map[string]*redundancy.Solution{"solution": sols, "opt": opts} {
-		for k, sol := range cache {
-			if sol.Schedule != nil {
-				t.Fatalf("%s cache entry %x holds a schedule", name, k)
-			}
-			if !(sol.Length > 0) {
-				t.Fatalf("%s cache entry %x has length %v", name, k, sol.Length)
-			}
+		if len(ev.memo) == 0 {
+			t.Fatalf("hardening search %d left an empty probe memo", i)
 		}
+		check(fmt.Sprintf("search %d probe-memo", i), ev.memo)
+	}
+	opts := ev.st.opts.snapshotMap()
+	if len(opts) != len(sweep) {
+		t.Fatalf("sweep cached %d opt results for %d mappings", len(opts), len(sweep))
+	}
+	check("opt cache", opts)
+}
+
+// TestMemoScopedToSearch: the probe memo belongs to one hardening search.
+// After RedundancyOpt(A) and then RedundancyOpt(B) it holds no entry
+// from A's search and no more entries than B made probes, and the live
+// cache_entries gauge reads its population.
+func TestMemoScopedToSearch(t *testing.T) {
+	p, a := benchProblem(t)
+	b := append([]int(nil), a...)
+	b[0] = 1 - b[0]
+	reg := obs.NewRegistry()
+	ev := New(p)
+	ev.SetMetrics(reg)
+
+	if _, err := ev.RedundancyOpt(a); err != nil {
+		t.Fatal(err)
+	}
+	fromA := make(map[*redundancy.Solution]bool, len(ev.memo))
+	for _, sol := range ev.memo {
+		fromA[sol] = true
+	}
+	if len(fromA) == 0 {
+		t.Fatal("A's search left nothing in the probe memo")
+	}
+	before := ev.Stats().Evaluations
+	if _, err := ev.RedundancyOpt(b); err != nil {
+		t.Fatal(err)
+	}
+	probesB := ev.Stats().Evaluations - before
+	if probesB == 0 {
+		t.Fatal("B's search made no probes")
+	}
+	for k, sol := range ev.memo {
+		if fromA[sol] {
+			t.Fatalf("probe memo still holds entry %x from A's search", k)
+		}
+	}
+	if n := int64(len(ev.memo)); n == 0 || n > probesB {
+		t.Fatalf("probe memo holds %d entries after B's search of %d probes", n, probesB)
+	}
+	if got := reg.Snapshot().Gauges["evalengine.live.cache_entries"]; got != float64(len(ev.memo)) {
+		t.Fatalf("live cache_entries %v, probe memo holds %d", got, len(ev.memo))
 	}
 }

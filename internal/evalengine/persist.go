@@ -104,17 +104,18 @@ func (c *solCache) seed(m map[string]*redundancy.Solution) {
 }
 
 // setPersistent installs (or removes, with nil) the disk cache, flushing
-// whatever the previous one was owed and seeding the in-memory caches
-// from the new one's entry for fp.
+// whatever the previous one was owed and seeding the opt cache from the
+// new one's entry for fp.
 func (st *store) setPersistent(c *evalcache.Cache, fp string) {
 	st.flushPersistent()
 	st.persist = c
 	st.loadPersistent(fp)
 }
 
-// loadPersistent points the store at fingerprint fp and seeds the
-// solution caches from its on-disk entry, if any. A corrupt or absent
-// entry is simply a cold start.
+// loadPersistent points the store at fingerprint fp and seeds the opt
+// cache from its on-disk entry, if any. Entries carry RedundancyOpt
+// results only; the probe memo belongs to one hardening search and is
+// never persisted. A corrupt or absent entry is simply a cold start.
 func (st *store) loadPersistent(fp string) {
 	st.persistFP = fp
 	st.persistSeeded = 0
@@ -125,13 +126,12 @@ func (st *store) loadPersistent(fp string) {
 	if !ok {
 		return
 	}
-	st.sols.seed(e.Sols)
 	st.opts.seed(e.Opts)
-	st.persistSeeded = len(e.Sols) + len(e.Opts)
+	st.persistSeeded = len(e.Opts)
 }
 
-// flushPersistent writes the current solution caches to disk under the
-// store's fingerprint. It is a no-op without a disk cache, without a
+// flushPersistent writes the current opt cache to disk under the store's
+// fingerprint. It is a no-op without a disk cache, without a
 // fingerprint, or when no entries were added since the load — so calling
 // it defensively (problem changes, run teardown) costs nothing on warm
 // runs that computed nothing new.
@@ -139,23 +139,21 @@ func (st *store) flushPersistent() error {
 	if st.persist == nil || st.persistFP == "" {
 		return nil
 	}
-	sols := st.sols.snapshotMap()
 	opts := st.opts.snapshotMap()
-	total := len(sols) + len(opts)
-	if total <= st.persistSeeded {
+	if len(opts) <= st.persistSeeded {
 		return nil
 	}
-	if err := st.persist.Save(st.persistFP, &evalcache.Entry{Sols: sols, Opts: opts}); err != nil {
+	if err := st.persist.Save(st.persistFP, &evalcache.Entry{Opts: opts}); err != nil {
 		return err
 	}
-	st.persistSeeded = total
+	st.persistSeeded = len(opts)
 	return nil
 }
 
 // SetPersistent installs (or removes, with nil) the disk-backed cache the
-// evaluator's solution caches are loaded from and flushed to. Installing
-// it immediately seeds the in-memory caches with whatever a previous
-// process persisted for the current problem; from then on SetProblem
+// evaluator's opt cache is loaded from and flushed to. Installing it
+// immediately seeds the in-memory cache with whatever a previous process
+// persisted for the current problem; from then on SetProblem
 // flushes the outgoing problem's entries and loads the incoming one's.
 // Call FlushPersistent (or SetProblem away) to persist the final
 // problem's work.

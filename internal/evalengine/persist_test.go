@@ -141,7 +141,8 @@ func TestPersistFormatGuard(t *testing.T) {
 	if fp, _ := problemFingerprint(p); fp == fp1 {
 		t.Fatal("current fingerprint equals the format-1 one")
 	}
-	// What a format-1 engine would have stored: the same keys, no Length.
+	// What a format-1 engine would have stored: the same opt-cache keys,
+	// no Length.
 	old := New(p)
 	if _, err := old.RedundancyOpt(m); err != nil {
 		t.Fatal(err)
@@ -159,7 +160,7 @@ func TestPersistFormatGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cache.Save(fp1, &evalcache.Entry{Sols: stale(old.st.sols.snapshotMap()), Opts: stale(old.st.opts.snapshotMap())}); err != nil {
+	if err := cache.Save(fp1, &evalcache.Entry{Opts: stale(old.st.opts.snapshotMap())}); err != nil {
 		t.Fatal(err)
 	}
 

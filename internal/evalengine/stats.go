@@ -13,7 +13,7 @@ import (
 type WorkerStats struct {
 	// Evaluations counts Evaluate requests issued through this worker;
 	// CacheMisses of them computed the solution rather than finding it in
-	// the shared cache.
+	// the worker's probe memo.
 	Evaluations int64
 	CacheMisses int64
 }
@@ -25,8 +25,9 @@ type WorkerStats struct {
 type Stats struct {
 	// Evaluations counts Evaluate requests, including cache hits.
 	Evaluations int64
-	// CacheHits and CacheMisses split Evaluations by solution-cache
-	// outcome.
+	// CacheHits and CacheMisses split Evaluations by probe-memo outcome:
+	// a hit is a hardening vector the current hardening search already
+	// probed.
 	CacheHits   int64
 	CacheMisses int64
 	// OptRuns counts RedundancyOpt requests; OptHits of them were answered
@@ -34,7 +35,7 @@ type Stats struct {
 	OptRuns int64
 	OptHits int64
 	// ScheduleBuilds counts the length-only list-scheduler invocations of
-	// the search (one per solution cache miss). Full schedules rebuilt by
+	// the search (one per probe-memo miss). Full schedules rebuilt by
 	// Evaluator.Schedule for the solutions a caller walks are not counted,
 	// nor is their time in SchedTime.
 	ScheduleBuilds int64
@@ -42,17 +43,17 @@ type Stats struct {
 	// SFPHits were served from the node-analysis cache.
 	SFPBuilds int64
 	SFPHits   int64
-	// Invalidations counts SetProblem calls that dropped the solution
-	// caches (architecture or model change).
+	// Invalidations counts SetProblem calls that dropped the opt cache and
+	// probe memos (architecture or model change).
 	Invalidations int64
 	// Evictions counts cache entries displaced by the capacity backstops
-	// (solution, opt and SFP caches together). A nonzero value means the
-	// run outgrew the in-memory caps and some memoized work was redone.
+	// (opt and SFP caches together). A nonzero value means the run
+	// outgrew the in-memory caps and some memoized work was redone.
 	Evictions int64
 	// ReExecTime is the wall time spent in the SFP/re-execution layer
 	// (node analyses plus the greedy k-assignment); SchedTime is the wall
-	// time spent building schedules. Both cover cache misses only — hits
-	// cost neither. With several workers the times are summed across
+	// time spent building schedules. Both cover probe-memo misses only —
+	// hits cost neither. With several workers the times are summed across
 	// goroutines, so they can exceed wall-clock elapsed time.
 	ReExecTime time.Duration
 	SchedTime  time.Duration
@@ -62,7 +63,7 @@ type Stats struct {
 	PerWorker []WorkerStats
 }
 
-// HitRate returns the solution-cache hit fraction in [0, 1].
+// HitRate returns the probe-memo hit fraction in [0, 1].
 func (s Stats) HitRate() float64 {
 	if s.Evaluations == 0 {
 		return 0

@@ -48,12 +48,12 @@ func schedulesIdentical(a, b *sched.Schedule) bool {
 	return true
 }
 
-// TestBuildIncrementalMatchesBuildInto drives a shared workspace through a
+// TestBuildInPlaceMatchesBuildInto drives a shared workspace through a
 // long random walk of single-process remaps (with hardening-level and k
 // perturbations mixed in, mimicking RedundancyOpt probes) and checks that
-// every BuildIncremental result is bit-identical to a fresh BuildInto of
-// the same input.
-func TestBuildIncrementalMatchesBuildInto(t *testing.T) {
+// every BuildInPlace result is bit-identical to a fresh BuildInto of the
+// same input.
+func TestBuildInPlaceMatchesBuildInto(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		for _, model := range []sched.SlackModel{sched.SlackShared, sched.SlackPerProcess} {
 			inst, err := taskgen.Generate(taskgen.DefaultConfig(seed, 16, 1e-11, 25))
@@ -91,8 +91,7 @@ func TestBuildIncrementalMatchesBuildInto(t *testing.T) {
 				// One tabu-style move per iteration…
 				moved := rng.Intn(n)
 				mapping[moved] = rng.Intn(len(ar.Nodes))
-				// …and occasionally a hardening probe (level or k change),
-				// which BuildIncremental must pick up without being told.
+				// …and occasionally a hardening probe (level or k change).
 				if rng.Intn(4) == 0 {
 					j := rng.Intn(len(ar.Nodes))
 					nd := ar.Nodes[j]
@@ -102,9 +101,9 @@ func TestBuildIncrementalMatchesBuildInto(t *testing.T) {
 					ks[rng.Intn(len(ks))] = rng.Intn(3)
 				}
 				in := sched.Input{App: inst.App, Arch: ar, Mapping: mapping, Ks: ks, Bus: bus, Model: model}
-				inc, err := sched.BuildIncremental(in, &ws)
+				inc, err := sched.BuildInPlace(in, &ws)
 				if err != nil {
-					t.Fatalf("seed %d iter %d: incremental: %v", seed, it, err)
+					t.Fatalf("seed %d iter %d: in place: %v", seed, it, err)
 				}
 				refIn := in
 				refIn.Bus = refBus
@@ -113,7 +112,7 @@ func TestBuildIncrementalMatchesBuildInto(t *testing.T) {
 					t.Fatalf("seed %d iter %d: reference: %v", seed, it, err)
 				}
 				if !schedulesIdentical(inc, ref) {
-					t.Fatalf("seed %d iter %d (model %v): incremental schedule diverges from fresh build\nmapping=%v levels=%v ks=%v",
+					t.Fatalf("seed %d iter %d (model %v): in-place schedule diverges from fresh build\nmapping=%v levels=%v ks=%v",
 						seed, it, model, mapping, ar.Levels, ks)
 				}
 			}
@@ -121,9 +120,9 @@ func TestBuildIncrementalMatchesBuildInto(t *testing.T) {
 	}
 }
 
-// TestBuildIncrementalColdStart checks the degenerate paths: no trace yet,
-// and a workspace whose trace belongs to a different application.
-func TestBuildIncrementalColdStart(t *testing.T) {
+// TestBuildInPlaceColdStart checks the degenerate paths: a fresh
+// workspace, and a workspace last bound to a different application.
+func TestBuildInPlaceColdStart(t *testing.T) {
 	instA, err := taskgen.Generate(taskgen.DefaultConfig(5, 12, 1e-11, 25))
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +144,7 @@ func TestBuildIncrementalColdStart(t *testing.T) {
 		}
 		ks := make([]int, len(ar.Nodes))
 		in := sched.Input{App: inst.App, Arch: ar, Mapping: mapping, Ks: ks}
-		inc, err := sched.BuildIncremental(in, &ws)
+		inc, err := sched.BuildInPlace(in, &ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,17 +153,17 @@ func TestBuildIncrementalColdStart(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !schedulesIdentical(inc, ref) {
-			t.Fatal("cold-start incremental build diverges from fresh build")
+			t.Fatal("cold-start in-place build diverges from fresh build")
 		}
 	}
 }
 
-// TestBuildIncrementalOwnsSchedule: BuildIncremental hands out the
-// workspace's own schedule, overwritten by the next incremental build,
+// TestBuildInPlaceOwnsSchedule: BuildInPlace hands out the workspace's
+// own schedule, overwritten by the next in-place build,
 // while BuildInto on the same workspace returns schedules that no later
 // build touches — the mix the evaluation engine runs (length-only probes
 // plus full rebuilds of the solutions a search walks).
-func TestBuildIncrementalOwnsSchedule(t *testing.T) {
+func TestBuildInPlaceOwnsSchedule(t *testing.T) {
 	inst, err := taskgen.Generate(taskgen.DefaultConfig(9, 16, 1e-11, 25))
 	if err != nil {
 		t.Fatal(err)
@@ -193,16 +192,16 @@ func TestBuildIncrementalOwnsSchedule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inc, err := sched.BuildIncremental(in, &ws)
+		inc, err := sched.BuildInPlace(in, &ws)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if own != nil && inc != own {
-			t.Fatalf("iter %d: BuildIncremental returned a new schedule, not the workspace's", it)
+			t.Fatalf("iter %d: BuildInPlace returned a new schedule, not the workspace's", it)
 		}
 		own = inc
 		if !schedulesIdentical(inc, ref) {
-			t.Fatalf("iter %d: incremental schedule diverges from fresh build", it)
+			t.Fatalf("iter %d: in-place schedule diverges from fresh build", it)
 		}
 		if it%5 == 0 {
 			full, err := sched.BuildInto(in, &ws)

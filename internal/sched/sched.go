@@ -202,40 +202,16 @@ type Workspace struct {
 	wcet, prio, arrival, nodeAvail, maxRec []float64
 	unscheduled                            []int
 	ready                                  []appmodel.ProcID
-	pos                                    []int32 // position of each ready process in ws.ready
 	nodeCount                              []int
 	absDeadline                            []float64
 	vers                                   []*platform.HVersion // per-node selected version, hoisted per build
 
 	// out is the workspace's own schedule, the destination of
-	// BuildIncremental; outF and outP back its arrays. Each incremental
-	// build overwrites them in place.
+	// BuildInPlace; outF and outP back its arrays. Each in-place build
+	// overwrites them.
 	out  Schedule
 	outF []float64
 	outP []appmodel.ProcID
-
-	tr trace
-}
-
-// trace records the selection decisions of the last successful build so
-// BuildIncremental can replay the prefix that a small input change cannot
-// have perturbed. Selection (with Input.Release nil) depends only on the
-// priority vector and the precedence structure: the scheduler always pops
-// the ready process with the highest priority (ties by ID), and readiness
-// evolves deterministically from the pop sequence. So as long as every
-// process that has entered the ready set carries an unchanged priority,
-// the recorded pop is provably the process a full build would pick.
-type trace struct {
-	valid bool
-	app   *appmodel.Application
-	// prio is the priority vector of the recorded build.
-	prio []float64
-	// popOrder[s] is the process committed at step s.
-	popOrder []appmodel.ProcID
-	// readyStep[pid] is the first selection step at which pid was in the
-	// ready set (0 for source processes, committing-step+1 otherwise). A
-	// changed process can influence selection no earlier than this step.
-	readyStep []int32
 }
 
 // bind points the workspace at app, recomputing the cached adjacency when
@@ -293,34 +269,20 @@ func Build(in Input) (*Schedule, error) {
 // allocated and independent of the workspace. BuildInto(in, nil) is
 // exactly Build(in).
 func BuildInto(in Input, ws *Workspace) (*Schedule, error) {
-	return buildWith(in, ws, false, nil)
+	return buildWith(in, ws, false)
 }
 
-// BuildIncremental is BuildInto with prefix replay: when the workspace
-// holds the trace of a previous build over the same application, the
-// schedule prefix that the input change provably cannot perturb is
-// replayed from the recorded pop order instead of re-scanned, and only the
-// affected suffix (plus every TDMA bus slot, which is re-booked during the
-// replay) runs through live selection. The result is bit-identical to
-// BuildInto for every input — the divergence point is derived from the
-// new priority vector itself, so an unannounced change (a hardening-level
-// probe shifting WCETs, a tabu move flipping edge crossness) is caught by
-// the same diff that catches the announced one. changed optionally names
-// processes the caller knows it touched; they clamp the divergence point
-// as a defensive floor and are never required for correctness. With no
-// usable trace (first build, different application, Release mode) it is
-// exactly BuildInto.
-//
-// The returned Schedule is the workspace's own: it allocates nothing
-// once the workspace has grown to the application, and the next
-// BuildIncremental on the same workspace overwrites it. Callers that
-// keep a schedule beyond that copy what they need or rebuild it with
-// BuildInto.
-func BuildIncremental(in Input, ws *Workspace, changed ...appmodel.ProcID) (*Schedule, error) {
-	return buildWith(in, ws, true, changed)
+// BuildInPlace is BuildInto with the workspace's own schedule as the
+// destination: it allocates nothing once the workspace has grown to the
+// application, and the next BuildInPlace on the same workspace overwrites
+// the schedule it returned. Callers that keep a schedule beyond that copy
+// what they need or rebuild it with BuildInto. The result is bit-identical
+// to BuildInto's.
+func BuildInPlace(in Input, ws *Workspace) (*Schedule, error) {
+	return buildWith(in, ws, true)
 }
 
-func buildWith(in Input, ws *Workspace, incremental bool, changed []appmodel.ProcID) (*Schedule, error) {
+func buildWith(in Input, ws *Workspace, inPlace bool) (*Schedule, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
@@ -374,40 +336,9 @@ func buildWith(in Input, ws *Workspace, incremental bool, changed []appmodel.Pro
 		bus.Reset()
 	}
 
-	// replayUpTo is the first selection step that must run live: every
-	// earlier step pops the recorded process directly. A step can be
-	// replayed when no process in its ready set carries a changed priority
-	// — selection reads nothing else — and the ready sets themselves are
-	// reproduced exactly by replaying the recorded pops.
-	replayUpTo := 0
-	tr := &ws.tr
-	if incremental && in.Release == nil && tr.valid && tr.app == app && len(tr.prio) == n {
-		replayUpTo = n
-		for pid := 0; pid < n; pid++ {
-			if prio[pid] != tr.prio[pid] && int(tr.readyStep[pid]) < replayUpTo {
-				replayUpTo = int(tr.readyStep[pid])
-			}
-		}
-		for _, pid := range changed {
-			if int(pid) < n && int(tr.readyStep[pid]) < replayUpTo {
-				replayUpTo = int(tr.readyStep[pid])
-			}
-		}
-	}
-	// The trace is rebuilt as this build commits; it becomes valid again
-	// only when the build completes (a failed build leaves no trace).
-	tr.valid = false
-	tr.app = app
-	if cap(tr.popOrder) < n {
-		tr.popOrder = make([]appmodel.ProcID, n)
-		tr.readyStep = make([]int32, n)
-	}
-	tr.popOrder = tr.popOrder[:n]
-	tr.readyStep = tr.readyStep[:n]
-
 	// The schedule's three per-process and two per-edge arrays share one
 	// float buffer; NodeOrder gets a single spine sized from the mapping
-	// histogram. An incremental build writes into the workspace's own
+	// histogram. An in-place build writes into the workspace's own
 	// schedule, every other build into a fresh one.
 	m := len(in.Arch.Nodes)
 	ne := len(app.Edges)
@@ -422,7 +353,7 @@ func buildWith(in Input, ws *Workspace, incremental bool, changed []appmodel.Pro
 		counts[j]++
 	}
 	var s *Schedule
-	if incremental {
+	if inPlace {
 		s = &ws.out
 		if cap(ws.outP) < n {
 			ws.outP = make([]appmodel.ProcID, n)
@@ -437,10 +368,8 @@ func buildWith(in Input, ws *Workspace, incremental bool, changed []appmodel.Pro
 	succ := ws.succ
 	if cap(ws.unscheduled) < n {
 		ws.unscheduled = make([]int, n)
-		ws.pos = make([]int32, n)
 	}
 	unscheduled := ws.unscheduled[:n] // remaining predecessor count
-	pos := ws.pos[:n]                 // index of each ready process in ready
 	for pid := 0; pid < n; pid++ {
 		unscheduled[pid] = len(pred[pid])
 	}
@@ -451,8 +380,6 @@ func buildWith(in Input, ws *Workspace, incremental bool, changed []appmodel.Pro
 	head := 0
 	for pid := 0; pid < n; pid++ {
 		if unscheduled[pid] == 0 {
-			pos[pid] = int32(len(ready))
-			tr.readyStep[pid] = 0
 			ready = append(ready, appmodel.ProcID(pid))
 		}
 	}
@@ -482,11 +409,7 @@ func buildWith(in Input, ws *Workspace, incremental bool, changed []appmodel.Pro
 		// the winner is unique and a linear scan picks exactly the process
 		// a full sort would put first.
 		best := head
-		if scheduled < replayUpTo {
-			// Replay: the recorded pop is provably the live winner (see
-			// trace); find it in the ready queue by position.
-			best = int(pos[tr.popOrder[scheduled]])
-		} else if in.Release == nil {
+		if in.Release == nil {
 			// Highest priority first; ties by ID for determinism.
 			for i := head + 1; i < len(ready); i++ {
 				a, b := ready[i], ready[best]
@@ -530,12 +453,8 @@ func buildWith(in Input, ws *Workspace, incremental bool, changed []appmodel.Pro
 				}
 			}
 		}
-		pid := ready[head]
 		ready[head], ready[best] = ready[best], ready[head]
-		pos[pid] = int32(best)
-		pid = ready[head]
-		pos[pid] = int32(head)
-		tr.popOrder[scheduled] = pid
+		pid := ready[head]
 		head++
 		j := in.Mapping[pid]
 
@@ -596,8 +515,6 @@ func buildWith(in Input, ws *Workspace, incremental bool, changed []appmodel.Pro
 			}
 			unscheduled[e.Dst]--
 			if unscheduled[e.Dst] == 0 {
-				pos[e.Dst] = int32(len(ready))
-				tr.readyStep[e.Dst] = int32(scheduled + 1)
 				ready = append(ready, e.Dst)
 			}
 		}
@@ -606,14 +523,6 @@ func buildWith(in Input, ws *Workspace, incremental bool, changed []appmodel.Pro
 	ws.ready = ready[:0]
 	if scheduled != n {
 		return nil, fmt.Errorf("sched: scheduled %d of %d processes (cycle?)", scheduled, n)
-	}
-	if in.Release == nil {
-		if cap(tr.prio) < n {
-			tr.prio = make([]float64, n)
-		}
-		tr.prio = tr.prio[:n]
-		copy(tr.prio, prio)
-		tr.valid = true
 	}
 	return s, nil
 }
