@@ -147,20 +147,6 @@ func benchPoint(b *testing.B, pt experiments.Point) {
 // BenchmarkFig6a measures the HPD-sweep point HPD=25% (E5).
 func BenchmarkFig6a(b *testing.B) { benchPoint(b, experiments.Point{SER: 1e-11, HPD: 25, ArC: 20}) }
 
-// BenchmarkFig6aParallel is the same point with four in-run workers; the
-// per-app results are identical to BenchmarkFig6a, only the wall time
-// differs.
-func BenchmarkFig6aParallel(b *testing.B) {
-	cfg := experiments.Config{Apps: 2, Procs: []int{20}, Seed: 1, RunWorkers: 4}
-	pt := experiments.Point{SER: 1e-11, HPD: 25, ArC: 20}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Acceptance(context.Background(), cfg, pt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFig6b measures the ArC=15 row point (E6).
 func BenchmarkFig6b(b *testing.B) { benchPoint(b, experiments.Point{SER: 1e-11, HPD: 25, ArC: 15}) }
 
@@ -184,29 +170,6 @@ func BenchmarkCruiseController(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := core.Run(inst.App, inst.Platform, core.Options{Goal: inst.Goal, Strategy: core.OPT})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Feasible {
-			b.Fatal("CC should be feasible under OPT")
-		}
-	}
-}
-
-// BenchmarkCruiseControllerParallel runs the same OPT design with four
-// in-run workers — candidate architectures probed concurrently and the
-// tabu neighborhood fanned out. The result is identical to the
-// sequential run.
-func BenchmarkCruiseControllerParallel(b *testing.B) {
-	inst, err := cc.Instance()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := core.Run(inst.App, inst.Platform, core.Options{
-			Goal: inst.Goal, Strategy: core.OPT, Workers: 4,
-		})
 		if err != nil {
 			b.Fatal(err)
 		}

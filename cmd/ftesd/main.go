@@ -244,7 +244,6 @@ type submitRequest struct {
 	Procs        []int   `json:"procs,omitempty"`
 	Seed         int64   `json:"seed,omitempty"`
 	Workers      int     `json:"workers,omitempty"`
-	RunWorkers   int     `json:"run_workers,omitempty"`
 	AppTimeoutMs float64 `json:"app_timeout_ms,omitempty"`
 	Markdown     bool    `json:"markdown,omitempty"`
 
@@ -287,7 +286,7 @@ func (d *daemon) submit(w http.ResponseWriter, r *http.Request) {
 	spec := jobs.Spec{
 		Kind: req.Kind,
 		Fig:  req.Fig, Apps: req.Apps, Procs: req.Procs, Seed: req.Seed,
-		Workers: req.Workers, RunWorkers: req.RunWorkers,
+		Workers:    req.Workers,
 		AppTimeout: time.Duration(req.AppTimeoutMs * float64(time.Millisecond)),
 		Markdown:   req.Markdown,
 		Design:     req.Spec, Strategy: req.Strategy, MaxCost: req.MaxCost, Slack: req.Slack,

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/jobs"
 	"repro/internal/obs"
+	"repro/internal/runstate"
 	"repro/internal/specio"
 	"repro/internal/taskgen"
 )
@@ -309,6 +311,8 @@ func TestSubmitErrors(t *testing.T) {
 		`{"kind":"figure","fig":"6a","x":1}`, // unknown envelope field
 		// The retired sharding field: refused, never run unsharded.
 		`{"kind":"figure","fig":"runtime","shards":2}`,
+		// The retired in-run parallelism field: refused like "shards".
+		`{"kind":"figure","fig":"runtime","run_workers":2}`,
 	} {
 		code, _ := postJSON(t, srv.URL+"/jobs", body)
 		if code != http.StatusBadRequest {
@@ -370,6 +374,48 @@ func TestRestartResume(t *testing.T) {
 	_, got := get(t, srv2.URL+"/jobs/"+sr.ID+"/artifacts/table.txt")
 	if !bytes.Equal(got, want) {
 		t.Errorf("resumed artifact differs from clean run:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestRestoreRetiredRunWorkers: a state directory written before the
+// run_workers field was retired still restores. Its job| record carries
+// "run_workers":2 under the id the daemon derived from that spec; the
+// restarted daemon resumes the job under that id, and the artifact is
+// byte-identical to a run of the same figure without the field.
+func TestRestoreRetiredRunWorkers(t *testing.T) {
+	cleanSrv, _ := newTestServer(t, jobs.Options{Workers: 1})
+	_, cr := postJSON(t, cleanSrv.URL+"/jobs", tinyFigBody)
+	if st := pollDone(t, cleanSrv.URL, cr.ID); st.State != jobs.StateDone {
+		t.Fatalf("clean run: %s (%s)", st.State, st.Error)
+	}
+	_, want := get(t, cleanSrv.URL+"/jobs/"+cr.ID+"/artifacts/table.txt")
+
+	// The id is the content address the daemon gave tinyFigBody plus
+	// "run_workers":2 while the field existed.
+	const oldID = "a6ce54cd04787c19"
+	dir := t.TempDir()
+	st, err := runstate.Open(filepath.Join(dir, "state.jsonl"), "ftes-jobs-state-v1", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := json.RawMessage(`{"spec":{"kind":"figure","fig":"6a","apps":2,"procs":[20],"seed":3,"run_workers":2}}`)
+	if err := st.Record("job|"+oldID, rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, sched := newTestServer(t, jobs.Options{Workers: 1, Dir: dir})
+	if n := sched.Resumed(); n != 1 {
+		t.Fatalf("resumed %d jobs, want 1", n)
+	}
+	if s := pollDone(t, srv.URL, oldID); s.State != jobs.StateDone {
+		t.Fatalf("restored job: %s (%s)", s.State, s.Error)
+	}
+	_, got := get(t, srv.URL+"/jobs/"+oldID+"/artifacts/table.txt")
+	if !bytes.Equal(got, want) {
+		t.Errorf("restored artifact differs from a run without run_workers:\n%s\nwant:\n%s", got, want)
 	}
 }
 

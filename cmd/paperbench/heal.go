@@ -208,9 +208,6 @@ func workerArgs(spec jobs.Spec, idx, shards int, dir string) []string {
 	if spec.Workers != 0 {
 		args = append(args, "-workers", strconv.Itoa(spec.Workers))
 	}
-	if spec.RunWorkers != 0 {
-		args = append(args, "-run-workers", strconv.Itoa(spec.RunWorkers))
-	}
 	if spec.AppTimeout > 0 {
 		args = append(args, "-app-timeout", spec.AppTimeout.String())
 	}

@@ -9,7 +9,6 @@
 //	paperbench -fig 6b -apps 150  # full paper scale (slow)
 //	paperbench -fig cc -md        # Markdown tables
 //	paperbench -fig 6a -cpuprofile cpu.pprof  # profile the run
-//	paperbench -fig cc -run-workers 4         # parallelize inside each run
 //	paperbench -fig 6b -serve :8080 -progress # watch a long sweep live
 //	paperbench -fig cc -log json              # structured logs on stderr
 //
@@ -127,7 +126,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	procs := fs.String("procs", "20,40", "comma-separated process counts")
 	seed := fs.Int64("seed", 1, "base seed")
 	workers := fs.Int("workers", 0, "parallel workers across applications (0 = all cores)")
-	runWorkers := fs.Int("run-workers", 0, "parallel workers inside each design run (0 or 1 = sequential; results are identical either way)")
 	md := fs.Bool("md", false, "render tables as Markdown instead of ASCII")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the selected figures to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile taken after the selected figures to this file")
@@ -246,7 +244,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	}
 
 	base := jobs.Spec{Kind: jobs.KindFigure, Apps: *apps, Seed: *seed,
-		Workers: *workers, RunWorkers: *runWorkers, AppTimeout: *appTimeout, Markdown: *md}
+		Workers: *workers, AppTimeout: *appTimeout, Markdown: *md}
 	if base.Procs, err = splitInts(*procs); err != nil {
 		return err
 	}

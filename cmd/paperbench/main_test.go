@@ -116,39 +116,6 @@ func TestProfileFlags(t *testing.T) {
 	}
 }
 
-// TestRunWorkersFlag: -run-workers parallelizes inside each design run
-// and must not change the reported tables.
-func TestRunWorkersFlag(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs design strategies twice")
-	}
-	var seq, par strings.Builder
-	if err := run(context.Background(), []string{"-fig", "cc"}, &seq); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), []string{"-fig", "cc", "-run-workers", "3"}, &par); err != nil {
-		t.Fatal(err)
-	}
-	// Strip the engine-counter and timing lines (parallel runs report
-	// speculative work and wall time differently); the tables and the
-	// cost-improvement line must be identical.
-	keep := func(s string) string {
-		var sb strings.Builder
-		for _, line := range strings.Split(s, "\n") {
-			if strings.Contains(line, "evaluator:") || strings.Contains(line, "regenerated in") {
-				continue
-			}
-			sb.WriteString(line)
-			sb.WriteString("\n")
-		}
-		return sb.String()
-	}
-	if keep(seq.String()) != keep(par.String()) {
-		t.Errorf("-run-workers changed the output:\n--- sequential ---\n%s\n--- parallel ---\n%s",
-			seq.String(), par.String())
-	}
-}
-
 func TestTinySweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep")

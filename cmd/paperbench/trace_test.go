@@ -155,47 +155,3 @@ func TestTraceFlag(t *testing.T) {
 		t.Error("metrics dump leaked into stdout")
 	}
 }
-
-// TestTraceFlagParallel: tracing a -run-workers run must still produce a
-// decodable trace with resolvable parents (worker spans are concurrent
-// siblings), and must not perturb the tables.
-func TestTraceFlagParallel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs three full design strategies")
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "cc.json")
-	var sb strings.Builder
-	if err := run(context.Background(), []string{"-fig", "cc", "-run-workers", "3", "-trace", path}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []traceEvent `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("-trace output is not valid JSON: %v", err)
-	}
-	byID := map[int64]traceEvent{}
-	counts := map[string]int{}
-	for _, ev := range doc.TraceEvents {
-		byID[int64(ev.Args["span_id"].(float64))] = ev
-		counts[ev.Name]++
-	}
-	if counts["worker"] == 0 {
-		t.Error("parallel trace has no worker spans")
-	}
-	for _, ev := range doc.TraceEvents {
-		if pv, ok := ev.Args["parent_id"].(float64); ok {
-			if _, ok := byID[int64(pv)]; !ok {
-				t.Fatalf("span %q has dangling parent id %d", ev.Name, int64(pv))
-			}
-		}
-	}
-	if !strings.Contains(sb.String(), "OPT improves on MAX") {
-		t.Errorf("missing summary line in:\n%s", sb.String())
-	}
-}

@@ -215,54 +215,3 @@ func TestFacadeMultiRate(t *testing.T) {
 		t.Errorf("two-rate toy should be feasible: %+v", sol)
 	}
 }
-
-// TestFacadeConcurrentMapping: the concurrent mapping optimizer through
-// the facade returns exactly the sequential result.
-func TestFacadeConcurrentMapping(t *testing.T) {
-	app, _ := buildTwoProcApp(t)
-	n0 := ftes.Node{
-		ID:   0,
-		Name: "N0",
-		Versions: []ftes.HVersion{
-			{Level: 1, Cost: 5, WCET: []float64{80, 100}, FailProb: []float64{1e-3, 1e-3}},
-		},
-	}
-	n1 := ftes.Node{
-		ID:   1,
-		Name: "N1",
-		Versions: []ftes.HVersion{
-			{Level: 1, Cost: 8, WCET: []float64{60, 75}, FailProb: []float64{5e-4, 5e-4}},
-		},
-	}
-	p := ftes.RedundancyProblem{
-		App:  app,
-		Arch: ftes.NewArchitecture([]*ftes.Node{&n0, &n1}),
-		Goal: ftes.Goal{Gamma: 1e-5, Tau: ftes.Hour},
-	}
-	want, err := ftes.OptimizeMapping(p, nil, ftes.MinimizeScheduleLength, ftes.MappingParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ce := ftes.NewConcurrentEvaluator(p, 3)
-	got, err := ftes.OptimizeMappingConcurrent(ce, nil, ftes.MinimizeScheduleLength, ftes.MappingParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Mapping) != len(want.Mapping) {
-		t.Fatalf("mapping sizes %d vs %d", len(got.Mapping), len(want.Mapping))
-	}
-	for i := range got.Mapping {
-		if got.Mapping[i] != want.Mapping[i] {
-			t.Fatalf("mapping %v, want %v", got.Mapping, want.Mapping)
-		}
-	}
-	if got.Evaluations != want.Evaluations {
-		t.Errorf("evaluations %d, want %d", got.Evaluations, want.Evaluations)
-	}
-	if got.Solution.Schedule.Length != want.Solution.Schedule.Length {
-		t.Errorf("SL %v, want %v", got.Solution.Schedule.Length, want.Solution.Schedule.Length)
-	}
-	if ce.NumWorkers() != 3 {
-		t.Errorf("NumWorkers() = %d, want 3", ce.NumWorkers())
-	}
-}

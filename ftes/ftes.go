@@ -208,9 +208,6 @@ type (
 	// goroutine. The solutions it serves carry the schedule length but no
 	// schedule; Evaluator.Schedule rebuilds the schedule of one of them.
 	Evaluator = evalengine.Evaluator
-	// ConcurrentEvaluator is the multi-goroutine evaluation engine: N
-	// worker Evaluators over shared caches.
-	ConcurrentEvaluator = evalengine.Concurrent
 	// EvaluatorStats are the engine's instrumentation counters.
 	EvaluatorStats = evalengine.Stats
 )
@@ -233,19 +230,6 @@ func OptimizeMappingWith(ev *Evaluator, initial []int, cf MappingCostFunction, p
 	return mapping.Optimize(ev, initial, cf, params)
 }
 
-// NewConcurrentEvaluator returns an evaluation engine with the given
-// number of workers bound to p; workers ≤ 1 behaves like NewEvaluator.
-func NewConcurrentEvaluator(p RedundancyProblem, workers int) *ConcurrentEvaluator {
-	return evalengine.NewConcurrent(p, workers)
-}
-
-// OptimizeMappingConcurrent runs the tabu-search mapping optimization
-// with the neighborhood evaluated on the engine's workers. The result is
-// identical to the sequential OptimizeMappingWith on the same problem.
-func OptimizeMappingConcurrent(ce *ConcurrentEvaluator, initial []int, cf MappingCostFunction, params MappingParams) (*MappingResult, error) {
-	return mapping.OptimizeConcurrent(ce, initial, cf, params)
-}
-
 // OptimizeMappingContext is OptimizeMappingWith under a context: the
 // search consults ctx between tabu iterations and, once it is done,
 // returns the best mapping found so far together with an error wrapping
@@ -253,13 +237,6 @@ func OptimizeMappingConcurrent(ce *ConcurrentEvaluator, initial []int, cf Mappin
 // cancellation point.
 func OptimizeMappingContext(ctx context.Context, ev *Evaluator, initial []int, cf MappingCostFunction, params MappingParams) (*MappingResult, error) {
 	return mapping.OptimizeContext(ctx, ev, initial, cf, params)
-}
-
-// OptimizeMappingConcurrentContext is OptimizeMappingConcurrent under a
-// context, with the same partial-result contract as
-// OptimizeMappingContext.
-func OptimizeMappingConcurrentContext(ctx context.Context, ce *ConcurrentEvaluator, initial []int, cf MappingCostFunction, params MappingParams) (*MappingResult, error) {
-	return mapping.OptimizeConcurrentContext(ctx, ce, initial, cf, params)
 }
 
 // Design strategy (Fig. 5).

@@ -101,18 +101,3 @@ func TestRunContextMidRunDeterministicPartial(t *testing.T) {
 		t.Error("partial beats the full exploration — trajectories diverged")
 	}
 }
-
-// TestRunContextParallelCanceled: the speculative parallel path drains
-// its probes on cancellation and returns the typed error with a non-nil
-// partial — never a hang, never a lost result. (Run under -race in CI.)
-func TestRunContextParallelCanceled(t *testing.T) {
-	opts := fig1Opts(OPT)
-	opts.Workers = 3
-	res, err := RunContext(newCancelAfter(8), paper.Fig1Application(), paper.Fig1Platform(), opts)
-	if !errors.Is(err, runctl.ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-	if res == nil {
-		t.Fatal("canceled parallel run returned nil result")
-	}
-}

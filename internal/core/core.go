@@ -78,12 +78,7 @@ type Options struct {
 	// above it. It corresponds to the maximum architectural cost ArC of
 	// the experimental evaluation.
 	MaxCost float64
-	// Workers, when > 1, spreads the run over that many goroutines:
-	// candidate architectures of a size class are probed concurrently and
-	// the tabu neighborhoods inside each probe are evaluated by a worker
-	// pool. The result is identical to the sequential path — candidates
-	// are selected by a deterministic replay in enumeration order
-	// (TestParallelMatchesSequential). 0 or 1 means sequential.
+	// Deprecated: ignored; every run is single-threaded.
 	Workers int
 	// Tracer, when non-nil, records the run as hierarchical spans — one
 	// per candidate architecture, per mapping optimization, per tabu
@@ -121,7 +116,6 @@ func (o Options) runSpan(app *appmodel.Application) *obs.Span {
 	attrs := []obs.Attr{
 		obs.String("strategy", o.Strategy.String()),
 		obs.Int("processes", app.NumProcesses()),
-		obs.Int("workers", o.Workers),
 	}
 	if o.ParentSpan != nil {
 		return o.ParentSpan.Child("core.run", attrs...)
@@ -214,16 +208,6 @@ func RunContext(ctx context.Context, app *appmodel.Application, pl *platform.Pla
 	if err := opts.Goal.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Workers > 1 {
-		return runParallel(ctx, app, pl, opts)
-	}
-	return runSequential(ctx, app, pl, opts)
-}
-
-// runSequential is the reference single-goroutine exploration; the
-// parallel path (parallel.go) replays candidate selection in this exact
-// order.
-func runSequential(ctx context.Context, app *appmodel.Application, pl *platform.Platform, opts Options) (*Result, error) {
 	start := time.Now()
 	span := opts.runSpan(app)
 	defer span.End()

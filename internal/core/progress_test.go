@@ -18,53 +18,48 @@ import (
 func TestProgressAndLogWiring(t *testing.T) {
 	app := paper.Fig1Application()
 	pl := paper.Fig1Platform()
-	for _, workers := range []int{1, 4} {
-		bare, err := Run(app, pl, Options{
-			Goal: sfp.Goal{Gamma: paper.Fig1Gamma, Tau: paper.Hour}, Workers: workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pr := obs.NewProgress()
-		var logBuf bytes.Buffer
-		res, err := Run(app, pl, Options{
-			Goal:     sfp.Goal{Gamma: paper.Fig1Gamma, Tau: paper.Hour},
-			Workers:  workers,
-			Progress: pr,
-			Log:      obs.NewTextLogger(&logBuf, slog.LevelDebug),
-			Metrics:  obs.NewRegistry(),
-			Tracer:   obs.NewTracer(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Feasible != bare.Feasible || res.Cost != bare.Cost ||
-			res.ArchsExplored != bare.ArchsExplored ||
-			!reflect.DeepEqual(res.Mapping, bare.Mapping) {
-			t.Errorf("workers=%d: observed run diverged: %+v vs %+v", workers, res, bare)
-		}
+	bare, err := Run(app, pl, Options{
+		Goal: sfp.Goal{Gamma: paper.Fig1Gamma, Tau: paper.Hour},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := obs.NewProgress()
+	var logBuf bytes.Buffer
+	res, err := Run(app, pl, Options{
+		Goal:     sfp.Goal{Gamma: paper.Fig1Gamma, Tau: paper.Hour},
+		Progress: pr,
+		Log:      obs.NewTextLogger(&logBuf, slog.LevelDebug),
+		Metrics:  obs.NewRegistry(),
+		Tracer:   obs.NewTracer(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Feasible != bare.Feasible || res.Cost != bare.Cost ||
+		res.ArchsExplored != bare.ArchsExplored ||
+		!reflect.DeepEqual(res.Mapping, bare.Mapping) {
+		t.Errorf("observed run diverged: %+v vs %+v", res, bare)
+	}
 
-		st := pr.Status()
-		byName := map[string]obs.PhaseStatus{}
-		for _, ph := range st.Phases {
-			byName[ph.Name] = ph
-		}
-		archs := byName["core.archs"]
-		if archs.Current != int64(res.ArchsExplored) {
-			t.Errorf("workers=%d: core.archs = %d, want %d (ArchsExplored)",
-				workers, archs.Current, res.ArchsExplored)
-		}
-		if !archs.HasBest || archs.Best != res.Cost {
-			t.Errorf("workers=%d: core.archs best = %v (has=%v), want %v",
-				workers, archs.Best, archs.HasBest, res.Cost)
-		}
-		if byName["mapping.iterations"].Current == 0 {
-			t.Errorf("workers=%d: mapping.iterations never ticked", workers)
-		}
-		for _, want := range []string{"core.run done", "feasible=true", "span="} {
-			if !strings.Contains(logBuf.String(), want) {
-				t.Errorf("workers=%d: log missing %q:\n%s", workers, want, logBuf.String())
-			}
+	st := pr.Status()
+	byName := map[string]obs.PhaseStatus{}
+	for _, ph := range st.Phases {
+		byName[ph.Name] = ph
+	}
+	archs := byName["core.archs"]
+	if archs.Current != int64(res.ArchsExplored) {
+		t.Errorf("core.archs = %d, want %d (ArchsExplored)", archs.Current, res.ArchsExplored)
+	}
+	if !archs.HasBest || archs.Best != res.Cost {
+		t.Errorf("core.archs best = %v (has=%v), want %v", archs.Best, archs.HasBest, res.Cost)
+	}
+	if byName["mapping.iterations"].Current == 0 {
+		t.Error("mapping.iterations never ticked")
+	}
+	for _, want := range []string{"core.run done", "feasible=true", "span="} {
+		if !strings.Contains(logBuf.String(), want) {
+			t.Errorf("log missing %q:\n%s", want, logBuf.String())
 		}
 	}
 }

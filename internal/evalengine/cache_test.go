@@ -14,20 +14,14 @@ import (
 	"repro/internal/sfp"
 )
 
-// TestSolCachePutEvictsOneVictim pins the regression for the whole-shard
-// reset: overflowing a shard must displace exactly one resident entry per
-// insert (reported through the return value), never wipe the shard.
+// TestSolCachePutEvictsOneVictim pins the regression for the wholesale
+// reset: overflowing the cache must displace exactly one resident entry
+// per insert (reported through the return value), never wipe the cache.
 func TestSolCachePutEvictsOneVictim(t *testing.T) {
-	c := newSolCache(nShards*4, new(atomic.Int64)) // shardCap = 4
+	c := newSolCache(4, new(atomic.Int64))
 	sol := &redundancy.Solution{}
 
-	// Fill one shard to its cap. Keys are grouped by shard index.
-	byShard := make(map[int][]string)
-	for i := 0; len(byShard[0]) < 6; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		byShard[shardOf(k)] = append(byShard[shardOf(k)], k)
-	}
-	keys := byShard[0]
+	keys := []string{"key-0", "key-1", "key-2", "key-3", "key-4"}
 	var evicted int64
 	for _, k := range keys[:4] {
 		evicted += c.put(k, sol)
@@ -47,28 +41,23 @@ func TestSolCachePutEvictsOneVictim(t *testing.T) {
 	if _, ok := c.get(keys[4]); !ok {
 		t.Fatal("incoming entry was not kept on overflow")
 	}
-	if n := c.size(); n != 4 {
-		t.Fatalf("shard population after overflow = %d, want 4 (whole-shard drop regressed)", n)
+	if n := c.entries.Load(); n != 4 {
+		t.Fatalf("population after overflow = %d, want 4 (wholesale drop regressed)", n)
 	}
 }
 
 // TestSFPCachePutEvictsOneVictim is the same regression for the SFP cache,
 // whose entries are nested under node pointers.
 func TestSFPCachePutEvictsOneVictim(t *testing.T) {
-	c := NewSFPCache()
+	const cap = 64
+	c := newSFPCache(cap)
 	nodeA := &platform.Node{}
 	nodeB := &platform.Node{}
 	nd := &sfp.Node{}
 
-	cap := maxSFPEntries / nShards
-	shard := func(k string) int { return shardOf(k) }
-	// Generate enough shard-0 keys to overflow.
 	var keys []string
-	for i := 0; len(keys) < cap+2; i++ {
-		k := fmt.Sprintf("sfp-%d", i)
-		if shard(k) == 0 {
-			keys = append(keys, k)
-		}
+	for i := 0; i < cap+2; i++ {
+		keys = append(keys, fmt.Sprintf("sfp-%d", i))
 	}
 	var evicted int64
 	for i, k := range keys[:cap] {
@@ -90,8 +79,8 @@ func TestSFPCachePutEvictsOneVictim(t *testing.T) {
 	if _, ok := c.get(nodeA, []byte(keys[cap])); !ok {
 		t.Fatal("incoming entry was not kept on overflow")
 	}
-	if n := c.shards[0].count; n != cap {
-		t.Fatalf("shard population after overflow = %d, want %d", n, cap)
+	if n := c.count; n != cap {
+		t.Fatalf("population after overflow = %d, want %d", n, cap)
 	}
 }
 
@@ -112,7 +101,7 @@ func countLiveGauges(r *obs.Registry) int {
 // gauge set, and moving to another registry — or nil — must deregister the
 // closures from the previous one.
 func TestSetMetricsIdempotent(t *testing.T) {
-	st := newStore(NewSFPCache(), 1)
+	st := newStore()
 	a := obs.NewRegistry()
 
 	st.setMetrics(a)
@@ -136,18 +125,43 @@ func TestSetMetricsIdempotent(t *testing.T) {
 	}
 }
 
-// population counts a cache's entries shard by shard, independently of
-// the entries counter the live gauges read.
-func population(c *solCache) int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
+// TestLiveGaugesScrapedMidRun: the /metrics scrape goroutine reads the
+// evalengine.live.* gauges while a search runs on another goroutine. Under
+// -race this is the data-race test for liveCounts.
+func TestLiveGaugesScrapedMidRun(t *testing.T) {
+	p, m := benchProblem(t)
+	reg := obs.NewRegistry()
+	ev := New(p)
+	ev.SetMetrics(reg)
+	started, stop, stopped := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		liveGauges(reg)
+		close(started)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				liveGauges(reg)
+			}
+		}
+	}()
+	<-started
+	_, err := ev.RedundancyOpt(m)
+	close(stop)
+	<-stopped
+	if err != nil {
+		t.Fatal(err)
 	}
-	return n
+	if got := liveGauges(reg)["evalengine.live.evaluations"]; got != float64(ev.Stats().Evaluations) {
+		t.Errorf("live evaluations gauge %v, want %d", got, ev.Stats().Evaluations)
+	}
 }
+
+// population counts a cache's entries independently of the entries
+// counter the live gauges read.
+func population(c *solCache) int { return len(c.m) }
 
 // liveGauges returns the evalengine.live.* values of a registry snapshot.
 func liveGauges(r *obs.Registry) map[string]float64 {
@@ -207,19 +221,19 @@ func TestRegistryDoesNotPinEngine(t *testing.T) {
 	}
 }
 
-// TestLiveEntryCounts checks the entry counters against the shard maps
-// through puts, overflow evictions and a clear.
+// TestLiveEntryCounts checks the entry counter against the map through
+// puts, overflow evictions and a clear.
 func TestLiveEntryCounts(t *testing.T) {
-	c := newSolCache(nShards*2, new(atomic.Int64))
+	c := newSolCache(32, new(atomic.Int64))
 	sol := &redundancy.Solution{}
 	for i := 0; i < 200; i++ {
 		c.put(fmt.Sprintf("k%d", i%150), sol)
-		if got, want := c.size(), population(c); got != want {
-			t.Fatalf("after put %d: counter %d, shards hold %d", i, got, want)
+		if got, want := int(c.entries.Load()), population(c); got != want {
+			t.Fatalf("after put %d: counter %d, map holds %d", i, got, want)
 		}
 	}
 	c.clear()
-	if n := c.size(); n != 0 {
+	if n := c.entries.Load(); n != 0 {
 		t.Fatalf("counter after clear = %d", n)
 	}
 }

@@ -41,13 +41,9 @@
 // schedule redundancy.Evaluate builds (enforced by
 // TestEvaluatorMatchesFresh).
 //
-// An Evaluator is a single-goroutine handle: its probe memo and scratch
-// buffers (schedule workspace, key buffers, bus) are not safe for
-// concurrent use. The opt and SFP caches behind it are concurrency-safe
-// and shared — NewConcurrent builds an engine with one Evaluator per
-// worker over the same caches, so parallel design-space exploration
-// (package mapping, package core) reuses exactly what the sequential path
-// reuses. See concurrent.go.
+// An Evaluator is a single-goroutine handle: its caches, probe memo and
+// scratch buffers (schedule workspace, key buffers, bus) are not safe for
+// concurrent use.
 package evalengine
 
 import (
@@ -62,9 +58,9 @@ import (
 	"repro/internal/sfp"
 )
 
-// Cache-size backstops: when a cache shard exceeds its cap it is dropped
-// wholesale (correctness is unaffected — entries are pure memoization).
-// The caps are far above what a single architecture's search touches; they
+// Cache-size backstops: a put into a full cache displaces one resident
+// entry (correctness is unaffected — entries are pure memoization). The
+// caps are far above what a single architecture's search touches; they
 // only bound pathological runs.
 const (
 	maxOptEntries = 1 << 14
@@ -78,22 +74,15 @@ const (
 // node cache survives SetProblem (node types recur across candidate
 // architectures); the opt cache and the probe memo are dropped whenever
 // an input that affects them changes.
-//
-// The opt and SFP caches and the counters live in a store that may be
-// shared by several workers (see Concurrent); the per-Evaluator fields
-// below, the probe memo among them, are owned by one goroutine.
 type Evaluator struct {
 	prob   redundancy.Problem
 	period float64
 
-	st *store // shared caches + instrumentation
+	st *store // caches + instrumentation
 
 	// span is the observability scope expensive work (RedundancyOpt cache
-	// misses) is recorded under; wid is this worker's slot in the shared
-	// per-worker counters. Both are per-goroutine scratch like the buffers
-	// below.
+	// misses) is recorded under.
 	span *obs.Span
-	wid  int
 
 	ws       sched.Workspace
 	keyBuf   []byte
@@ -108,7 +97,7 @@ type Evaluator struct {
 	// lastMapping/lastLevels memoize the previous analysisFor call: a
 	// hardening search probes many level vectors under one fixed mapping,
 	// so most per-node analyses are the ones already in anodesBuf and can
-	// be reused without touching the shared cache at all. Cleared on any
+	// be reused without touching the SFP cache at all. Cleared on any
 	// problem change or analysisFor error.
 	lastMapping []int
 	lastLevels  []int
@@ -123,20 +112,15 @@ type Evaluator struct {
 // New returns an Evaluator for the given problem. The problem's Mapping
 // field is ignored — mappings are per-call inputs.
 func New(p redundancy.Problem) *Evaluator {
-	e := newEvaluator(newStore(NewSFPCache(), 1), 0)
+	e := &Evaluator{st: newStore(), memo: make(map[string]*redundancy.Solution)}
 	e.set(p)
 	return e
 }
 
-func newEvaluator(st *store, wid int) *Evaluator {
-	return &Evaluator{st: st, wid: wid, memo: make(map[string]*redundancy.Solution)}
-}
-
 // SetTraceSpan installs the span this evaluator's expensive operations
 // (RedundancyOpt cache misses) are recorded under as child spans; nil
-// disables recording. The span is per-Evaluator scratch — in a Concurrent
-// engine each worker carries its own — so callers swap it per phase the
-// way they swap problems.
+// disables recording. Callers swap it per phase the way they swap
+// problems.
 func (e *Evaluator) SetTraceSpan(s *obs.Span) { e.span = s }
 
 // TraceSpan returns the currently installed span (nil when disabled).
@@ -144,8 +128,7 @@ func (e *Evaluator) TraceSpan() *obs.Span { return e.span }
 
 // SetMetrics installs the registry the engine's duration histograms
 // (evalengine.reexec, evalengine.sched, evalengine.redundancy_opt) are
-// recorded into; nil disables them. The registry is store-level state,
-// shared by every worker of a Concurrent engine.
+// recorded into; nil disables them.
 func (e *Evaluator) SetMetrics(r *obs.Registry) { e.st.setMetrics(r) }
 
 // MetricsRegistry returns the installed registry (nil when disabled).
@@ -153,8 +136,7 @@ func (e *Evaluator) MetricsRegistry() *obs.Registry { return e.st.metrics }
 
 // SetProgress installs the live-progress publisher instrumented loops
 // above the engine (the tabu search's per-iteration ticks) publish into;
-// nil disables publication. Like the registry it is store-level state,
-// shared by every worker of a Concurrent engine.
+// nil disables publication.
 func (e *Evaluator) SetProgress(p *obs.Progress) { e.st.progress = p }
 
 // Progress returns the installed publisher (nil when disabled).
@@ -163,13 +145,18 @@ func (e *Evaluator) Progress() *obs.Progress { return e.st.progress }
 // Problem returns the problem the evaluator is currently bound to.
 func (e *Evaluator) Problem() redundancy.Problem { return e.prob }
 
-// Stats returns a snapshot of the instrumentation counters. When the
-// evaluator is a worker of a Concurrent engine the counters cover the
-// whole engine, not just this worker.
-func (e *Evaluator) Stats() Stats { return e.st.snapshotStats() }
+// Stats returns a snapshot of the instrumentation counters.
+func (e *Evaluator) Stats() Stats {
+	s := e.st.stats
+	s.Evaluations = e.st.live.evaluations.Load()
+	return s
+}
 
 // ResetStats zeroes the instrumentation counters (the caches are kept).
-func (e *Evaluator) ResetStats() { e.st.resetStats() }
+func (e *Evaluator) ResetStats() {
+	e.st.stats = Stats{}
+	e.st.live.evaluations.Store(0)
+}
 
 // SetProblem rebinds the evaluator to p, invalidating exactly what the
 // change invalidates: a new application or re-execution cap drops
@@ -183,34 +170,20 @@ func (e *Evaluator) ResetStats() { e.st.resetStats() }
 // opt cache first flushes it under the outgoing problem's fingerprint and
 // then seeds it from the incoming one's entry.
 func (e *Evaluator) SetProblem(p redundancy.Problem) {
-	willDrop := e.willDropSolutions(p)
+	newApp := e.prob.App != p.App || e.prob.MaxK != p.MaxK
+	willDrop := newApp || !e.compatible(p)
 	if willDrop {
 		e.st.flushPersistent()
 		e.clearMemo()
+		if newApp {
+			e.st.sfp.reset()
+		}
+		e.st.dropSolutions()
 	}
-	e.invalidateFor(p)
 	e.set(p)
 	if willDrop && e.st.persist != nil {
 		fp, _ := problemFingerprint(p)
 		e.st.loadPersistent(fp)
-	}
-}
-
-// willDropSolutions reports whether rebinding to p will drop the opt
-// cache and the probe memos (the condition invalidateFor acts on).
-func (e *Evaluator) willDropSolutions(p redundancy.Problem) bool {
-	return e.prob.App != p.App || e.prob.MaxK != p.MaxK || !e.compatible(p)
-}
-
-// invalidateFor drops whatever caches binding to p invalidates, without
-// rebinding. Concurrent.SetProblem runs it once before rebinding every
-// worker.
-func (e *Evaluator) invalidateFor(p redundancy.Problem) {
-	if e.prob.App != p.App || e.prob.MaxK != p.MaxK {
-		e.st.sfp.reset()
-		e.st.dropSolutions()
-	} else if !e.compatible(p) {
-		e.st.dropSolutions()
 	}
 }
 
@@ -290,18 +263,16 @@ func appendInts(dst []byte, vals []int) []byte {
 func (e *Evaluator) Evaluate(mapping, levels []int) (*redundancy.Solution, error) {
 	st := e.st
 	st.live.evaluations.Add(1)
-	st.perWorker[e.wid].evaluations.Add(1)
 	if !slices.Equal(e.memoMapping, mapping) {
 		e.clearMemo()
 		e.memoMapping = append(e.memoMapping[:0], mapping...)
 	}
 	e.memoKey = appendInts(e.memoKey[:0], levels)
 	if sol, ok := e.memo[string(e.memoKey)]; ok {
-		st.stats.cacheHits.Add(1)
+		st.stats.CacheHits++
 		return sol, nil
 	}
-	st.stats.cacheMisses.Add(1)
-	st.perWorker[e.wid].cacheMisses.Add(1)
+	st.stats.CacheMisses++
 	sol, err := e.evaluate(mapping, levels)
 	if err != nil {
 		return nil, err
@@ -333,7 +304,7 @@ func (e *Evaluator) evaluate(mapping, levels []int) (*redundancy.Solution, error
 	}
 	ks, reliable, err := redundancy.ReExecutionOptAnalysis(analysis, p.Goal, nil)
 	d := time.Since(start)
-	e.st.stats.reExecNanos.Add(int64(d))
+	e.st.stats.ReExecTime += d
 	e.st.mReexec.Observe(d)
 	if err != nil {
 		return nil, err
@@ -343,12 +314,12 @@ func (e *Evaluator) evaluate(mapping, levels []int) (*redundancy.Solution, error
 	start = time.Now()
 	s, err := sched.BuildInPlace(e.input(mapping, ks), &e.ws)
 	d = time.Since(start)
-	e.st.stats.schedNanos.Add(int64(d))
+	e.st.stats.SchedTime += d
 	e.st.mSched.Observe(d)
 	if err != nil {
 		return nil, err
 	}
-	e.st.stats.scheduleBuilds.Add(1)
+	e.st.stats.ScheduleBuilds++
 	return &redundancy.Solution{
 		Levels:      append([]int(nil), levels...),
 		Ks:          ks,
@@ -400,7 +371,7 @@ func (e *Evaluator) analysisFor(mapping, levels []int) (*sfp.Analysis, error) {
 	// A repeated mapping (the common case: hardening searches probe many
 	// level vectors under one fixed mapping) keeps its process buckets,
 	// and every node whose level is also unchanged keeps the analysis
-	// already sitting in anodesBuf — no key build, no shared-cache lookup.
+	// already sitting in anodesBuf — no key build, no cache lookup.
 	sameMap := slices.Equal(e.lastMapping, mapping) && len(e.lastLevels) == len(nodes)
 	if !sameMap {
 		for j := range e.buckets {
@@ -420,10 +391,10 @@ func (e *Evaluator) analysisFor(mapping, levels []int) (*sfp.Analysis, error) {
 	anodes := e.anodesBuf[:len(nodes)]
 	for j, n := range nodes {
 		if sameMap && levels[j] == e.lastLevels[j] && anodes[j] != nil {
-			// Still a cache hit observably — the shared cache holds this
+			// Still a cache hit observably — the SFP cache holds this
 			// entry and would have returned it; the memo only skips the
-			// hash-and-lock round trip.
-			e.st.stats.sfpHits.Add(1)
+			// lookup.
+			e.st.stats.SFPHits++
 			continue
 		}
 		v := n.Version(levels[j])
@@ -433,7 +404,7 @@ func (e *Evaluator) analysisFor(mapping, levels []int) (*sfp.Analysis, error) {
 		}
 		e.keyBuf = appendInts(appendInts(e.keyBuf[:0], levels[j:j+1]), e.buckets[j])
 		if nd, ok := e.st.sfp.get(n, e.keyBuf); ok {
-			e.st.stats.sfpHits.Add(1)
+			e.st.stats.SFPHits++
 			anodes[j] = nd
 			continue
 		}
@@ -447,10 +418,8 @@ func (e *Evaluator) analysisFor(mapping, levels []int) (*sfp.Analysis, error) {
 			e.lastMapping = e.lastMapping[:0]
 			return nil, fmt.Errorf("evalengine: node %d: %w", j, err)
 		}
-		e.st.stats.sfpBuilds.Add(1)
-		if ev := e.st.sfp.put(n, string(e.keyBuf), nd); ev > 0 {
-			e.st.stats.evictions.Add(ev)
-		}
+		e.st.stats.SFPBuilds++
+		e.st.stats.Evictions += e.st.sfp.put(n, string(e.keyBuf), nd)
 		anodes[j] = nd
 	}
 	e.lastMapping = append(e.lastMapping[:0], mapping...)
@@ -467,10 +436,10 @@ func (e *Evaluator) analysisFor(mapping, levels []int) (*sfp.Analysis, error) {
 // immutable.
 func (e *Evaluator) RedundancyOpt(mapping []int) (*redundancy.Solution, error) {
 	st := e.st
-	st.stats.optRuns.Add(1)
+	st.stats.OptRuns++
 	key := string(appendInts(e.keyBuf[:0], mapping))
 	if sol, ok := st.opts.get(key); ok {
-		st.stats.optHits.Add(1)
+		st.stats.OptHits++
 		return sol, nil
 	}
 	// Cache miss: the full hardening search runs, with a fresh probe memo.
@@ -496,8 +465,6 @@ func (e *Evaluator) RedundancyOpt(mapping []int) (*redundancy.Solution, error) {
 		obs.Bool("feasible", sol.Reliable && sol.Schedulable),
 	)
 	sp.End()
-	if ev := st.opts.put(key, sol); ev > 0 {
-		st.stats.evictions.Add(ev)
-	}
+	st.stats.Evictions += st.opts.put(key, sol)
 	return sol, nil
 }

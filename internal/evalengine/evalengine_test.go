@@ -457,7 +457,7 @@ func TestCachesHoldNoSchedules(t *testing.T) {
 		}
 		check(fmt.Sprintf("search %d probe-memo", i), ev.memo)
 	}
-	opts := ev.st.opts.snapshotMap()
+	opts := ev.st.opts.m
 	if len(opts) != len(sweep) {
 		t.Fatalf("sweep cached %d opt results for %d mappings", len(opts), len(sweep))
 	}

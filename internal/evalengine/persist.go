@@ -1,6 +1,8 @@
 package evalengine
 
 import (
+	"maps"
+
 	"repro/internal/appmodel"
 	"repro/internal/evalcache"
 	"repro/internal/platform"
@@ -79,24 +81,9 @@ func formatFingerprint(p redundancy.Problem, format int) (string, bool) {
 	return fp, true
 }
 
-// snapshotMap copies the cache's entries into a plain map for
-// serialization.
-func (c *solCache) snapshotMap() map[string]*redundancy.Solution {
-	out := make(map[string]*redundancy.Solution, c.size())
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		for k, v := range sh.m {
-			out[k] = v
-		}
-		sh.mu.RUnlock()
-	}
-	return out
-}
-
-// seed inserts previously persisted entries, honoring the shard caps
-// (overflow beyond the cap is silently not seeded — the disk file may
-// accumulate more history than the in-memory backstop admits).
+// seed inserts previously persisted entries, honoring the cap (overflow
+// displaces resident entries — the disk file may accumulate more history
+// than the in-memory backstop admits).
 func (c *solCache) seed(m map[string]*redundancy.Solution) {
 	for k, v := range m {
 		c.put(k, v)
@@ -139,7 +126,7 @@ func (st *store) flushPersistent() error {
 	if st.persist == nil || st.persistFP == "" {
 		return nil
 	}
-	opts := st.opts.snapshotMap()
+	opts := maps.Clone(st.opts.m)
 	if len(opts) <= st.persistSeeded {
 		return nil
 	}
@@ -172,14 +159,3 @@ func (e *Evaluator) SetPersistent(c *evalcache.Cache) {
 // FlushPersistent writes entries computed since the last load to the disk
 // cache. No-op without SetPersistent.
 func (e *Evaluator) FlushPersistent() error { return e.st.flushPersistent() }
-
-// SetPersistent installs the disk-backed cache on the engine's shared
-// store; see Evaluator.SetPersistent. It must not be called while workers
-// are in use.
-func (c *Concurrent) SetPersistent(cache *evalcache.Cache) {
-	c.workers[0].SetPersistent(cache)
-}
-
-// FlushPersistent writes entries computed since the last load to the disk
-// cache. It must not be called while workers are in use.
-func (c *Concurrent) FlushPersistent() error { return c.st.flushPersistent() }

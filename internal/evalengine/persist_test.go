@@ -96,7 +96,7 @@ func TestPersistentWarmStart(t *testing.T) {
 
 // TestPersistentSetProblemFlushes pins the rebind lifecycle: moving to
 // another problem flushes the outgoing one's entries, and moving back
-// seeds them from disk again. The Concurrent engine shares the code path.
+// seeds them from disk again.
 func TestPersistentSetProblemFlushes(t *testing.T) {
 	pA, mA := persistProblem(t, 11)
 	pB, mB := persistProblem(t, 12)
@@ -105,25 +105,24 @@ func TestPersistentSetProblemFlushes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ce := NewConcurrent(pA, 2)
-	ce.SetPersistent(cache)
-	w := ce.Worker(0)
-	if _, err := w.RedundancyOpt(mA); err != nil {
+	ev := New(pA)
+	ev.SetPersistent(cache)
+	if _, err := ev.RedundancyOpt(mA); err != nil {
 		t.Fatal(err)
 	}
-	ce.SetProblem(pB) // flushes A's entries
+	ev.SetProblem(pB) // flushes A's entries
 	if cache.Stats().Saves == 0 {
 		t.Fatal("SetProblem did not flush the outgoing problem")
 	}
-	if _, err := w.RedundancyOpt(mB); err != nil {
+	if _, err := ev.RedundancyOpt(mB); err != nil {
 		t.Fatal(err)
 	}
-	ce.SetProblem(pA) // flushes B, loads A
-	ce.ResetStats()
-	if _, err := w.RedundancyOpt(mA); err != nil {
+	ev.SetProblem(pA) // flushes B, loads A
+	ev.ResetStats()
+	if _, err := ev.RedundancyOpt(mA); err != nil {
 		t.Fatal(err)
 	}
-	if s := ce.Stats(); s.ScheduleBuilds != 0 {
+	if s := ev.Stats(); s.ScheduleBuilds != 0 {
 		t.Fatalf("returning to a flushed problem rebuilt %d schedules", s.ScheduleBuilds)
 	}
 }
@@ -160,7 +159,7 @@ func TestPersistFormatGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cache.Save(fp1, &evalcache.Entry{Opts: stale(old.st.opts.snapshotMap())}); err != nil {
+	if err := cache.Save(fp1, &evalcache.Entry{Opts: stale(old.st.opts.m)}); err != nil {
 		t.Fatal(err)
 	}
 

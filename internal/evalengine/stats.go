@@ -2,21 +2,10 @@ package evalengine
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
 )
-
-// WorkerStats attributes a share of the engine-wide work to one worker of
-// a Concurrent engine.
-type WorkerStats struct {
-	// Evaluations counts Evaluate requests issued through this worker;
-	// CacheMisses of them computed the solution rather than finding it in
-	// the worker's probe memo.
-	Evaluations int64
-	CacheMisses int64
-}
 
 // Stats are the engine's instrumentation counters. All counters are
 // cumulative since the engine was created (or ResetStats). The zero value
@@ -53,14 +42,9 @@ type Stats struct {
 	// ReExecTime is the wall time spent in the SFP/re-execution layer
 	// (node analyses plus the greedy k-assignment); SchedTime is the wall
 	// time spent building schedules. Both cover probe-memo misses only —
-	// hits cost neither. With several workers the times are summed across
-	// goroutines, so they can exceed wall-clock elapsed time.
+	// hits cost neither.
 	ReExecTime time.Duration
 	SchedTime  time.Duration
-	// PerWorker attributes Evaluations/CacheMisses to the individual
-	// workers of a Concurrent engine (index = worker id). Empty on
-	// single-worker engines.
-	PerWorker []WorkerStats
 }
 
 // HitRate returns the probe-memo hit fraction in [0, 1].
@@ -93,13 +77,6 @@ func (s *Stats) Add(o Stats) {
 	s.Evictions += o.Evictions
 	s.ReExecTime += o.ReExecTime
 	s.SchedTime += o.SchedTime
-	if len(o.PerWorker) > len(s.PerWorker) {
-		s.PerWorker = append(s.PerWorker, make([]WorkerStats, len(o.PerWorker)-len(s.PerWorker))...)
-	}
-	for i, w := range o.PerWorker {
-		s.PerWorker[i].Evaluations += w.Evaluations
-		s.PerWorker[i].CacheMisses += w.CacheMisses
-	}
 }
 
 // Publish folds the counters into an obs.Registry under evalengine.*
@@ -122,10 +99,6 @@ func (s Stats) Publish(r *obs.Registry) {
 	r.Counter("evalengine.cache_evictions").Add(s.Evictions)
 	r.Counter("evalengine.reexec_ns").Add(int64(s.ReExecTime))
 	r.Counter("evalengine.sched_ns").Add(int64(s.SchedTime))
-	for i, w := range s.PerWorker {
-		r.Counter(fmt.Sprintf("evalengine.worker.%d.evaluations", i)).Add(w.Evaluations)
-		r.Counter(fmt.Sprintf("evalengine.worker.%d.cache_misses", i)).Add(w.CacheMisses)
-	}
 }
 
 // String renders the counters as the single-line summary printed by the
@@ -135,53 +108,4 @@ func (s Stats) String() string {
 		s.Evaluations, 100*s.HitRate(), s.OptHits, s.OptRuns,
 		s.ScheduleBuilds, s.SFPHits, s.SFPHits+s.SFPBuilds,
 		s.ReExecTime.Round(time.Microsecond), s.SchedTime.Round(time.Microsecond))
-}
-
-// atomicStats is the concurrency-safe backing store of Stats: the same
-// counters as atomics, so workers of a Concurrent engine increment them
-// without coordination. snapshot renders a plain Stats for reporting;
-// Evaluations is not among them, since it lives in the store's liveCounts
-// where the live gauge reads it.
-type atomicStats struct {
-	cacheHits      atomic.Int64
-	cacheMisses    atomic.Int64
-	optRuns        atomic.Int64
-	optHits        atomic.Int64
-	scheduleBuilds atomic.Int64
-	sfpBuilds      atomic.Int64
-	sfpHits        atomic.Int64
-	invalidations  atomic.Int64
-	evictions      atomic.Int64
-	reExecNanos    atomic.Int64
-	schedNanos     atomic.Int64
-}
-
-func (a *atomicStats) snapshot() Stats {
-	return Stats{
-		CacheHits:      a.cacheHits.Load(),
-		CacheMisses:    a.cacheMisses.Load(),
-		OptRuns:        a.optRuns.Load(),
-		OptHits:        a.optHits.Load(),
-		ScheduleBuilds: a.scheduleBuilds.Load(),
-		SFPBuilds:      a.sfpBuilds.Load(),
-		SFPHits:        a.sfpHits.Load(),
-		Invalidations:  a.invalidations.Load(),
-		Evictions:      a.evictions.Load(),
-		ReExecTime:     time.Duration(a.reExecNanos.Load()),
-		SchedTime:      time.Duration(a.schedNanos.Load()),
-	}
-}
-
-func (a *atomicStats) reset() {
-	a.cacheHits.Store(0)
-	a.cacheMisses.Store(0)
-	a.optRuns.Store(0)
-	a.optHits.Store(0)
-	a.scheduleBuilds.Store(0)
-	a.sfpBuilds.Store(0)
-	a.sfpHits.Store(0)
-	a.invalidations.Store(0)
-	a.evictions.Store(0)
-	a.reExecNanos.Store(0)
-	a.schedNanos.Store(0)
 }

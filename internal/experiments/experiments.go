@@ -66,12 +66,6 @@ type Config struct {
 	// Workers bounds the parallelism across applications of a batch
 	// (0 = GOMAXPROCS).
 	Workers int
-	// RunWorkers is passed to core.Options.Workers: parallelism inside
-	// each design run (0 or 1 = sequential). Batch-level and in-run
-	// parallelism multiply; for full sweeps the batch dimension alone
-	// saturates the machine, so RunWorkers mainly serves single-run
-	// workloads (cmd/paperbench -run-workers, RuntimeStudy).
-	RunWorkers int
 	// MappingParams tunes the tabu search.
 	MappingParams mapping.Params
 	// Model selects the recovery-slack accounting for all runs.

@@ -342,27 +342,3 @@ func TestAcceptanceStatsFailFast(t *testing.T) {
 		t.Errorf("%d of %d jobs started after the first failure", started, cfg.Apps)
 	}
 }
-
-// TestAcceptanceRunWorkers: in-run parallelism yields the same acceptance
-// rates as the sequential per-run path.
-func TestAcceptanceRunWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the batch twice")
-	}
-	pt := Point{SER: 1e-11, HPD: 25, ArC: 20}
-	want, err := Acceptance(context.Background(), tinyConfig(), pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := tinyConfig()
-	cfg.RunWorkers = 3
-	got, err := Acceptance(context.Background(), cfg, pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s, rate := range want {
-		if got[s] != rate {
-			t.Errorf("%s: rate %v with RunWorkers, want %v", s, got[s], rate)
-		}
-	}
-}

@@ -308,7 +308,6 @@ func (c Config) options(a app, s core.Strategy) core.Options {
 		Strategy:      s,
 		Model:         c.Model,
 		MappingParams: c.MappingParams,
-		Workers:       c.RunWorkers,
 		ParentSpan:    a.span,
 		Metrics:       c.Metrics,
 		Progress:      c.Progress,

@@ -78,8 +78,6 @@ type Spec struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Workers bounds batch parallelism across applications (0 = cores).
 	Workers int `json:"workers,omitempty"`
-	// RunWorkers parallelizes inside each design run (results identical).
-	RunWorkers int `json:"run_workers,omitempty"`
 	// AppTimeout is the per-application deadline (0 = none).
 	AppTimeout time.Duration `json:"app_timeout,omitempty"`
 	// Markdown renders tables as Markdown instead of ASCII.

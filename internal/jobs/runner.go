@@ -32,8 +32,7 @@ func runFigure(ctx context.Context, j *Job, rowJ *runstate.Journal) (Artifacts, 
 	spec := j.spec
 	cfg := experiments.Config{
 		Apps: spec.Apps, Procs: spec.Procs, Seed: spec.Seed,
-		Workers: spec.Workers, RunWorkers: spec.RunWorkers,
-		AppTimeout: spec.AppTimeout,
+		Workers: spec.Workers, AppTimeout: spec.AppTimeout,
 		ShardIndex: spec.ShardIndex, ShardCount: spec.ShardCount,
 		Metrics: j.obs.Metrics, Progress: j.obs.Progress, Log: j.obs.Log,
 		Events: j.obs.Events,
@@ -116,9 +115,8 @@ func MergeShards(ctx context.Context, spec Spec, dir string, inst Instruments, o
 	}
 	cfg := experiments.Config{
 		Apps: base.Apps, Procs: base.Procs, Seed: base.Seed,
-		Workers: base.Workers, RunWorkers: base.RunWorkers,
-		AppTimeout: base.AppTimeout,
-		Journal:    rows,
+		Workers: base.Workers, AppTimeout: base.AppTimeout,
+		Journal: rows,
 		// ShardIndex -1 owns every row; RequireJournaled turns any row that
 		// is not in the merged store into an error attributing the
 		// incomplete shard instead of a recomputation.
@@ -222,7 +220,7 @@ func renderFigure(ctx context.Context, spec Spec, cfg experiments.Config, inst I
 	case "6d":
 		err = table(experiments.Fig6d)
 	case "cc":
-		err = runCC(ctx, &buf, render, spec.RunWorkers, span, inst.Metrics, inst.Progress, lg)
+		err = runCC(ctx, &buf, render, span, inst.Metrics, inst.Progress, lg)
 	case "runtime":
 		err = renderResult(experiments.RuntimeStudy(ctx, cfg, 1e-11, 25))
 	case "simulation":
@@ -269,7 +267,7 @@ func runAblation(ctx context.Context, w io.Writer, cfg experiments.Config,
 // lg are the optional observability hooks (nil disables each): the three
 // design runs nest under span, fold their counters into reg, tick the
 // "cc.strategies" progress phase and log per-run records.
-func runCC(ctx context.Context, w io.Writer, render func(*experiments.Table) error, runWorkers int, span *obs.Span, reg *obs.Registry, prog *obs.Progress, lg *obs.Logger) error {
+func runCC(ctx context.Context, w io.Writer, render func(*experiments.Table) error, span *obs.Span, reg *obs.Registry, prog *obs.Progress, lg *obs.Logger) error {
 	inst, err := cc.Instance()
 	if err != nil {
 		return err
@@ -287,7 +285,7 @@ func runCC(ctx context.Context, w io.Writer, render func(*experiments.Table) err
 	var lines []strategyStats
 	for _, s := range []core.Strategy{core.MIN, core.MAX, core.OPT} {
 		res, err := core.RunContext(ctx, inst.App, inst.Platform, core.Options{
-			Goal: inst.Goal, Strategy: s, Workers: runWorkers,
+			Goal: inst.Goal, Strategy: s,
 			ParentSpan: span, Metrics: reg, Progress: prog, Log: lg,
 		})
 		if err != nil {
@@ -331,7 +329,7 @@ func runDesign(ctx context.Context, spec Spec, inst Instruments) (Artifacts, err
 	if err != nil {
 		return nil, err
 	}
-	opts := core.Options{Goal: doc.Goal(), MaxCost: spec.MaxCost, Workers: spec.RunWorkers,
+	opts := core.Options{Goal: doc.Goal(), MaxCost: spec.MaxCost,
 		Metrics: inst.Metrics, Progress: inst.Progress, Log: inst.Log}
 	switch spec.Strategy {
 	case "", "OPT":

@@ -112,43 +112,3 @@ func TestOptimizeContextMidSearchDeterministicPartial(t *testing.T) {
 		t.Error("partial result beats the full search — trajectories diverged")
 	}
 }
-
-// TestOptimizeConcurrentContextCanceled: the worker-pool path honors
-// cancellation too, draining the pool and returning the best-so-far
-// partial instead of hanging or dropping it.
-func TestOptimizeConcurrentContextCanceled(t *testing.T) {
-	ce := evalengine.NewConcurrent(fig1Problem(), 4)
-	res, err := OptimizeConcurrentContext(newCancelAfter(3), ce, nil, ScheduleLength, Params{})
-	if !errors.Is(err, runctl.ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-	if res == nil || res.Solution == nil {
-		t.Fatal("canceled concurrent search returned no partial result")
-	}
-}
-
-// TestWorkerPanicContained: a panic inside one evalengine worker must
-// come back as a *runctl.PanicError from the optimization — the other
-// workers drain, nothing crashes, and the error names the worker.
-func TestWorkerPanicContained(t *testing.T) {
-	var fired atomic.Bool
-	testWorkerHook = func(wid int, trial []int) {
-		if fired.CompareAndSwap(false, true) {
-			panic("injected evaluator fault")
-		}
-	}
-	defer func() { testWorkerHook = nil }()
-
-	ce := evalengine.NewConcurrent(fig1Problem(), 4)
-	_, err := OptimizeConcurrentContext(context.Background(), ce, nil, ScheduleLength, Params{})
-	var pe *runctl.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v (%T), want *runctl.PanicError", err, err)
-	}
-	if pe.Value != "injected evaluator fault" {
-		t.Errorf("panic value %v", pe.Value)
-	}
-	if len(pe.Stack) == 0 {
-		t.Error("no stack captured")
-	}
-}

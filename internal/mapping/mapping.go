@@ -22,7 +22,6 @@ package mapping
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 
@@ -129,7 +128,7 @@ func lessObj(a, b [3]float64) bool {
 //
 // Optimize is not cancellable; long-running callers use OptimizeContext.
 func Optimize(ev *evalengine.Evaluator, initial []int, cf CostFunction, params Params) (*Result, error) {
-	return optimize(context.Background(), ev, nil, initial, cf, params)
+	return OptimizeContext(context.Background(), ev, initial, cf, params)
 }
 
 // OptimizeContext is Optimize with cooperative cancellation: the context
@@ -139,17 +138,6 @@ func Optimize(ev *evalengine.Evaluator, initial []int, cf CostFunction, params P
 // best solution found so far (at minimum the fully evaluated initial
 // mapping, never nil) together with an error wrapping runctl.ErrCanceled.
 func OptimizeContext(ctx context.Context, ev *evalengine.Evaluator, initial []int, cf CostFunction, params Params) (*Result, error) {
-	return optimize(ctx, ev, nil, initial, cf, params)
-}
-
-// optimize is the tabu search with a pluggable neighborhood evaluator:
-// batch, when non-nil, evaluates one iteration's trial mappings (possibly
-// out of order, possibly concurrently) and returns their solutions
-// indexed like the trials. The search builds the trial list, the
-// solutions, and the winner selection in the exact order of the
-// sequential path, so any batch that returns the same solutions yields
-// the identical trajectory (see OptimizeConcurrent).
-func optimize(ctx context.Context, ev *evalengine.Evaluator, batch func([][]int) ([]*redundancy.Solution, error), initial []int, cf CostFunction, params Params) (*Result, error) {
 	params = params.withDefaults()
 	p := ev.Problem()
 	n := p.App.NumProcesses()
@@ -259,58 +247,42 @@ func optimize(ctx context.Context, ev *evalengine.Evaluator, batch func([][]int)
 		cands := criticalPath(pred, cur, curSol)
 		// The iteration's neighborhood, in the canonical order (critical
 		// path × target nodes). Selection below scans the same order with
-		// a strict-less comparator, so it picks the same winner whether
-		// the solutions were computed here one by one or by a batch.
-		var trials [][]int
+		// a strict-less comparator.
 		var moves []move
 		for _, pid := range cands {
 			for j := 0; j < numNodes; j++ {
-				if j == cur[pid] {
-					continue
+				if j != cur[pid] {
+					moves = append(moves, move{pid: pid, node: j})
 				}
-				trial := append([]int(nil), cur...)
-				trial[pid] = j
-				trials = append(trials, trial)
-				moves = append(moves, move{pid: pid, node: j})
 			}
 		}
-		if len(trials) == 0 {
+		if len(moves) == 0 {
 			break // no candidates (empty critical path)
 		}
-		evals += len(trials)
+		evals += len(moves)
 		iterCtr.Add(1)
-		moveCtr.Add(int64(len(trials)))
+		moveCtr.Add(int64(len(moves)))
 		iterPh.Add(1)
 		iterSpan := span.Child("iteration",
 			obs.Int("iter", iter),
 			obs.Int("critical_path", len(cands)),
-			obs.Int("neighborhood", len(trials)))
+			obs.Int("neighborhood", len(moves)))
 		ev.SetTraceSpan(iterSpan)
-		var sols []*redundancy.Solution
-		if batch != nil && len(trials) > 1 {
-			sols, err = batch(trials)
-		} else {
-			sols = make([]*redundancy.Solution, len(trials))
-			for i := range trials {
-				if sols[i], err = ev.RedundancyOpt(trials[i]); err != nil {
-					break
-				}
+		// The engine copies the mappings it keys on, so one trial slice,
+		// restored after each move, serves the whole neighbourhood.
+		trial := append([]int(nil), cur...)
+		for i := range moves {
+			mv := &moves[i]
+			trial[mv.pid] = mv.node
+			mv.sol, err = ev.RedundancyOpt(trial)
+			trial[mv.pid] = cur[mv.pid]
+			if err != nil {
+				break
 			}
 		}
 		ev.SetTraceSpan(span)
 		if err != nil {
 			iterSpan.End()
-			// A batch interrupted by cancellation still owes the caller the
-			// best-so-far partial result; a genuine evaluation failure does
-			// not (there is no trustworthy solution to return).
-			if errors.Is(err, runctl.ErrCanceled) {
-				reg.Counter("mapping.canceled").Add(1)
-				span.SetAttr(obs.Bool("canceled", true))
-				if derr := done(); derr != nil {
-					return nil, derr
-				}
-				return best, fmt.Errorf("mapping: canceled at iteration %d: %w", iter, err)
-			}
 			return nil, err
 		}
 		// Move ordering: objective first, then the waiting priority of
@@ -331,7 +303,6 @@ func optimize(ctx context.Context, ev *evalengine.Evaluator, batch func([][]int)
 		var bestAny, bestNonTabu *move
 		for i := range moves {
 			mv := &moves[i]
-			mv.sol = sols[i]
 			mv.obj = objective(cf, mv.sol)
 			if bestAny == nil || lessMove(mv, bestAny) {
 				bestAny = mv

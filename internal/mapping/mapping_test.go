@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/appmodel"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/paper"
 	"repro/internal/platform"
 	"repro/internal/redundancy"
+	"repro/internal/sched"
 	"repro/internal/sfp"
 	"repro/internal/ttp"
 )
@@ -213,5 +215,90 @@ func TestOptimizeTwoGraphApplication(t *testing.T) {
 	}
 	if !res.Solution.Feasible() {
 		t.Error("two independent 2-chains should easily be feasible")
+	}
+}
+
+// assertSameResult fails unless the two optimization results are
+// bit-identical in mapping, evaluation count, and every solution field
+// the design strategy consumes.
+func assertSameResult(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	if len(got.Mapping) != len(want.Mapping) {
+		t.Fatalf("%s: mapping sizes %d vs %d", label, len(got.Mapping), len(want.Mapping))
+	}
+	for i := range got.Mapping {
+		if got.Mapping[i] != want.Mapping[i] {
+			t.Fatalf("%s: mapping %v, want %v", label, got.Mapping, want.Mapping)
+		}
+	}
+	if got.Evaluations != want.Evaluations {
+		t.Errorf("%s: evaluations %d, want %d", label, got.Evaluations, want.Evaluations)
+	}
+	gs, ws := got.Solution, want.Solution
+	if gs.Feasible() != ws.Feasible() {
+		t.Errorf("%s: feasible %v, want %v", label, gs.Feasible(), ws.Feasible())
+	}
+	if math.Float64bits(gs.Cost) != math.Float64bits(ws.Cost) {
+		t.Errorf("%s: cost %v, want %v", label, gs.Cost, ws.Cost)
+	}
+	if math.Float64bits(gs.Schedule.Length) != math.Float64bits(ws.Schedule.Length) {
+		t.Errorf("%s: SL %v, want %v", label, gs.Schedule.Length, ws.Schedule.Length)
+	}
+	for i := range ws.Levels {
+		if gs.Levels[i] != ws.Levels[i] {
+			t.Errorf("%s: levels %v, want %v", label, gs.Levels, ws.Levels)
+			break
+		}
+	}
+	for i := range ws.Ks {
+		if gs.Ks[i] != ws.Ks[i] {
+			t.Errorf("%s: ks %v, want %v", label, gs.Ks, ws.Ks)
+			break
+		}
+	}
+}
+
+// TestCriticalPathWorstCaseArrival is the regression test for the silent
+// truncation: under the per-process slack model a successor's start is
+// fixed by the predecessor's worst-case (recovery-inclusive) finish, the
+// exact fault-free-arrival match fails, and a first-on-its-node process
+// has no schedule predecessor — the old walk stopped there. The walk must
+// fall back to the latest-arriving predecessor and reach the source.
+func TestCriticalPathWorstCaseArrival(t *testing.T) {
+	b := appmodel.NewBuilder("worst-case-arrival")
+	b.Graph("G", 1000)
+	a := b.Process("A", 10)
+	bb := b.Process("B", 10)
+	b.Edge("e", a, bb, 4)
+	app := b.MustBuild()
+	app.Procs[a].Mu = 5
+	pl := paper.Fig1Platform()
+	ar := platform.NewArchitecture([]*platform.Node{&pl.Nodes[0], &pl.Nodes[1]})
+	mapping := []int{0, 1}
+
+	// No bus and per-process slack: B's arrival is A's worst-case finish
+	// (finish + k×(wcet+μ)), while the matcher's fault-free candidates are
+	// A's finish (no message end is recorded without a bus).
+	s, err := sched.Build(sched.Input{
+		App:     app,
+		Arch:    ar,
+		Mapping: mapping,
+		Ks:      []int{1, 1},
+		Model:   sched.SlackPerProcess,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Start[bb] <= s.Finish[a] {
+		t.Fatalf("precondition failed: B starts at %v, not after A's fault-free finish %v",
+			s.Start[bb], s.Finish[a])
+	}
+
+	path := criticalPath(app.Predecessors(), mapping, &redundancy.Solution{Schedule: s})
+	if len(path) != 2 {
+		t.Fatalf("critical path %v: want [B A] — the walk truncated", path)
+	}
+	if path[0] != bb || path[1] != a {
+		t.Errorf("critical path %v, want [%d %d]", path, bb, a)
 	}
 }

@@ -26,8 +26,8 @@
 // A Tracer may be shared by any number of goroutines: starting children,
 // ending spans and exporting are all guarded by one mutex. An individual
 // Span is owned by the goroutine that started it — SetAttr must not race
-// with End — which matches how the search stack hands per-worker spans to
-// per-worker evaluators.
+// with End — which matches how a sweep hands each application's spans to
+// the goroutine that designs it.
 //
 // # Chrome trace_event mapping
 //

@@ -1,6 +1,7 @@
 package policyopt
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/appmodel"
@@ -13,7 +14,10 @@ import (
 	"repro/internal/ttp"
 )
 
-func fig1Problem() Problem {
+// fig4aSetup is the Fig. 4a configuration: N1² and N2², P1/P2 on N1 and
+// P3/P4 on N2, under the Fig. 1 goal on the TTP bus, with cheap
+// checkpoints.
+func fig4aSetup() Problem {
 	pl := paper.Fig1Platform()
 	ar := platform.NewArchitecture([]*platform.Node{&pl.Nodes[0], &pl.Nodes[1]})
 	ar.Levels = []int{2, 2}
@@ -31,6 +35,12 @@ func allPolicy(n int, pol Policy) *Assignment {
 	return NewAssignment(n, pol, replication.Assignment{})
 }
 
+// evaluate runs the policy evaluation of p with the replicated processes
+// on replication and every other process on pol.
+func evaluate(p Problem, pol Policy, replicas replication.Assignment) (*Solution, error) {
+	return Evaluate(p, NewAssignment(p.App.NumProcesses(), pol, replicas))
+}
+
 func TestPolicyString(t *testing.T) {
 	if ReExecution.String() != "re-execution" ||
 		Checkpointing.String() != "checkpointing" ||
@@ -46,7 +56,7 @@ func TestPolicyString(t *testing.T) {
 // the solution matches the redundancy baseline (Fig. 4a: k=(1,1),
 // 340 ms).
 func TestEvaluateAllReExecution(t *testing.T) {
-	p := fig1Problem()
+	p := fig4aSetup()
 	sol, err := Evaluate(p, allPolicy(4, ReExecution))
 	if err != nil {
 		t.Fatal(err)
@@ -67,9 +77,11 @@ func TestEvaluateAllReExecution(t *testing.T) {
 	}
 }
 
-// TestEvaluateAllCheckpointing beats the re-execution baseline.
+// TestEvaluateAllCheckpointing beats the re-execution baseline: with
+// cheap checkpoints the recovery quantum shrinks from a whole process to
+// one segment.
 func TestEvaluateAllCheckpointing(t *testing.T) {
-	p := fig1Problem()
+	p := fig4aSetup()
 	sol, err := Evaluate(p, allPolicy(4, Checkpointing))
 	if err != nil {
 		t.Fatal(err)
@@ -80,12 +92,58 @@ func TestEvaluateAllCheckpointing(t *testing.T) {
 	if sol.Schedule.Length >= 340 {
 		t.Errorf("length = %v, want < 340", sol.Schedule.Length)
 	}
+	usedSegments := false
+	for _, n := range sol.Plan.Segments {
+		if n > 1 {
+			usedSegments = true
+		}
+	}
+	if !usedSegments {
+		t.Error("no process was checkpointed")
+	}
+}
+
+// TestExpensiveCheckpointsDegrade: with prohibitive overheads the planner
+// falls back to n = 1 (plain re-execution semantics).
+func TestExpensiveCheckpointsDegrade(t *testing.T) {
+	p := fig4aSetup()
+	p.Overheads = checkpoint.Overheads{Chi: 500, Alpha: 500}
+	sol, err := evaluate(p, Checkpointing, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pid, n := range sol.Plan.Segments {
+		if n != 1 {
+			t.Errorf("process %d: %d segments despite prohibitive overheads", pid, n)
+		}
+	}
+}
+
+// TestCheckpointingUnreachableGoal reports unreliable instead of looping,
+// and still schedules the configuration.
+func TestCheckpointingUnreachableGoal(t *testing.T) {
+	p := fig4aSetup()
+	p.Goal = sfp.Goal{Gamma: 1e-300, Tau: paper.Hour}
+	p.Bus = nil
+	sol, err := evaluate(p, Checkpointing, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Reliable {
+		t.Error("impossible goal reported reliable")
+	}
+	if sol.Feasible() {
+		t.Error("impossible goal reported feasible")
+	}
+	if sol.Schedule == nil {
+		t.Error("no schedule for the unreliable configuration")
+	}
 }
 
 // TestEvaluateMixed: one replicated process composes with checkpointing
 // on the rest.
 func TestEvaluateMixed(t *testing.T) {
-	p := fig1Problem()
+	p := fig4aSetup()
 	a := allPolicy(4, Checkpointing)
 	a.Policies[0] = Replication
 	a.Replicas[0] = []int{0, 1}
@@ -105,7 +163,7 @@ func TestEvaluateMixed(t *testing.T) {
 }
 
 func TestEvaluateValidation(t *testing.T) {
-	p := fig1Problem()
+	p := fig4aSetup()
 	// Policy says replication but no replica set.
 	a := allPolicy(4, ReExecution)
 	a.Policies[2] = Replication
@@ -128,13 +186,27 @@ func TestEvaluateValidation(t *testing.T) {
 	if _, err := Evaluate(bad, allPolicy(4, ReExecution)); err == nil {
 		t.Error("want error for invalid goal")
 	}
+	// Bad mapping.
+	bad = fig4aSetup()
+	bad.Mapping = []int{9, 9, 9, 9}
+	if _, err := evaluate(bad, Checkpointing, nil); err == nil {
+		t.Error("want error for invalid mapping")
+	}
+	// A node whose selected level has no h-version is an error even when
+	// no process is mapped to it.
+	bad = fig4aSetup()
+	bad.Mapping = []int{0, 0, 0, 0}
+	bad.Arch.Levels[1] = 7
+	if _, err := evaluate(bad, Checkpointing, nil); err == nil {
+		t.Error("want error for a node without a selected version")
+	}
 }
 
 // TestOptimizeNeverWorseThanCheckpointing: the greedy starts from the
 // all-checkpointing assignment, so its result can only be equal or
 // better.
 func TestOptimizeNeverWorseThanCheckpointing(t *testing.T) {
-	p := fig1Problem()
+	p := fig4aSetup()
 	base, err := Evaluate(p, allPolicy(4, Checkpointing))
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +312,7 @@ func TestNewAssignment(t *testing.T) {
 // schedule, and the system failure probability covers the
 // all-replicas-fail term.
 func TestEvaluateUnreliableKeepsSchedule(t *testing.T) {
-	p := fig1Problem()
+	p := fig4aSetup()
 	p.Goal = sfp.Goal{Gamma: 1e-300, Tau: paper.Hour}
 	a := NewAssignment(4, ReExecution, replication.Assignment{1: {0, 1}})
 	sol, err := Evaluate(p, a)
@@ -275,6 +347,147 @@ func TestBetterRanking(t *testing.T) {
 	for i, c := range cases {
 		if got := better(c.a, c.b); got != c.want {
 			t.Errorf("case %d: better = %v, want %v", i, got, c.want)
+		}
+	}
+}
+
+// TestReplicatedProcessNeedsNoSlack: replicating P1 on both nodes removes
+// it from the re-execution analysis; its replicas never extend the
+// recovery quantum.
+func TestReplicatedProcessNeedsNoSlack(t *testing.T) {
+	sol, err := evaluate(fig4aSetup(), ReExecution, replication.Assignment{0: {0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sol.Reliable {
+		t.Fatal("should be reliable")
+	}
+	// The expanded application has one clone.
+	if len(sol.ReplicaOf) != 5 {
+		t.Fatalf("expanded to %d processes, want 5", len(sol.ReplicaOf))
+	}
+	if sol.ReplicaOf[4] != 0 {
+		t.Errorf("clone of process %d, want 0", sol.ReplicaOf[4])
+	}
+	// The all-replicas-fail term for P1: 1.2e-5 (on N1^2) × 1e-5 (on
+	// N2^2) ≈ 1.2e-10, far below the per-node re-execution residuals, so
+	// k = 1 per node still suffices.
+	if sol.Ks[0] != 1 || sol.Ks[1] != 1 {
+		t.Errorf("ks = %v", sol.Ks)
+	}
+}
+
+// TestReplicationReliabilityMath: with every process replicated on both
+// nodes, no re-executions are needed at all, and the system failure
+// probability is the union of the per-process products.
+func TestReplicationReliabilityMath(t *testing.T) {
+	sol, err := evaluate(fig4aSetup(), ReExecution, replication.Assignment{
+		0: {0, 1}, 1: {0, 1}, 2: {1, 0}, 3: {1, 0},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sol.Reliable {
+		t.Fatal("full replication should be reliable")
+	}
+	if sol.Ks[0] != 0 || sol.Ks[1] != 0 {
+		t.Errorf("ks = %v, want zeros (nothing to re-execute)", sol.Ks)
+	}
+	// Union of the four pairwise products (each ≈ 1e-10, rounded up to
+	// the 1e-11 grid).
+	expected := 0.0
+	pairs := [][2]float64{
+		{1.2e-5, 1e-5}, {1.3e-5, 1.2e-5}, {1.2e-5, 1.4e-5}, {1.3e-5, 1.6e-5},
+	}
+	for _, pr := range pairs {
+		v := math.Ceil(pr[0]*pr[1]*1e11) / 1e11
+		expected = expected + v - expected*v
+	}
+	expected = math.Ceil(expected*1e11) / 1e11
+	if math.Abs(sol.SystemFailureProb-expected) > 1e-11 {
+		t.Errorf("system failure %.3g, want %.3g", sol.SystemFailureProb, expected)
+	}
+}
+
+// TestReplicationCostsBusAndTime: replicas consume processor time; the
+// schedule grows relative to no replication on the same mapping when the
+// replicated process is off the recovery-critical node.
+func TestReplicationCostsBusAndTime(t *testing.T) {
+	base, err := evaluate(fig4aSetup(), ReExecution, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repl, err := evaluate(fig4aSetup(), ReExecution, replication.Assignment{1: {0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// P2's replica loads node N2 and duplicates message m3: the fault-free
+	// load strictly grows, even though the slack may shrink.
+	var baseLoad, replLoad float64
+	for pid := range base.Schedule.Finish {
+		baseLoad += base.Schedule.Finish[pid] - base.Schedule.Start[pid]
+	}
+	for pid := range repl.Schedule.Finish {
+		replLoad += repl.Schedule.Finish[pid] - repl.Schedule.Start[pid]
+	}
+	if replLoad <= baseLoad {
+		t.Errorf("replication did not add load: %v vs %v", replLoad, baseLoad)
+	}
+}
+
+// TestExpandPreservesDeadlines: clones belong to the original's graph and
+// deadlines are checked for them too.
+func TestExpandPreservesDeadlines(t *testing.T) {
+	sol, err := evaluate(fig4aSetup(), ReExecution, replication.Assignment{3: {1, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sol.Schedule.WorstFinish) != 5 {
+		t.Fatalf("expanded schedule covers %d processes", len(sol.Schedule.WorstFinish))
+	}
+	// Feasibility implies the clone met the 360 ms deadline as well.
+	if sol.Schedulable {
+		for pid, wf := range sol.Schedule.WorstFinish {
+			if wf > paper.Fig1Deadline {
+				t.Errorf("process %d worst finish %v beyond deadline yet schedulable", pid, wf)
+			}
+		}
+	}
+}
+
+// TestReplicationUnreachableGoal: if even full replication cannot reach an
+// absurd goal, the evaluation reports unreliable.
+func TestReplicationUnreachableGoal(t *testing.T) {
+	p := fig4aSetup()
+	p.Goal = sfp.Goal{Gamma: 1e-300, Tau: paper.Hour}
+	replicas := replication.Assignment{0: {0, 1}}
+	sol, err := evaluate(p, ReExecution, replicas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Reliable {
+		t.Error("absurd goal reported reliable")
+	}
+	if sol.Schedule == nil {
+		t.Error("no schedule for the unreliable configuration")
+	}
+	// A replica node whose selected level has no h-version is an error.
+	p.Arch.Levels[1] = 7
+	if _, err := evaluate(p, ReExecution, replicas); err == nil {
+		t.Error("want error for a replica node without a selected version")
+	}
+}
+
+// TestReplicaOfIdentityForOriginals: the first NumProcesses entries map to
+// themselves.
+func TestReplicaOfIdentityForOriginals(t *testing.T) {
+	sol, err := evaluate(fig4aSetup(), ReExecution, replication.Assignment{2: {1, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pid := 0; pid < 4; pid++ {
+		if sol.ReplicaOf[pid] != appmodel.ProcID(pid) {
+			t.Errorf("original %d mapped to %d", pid, sol.ReplicaOf[pid])
 		}
 	}
 }

@@ -43,18 +43,6 @@ type Bus interface {
 	Reset()
 }
 
-// CloneableBus is a Bus whose booking state can be duplicated, giving
-// each goroutine of a parallel search its own bus to mutate. Clones share
-// the bus parameters (slot layout, timing) but no bookings; a fresh clone
-// is equivalent to a fresh bus. Buses that do not implement CloneableBus
-// limit the evaluation engine to a single worker.
-type CloneableBus interface {
-	Bus
-	// CloneBus returns an unbooked bus with the same parameters. A
-	// stateless bus may return itself.
-	CloneBus() Bus
-}
-
 // SlackModel selects how re-execution recovery time is accounted for.
 type SlackModel int
 

@@ -11,11 +11,7 @@
 // slot.
 package ttp
 
-import (
-	"fmt"
-
-	"repro/internal/sched"
-)
+import "fmt"
 
 // Bus is a TDMA bus over a fixed set of nodes. The zero value is not
 // usable; construct with NewBus.
@@ -107,13 +103,6 @@ func (b *Bus) roundAtOrAfter(srcNode int, ready float64) int {
 	return r
 }
 
-// CloneBus returns a fresh bus with the same slot layout and no
-// bookings, so parallel schedule builds each mutate their own TDMA state
-// (sched.CloneableBus).
-func (b *Bus) CloneBus() sched.Bus {
-	return NewBus(b.numNodes, b.slotLen)
-}
-
 // InstantBus is a degenerate bus on which every message is delivered
 // immediately with zero transmission time. It is used by tests and by the
 // analytical examples in which the paper abstracts communication away.
@@ -126,7 +115,3 @@ func (InstantBus) Schedule(srcNode int, ready float64) (start, end float64) {
 
 // Reset is a no-op.
 func (InstantBus) Reset() {}
-
-// CloneBus returns the bus itself: an InstantBus carries no booking
-// state, so it is trivially shareable (sched.CloneableBus).
-func (b InstantBus) CloneBus() sched.Bus { return b }
