@@ -5,7 +5,10 @@ import (
 
 	"repro/internal/paper"
 	"repro/internal/platform"
+	"repro/internal/policyopt"
 	"repro/internal/replication"
+	"repro/internal/sfp"
+	"repro/internal/ttp"
 )
 
 // fig1Problem is the Fig. 4a deployment (N1² and N2², P1/P2 on N1 and
@@ -42,5 +45,29 @@ func TestValidateRejects(t *testing.T) {
 				t.Error("want error")
 			}
 		})
+	}
+}
+
+// TestNoReplicationMatchesReExecution: an empty assignment must reproduce
+// the plain re-execution analysis (k = 1 per node on Fig. 4a).
+func TestNoReplicationMatchesReExecution(t *testing.T) {
+	p := fig1Problem()
+	pl := paper.Fig1Platform()
+	sol, err := policyopt.Evaluate(policyopt.Problem{
+		App: p.App, Arch: p.Arch, Mapping: p.Mapping,
+		Goal: sfp.Goal{Gamma: paper.Fig1Gamma, Tau: paper.Hour},
+		Bus:  ttp.NewBus(2, pl.Bus.SlotLen),
+	}, policyopt.NewAssignment(p.App.NumProcesses(), policyopt.ReExecution, replication.Assignment{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sol.Feasible() {
+		t.Fatal("Fig. 4a should be feasible")
+	}
+	if sol.Ks[0] != 1 || sol.Ks[1] != 1 {
+		t.Errorf("ks = %v, want [1 1]", sol.Ks)
+	}
+	if sol.Schedule.Length != 340 {
+		t.Errorf("length = %v, want 340 (the plain Fig. 4a schedule)", sol.Schedule.Length)
 	}
 }
