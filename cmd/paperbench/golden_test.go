@@ -8,6 +8,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
@@ -69,6 +70,46 @@ func TestGoldenCC(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "cc.golden", sb.String())
+}
+
+// TestTimingColumnsMeasured runs the cc and runtime figures unmasked. The
+// engine times its layers only under an instrument, and plain paperbench
+// attaches none, so these two figures attach their own; the OPT line's
+// reexec= and sched-time= and the OPT row's reexec and sched columns must
+// read above zero.
+func TestTimingColumnsMeasured(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs three full design strategies")
+	}
+	positive := func(what, s string) {
+		t.Helper()
+		if d, err := time.ParseDuration(s); err != nil || d <= 0 {
+			t.Errorf("%s = %q, want a positive duration", what, s)
+		}
+	}
+	var sb strings.Builder
+	if err := run(context.Background(), []string{"-fig", "cc"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`(?m)^OPT evaluator: .* reexec=(\S+) sched-time=(\S+)$`).FindStringSubmatch(sb.String())
+	if m == nil {
+		t.Fatalf("no OPT evaluator line in\n%s", sb.String())
+	}
+	positive("cc OPT reexec", m[1])
+	positive("cc OPT sched-time", m[2])
+
+	sb.Reset()
+	if err := run(context.Background(), []string{"-fig", "runtime", "-apps", "2", "-procs", "10"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 12 && f[1] == "OPT" {
+			positive("runtime OPT reexec", f[10])
+			positive("runtime OPT sched", f[11])
+			return
+		}
+	}
+	t.Fatalf("no OPT row in\n%s", sb.String())
 }
 
 // TestGoldenRuntime pins the runtime-study table shape and its

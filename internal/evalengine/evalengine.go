@@ -20,26 +20,29 @@
 //     level, mapped process set), so the combinatorial
 //     complete-homogeneous-polynomial setup of sfp.NewNode runs once per
 //     distinct configuration instead of once per probe;
-//   - a sched.Workspace, so schedule builds stop re-deriving adjacency and
+//   - a sched.Workspace, so schedule probes stop re-deriving adjacency and
 //     re-allocating scratch buffers on every probe;
+//   - the goal's reliability ceiling (sfp.Goal.MaxSystemFailure), computed
+//     once per SetProblem, so the allocator's goal test is one comparison;
 //   - instrumentation counters (evaluations, probe-memo hits and misses,
-//     schedule builds, SFP analyses, wall time per layer) so the effect of
-//     memoization is observable in the experiment reports rather than
-//     asserted.
+//     schedule builds, SFP analyses) so the effect of memoization is
+//     observable in the experiment reports rather than asserted. The wall
+//     time per layer (Stats.ReExecTime, SchedTime and the registry's
+//     histograms) is measured only while a trace span or a metrics
+//     registry is attached: an uninstrumented probe reads no clock.
 //
 // Probes are length-only. The searches rank a probe by feasibility, cost
-// and worst-case schedule length, so a memo miss builds its schedule
-// into the workspace, keeps Solution.Length and the schedulability
-// verdict, and lets the next build overwrite the schedule. Memoized and
-// cached solutions hold no schedule. A caller that walks a solution — the
-// tabu search reading the current solution's critical path, or returning
-// its best design — rebuilds the full schedule with Evaluator.Schedule.
+// and worst-case schedule length, so a memo miss runs sched.Probe, which
+// returns Solution.Length and the schedulability verdict and writes no
+// schedule. Memoized and cached solutions hold no schedule. A caller that
+// walks a solution — the tabu search reading the current solution's
+// critical path, or returning its best design — rebuilds the full
+// schedule with Evaluator.Schedule.
 //
 // Memoized and fresh evaluation are bit-identical: the engine delegates to
-// redundancy.ReExecutionOptAnalysis and sched.BuildInPlace, which run the
-// exact arithmetic of the uncached path, and Schedule rebuilds the
-// schedule redundancy.Evaluate builds (enforced by
-// TestEvaluatorMatchesFresh).
+// redundancy.ReExecutionOptAnalysis and sched.Probe, which run the exact
+// arithmetic of the uncached path, and Schedule rebuilds the schedule
+// redundancy.Evaluate builds (enforced by TestEvaluatorMatchesFresh).
 //
 // An Evaluator is a single-goroutine handle: its caches, probe memo and
 // scratch buffers (schedule workspace, key buffers, bus) are not safe for
@@ -77,6 +80,11 @@ const (
 type Evaluator struct {
 	prob   redundancy.Problem
 	period float64
+	// ceiling is the goal's reliability ceiling at period
+	// (sfp.Goal.MaxSystemFailure), computed once per SetProblem;
+	// ceilingErr is the goal's validation error, returned by every probe.
+	ceiling    float64
+	ceilingErr error
 
 	st *store // caches + instrumentation
 
@@ -94,6 +102,9 @@ type Evaluator struct {
 	// architecture and the analysis is consumed before the next call.
 	archBuf   *platform.Architecture
 	anodesBuf []*sfp.Node
+	// analysis is the per-probe SFP analysis over anodesBuf, consumed by
+	// the allocator before the next probe overwrites it.
+	analysis sfp.Analysis
 	// lastMapping/lastLevels memoize the previous analysisFor call: a
 	// hardening search probes many level vectors under one fixed mapping,
 	// so most per-node analyses are the ones already in anodesBuf and can
@@ -193,6 +204,7 @@ func (e *Evaluator) set(p redundancy.Problem) {
 	if p.App != nil {
 		e.period = p.App.EffectivePeriod()
 	}
+	e.ceiling, e.ceilingErr = p.Goal.MaxSystemFailure(e.period)
 	n := 0
 	if p.Arch != nil {
 		n = len(p.Arch.Nodes)
@@ -291,42 +303,56 @@ func (e *Evaluator) clearMemo() {
 
 // evaluate is the memo-miss path: the exact pipeline of
 // redundancy.Evaluate, with the SFP node analyses served from the node
-// cache and the schedule built into the reusable workspace. The search
-// only ranks the solution, so it keeps the schedule's length and verdict
-// and leaves the schedule itself in the workspace, to be overwritten by
-// the next build.
+// cache, the goal test against the precomputed reliability ceiling and a
+// length-only schedule probe on the reusable workspace. The search only
+// ranks the solution, so nothing else of the schedule is written. The
+// layers are timed only when a span or a registry will read the times.
 func (e *Evaluator) evaluate(mapping, levels []int) (*redundancy.Solution, error) {
-	p := &e.prob
-	start := time.Now()
+	if e.ceilingErr != nil {
+		return nil, e.ceilingErr
+	}
+	st := e.st
+	timed := e.span != nil || st.metrics != nil
+	var start time.Time
+	if timed {
+		start = time.Now()
+	}
 	analysis, err := e.analysisFor(mapping, levels)
 	if err != nil {
 		return nil, err
 	}
-	ks, reliable, err := redundancy.ReExecutionOptAnalysis(analysis, p.Goal, nil)
-	d := time.Since(start)
-	e.st.stats.ReExecTime += d
-	e.st.mReexec.Observe(d)
-	if err != nil {
-		return nil, err
+	// One allocation holds Levels and Ks; the allocator appends the counts
+	// into its second half.
+	m := len(levels)
+	buf := make([]int, m, 2*m)
+	copy(buf, levels)
+	ks, reliable := redundancy.ReExecutionOptAnalysis(buf[m:], analysis, e.ceiling, nil)
+	if timed {
+		now := time.Now()
+		d := now.Sub(start)
+		st.stats.ReExecTime += d
+		st.mReexec.Observe(d)
+		start = now
 	}
 	ar := e.archBuf
 	copy(ar.Levels, levels)
-	start = time.Now()
-	s, err := sched.BuildInPlace(e.input(mapping, ks), &e.ws)
-	d = time.Since(start)
-	e.st.stats.SchedTime += d
-	e.st.mSched.Observe(d)
+	length, schedulable, err := sched.Probe(e.input(mapping, ks), &e.ws)
+	if timed {
+		d := time.Since(start)
+		st.stats.SchedTime += d
+		st.mSched.Observe(d)
+	}
 	if err != nil {
 		return nil, err
 	}
-	e.st.stats.ScheduleBuilds++
+	st.stats.ScheduleBuilds++
 	return &redundancy.Solution{
-		Levels:      append([]int(nil), levels...),
+		Levels:      buf[:m:m],
 		Ks:          ks,
-		Length:      s.Length,
+		Length:      length,
 		Cost:        ar.Cost(),
 		Reliable:    reliable,
-		Schedulable: e.ws.Schedulable(s),
+		Schedulable: schedulable,
 	}, nil
 }
 
@@ -424,7 +450,8 @@ func (e *Evaluator) analysisFor(mapping, levels []int) (*sfp.Analysis, error) {
 	}
 	e.lastMapping = append(e.lastMapping[:0], mapping...)
 	e.lastLevels = append(e.lastLevels[:0], levels...)
-	return &sfp.Analysis{Nodes: anodes, Period: e.period}, nil
+	e.analysis = sfp.Analysis{Nodes: anodes, Period: e.period}
+	return &e.analysis, nil
 }
 
 // RedundancyOpt runs the full hardening/re-execution trade-off of Section

@@ -41,8 +41,10 @@ type Stats struct {
 	Evictions int64
 	// ReExecTime is the wall time spent in the SFP/re-execution layer
 	// (node analyses plus the greedy k-assignment); SchedTime is the wall
-	// time spent building schedules. Both cover probe-memo misses only —
-	// hits cost neither.
+	// time spent probing schedules. Both cover probe-memo misses only —
+	// hits cost neither — and are measured only while the evaluator has a
+	// trace span or a metrics registry attached; an uninstrumented probe
+	// reads no clock and leaves both at zero.
 	ReExecTime time.Duration
 	SchedTime  time.Duration
 }

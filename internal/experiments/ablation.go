@@ -136,9 +136,13 @@ func gradientKs(inst *taskgen.Instance) ([][]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, ok, err := redundancy.ReExecutionOptAnalysis(analysis, inst.Goal, nil)
-	if err != nil || !ok {
+	ceiling, err := inst.Goal.MaxSystemFailure(analysis.Period)
+	if err != nil {
 		return nil, err
+	}
+	g, ok := redundancy.ReExecutionOptAnalysis(nil, analysis, ceiling, nil)
+	if !ok {
+		return nil, nil
 	}
 	u, ok := uniformKs(analysis, inst.Goal)
 	if !ok {

@@ -214,10 +214,11 @@ func Evaluate(s *Spec, ar *platform.Architecture, mapping []int, goal sfp.Goal, 
 	if err != nil {
 		return nil, err
 	}
-	ks, reliable, err := redundancy.ReExecutionOptAnalysis(analysis, goal, nil)
+	ceiling, err := goal.MaxSystemFailure(analysis.Period)
 	if err != nil {
 		return nil, err
 	}
+	ks, reliable := redundancy.ReExecutionOptAnalysis(nil, analysis, ceiling, nil)
 
 	// Schedule the job set with releases; the scheduler needs WCET and
 	// failure tables indexed by job ID.

@@ -202,6 +202,11 @@ func Evaluate(p Problem, a *Assignment) (*Solution, error) {
 	var plan *checkpoint.Plan
 	var analysis *sfp.Analysis
 	reliable := false
+	// Every round's segment analysis runs at the application period.
+	ceiling, err := p.Goal.MaxSystemFailure(p.App.EffectivePeriod())
+	if err != nil {
+		return nil, err
+	}
 	for round := 0; round < 4; round++ {
 		if plan, err = planSegments(p, a, ks); err != nil {
 			return nil, err
@@ -209,10 +214,7 @@ func Evaluate(p Problem, a *Assignment) (*Solution, error) {
 		if analysis, err = segmentAnalysis(p, a, plan); err != nil {
 			return nil, err
 		}
-		next, ok, err := redundancy.ReExecutionOptAnalysis(analysis, p.Goal, fixed)
-		if err != nil {
-			return nil, err
-		}
+		next, ok := redundancy.ReExecutionOptAnalysis(nil, analysis, ceiling, fixed)
 		converged := slices.Equal(next, ks)
 		ks, reliable = next, ok
 		if !ok || converged {

@@ -107,16 +107,24 @@ func zeroTie(a *sfp.Analysis, goal sfp.Goal, path, refPath []int) bool {
 	return false
 }
 
+// allocate runs ReExecutionOptAnalysis under goal's reliability ceiling at
+// the analysis period.
+func allocate(t *testing.T, a *sfp.Analysis, goal sfp.Goal, fixed []float64) ([]int, bool) {
+	t.Helper()
+	ceiling, err := goal.MaxSystemFailure(a.Period)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ReExecutionOptAnalysis(nil, a, ceiling, fixed)
+}
+
 // checkAllocator compares ReExecutionOptAnalysis against both references
 // (the argmax form only without fixed terms) and reports any difference
 // in ks or verdict. With allowZeroTies, the argmax form may part from the
 // allocator at a zero-reliability tie; it returns whether it did.
 func checkAllocator(t *testing.T, name string, a *sfp.Analysis, goal sfp.Goal, fixed []float64, allowZeroTies bool) (tied bool) {
 	t.Helper()
-	ks, ok, err := ReExecutionOptAnalysis(a, goal, fixed)
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
+	ks, ok := allocate(t, a, goal, fixed)
 	wantKs, wantOK, path := refArgminUnion(a, goal, fixed)
 	if !reflect.DeepEqual(ks, wantKs) || ok != wantOK {
 		t.Errorf("%s: allocator ks=%v ok=%v, argmin-union reference ks=%v ok=%v", name, ks, ok, wantKs, wantOK)
@@ -232,10 +240,7 @@ func TestAllocatorZeroReliabilityTie(t *testing.T) {
 			t.Fatalf("reliability with ks=%v is %g, want a zero-reliability tie", ks, rel)
 		}
 	}
-	ks, ok, err := ReExecutionOptAnalysis(a, goal, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ks, ok := allocate(t, a, goal, nil)
 	if want := []int{1, 2, 2}; !reflect.DeepEqual(ks, want) || !ok {
 		t.Errorf("allocator ks=%v ok=%v, want %v true", ks, ok, want)
 	}

@@ -118,7 +118,12 @@ func ReExecutionOpt(app *appmodel.Application, ar *platform.Architecture, mappin
 	if err != nil {
 		return nil, false, err
 	}
-	return ReExecutionOptAnalysis(analysis, goal, nil)
+	ceiling, err := goal.MaxSystemFailure(analysis.Period)
+	if err != nil {
+		return nil, false, err
+	}
+	ks, ok := ReExecutionOptAnalysis(nil, analysis, ceiling, nil)
+	return ks, ok, nil
 }
 
 // ReExecutionOptAnalysis is the greedy k-assignment of ReExecutionOpt on a
@@ -127,26 +132,33 @@ func ReExecutionOpt(app *appmodel.Application, ar *platform.Architecture, mappin
 // its cached per-node analyses, and the recovery-policy extensions call it
 // on analyses over checkpoint segments or hyperperiod jobs.
 //
+// ceiling is the goal's reliability ceiling at the analysis period,
+// Goal.MaxSystemFailure(analysis.Period): the goal holds exactly when the
+// system failure probability is at most the ceiling. The counts are
+// appended to dst, one per node, and the extended slice is returned.
+//
 // fixed lists failure terms that no re-execution can lower, joined to the
 // per-node terms in the system failure union (formula 5) — replication's
 // all-replicas-fail products. nil means the paper's plain union.
-func ReExecutionOptAnalysis(analysis *sfp.Analysis, goal sfp.Goal, fixed []float64) ([]int, bool, error) {
-	if err := goal.Validate(); err != nil {
-		return nil, false, err
+func ReExecutionOptAnalysis(dst []int, analysis *sfp.Analysis, ceiling float64, fixed []float64) ([]int, bool) {
+	base := len(dst)
+	dst = append(dst, make([]int, len(analysis.Nodes))...)
+	ks := dst[base:]
+	// The failure vector stays on the stack for up to 16 terms.
+	var buf [16]float64
+	fails := buf[:0]
+	if nf := len(analysis.Nodes) + len(fixed); nf > len(buf) {
+		fails = make([]float64, 0, nf)
 	}
-	ks := make([]int, len(analysis.Nodes))
-	fails := make([]float64, len(analysis.Nodes)+len(fixed))
-	for j, n := range analysis.Nodes {
-		fails[j] = n.FailureProb(0)
+	for _, n := range analysis.Nodes {
+		fails = append(fails, n.FailureProb(0))
 	}
-	copy(fails[len(analysis.Nodes):], fixed)
+	fails = append(fails, fixed...)
 	// The goal test of Analysis.MeetsGoal, on the failure vector the
 	// greedy loop maintains anyway.
-	meets := func() bool {
-		return sfp.Reliability(sfp.SystemFailureProb(fails), analysis.Period, goal.Tau) >= goal.Rho()
-	}
+	meets := func() bool { return sfp.SystemFailureProb(fails) <= ceiling }
 	if meets() {
-		return ks, true, nil
+		return dst, true
 	}
 	for {
 		// Pick the increment with the lowest resulting union failure
@@ -171,12 +183,12 @@ func ReExecutionOptAnalysis(analysis *sfp.Analysis, goal sfp.Goal, fixed []float
 			}
 		}
 		if best < 0 {
-			return ks, false, nil // no increment helps; goal unreachable
+			return dst, false // no increment helps; goal unreachable
 		}
 		ks[best]++
 		fails[best] = analysis.Nodes[best].FailureProb(ks[best])
 		if meets() {
-			return ks, true, nil
+			return dst, true
 		}
 	}
 }

@@ -174,32 +174,24 @@ func (in *Input) Validate() error {
 }
 
 // Workspace caches per-application adjacency (predecessors, successors,
-// topological order, graph index) and reuses the scheduler's scratch
-// buffers across Build calls, so evaluation-heavy callers (package
-// evalengine) stop paying the per-build allocation cost. The zero value is
-// ready to use. A Workspace is bound to one application at a time and
-// assumes the application is not mutated while bound; it is not safe for
+// topological order, graph deadlines) and reuses the scheduler's scratch
+// buffers across builds, so evaluation-heavy callers (package evalengine)
+// stop paying the per-build allocation cost: a Probe on a workspace that
+// has grown to the application allocates nothing. The zero value is ready
+// to use. A Workspace is bound to one application at a time and assumes
+// the application is not mutated while bound; it is not safe for
 // concurrent use.
 type Workspace struct {
-	app  *appmodel.Application
-	pred [][]appmodel.Edge
-	succ [][]appmodel.Edge
-	topo []appmodel.ProcID
-	gi   []int
+	app      *appmodel.Application
+	pred     [][]appmodel.Edge
+	succ     [][]appmodel.Edge
+	topo     []appmodel.ProcID
+	deadline []float64 // per process: the deadline of its graph
 
 	wcet, prio, arrival, nodeAvail, maxRec []float64
 	unscheduled                            []int
 	ready                                  []appmodel.ProcID
-	nodeCount                              []int
-	absDeadline                            []float64
 	vers                                   []*platform.HVersion // per-node selected version, hoisted per build
-
-	// out is the workspace's own schedule, the destination of
-	// BuildInPlace; outF and outP back its arrays. Each in-place build
-	// overwrites them.
-	out  Schedule
-	outF []float64
-	outP []appmodel.ProcID
 }
 
 // bind points the workspace at app, recomputing the cached adjacency when
@@ -216,19 +208,11 @@ func (ws *Workspace) bind(app *appmodel.Application) error {
 	ws.topo = topo
 	ws.pred = app.Predecessors()
 	ws.succ = app.Successors()
-	ws.gi = app.GraphOf()
-	return nil
-}
-
-// Schedulable is Schedule.Schedulable against the workspace's bound
-// application, using the cached graph index.
-func (ws *Workspace) Schedulable(s *Schedule) bool {
-	for pid := range s.WorstFinish {
-		if s.WorstFinish[pid] > ws.app.Graphs[ws.gi[pid]].Deadline+1e-9 {
-			return false
-		}
+	ws.deadline = make([]float64, app.NumProcesses())
+	for pid, g := range app.GraphOf() {
+		ws.deadline[pid] = app.Graphs[g].Deadline
 	}
-	return true
+	return nil
 }
 
 // floats returns buf resized to n elements, all zero, growing the backing
@@ -257,37 +241,44 @@ func Build(in Input) (*Schedule, error) {
 // allocated and independent of the workspace. BuildInto(in, nil) is
 // exactly Build(in).
 func BuildInto(in Input, ws *Workspace) (*Schedule, error) {
-	return buildWith(in, ws, false)
-}
-
-// BuildInPlace is BuildInto with the workspace's own schedule as the
-// destination: it allocates nothing once the workspace has grown to the
-// application, and the next BuildInPlace on the same workspace overwrites
-// the schedule it returned. Callers that keep a schedule beyond that copy
-// what they need or rebuild it with BuildInto. The result is bit-identical
-// to BuildInto's.
-func BuildInPlace(in Input, ws *Workspace) (*Schedule, error) {
-	return buildWith(in, ws, true)
-}
-
-func buildWith(in Input, ws *Workspace, inPlace bool) (*Schedule, error) {
-	if err := in.Validate(); err != nil {
+	s := &Schedule{}
+	if _, _, err := buildWith(in, ws, s); err != nil {
 		return nil, err
+	}
+	return s, nil
+}
+
+// Probe runs the list scheduler of BuildInto and returns only the
+// worst-case schedule length and the schedulability verdict, each
+// bit-identical to BuildInto's Schedule.Length and Schedule.Schedulable.
+// It writes no schedule: the verdict is taken as each process commits, and
+// once the workspace has grown to the application a probe allocates
+// nothing.
+func Probe(in Input, ws *Workspace) (length float64, schedulable bool, err error) {
+	return buildWith(in, ws, nil)
+}
+
+// buildWith is the one list scheduler. It fills s when s is non-nil; a
+// probe (s == nil) keeps only the length and the verdict.
+func buildWith(in Input, ws *Workspace, s *Schedule) (length float64, schedulable bool, err error) {
+	if err := in.Validate(); err != nil {
+		return 0, false, err
 	}
 	if ws == nil {
 		ws = &Workspace{}
 	}
 	app := in.App
 	if err := ws.bind(app); err != nil {
-		return nil, err
+		return 0, false, err
 	}
 	n := app.NumProcesses()
 	// Hoist the per-node version lookup (a scan over the node's version
 	// list) out of the per-process loop: m lookups instead of n.
-	if cap(ws.vers) < len(in.Arch.Nodes) {
-		ws.vers = make([]*platform.HVersion, len(in.Arch.Nodes))
+	m := len(in.Arch.Nodes)
+	if cap(ws.vers) < m {
+		ws.vers = make([]*platform.HVersion, m)
 	}
-	vers := ws.vers[:len(in.Arch.Nodes)]
+	vers := ws.vers[:m]
 	for j := range vers {
 		vers[j] = in.Arch.Version(j)
 	}
@@ -324,32 +315,8 @@ func buildWith(in Input, ws *Workspace, inPlace bool) (*Schedule, error) {
 		bus.Reset()
 	}
 
-	// The schedule's three per-process and two per-edge arrays share one
-	// float buffer; NodeOrder gets a single spine sized from the mapping
-	// histogram. An in-place build writes into the workspace's own
-	// schedule, every other build into a fresh one.
-	m := len(in.Arch.Nodes)
-	ne := len(app.Edges)
-	if cap(ws.nodeCount) < m {
-		ws.nodeCount = make([]int, m)
-	}
-	counts := ws.nodeCount[:m]
-	for j := range counts {
-		counts[j] = 0
-	}
-	for _, j := range in.Mapping {
-		counts[j]++
-	}
-	var s *Schedule
-	if inPlace {
-		s = &ws.out
-		if cap(ws.outP) < n {
-			ws.outP = make([]appmodel.ProcID, n)
-		}
-		s.layout(floats(&ws.outF, 3*n+2*ne), ws.outP[:n], n, counts)
-	} else {
-		s = &Schedule{}
-		s.layout(make([]float64, 3*n+2*ne), make([]appmodel.ProcID, n), n, counts)
+	if s != nil {
+		s.layout(n, len(app.Edges), in.Mapping, m)
 	}
 
 	pred := ws.pred
@@ -381,15 +348,10 @@ func buildWith(in Input, ws *Workspace, inPlace bool) (*Schedule, error) {
 	// per-process model).
 	arrival := floats(&ws.arrival, n)
 
-	// Absolute deadlines, used by the EDF tie-break in release mode.
-	var absDeadline []float64
-	if in.Release != nil {
-		absDeadline = floats(&ws.absDeadline, n)
-		for pid := 0; pid < n; pid++ {
-			absDeadline[pid] = app.Graphs[ws.gi[pid]].Deadline
-		}
-	}
+	// Graph deadlines: the EDF tie-break in release mode and the verdict.
+	deadline := ws.deadline
 
+	schedulable = true
 	scheduled := 0
 	for head < len(ready) {
 		// Select the next process to commit. The comparators below are
@@ -413,7 +375,10 @@ func buildWith(in Input, ws *Workspace, inPlace bool) (*Schedule, error) {
 			// absolute deadline (EDF, which keeps tight early jobs ahead
 			// of long relaxed ones) and then by priority.
 			est := func(p appmodel.ProcID) float64 {
-				e := math.Max(arrival[p], nodeAvail[in.Mapping[p]])
+				e := arrival[p]
+				if a := nodeAvail[in.Mapping[p]]; a > e {
+					e = a
+				}
 				if in.Release[p] > e {
 					e = in.Release[p]
 				}
@@ -428,8 +393,8 @@ func buildWith(in Input, ws *Workspace, inPlace bool) (*Schedule, error) {
 					if ea < eb {
 						best, eb = i, ea
 					}
-				case absDeadline[a] != absDeadline[b]:
-					if absDeadline[a] < absDeadline[b] {
+				case deadline[a] != deadline[b]:
+					if deadline[a] < deadline[b] {
 						best, eb = i, ea
 					}
 				case prio[a] != prio[b]:
@@ -446,14 +411,21 @@ func buildWith(in Input, ws *Workspace, inPlace bool) (*Schedule, error) {
 		head++
 		j := in.Mapping[pid]
 
-		start := math.Max(arrival[pid], nodeAvail[j])
+		// arrival and nodeAvail are non-negative and never NaN, so a plain
+		// comparison is math.Max bit for bit.
+		start := arrival[pid]
+		if nodeAvail[j] > start {
+			start = nodeAvail[j]
+		}
 		if in.Release != nil && in.Release[pid] > start {
 			start = in.Release[pid]
 		}
 		finish := start + wcet[pid]
-		s.Start[pid] = start
-		s.Finish[pid] = finish
-		s.NodeOrder[j] = append(s.NodeOrder[j], pid)
+		if s != nil {
+			s.Start[pid] = start
+			s.Finish[pid] = finish
+			s.NodeOrder[j] = append(s.NodeOrder[j], pid)
+		}
 
 		rec := wcet[pid] + app.Procs[pid].Mu
 		if in.Recovery != nil {
@@ -474,11 +446,17 @@ func buildWith(in Input, ws *Workspace, inPlace bool) (*Schedule, error) {
 			// re-executions could have completed.
 			nodeAvail[j] = worst
 		default:
-			return nil, fmt.Errorf("sched: unknown slack model %d", in.Model)
+			return 0, false, fmt.Errorf("sched: unknown slack model %d", in.Model)
 		}
-		s.WorstFinish[pid] = worst
-		if worst > s.Length {
-			s.Length = worst
+		if s != nil {
+			s.WorstFinish[pid] = worst
+		}
+		if worst > length {
+			length = worst
+		}
+		// Schedule.Schedulable's test, taken as the process commits.
+		if worst > deadline[pid]+1e-9 {
+			schedulable = false
 		}
 
 		// Release successors, propagating data availability.
@@ -492,8 +470,10 @@ func buildWith(in Input, ws *Workspace, inPlace bool) (*Schedule, error) {
 				arr = departure
 			} else if bus != nil {
 				mstart, mend := bus.Schedule(j, departure)
-				s.MsgStart[e.ID] = mstart
-				s.MsgEnd[e.ID] = mend
+				if s != nil {
+					s.MsgStart[e.ID] = mstart
+					s.MsgEnd[e.ID] = mend
+				}
 				arr = mend
 			} else {
 				arr = departure
@@ -510,17 +490,20 @@ func buildWith(in Input, ws *Workspace, inPlace bool) (*Schedule, error) {
 	}
 	ws.ready = ready[:0]
 	if scheduled != n {
-		return nil, fmt.Errorf("sched: scheduled %d of %d processes (cycle?)", scheduled, n)
+		return 0, false, fmt.Errorf("sched: scheduled %d of %d processes (cycle?)", scheduled, n)
 	}
-	return s, nil
+	if s != nil {
+		s.Length = length
+	}
+	return length, schedulable, nil
 }
 
-// layout points the schedule's arrays into fbuf — three zeroed
-// per-process arrays followed by two per-edge arrays — and spine, marks
-// every message window NaN, resets Length and empties NodeOrder with room
-// for counts[j] processes on node j.
-func (s *Schedule) layout(fbuf []float64, spine []appmodel.ProcID, n int, counts []int) {
-	ne := (len(fbuf) - 3*n) / 2
+// layout allocates the schedule's arrays for n processes, ne edges and m
+// nodes: the three per-process and two per-edge arrays share one float
+// buffer, with every message window NaN, and NodeOrder gets a single
+// spine with room for the processes mapped on each node.
+func (s *Schedule) layout(n, ne int, mapping []int, m int) {
+	fbuf := make([]float64, 3*n+2*ne)
 	msg := fbuf[3*n:]
 	for i := range msg {
 		msg[i] = math.NaN()
@@ -530,15 +513,16 @@ func (s *Schedule) layout(fbuf []float64, spine []appmodel.ProcID, n int, counts
 	s.WorstFinish = fbuf[2*n : 3*n : 3*n]
 	s.MsgStart = msg[0:ne:ne]
 	s.MsgEnd = msg[ne : 2*ne : 2*ne]
-	if cap(s.NodeOrder) < len(counts) {
-		s.NodeOrder = make([][]appmodel.ProcID, len(counts))
+	counts := make([]int, m)
+	for _, j := range mapping {
+		counts[j]++
 	}
-	s.NodeOrder = s.NodeOrder[:len(counts)]
-	for j, off := 0, 0; j < len(counts); j++ {
+	spine := make([]appmodel.ProcID, n)
+	s.NodeOrder = make([][]appmodel.ProcID, m)
+	for j, off := 0, 0; j < m; j++ {
 		s.NodeOrder[j] = spine[off : off : off+counts[j]]
 		off += counts[j]
 	}
-	s.Length = 0
 }
 
 // busSlotEstimate returns the edge weight used in the priority function

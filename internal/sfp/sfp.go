@@ -233,6 +233,57 @@ func Reliability(sysFail, period, tau float64) float64 {
 	return prob.Clamp01(prob.FloorP(prob.PowSurvive(sysFail, iterations)))
 }
 
+// MaxSystemFailure returns the reliability ceiling of the goal at the
+// given application period: the largest per-iteration system failure
+// probability u on the 10^-11 grid of SystemFailureProb for which
+// Reliability(u, period, g.Tau) ≥ g.Rho(). So SystemFailureProb(f) ≤
+// MaxSystemFailure(T) decides formula (6) exactly, without a logarithm
+// or an exponential. It is −1 when not even u = 0 meets the goal (a
+// non-positive period) and 1 when every u does. The error is the goal's
+// Validate error.
+//
+// The boundary tick starts from the closed form (1 − u)^(τ/T) = ρ and is
+// settled against Reliability itself, so directed rounding and
+// floating-point noise cannot move it.
+func (g Goal) MaxSystemFailure(period float64) (float64, error) {
+	if err := g.Validate(); err != nil {
+		return 0, err
+	}
+	const ticks = int64(1e11) // 1 tick = 1e-11; u = 1 is the last tick
+	met := func(t int64) bool { return Reliability(clampTicks(t), period, g.Tau) >= g.Rho() }
+	if !met(0) {
+		return -1, nil
+	}
+	if met(ticks) {
+		return 1, nil
+	}
+	// Invariant: met(lo) and !met(hi). Gallop out from the closed-form
+	// estimate, then bisect.
+	lo, hi := int64(0), ticks
+	est := -math.Expm1(math.Log1p(-g.Gamma)*period/g.Tau) * 1e11
+	t := min(max(int64(est), lo), hi)
+	step := int64(1)
+	if met(t) {
+		for lo = t; lo+step < hi && met(lo+step); step *= 2 {
+			lo += step
+		}
+		hi = min(hi, lo+step)
+	} else {
+		for hi = t; hi-step > lo && !met(hi-step); step *= 2 {
+			hi -= step
+		}
+		lo = max(lo, hi-step)
+	}
+	for hi-lo > 1 {
+		if mid := lo + (hi-lo)/2; met(mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return clampTicks(lo), nil
+}
+
 // Analysis evaluates a complete deployment: one analysed Node per
 // architecture node plus the application period.
 type Analysis struct {
