@@ -143,18 +143,16 @@ type store struct {
 	// progress is the optional live-progress publisher.
 	progress *obs.Progress
 
-	// metrics is the optional live-instrumentation sink; the histograms are
-	// resolved once at setMetrics so the hot path observes through nil-safe
-	// pointers instead of registry lookups. gaugeReg remembers where the
-	// live callback gauges are currently registered so reinstalling
+	// metrics is the optional live-instrumentation sink, and the registry
+	// the live callback gauges are registered on, so reinstalling
 	// instruments is idempotent and moving to another registry (or to nil)
 	// deregisters the old closures instead of leaking the store through
-	// them.
-	metrics  *obs.Registry
-	gaugeReg *obs.Registry
-	mReexec  *obs.Histogram
-	mSched   *obs.Histogram
-	mOpt     *obs.Histogram
+	// them. The histograms are resolved once at setMetrics so the hot path
+	// observes through nil-safe pointers instead of registry lookups.
+	metrics *obs.Registry
+	mReexec *obs.Histogram
+	mSched  *obs.Histogram
+	mOpt    *obs.Histogram
 }
 
 // liveGaugeNames are the callback gauges setMetrics owns on a registry.
@@ -185,16 +183,17 @@ func newStore() *store {
 // closures from the previous one. The closures read only st.live, so a
 // registry left holding them keeps the counters, never the store.
 func (st *store) setMetrics(r *obs.Registry) {
-	if st.gaugeReg != nil && st.gaugeReg != r {
+	prev := st.metrics
+	if prev != nil && prev != r {
 		for _, name := range liveGaugeNames {
-			st.gaugeReg.UnregisterGaugeFunc(name)
+			prev.UnregisterGaugeFunc(name)
 		}
 	}
 	st.metrics = r
 	st.mReexec = r.Histogram("evalengine.reexec")
 	st.mSched = r.Histogram("evalengine.sched")
 	st.mOpt = r.Histogram("evalengine.redundancy_opt")
-	if r != nil && st.gaugeReg != r {
+	if r != nil && prev != r {
 		live := st.live
 		r.GaugeFunc("evalengine.live.evaluations", func() float64 {
 			return float64(live.evaluations.Load())
@@ -206,7 +205,6 @@ func (st *store) setMetrics(r *obs.Registry) {
 			return float64(live.optEntries.Load())
 		})
 	}
-	st.gaugeReg = r
 }
 
 func (st *store) dropSolutions() {

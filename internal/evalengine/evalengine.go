@@ -78,9 +78,8 @@ const (
 // architectures); the opt cache and the probe memo are dropped whenever
 // an input that affects them changes.
 type Evaluator struct {
-	prob   redundancy.Problem
-	period float64
-	// ceiling is the goal's reliability ceiling at period
+	prob redundancy.Problem
+	// ceiling is the goal's reliability ceiling at the application period
 	// (sfp.Goal.MaxSystemFailure), computed once per SetProblem;
 	// ceilingErr is the goal's validation error, returned by every probe.
 	ceiling    float64
@@ -102,8 +101,8 @@ type Evaluator struct {
 	// architecture and the analysis is consumed before the next call.
 	archBuf   *platform.Architecture
 	anodesBuf []*sfp.Node
-	// analysis is the per-probe SFP analysis over anodesBuf, consumed by
-	// the allocator before the next probe overwrites it.
+	// analysis is the per-probe SFP analysis over anodesBuf at the
+	// application period, consumed before the next probe overwrites it.
 	analysis sfp.Analysis
 	// lastMapping/lastLevels memoize the previous analysisFor call: a
 	// hardening search probes many level vectors under one fixed mapping,
@@ -202,9 +201,9 @@ func (e *Evaluator) set(p redundancy.Problem) {
 	e.prob = p
 	e.prob.Mapping = nil
 	if p.App != nil {
-		e.period = p.App.EffectivePeriod()
+		e.analysis.Period = p.App.EffectivePeriod()
 	}
-	e.ceiling, e.ceilingErr = p.Goal.MaxSystemFailure(e.period)
+	e.ceiling, e.ceilingErr = p.Goal.MaxSystemFailure(e.analysis.Period)
 	n := 0
 	if p.Arch != nil {
 		n = len(p.Arch.Nodes)
@@ -313,9 +312,9 @@ func (e *Evaluator) evaluate(mapping, levels []int) (*redundancy.Solution, error
 	}
 	st := e.st
 	timed := e.span != nil || st.metrics != nil
-	var start time.Time
+	var t time.Time
 	if timed {
-		start = time.Now()
+		t = time.Now()
 	}
 	analysis, err := e.analysisFor(mapping, levels)
 	if err != nil {
@@ -324,21 +323,19 @@ func (e *Evaluator) evaluate(mapping, levels []int) (*redundancy.Solution, error
 	// One allocation holds Levels and Ks; the allocator appends the counts
 	// into its second half.
 	m := len(levels)
-	buf := make([]int, m, 2*m)
-	copy(buf, levels)
+	buf := append(make([]int, 0, 2*m), levels...)
 	ks, reliable := redundancy.ReExecutionOptAnalysis(buf[m:], analysis, e.ceiling, nil)
 	if timed {
-		now := time.Now()
-		d := now.Sub(start)
+		d := time.Since(t)
 		st.stats.ReExecTime += d
 		st.mReexec.Observe(d)
-		start = now
+		t = t.Add(d)
 	}
 	ar := e.archBuf
 	copy(ar.Levels, levels)
 	length, schedulable, err := sched.Probe(e.input(mapping, ks), &e.ws)
 	if timed {
-		d := time.Since(start)
+		d := time.Since(t)
 		st.stats.SchedTime += d
 		st.mSched.Observe(d)
 	}
@@ -399,13 +396,13 @@ func (e *Evaluator) analysisFor(mapping, levels []int) (*sfp.Analysis, error) {
 	// and every node whose level is also unchanged keeps the analysis
 	// already sitting in anodesBuf — no key build, no cache lookup.
 	sameMap := slices.Equal(e.lastMapping, mapping) && len(e.lastLevels) == len(nodes)
+	e.lastMapping = e.lastMapping[:0] // set again only on success
 	if !sameMap {
 		for j := range e.buckets {
 			e.buckets[j] = e.buckets[j][:0]
 		}
 		for pid, j := range mapping {
 			if j < 0 || j >= len(nodes) {
-				e.lastMapping = e.lastMapping[:0]
 				return nil, fmt.Errorf("evalengine: process %d mapped to invalid node %d", pid, j)
 			}
 			e.buckets[j] = append(e.buckets[j], pid)
@@ -425,7 +422,6 @@ func (e *Evaluator) analysisFor(mapping, levels []int) (*sfp.Analysis, error) {
 		}
 		v := n.Version(levels[j])
 		if v == nil {
-			e.lastMapping = e.lastMapping[:0]
 			return nil, fmt.Errorf("evalengine: node %d has no h-version at level %d", j, levels[j])
 		}
 		e.keyBuf = appendInts(appendInts(e.keyBuf[:0], levels[j:j+1]), e.buckets[j])
@@ -441,7 +437,6 @@ func (e *Evaluator) analysisFor(mapping, levels []int) (*sfp.Analysis, error) {
 		e.probsBuf = probs[:0]
 		nd, err := sfp.NewNode(probs, e.maxK())
 		if err != nil {
-			e.lastMapping = e.lastMapping[:0]
 			return nil, fmt.Errorf("evalengine: node %d: %w", j, err)
 		}
 		e.st.stats.SFPBuilds++
@@ -450,7 +445,7 @@ func (e *Evaluator) analysisFor(mapping, levels []int) (*sfp.Analysis, error) {
 	}
 	e.lastMapping = append(e.lastMapping[:0], mapping...)
 	e.lastLevels = append(e.lastLevels[:0], levels...)
-	e.analysis = sfp.Analysis{Nodes: anodes, Period: e.period}
+	e.analysis.Nodes = anodes
 	return &e.analysis, nil
 }
 

@@ -53,10 +53,9 @@ func RuntimeStudy(ctx context.Context, cfg Config, ser, hpd float64) (*Table, er
 }
 
 // runtimeRow is the row of strategy s on the applications of size n. The
-// applications run one at a time, so each run's wall time is its own. The
-// reexec and sched columns are the engine's layer times, which it measures
-// only under an instrument, so the runs get a private registry when the
-// configuration has none.
+// applications run one at a time, so each run's wall time is its own. A
+// private registry turns on the engine's layer timers for the reexec and
+// sched columns when the configuration has none.
 func (c Config) runtimeRow(ser, hpd float64, n int, s core.Strategy) row[[]string] {
 	return row[[]string]{key: c.rowKey(ser, hpd, n, s), run: func(ctx context.Context, span *obs.Span) ([]string, error) {
 		b := c

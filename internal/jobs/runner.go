@@ -266,9 +266,8 @@ func runAblation(ctx context.Context, w io.Writer, cfg experiments.Config,
 // runCC reproduces the cruise-controller case study. span, reg, prog and
 // lg are the optional observability hooks (nil disables each): the three
 // design runs nest under span, fold their counters into reg, tick the
-// "cc.strategies" progress phase and log per-run records. The evaluator
-// lines print the engine's layer times, which it measures only under an
-// instrument, so a nil reg is replaced by a private registry.
+// "cc.strategies" progress phase and log per-run records. A nil reg is
+// replaced by a private one, which turns on the engine's layer timers.
 func runCC(ctx context.Context, w io.Writer, render func(*experiments.Table) error, span *obs.Span, reg *obs.Registry, prog *obs.Progress, lg *obs.Logger) error {
 	inst, err := cc.Instance()
 	if err != nil {

@@ -179,9 +179,6 @@ func (s *Solution) Feasible() bool { return s != nil && s.Reliable && s.Schedula
 // the *original* processes to architecture nodes (all jobs of a process
 // run on its node, as a static cyclic executive requires).
 func Evaluate(s *Spec, ar *platform.Architecture, mapping []int, goal sfp.Goal, bus sched.Bus, maxK int) (*Solution, error) {
-	if err := goal.Validate(); err != nil {
-		return nil, err
-	}
 	if maxK <= 0 {
 		maxK = sfp.DefaultMaxK
 	}

@@ -152,11 +152,13 @@ func (p *Problem) maxK() int {
 
 // Evaluate analyses and schedules one assignment.
 func Evaluate(p Problem, a *Assignment) (*Solution, error) {
-	if err := p.Goal.Validate(); err != nil {
-		return nil, err
-	}
 	if p.App == nil || p.Arch == nil {
 		return nil, fmt.Errorf("policyopt: nil application or architecture")
+	}
+	// Every segment analysis below runs at the application period.
+	ceiling, err := p.Goal.MaxSystemFailure(p.App.EffectivePeriod())
+	if err != nil {
+		return nil, err
 	}
 	n := p.App.NumProcesses()
 	if len(p.Mapping) != n {
@@ -202,11 +204,6 @@ func Evaluate(p Problem, a *Assignment) (*Solution, error) {
 	var plan *checkpoint.Plan
 	var analysis *sfp.Analysis
 	reliable := false
-	// Every round's segment analysis runs at the application period.
-	ceiling, err := p.Goal.MaxSystemFailure(p.App.EffectivePeriod())
-	if err != nil {
-		return nil, err
-	}
 	for round := 0; round < 4; round++ {
 		if plan, err = planSegments(p, a, ks); err != nil {
 			return nil, err

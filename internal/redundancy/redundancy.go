@@ -132,10 +132,9 @@ func ReExecutionOpt(app *appmodel.Application, ar *platform.Architecture, mappin
 // its cached per-node analyses, and the recovery-policy extensions call it
 // on analyses over checkpoint segments or hyperperiod jobs.
 //
-// ceiling is the goal's reliability ceiling at the analysis period,
-// Goal.MaxSystemFailure(analysis.Period): the goal holds exactly when the
-// system failure probability is at most the ceiling. The counts are
-// appended to dst, one per node, and the extended slice is returned.
+// ceiling is the goal's Goal.MaxSystemFailure(analysis.Period): the goal
+// holds exactly when the system failure probability is at most it. The
+// counts are appended to dst, one per node; the extended slice is returned.
 //
 // fixed lists failure terms that no re-execution can lower, joined to the
 // per-node terms in the system failure union (formula 5) — replication's
@@ -144,12 +143,8 @@ func ReExecutionOptAnalysis(dst []int, analysis *sfp.Analysis, ceiling float64, 
 	base := len(dst)
 	dst = append(dst, make([]int, len(analysis.Nodes))...)
 	ks := dst[base:]
-	// The failure vector stays on the stack for up to 16 terms.
-	var buf [16]float64
+	var buf [16]float64 // the failure vector, on the stack up to 16 terms
 	fails := buf[:0]
-	if nf := len(analysis.Nodes) + len(fixed); nf > len(buf) {
-		fails = make([]float64, 0, nf)
-	}
 	for _, n := range analysis.Nodes {
 		fails = append(fails, n.FailureProb(0))
 	}

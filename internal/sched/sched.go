@@ -215,18 +215,15 @@ func (ws *Workspace) bind(app *appmodel.Application) error {
 	return nil
 }
 
-// floats returns buf resized to n elements, all zero, growing the backing
-// array only when needed.
-func floats(buf *[]float64, n int) []float64 {
+// scratch returns buf resized to n elements, all zero, growing the
+// backing array only when needed.
+func scratch[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]float64, n)
+		*buf = make([]T, n)
 	}
-	s := (*buf)[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	*buf = s
-	return s
+	*buf = (*buf)[:n]
+	clear(*buf)
+	return *buf
 }
 
 // Build runs the list scheduler and returns the schedule. The application
@@ -275,14 +272,11 @@ func buildWith(in Input, ws *Workspace, s *Schedule) (length float64, schedulabl
 	// Hoist the per-node version lookup (a scan over the node's version
 	// list) out of the per-process loop: m lookups instead of n.
 	m := len(in.Arch.Nodes)
-	if cap(ws.vers) < m {
-		ws.vers = make([]*platform.HVersion, m)
-	}
-	vers := ws.vers[:m]
+	vers := scratch(&ws.vers, m)
 	for j := range vers {
 		vers[j] = in.Arch.Version(j)
 	}
-	wcet := floats(&ws.wcet, n) // t_ijh of each process on its mapped node
+	wcet := scratch(&ws.wcet, n) // t_ijh of each process on its mapped node
 	for pid := 0; pid < n; pid++ {
 		wcet[pid] = vers[in.Mapping[pid]].WCET[pid]
 		if in.ExtraExec != nil {
@@ -294,7 +288,7 @@ func buildWith(in Input, ws *Workspace, s *Schedule) (length float64, schedulabl
 	// bus slot. Same recurrence as appmodel.CriticalPathLengths, run over
 	// the cached topological order and successor lists.
 	slotEst := busSlotEstimate(in)
-	prio := floats(&ws.prio, n)
+	prio := scratch(&ws.prio, n)
 	for i := len(ws.topo) - 1; i >= 0; i-- {
 		p := ws.topo[i]
 		best := 0.0
@@ -316,17 +310,33 @@ func buildWith(in Input, ws *Workspace, s *Schedule) (length float64, schedulabl
 	}
 
 	if s != nil {
-		s.layout(n, len(app.Edges), in.Mapping, m)
+		// The three per-process and two per-edge arrays share one float
+		// buffer, every message window NaN; NodeOrder gets one spine with
+		// room for the processes mapped on each node.
+		ne := len(app.Edges)
+		fbuf := make([]float64, 3*n+2*ne)
+		msg := fbuf[3*n:]
+		for i := range msg {
+			msg[i] = math.NaN()
+		}
+		s.Start, s.Finish, s.WorstFinish = fbuf[0:n:n], fbuf[n:2*n:2*n], fbuf[2*n:3*n:3*n]
+		s.MsgStart, s.MsgEnd = msg[0:ne:ne], msg[ne:2*ne:2*ne]
+		counts := make([]int, m)
+		for _, j := range in.Mapping {
+			counts[j]++
+		}
+		spine := make([]appmodel.ProcID, n)
+		s.NodeOrder = make([][]appmodel.ProcID, m)
+		for j, off := 0, 0; j < m; j++ {
+			s.NodeOrder[j] = spine[off : off : off+counts[j]]
+			off += counts[j]
+		}
 	}
 
-	pred := ws.pred
 	succ := ws.succ
-	if cap(ws.unscheduled) < n {
-		ws.unscheduled = make([]int, n)
-	}
-	unscheduled := ws.unscheduled[:n] // remaining predecessor count
+	unscheduled := scratch(&ws.unscheduled, n) // remaining predecessor count
 	for pid := 0; pid < n; pid++ {
-		unscheduled[pid] = len(pred[pid])
+		unscheduled[pid] = len(ws.pred[pid])
 	}
 	// ready is a queue over ws.ready[head:]; processes enter when their
 	// last predecessor is scheduled and the best entry is popped each
@@ -339,14 +349,14 @@ func buildWith(in Input, ws *Workspace, s *Schedule) (length float64, schedulabl
 		}
 	}
 
-	nodeAvail := floats(&ws.nodeAvail, m)
+	nodeAvail := scratch(&ws.nodeAvail, m)
 	// maxRec[j] is the running max of (t + μ) over the processes already
 	// scheduled on node j (the shared slack quantum).
-	maxRec := floats(&ws.maxRec, m)
+	maxRec := scratch(&ws.maxRec, m)
 	// arrival[pid] is the time all inputs of pid are available at its
 	// node (fault-free in the shared model; worst-case in the
 	// per-process model).
-	arrival := floats(&ws.arrival, n)
+	arrival := scratch(&ws.arrival, n)
 
 	// Graph deadlines: the EDF tie-break in release mode and the verdict.
 	deadline := ws.deadline
@@ -496,33 +506,6 @@ func buildWith(in Input, ws *Workspace, s *Schedule) (length float64, schedulabl
 		s.Length = length
 	}
 	return length, schedulable, nil
-}
-
-// layout allocates the schedule's arrays for n processes, ne edges and m
-// nodes: the three per-process and two per-edge arrays share one float
-// buffer, with every message window NaN, and NodeOrder gets a single
-// spine with room for the processes mapped on each node.
-func (s *Schedule) layout(n, ne int, mapping []int, m int) {
-	fbuf := make([]float64, 3*n+2*ne)
-	msg := fbuf[3*n:]
-	for i := range msg {
-		msg[i] = math.NaN()
-	}
-	s.Start = fbuf[0:n:n]
-	s.Finish = fbuf[n : 2*n : 2*n]
-	s.WorstFinish = fbuf[2*n : 3*n : 3*n]
-	s.MsgStart = msg[0:ne:ne]
-	s.MsgEnd = msg[ne : 2*ne : 2*ne]
-	counts := make([]int, m)
-	for _, j := range mapping {
-		counts[j]++
-	}
-	spine := make([]appmodel.ProcID, n)
-	s.NodeOrder = make([][]appmodel.ProcID, m)
-	for j, off := 0, 0; j < m; j++ {
-		s.NodeOrder[j] = spine[off : off : off+counts[j]]
-		off += counts[j]
-	}
 }
 
 // busSlotEstimate returns the edge weight used in the priority function

@@ -201,20 +201,6 @@ func (n *Node) FailureProb(k int) float64 {
 	return n.fail[k]
 }
 
-// SaturationK returns the smallest k at which adding further re-executions
-// no longer reduces the node failure probability (it has reached either
-// zero or the rounding floor).
-func (n *Node) SaturationK() int {
-	for k := 0; k < len(n.fail)-1; k++ {
-		if n.fail[k+1] >= n.fail[k] {
-			return k
-		}
-	}
-	// Past the stored prefix the failure probability is constant, so the
-	// last stored k is the answer whether or not it is MaxK.
-	return len(n.fail) - 1
-}
-
 // SystemFailureProb returns the probability that at least one node fails
 // in one application iteration: formula (5) over the per-node
 // probabilities Pr(f > k_j; N_j^h), rounded up.
@@ -236,50 +222,28 @@ func Reliability(sysFail, period, tau float64) float64 {
 // MaxSystemFailure returns the reliability ceiling of the goal at the
 // given application period: the largest per-iteration system failure
 // probability u on the 10^-11 grid of SystemFailureProb for which
-// Reliability(u, period, g.Tau) ≥ g.Rho(). So SystemFailureProb(f) ≤
-// MaxSystemFailure(T) decides formula (6) exactly, without a logarithm
-// or an exponential. It is −1 when not even u = 0 meets the goal (a
-// non-positive period) and 1 when every u does. The error is the goal's
-// Validate error.
-//
-// The boundary tick starts from the closed form (1 − u)^(τ/T) = ρ and is
-// settled against Reliability itself, so directed rounding and
-// floating-point noise cannot move it.
+// Reliability(u, period, g.Tau) ≥ g.Rho(), so SystemFailureProb(f) ≤
+// MaxSystemFailure(T) decides formula (6) with one comparison. It is −1
+// when not even u = 0 meets the goal (a non-positive period). The error is
+// the goal's Validate error.
 func (g Goal) MaxSystemFailure(period float64) (float64, error) {
 	if err := g.Validate(); err != nil {
 		return 0, err
 	}
-	const ticks = int64(1e11) // 1 tick = 1e-11; u = 1 is the last tick
-	met := func(t int64) bool { return Reliability(clampTicks(t), period, g.Tau) >= g.Rho() }
-	if !met(0) {
-		return -1, nil
-	}
-	if met(ticks) {
-		return 1, nil
-	}
-	// Invariant: met(lo) and !met(hi). Gallop out from the closed-form
-	// estimate, then bisect.
-	lo, hi := int64(0), ticks
-	est := -math.Expm1(math.Log1p(-g.Gamma)*period/g.Tau) * 1e11
-	t := min(max(int64(est), lo), hi)
-	step := int64(1)
-	if met(t) {
-		for lo = t; lo+step < hi && met(lo+step); step *= 2 {
-			lo += step
-		}
-		hi = min(hi, lo+step)
-	} else {
-		for hi = t; hi-step > lo && !met(hi-step); step *= 2 {
-			hi -= step
-		}
-		lo = max(lo, hi-step)
-	}
+	// Reliability falls as u grows, so the ticks that meet the goal are a
+	// prefix of the grid: bisect for its last tick, in 37 evaluations of
+	// Reliability itself. lo meets the goal (or is −1), hi does not (or is
+	// past the grid).
+	lo, hi := int64(-1), int64(1e11)+1
 	for hi-lo > 1 {
-		if mid := lo + (hi-lo)/2; met(mid) {
+		if mid := lo + (hi-lo)/2; Reliability(clampTicks(mid), period, g.Tau) >= g.Rho() {
 			lo = mid
 		} else {
 			hi = mid
 		}
+	}
+	if lo < 0 {
+		return -1, nil
 	}
 	return clampTicks(lo), nil
 }
