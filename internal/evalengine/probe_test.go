@@ -103,6 +103,9 @@ func probe(tb testing.TB, ev *Evaluator, mapping []int, levels [2][]int, i int) 
 // key. The schedule probe, the SFP analysis and the allocator's failure
 // vector allocate nothing.
 func TestProbeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
 	for _, n := range []int{1, 3} {
 		ev, mapping, levels := ccProbe(t, n)
 		built := ev.Stats().SFPBuilds

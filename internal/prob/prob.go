@@ -84,6 +84,27 @@ func CompleteHomogeneous(p []float64, maxF int) ([]float64, error) {
 	return h, nil
 }
 
+// MultisetSum computes h_f(p) by explicit enumeration of all multisets of
+// size f. It is exponential and exists to cross-check CompleteHomogeneous
+// in tests; use CompleteHomogeneous everywhere else.
+func MultisetSum(p []float64, f int) (float64, error) {
+	if f < 0 {
+		return 0, ErrNegativeFaults
+	}
+	var rec func(start, left int, prod float64) float64
+	rec = func(start, left int, prod float64) float64 {
+		if left == 0 {
+			return prod
+		}
+		var sum float64
+		for i := start; i < len(p); i++ {
+			sum += rec(i, left-1, prod*p[i])
+		}
+		return sum
+	}
+	return rec(0, f, 1), nil
+}
+
 // PowSurvive returns (1-x)^n computed in a numerically stable way for tiny
 // x and large n, as needed by formula (6) of the paper where the
 // per-iteration non-failure probability is raised to the number of

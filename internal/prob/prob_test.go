@@ -253,23 +253,3 @@ func TestCompleteHomogeneousMatchesBigFloat(t *testing.T) {
 		}
 	}
 }
-
-// MultisetSum computes h_f(p) by explicit enumeration of all multisets of
-// size f. It is exponential and exists to cross-check CompleteHomogeneous.
-func MultisetSum(p []float64, f int) (float64, error) {
-	if f < 0 {
-		return 0, ErrNegativeFaults
-	}
-	var rec func(start, left int, prod float64) float64
-	rec = func(start, left int, prod float64) float64 {
-		if left == 0 {
-			return prod
-		}
-		var sum float64
-		for i := start; i < len(p); i++ {
-			sum += rec(i, left-1, prod*p[i])
-		}
-		return sum
-	}
-	return rec(0, f, 1), nil
-}

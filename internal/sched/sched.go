@@ -319,8 +319,11 @@ func buildWith(in Input, ws *Workspace, s *Schedule) (length float64, schedulabl
 		for i := range msg {
 			msg[i] = math.NaN()
 		}
-		s.Start, s.Finish, s.WorstFinish = fbuf[0:n:n], fbuf[n:2*n:2*n], fbuf[2*n:3*n:3*n]
-		s.MsgStart, s.MsgEnd = msg[0:ne:ne], msg[ne:2*ne:2*ne]
+		s.Start = fbuf[0:n:n]
+		s.Finish = fbuf[n : 2*n : 2*n]
+		s.WorstFinish = fbuf[2*n : 3*n : 3*n]
+		s.MsgStart = msg[0:ne:ne]
+		s.MsgEnd = msg[ne : 2*ne : 2*ne]
 		counts := make([]int, m)
 		for _, j := range in.Mapping {
 			counts[j]++

@@ -201,6 +201,20 @@ func (n *Node) FailureProb(k int) float64 {
 	return n.fail[k]
 }
 
+// SaturationK returns the smallest k at which adding further re-executions
+// no longer reduces the node failure probability (it has reached either
+// zero or the rounding floor).
+func (n *Node) SaturationK() int {
+	for k := 0; k < len(n.fail)-1; k++ {
+		if n.fail[k+1] >= n.fail[k] {
+			return k
+		}
+	}
+	// Past the stored prefix the failure probability is constant, so the
+	// last stored k is the answer whether or not it is MaxK.
+	return len(n.fail) - 1
+}
+
 // SystemFailureProb returns the probability that at least one node fails
 // in one application iteration: formula (5) over the per-node
 // probabilities Pr(f > k_j; N_j^h), rounded up.
@@ -223,17 +237,17 @@ func Reliability(sysFail, period, tau float64) float64 {
 // given application period: the largest per-iteration system failure
 // probability u on the 10^-11 grid of SystemFailureProb for which
 // Reliability(u, period, g.Tau) ≥ g.Rho(), so SystemFailureProb(f) ≤
-// MaxSystemFailure(T) decides formula (6) with one comparison. It is −1
-// when not even u = 0 meets the goal (a non-positive period). The error is
-// the goal's Validate error.
+// MaxSystemFailure(T) decides formula (6) with one comparison. It is
+// −1e-11, below every u, when not even u = 0 meets the goal (a
+// non-positive period). The error is the goal's Validate error.
 func (g Goal) MaxSystemFailure(period float64) (float64, error) {
 	if err := g.Validate(); err != nil {
 		return 0, err
 	}
 	// Reliability falls as u grows, so the ticks that meet the goal are a
-	// prefix of the grid: bisect for its last tick, in 37 evaluations of
-	// Reliability itself. lo meets the goal (or is −1), hi does not (or is
-	// past the grid).
+	// prefix of the grid: bisect for its last tick lo, in 37 evaluations
+	// of Reliability itself. Tick −1 stands for "none", tick 1e11+1 for
+	// "past the grid".
 	lo, hi := int64(-1), int64(1e11)+1
 	for hi-lo > 1 {
 		if mid := lo + (hi-lo)/2; Reliability(clampTicks(mid), period, g.Tau) >= g.Rho() {
@@ -242,10 +256,7 @@ func (g Goal) MaxSystemFailure(period float64) (float64, error) {
 			hi = mid
 		}
 	}
-	if lo < 0 {
-		return -1, nil
-	}
-	return clampTicks(lo), nil
+	return float64(lo) / 1e11, nil
 }
 
 // Analysis evaluates a complete deployment: one analysed Node per

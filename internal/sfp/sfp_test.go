@@ -194,20 +194,6 @@ func TestFailureProbMonotoneInHardening(t *testing.T) {
 	}
 }
 
-// SaturationK returns the smallest k at which adding further re-executions
-// no longer reduces the node failure probability (it has reached either
-// zero or the rounding floor).
-func (n *Node) SaturationK() int {
-	for k := 0; k < len(n.fail)-1; k++ {
-		if n.fail[k+1] >= n.fail[k] {
-			return k
-		}
-	}
-	// Past the stored prefix the failure probability is constant, so the
-	// last stored k is the answer whether or not it is MaxK.
-	return len(n.fail) - 1
-}
-
 func TestSaturationK(t *testing.T) {
 	n, err := NewNode([]float64{1e-3}, 16)
 	if err != nil {
