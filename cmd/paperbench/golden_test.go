@@ -75,8 +75,8 @@ func TestGoldenCC(t *testing.T) {
 // TestTimingColumnsMeasured runs the cc and runtime figures unmasked. The
 // engine times its layers only under an instrument, and plain paperbench
 // attaches none, so these two figures attach their own; the OPT line's
-// reexec= and sched-time= and the OPT row's reexec and sched columns must
-// read above zero.
+// reexec= and sched-time= and every strategy row's reexec and sched
+// columns must read above zero.
 func TestTimingColumnsMeasured(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs three full design strategies")
@@ -102,14 +102,17 @@ func TestTimingColumnsMeasured(t *testing.T) {
 	if err := run(context.Background(), []string{"-fig", "runtime", "-apps", "2", "-procs", "10"}, &sb); err != nil {
 		t.Fatal(err)
 	}
+	rows := 0
 	for _, line := range strings.Split(sb.String(), "\n") {
-		if f := strings.Fields(line); len(f) == 12 && f[1] == "OPT" {
-			positive("runtime OPT reexec", f[10])
-			positive("runtime OPT sched", f[11])
-			return
+		if f := strings.Fields(line); len(f) == 12 && (f[1] == "MIN" || f[1] == "MAX" || f[1] == "OPT") {
+			positive("runtime "+f[1]+" reexec", f[10])
+			positive("runtime "+f[1]+" sched", f[11])
+			rows++
 		}
 	}
-	t.Fatalf("no OPT row in\n%s", sb.String())
+	if rows != 3 {
+		t.Fatalf("found %d of the MIN, MAX and OPT rows in\n%s", rows, sb.String())
+	}
 }
 
 // TestGoldenRuntime pins the runtime-study table shape and its

@@ -111,8 +111,8 @@ func (c Config) runtimeRow(ser, hpd float64, n int, s core.Strategy) row[[]strin
 			fmt.Sprintf("%.1f%%", agg.OptHitRate()*100),
 			fmt.Sprint(agg.ScheduleBuilds),
 			fmt.Sprintf("%d/%d", agg.SFPBuilds, agg.SFPHits),
-			agg.ReExecTime.Round(time.Millisecond).String(),
-			agg.SchedTime.Round(time.Millisecond).String(),
+			agg.ReExecTime.Round(time.Microsecond).String(),
+			agg.SchedTime.Round(time.Microsecond).String(),
 		}, nil
 	}}
 }

@@ -5,6 +5,14 @@ import (
 	"time"
 )
 
+// Handles on the trace encoder's internals for the external oracle test,
+// which needs a real design run and so cannot live in this package.
+var (
+	OracleTrace = oracleTrace
+	WriteTrace  = writeTrace
+	MergedTrace = func(traces ...TraceData) TraceData { return mergeTraces(traces) }
+)
+
 // TestExportRecomputesDuration pins the export-time duration contract: a
 // snapshot taken while a span is open reports the duration-so-far
 // (flagged unfinished), and a snapshot taken after End reports the final

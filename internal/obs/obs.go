@@ -42,10 +42,9 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
+	"cmp"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -253,32 +252,44 @@ type Event struct {
 
 func micros(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
-// event builds the span's export event as of `now`. Called under the
-// tracer mutex. The Args map is freshly allocated on every export:
-// callers own the snapshot they get and may rewrite it (MergeTraces
-// remaps IDs in place) without corrupting later exports.
-func (s *Span) event(now time.Duration) Event {
-	args := make(map[string]any, len(s.attrs)+3)
-	args["span_id"] = s.id
-	if s.parent != 0 {
-		args["parent_id"] = s.parent
+// spanRecord is the part of a span an export reads, copied under the
+// tracer mutex so that building events or encoding JSON happens outside
+// it. end is the snapshot time for a span that is still open. attrs
+// shares the span's backing array: SetAttr only appends beyond the copied
+// length, so the copied elements never change.
+type spanRecord struct {
+	name       string
+	start, end time.Duration
+	id, parent int64
+	lane       int
+	attrs      []Attr
+	ended      bool
+}
+
+// event builds the record's export event. The Args map is freshly
+// allocated on every export: callers own the snapshot they get and may
+// rewrite it (MergeTraces remaps IDs in place) without corrupting later
+// exports. Later keys override earlier ones, so an attr may shadow
+// span_id or parent_id, and unfinished shadows any attr of that name.
+func (r *spanRecord) event() Event {
+	args := make(map[string]any, len(r.attrs)+3)
+	args["span_id"] = r.id
+	if r.parent != 0 {
+		args["parent_id"] = r.parent
 	}
-	for _, a := range s.attrs {
+	for _, a := range r.attrs {
 		args[a.Key] = a.Value
 	}
-	end := now
-	if s.ended {
-		end = s.end
-	} else {
+	if !r.ended {
 		args["unfinished"] = true
 	}
 	return Event{
-		Name: s.name,
+		Name: r.name,
 		Ph:   "X",
-		TS:   micros(s.start),
-		Dur:  micros(end - s.start),
+		TS:   micros(r.start),
+		Dur:  micros(r.end - r.start),
 		PID:  1,
-		TID:  s.lane + 1,
+		TID:  r.lane + 1,
 		Args: args,
 	}
 }
@@ -309,6 +320,29 @@ type chromeTrace struct {
 	Meta            *TraceMeta `json:"ftesMeta,omitempty"`
 }
 
+// snapshot copies every span's record and the trace meta in one pass
+// under the mutex, then orders the records by start time (stable, so
+// spans started at the same instant keep their start order).
+func (t *Tracer) snapshot() ([]spanRecord, TraceMeta) {
+	now := time.Since(t.t0)
+	t.mu.Lock()
+	recs := make([]spanRecord, len(t.spans))
+	for i, s := range t.spans {
+		end := now
+		if s.ended {
+			end = s.end
+		}
+		recs[i] = spanRecord{name: s.name, start: s.start, end: end, id: s.id,
+			parent: s.parent, lane: s.lane, attrs: s.attrs, ended: s.ended}
+	}
+	meta := TraceMeta{Process: t.proc, WallUS: float64(t.wall.UnixMicro())}
+	t.mu.Unlock()
+	slices.SortStableFunc(recs, func(a, b spanRecord) int {
+		return cmp.Compare(micros(a.start), micros(b.start))
+	})
+	return recs, meta
+}
+
 // Events returns a snapshot of the spans' events in start order, with
 // still-open spans included as if they ended now (flagged with an
 // "unfinished" arg). Durations are recomputed on every call — a span
@@ -316,18 +350,7 @@ type chromeTrace struct {
 // and the returned events (including their Args maps) are the caller's
 // to mutate.
 func (t *Tracer) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	now := time.Since(t.t0)
-	t.mu.Lock()
-	evs := make([]Event, 0, len(t.spans))
-	for _, s := range t.spans {
-		evs = append(evs, s.event(now))
-	}
-	t.mu.Unlock()
-	sort.SliceStable(evs, func(a, b int) bool { return evs[a].TS < evs[b].TS })
-	return evs
+	return t.TraceData().Events
 }
 
 // TraceData snapshots the full trace — meta plus events — in one call.
@@ -336,10 +359,11 @@ func (t *Tracer) TraceData() TraceData {
 	if t == nil {
 		return TraceData{}
 	}
-	evs := t.Events()
-	t.mu.Lock()
-	meta := TraceMeta{Process: t.proc, WallUS: float64(t.wall.UnixMicro())}
-	t.mu.Unlock()
+	recs, meta := t.snapshot()
+	evs := make([]Event, len(recs))
+	for i := range recs {
+		evs[i] = recs[i].event()
+	}
 	return TraceData{Meta: meta, Events: evs}
 }
 
@@ -358,23 +382,22 @@ func (t *Tracer) SpanCount() int {
 // tracer writes an empty (still valid) trace. Open spans are exported as
 // if they ended now, flagged unfinished, so a trace written mid-run loses
 // nothing; durations of spans that have ended are always their final
-// ones, whatever earlier snapshots reported.
+// ones, whatever earlier snapshots reported. The events are encoded
+// straight from the span records (traceenc.go), with the bytes
+// encoding/json would write for TraceData's events.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	return writeTrace(w, t.TraceData())
+	if t == nil {
+		return writeTrace(w, TraceData{})
+	}
+	recs, meta := t.snapshot()
+	return encodeTrace(w, meta, len(recs), func(e *traceEncoder, i int) {
+		e.spanEvent(&recs[i])
+	})
 }
 
+// writeTrace writes a snapshot of events, such as a merged trace.
 func writeTrace(w io.Writer, td TraceData) error {
-	doc := chromeTrace{TraceEvents: td.Events, DisplayTimeUnit: "ms"}
-	if td.Meta != (TraceMeta{}) {
-		m := td.Meta
-		doc.Meta = &m
-	}
-	if doc.TraceEvents == nil {
-		doc.TraceEvents = []Event{}
-	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(doc); err != nil {
-		return fmt.Errorf("obs: write chrome trace: %w", err)
-	}
-	return nil
+	return encodeTrace(w, td.Meta, len(td.Events), func(e *traceEncoder, i int) {
+		e.event(&td.Events[i])
+	})
 }

@@ -73,6 +73,11 @@ func spanID(v any) (int64, bool) {
 // origin among the inputs. Traces without a recorded origin stay at
 // offset zero. Events are emitted in global timestamp order.
 func MergeTraces(w io.Writer, traces ...TraceData) error {
+	return writeTrace(w, mergeTraces(traces))
+}
+
+// mergeTraces builds the document MergeTraces writes.
+func mergeTraces(traces []TraceData) TraceData {
 	// First pass: assign the remapped ID of every span, keyed per trace
 	// so parent_id links follow.
 	perTrace := make([]map[int64]int64, len(traces))
@@ -140,5 +145,5 @@ func MergeTraces(w io.Writer, traces ...TraceData) error {
 		}
 		return out[a].Ph == "M" && out[b].Ph != "M"
 	})
-	return writeTrace(w, TraceData{Events: out, Meta: TraceMeta{WallUS: minWall}})
+	return TraceData{Events: out, Meta: TraceMeta{WallUS: minWall}}
 }

@@ -52,8 +52,16 @@ func (n *Node) MinLevel() int { return n.Versions[0].Level }
 func (n *Node) MaxLevel() int { return n.Versions[len(n.Versions)-1].Level }
 
 // Version returns the h-version with the given level, or nil if the node
-// has no such version.
+// has no such version. Validated nodes have dense ascending levels, so
+// the version sits at index level - Versions[0].Level; a node built by
+// hand with gaps or out of order falls back to a scan.
 func (n *Node) Version(level int) *HVersion {
+	if len(n.Versions) == 0 {
+		return nil
+	}
+	if i := level - n.Versions[0].Level; i >= 0 && i < len(n.Versions) && n.Versions[i].Level == level {
+		return &n.Versions[i]
+	}
 	for i := range n.Versions {
 		if n.Versions[i].Level == level {
 			return &n.Versions[i]

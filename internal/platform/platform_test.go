@@ -88,6 +88,37 @@ func TestNodeVersionLookup(t *testing.T) {
 	}
 }
 
+// TestNodeVersionIndexed pins Version's indexed lookup to the linear scan
+// it replaced on a dense node, a node whose levels start at 2, a
+// hand-built node with gaps and out of order, and a node with no
+// versions, over levels inside and outside each node's range.
+func TestNodeVersionIndexed(t *testing.T) {
+	scan := func(n *Node, level int) *HVersion {
+		for i := range n.Versions {
+			if n.Versions[i].Level == level {
+				return &n.Versions[i]
+			}
+		}
+		return nil
+	}
+	nodes := map[string]*Node{
+		"dense":  {Versions: []HVersion{{Level: 1}, {Level: 2}, {Level: 3}}},
+		"offset": {Versions: []HVersion{{Level: 2}, {Level: 3}, {Level: 4}}},
+		"sparse": {Versions: []HVersion{{Level: 3}, {Level: 1}, {Level: 5}, {Level: 4}}},
+		"empty":  {},
+	}
+	for name, n := range nodes {
+		for level := -1; level <= 7; level++ {
+			if got, want := n.Version(level), scan(n, level); got != want {
+				t.Errorf("%s: Version(%d) = %p, want %p", name, level, got, want)
+			}
+		}
+	}
+	if nodes["offset"].Version(4) != &nodes["offset"].Versions[2] || nodes["offset"].Version(1) != nil {
+		t.Error("offset node: level 4 not at index 2, or level 1 found")
+	}
+}
+
 func TestNodeSpeed(t *testing.T) {
 	p := twoNodePlatform()
 	// N2 is faster (mean WCET 50 vs 67.5).
