@@ -1,6 +1,6 @@
 // Command ftesd is the design-as-a-service daemon: the same fault-tolerant
 // design explorations cmd/paperbench and cmd/ftopt run from flags, exposed
-// as a multi-tenant HTTP/JSON job API backed by internal/jobs.
+// as an HTTP/JSON job API backed by internal/jobs.
 //
 // Usage:
 //
@@ -35,19 +35,17 @@
 //	{"kind":"figure","fig":"cc"}                          a paperbench figure
 //	{"kind":"figure","fig":"6a","apps":10,"procs":[20,40],"seed":1}
 //	{"kind":"design","spec":{...specio...},"strategy":"OPT","max_cost":20}
-//	{"tenant":"alice","priority":5,"timeout_ms":60000, ...}
+//	{"timeout_ms":60000, ...}
 //
 // Jobs are content-addressed: submitting an identical spec twice returns
 // the same job id and shares one underlying run ("dedup":true in the
 // response). Figure artifacts are byte-identical to the tables paperbench
-// prints for the same parameters — both binaries run the same
-// internal/jobs code path.
+// prints for the same parameters — both binaries render figures through
+// jobs.RunFigure.
 //
 // With -state DIR the daemon is durable: kill -9 mid-job, restart, and
 // every in-flight job resumes from its journals with byte-identical
-// artifacts. Tenancy is fair-share: tenants take round-robin turns, so
-// one tenant's backlog cannot starve another's; within a tenant, higher
-// priority runs first.
+// artifacts. Jobs start in submission order (one FIFO queue).
 //
 // A figure runs as one crash-resumable job: "workers" parallelizes it,
 // -state journals its rows and -retry re-runs it after a transient
@@ -183,7 +181,7 @@ func run(args []string, stderr io.Writer) error {
 	if err := srv.Drain(); err != nil {
 		fmt.Fprintln(stderr, "ftesd: http drain:", err)
 	}
-	closeCtx, cancel := contextWithTimeout(*drain)
+	closeCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := sched.Close(closeCtx); err != nil {
 		return err
@@ -254,8 +252,6 @@ type submitRequest struct {
 	Slack    string          `json:"slack,omitempty"`
 
 	// Scheduling (not part of the job's content-addressed identity).
-	Tenant    string  `json:"tenant,omitempty"`
-	Priority  int     `json:"priority,omitempty"`
 	TimeoutMs float64 `json:"timeout_ms,omitempty"`
 }
 
@@ -307,12 +303,7 @@ func (d *daemon) submit(w http.ResponseWriter, r *http.Request) {
 	if req.TimeoutMs > 0 {
 		timeout = time.Duration(req.TimeoutMs * float64(time.Millisecond))
 	}
-	so := jobs.SubmitOptions{
-		Tenant:   req.Tenant,
-		Priority: req.Priority,
-		Timeout:  timeout,
-	}
-	h, err := d.sched.Submit(spec, so)
+	h, err := d.sched.Submit(spec, timeout)
 	if err != nil {
 		if errors.Is(err, jobs.ErrClosed) {
 			d.unavailable(w, err)
@@ -373,7 +364,7 @@ func parseSubmit(body []byte) (*submitRequest, error) {
 		return nil, fmt.Errorf("body is neither a job envelope (no \"kind\") nor a specio document (no \"Application\")")
 	}
 	var req submitRequest
-	dec := json.NewDecoder(bytesReader(body))
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return nil, fmt.Errorf("invalid job envelope: %w", err)
@@ -504,12 +495,6 @@ func newLogger(stderr io.Writer, format, level string) (*obs.Logger, error) {
 		return nil, fmt.Errorf("unknown -log format %q (want text, json or off)", format)
 	}
 }
-
-func contextWithTimeout(d time.Duration) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), d)
-}
-
-func bytesReader(b []byte) io.Reader { return bytes.NewReader(b) }
 
 func httpError(w http.ResponseWriter, code int, err error) {
 	// Canceled-job lookups read naturally as conflicts, not server faults.

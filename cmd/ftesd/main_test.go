@@ -313,6 +313,9 @@ func TestSubmitErrors(t *testing.T) {
 		`{"kind":"figure","fig":"runtime","shards":2}`,
 		// The retired in-run parallelism field: refused like "shards".
 		`{"kind":"figure","fig":"runtime","run_workers":2}`,
+		// The retired tenancy fields: the queue is one FIFO.
+		`{"kind":"figure","fig":"6a","tenant":"a"}`,
+		`{"kind":"figure","fig":"6a","priority":5}`,
 	} {
 		code, _ := postJSON(t, srv.URL+"/jobs", body)
 		if code != http.StatusBadRequest {
@@ -377,11 +380,13 @@ func TestRestartResume(t *testing.T) {
 	}
 }
 
-// TestRestoreRetiredRunWorkers: a state directory written before the
-// run_workers field was retired still restores. Its job| record carries
-// "run_workers":2 under the id the daemon derived from that spec; the
-// restarted daemon resumes the job under that id, and the artifact is
-// byte-identical to a run of the same figure without the field.
+// TestRestoreRetiredRunWorkers: a state directory written while a
+// since-retired field existed still restores. One job| record carries
+// "run_workers":2 in its spec, under the id the daemon derived from that
+// spec; another carries "tenant":"alice","priority":5 beside its spec,
+// under the id of the spec alone. The restarted daemon resumes each job
+// under its id, and the artifact is byte-identical to a run of the same
+// figure without the field.
 func TestRestoreRetiredRunWorkers(t *testing.T) {
 	cleanSrv, _ := newTestServer(t, jobs.Options{Workers: 1})
 	_, cr := postJSON(t, cleanSrv.URL+"/jobs", tinyFigBody)
@@ -390,32 +395,42 @@ func TestRestoreRetiredRunWorkers(t *testing.T) {
 	}
 	_, want := get(t, cleanSrv.URL+"/jobs/"+cr.ID+"/artifacts/table.txt")
 
-	// The id is the content address the daemon gave tinyFigBody plus
-	// "run_workers":2 while the field existed.
-	const oldID = "a6ce54cd04787c19"
-	dir := t.TempDir()
-	st, err := runstate.Open(filepath.Join(dir, "state.jsonl"), "ftes-jobs-state-v1", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := json.RawMessage(`{"spec":{"kind":"figure","fig":"6a","apps":2,"procs":[20],"seed":3,"run_workers":2}}`)
-	if err := st.Record("job|"+oldID, rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name, id, rec string
+	}{
+		// The id is the content address the daemon gave tinyFigBody plus
+		// "run_workers":2 while the field existed.
+		{"run_workers", "a6ce54cd04787c19",
+			`{"spec":{"kind":"figure","fig":"6a","apps":2,"procs":[20],"seed":3,"run_workers":2}}`},
+		// Tenancy never entered the content address.
+		{"tenant_priority", cr.ID,
+			`{"spec":{"kind":"figure","fig":"6a","apps":2,"procs":[20],"seed":3},"tenant":"alice","priority":5}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := runstate.Open(filepath.Join(dir, "state.jsonl"), "ftes-jobs-state-v1", false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Record("job|"+tc.id, json.RawMessage(tc.rec)); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	srv, sched := newTestServer(t, jobs.Options{Workers: 1, Dir: dir})
-	if n := sched.Resumed(); n != 1 {
-		t.Fatalf("resumed %d jobs, want 1", n)
-	}
-	if s := pollDone(t, srv.URL, oldID); s.State != jobs.StateDone {
-		t.Fatalf("restored job: %s (%s)", s.State, s.Error)
-	}
-	_, got := get(t, srv.URL+"/jobs/"+oldID+"/artifacts/table.txt")
-	if !bytes.Equal(got, want) {
-		t.Errorf("restored artifact differs from a run without run_workers:\n%s\nwant:\n%s", got, want)
+			srv, sched := newTestServer(t, jobs.Options{Workers: 1, Dir: dir})
+			if n := sched.Resumed(); n != 1 {
+				t.Fatalf("resumed %d jobs, want 1", n)
+			}
+			if s := pollDone(t, srv.URL, tc.id); s.State != jobs.StateDone {
+				t.Fatalf("restored job: %s (%s)", s.State, s.Error)
+			}
+			_, got := get(t, srv.URL+"/jobs/"+tc.id+"/artifacts/table.txt")
+			if !bytes.Equal(got, want) {
+				t.Errorf("restored artifact differs from a run without %s:\n%s\nwant:\n%s", tc.name, got, want)
+			}
+		})
 	}
 }
 

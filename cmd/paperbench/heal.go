@@ -34,7 +34,7 @@ type healConfig struct {
 	dir        string
 	attempts   int // worker (re)starts allowed per shard
 	staleAfter time.Duration
-	inst       *jobs.Instruments
+	inst       jobs.Instruments
 	trace      string // -trace output path ("" = none)
 }
 
@@ -168,7 +168,7 @@ func runHeal(ctx context.Context, w io.Writer, cfg healConfig) error {
 
 	// Every journal is complete: merge in-process, byte-identical to a
 	// clean run of the same spec.
-	art, err := jobs.MergeShards(ctx, cfg.spec, cfg.dir, *cfg.inst)
+	art, err := jobs.MergeShards(ctx, cfg.spec, cfg.dir, cfg.inst)
 	if err != nil {
 		return fmt.Errorf("-heal: merge after convergence: %w", err)
 	}

@@ -18,17 +18,17 @@
 // with the evaluation-engine counters), ablation (slack sharing, tabu
 // mapping, gradient guidance).
 //
-// Orchestration lives in internal/jobs: each figure is submitted as one
-// Job to a single-worker scheduler and its rendered table comes back as
-// the job's artifact, so paperbench and cmd/ftesd (the daemon form of the
-// same runs) produce byte-identical tables from one code path.
+// Each figure runs through jobs.RunFigure, in order, on the main
+// goroutine. cmd/ftesd (the daemon form of the same runs) renders its
+// figure jobs through the same function, so both produce byte-identical
+// tables.
 //
 // -cpuprofile and -memprofile write pprof profiles covering the selected
 // figures, for `go tool pprof`.
 //
 // Live introspection: -serve ADDR exposes /metrics (Prometheus text
 // exposition), /progress (JSON), /trace (Chrome trace snapshot),
-// /events (lifecycle events over server-sent events), /timeseries
+// /events (progress frames over server-sent events), /timeseries
 // (sampled counter history), /healthz, /debug/vars and /debug/pprof for
 // the duration of the run; -progress renders a throttled status line on
 // stderr. Both are observation-only: the tables are byte-identical with
@@ -204,20 +204,14 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		}()
 	}
 
-	var events *obs.EventLog
-	var sampler *obs.Sampler
 	if *serve != "" {
-		// The event stream and time series exist for the lifetime of the
-		// introspection server: /events narrates each figure job live and
-		// /timeseries keeps a ring of counter snapshots.
-		events = obs.NewEventLog()
-		defer events.Close()
-		sampler = obs.NewSampler(reg, time.Second, 0)
+		// The time series exists for the lifetime of the introspection
+		// server: /timeseries keeps a ring of counter snapshots.
+		sampler := obs.NewSampler(reg, time.Second, 0)
 		sampler.Start()
 		defer sampler.Stop()
 		srv, err := obshttp.Serve(*serve, obshttp.Options{
-			Registry: reg, Progress: prog, Tracer: tracer,
-			Events: events, Sampler: sampler,
+			Registry: reg, Progress: prog, Tracer: tracer, Sampler: sampler,
 		})
 		if err != nil {
 			return err
@@ -337,14 +331,13 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		}
 		spec := base
 		spec.Fig = selected[0]
-		inst := &jobs.Instruments{Tracer: tracer, Metrics: reg, Progress: prog, Log: lg}
 		return runHeal(ctx, w, healConfig{
 			spec:       spec,
 			shards:     *shards,
 			dir:        *shardDir,
 			attempts:   *healAttempts,
 			staleAfter: *healStale,
-			inst:       inst,
+			inst:       jobs.Instruments{Tracer: tracer, Metrics: reg, Progress: prog, Log: lg},
 			trace:      *trace,
 		})
 	}
@@ -404,15 +397,9 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		}
 	}
 
-	// One single-worker scheduler runs the figures in order; the process
-	// instruments ride along on every job, so -serve, -trace and -metrics
-	// observe all figures in one place exactly as before.
-	sched, err := jobs.New(jobs.Options{Workers: 1, Metrics: reg, Log: lg, Events: events})
-	if err != nil {
-		return err
-	}
-	defer sched.Close(context.Background())
-	inst := &jobs.Instruments{Tracer: tracer, Metrics: reg, Progress: prog, Log: lg}
+	// The figures run in order with the process instruments, so -serve,
+	// -trace and -metrics observe all of them in one place.
+	inst := jobs.Instruments{Tracer: tracer, Metrics: reg, Progress: prog, Log: lg}
 
 	for i, name := range selected {
 		if i > 0 {
@@ -425,14 +412,14 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		var err error
 		if *mergeDir != "" {
 			// Merge mode: reassemble the table from the finished per-shard
-			// journals — no scheduler, no computation, byte-identical output.
+			// journals — no computation, byte-identical output.
 			// -partial degrades (missing rows as '!') instead of refusing,
 			// and leaves incomplete.json next to the journals.
 			var mopts []jobs.MergeOpt
 			if *partial {
 				mopts = append(mopts, jobs.Partial)
 			}
-			art, err = jobs.MergeShards(ctx, spec, *mergeDir, *inst, mopts...)
+			art, err = jobs.MergeShards(ctx, spec, *mergeDir, inst, mopts...)
 			if rep, ok := art[jobs.ArtifactIncomplete]; ok && err == nil {
 				path := filepath.Join(*mergeDir, jobs.ArtifactIncomplete)
 				if werr := fsatomic.WriteFile(path, rep); werr != nil {
@@ -442,14 +429,9 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 				}
 			}
 		} else {
-			var h *jobs.Handle
-			h, err = sched.Submit(spec, jobs.SubmitOptions{Context: ctx, Obs: inst, RowJournal: rowJournal})
-			if err != nil {
-				return err
-			}
-			// Wait on the job itself, not ctx: a canceled run still flushes its
-			// deterministic partial table before the error surfaces.
-			art, err = h.Wait(context.Background())
+			// A canceled run still returns its deterministic partial table
+			// alongside the error.
+			art, err = jobs.RunFigure(ctx, spec, rowJournal, inst)
 		}
 		elapsed := time.Since(start)
 		if _, werr := w.Write(art[jobs.ArtifactTable]); werr != nil && err == nil {

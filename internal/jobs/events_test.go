@@ -41,14 +41,14 @@ func TestSchedulerEvents(t *testing.T) {
 	})
 	s := newTestScheduler(t, Options{Workers: 1, Events: log})
 
-	h := mustSubmit(t, s, testSpec("good"), SubmitOptions{})
+	h := mustSubmit(t, s, testSpec("good"))
 	if _, err := h.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// A resubmission of the finished spec dedups without re-running.
-	mustSubmit(t, s, testSpec("good"), SubmitOptions{})
+	mustSubmit(t, s, testSpec("good"))
 
-	hb := mustSubmit(t, s, testSpec("boom"), SubmitOptions{})
+	hb := mustSubmit(t, s, testSpec("boom"))
 	if _, err := hb.Wait(context.Background()); err == nil {
 		t.Fatal("boom job succeeded")
 	}
@@ -111,11 +111,11 @@ func TestDoneEventPrecedesDedup(t *testing.T) {
 	want := fmt.Sprint([]string{"job.submitted", "job.started", "job.done", "job.dedup"})
 	for i := 0; i < 200; i++ {
 		spec := testSpec(fmt.Sprintf("resubmit-%d", i))
-		h := mustSubmit(t, s, spec, SubmitOptions{})
+		h := mustSubmit(t, s, spec)
 		if _, err := h.Wait(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		mustSubmit(t, s, spec, SubmitOptions{})
+		mustSubmit(t, s, spec)
 		if got := fmt.Sprint(eventTypes(log, h.ID())); got != want {
 			t.Fatalf("iteration %d: events = %s, want %s", i, got, want)
 		}
@@ -130,7 +130,7 @@ func TestPanicEvent(t *testing.T) {
 		panic("kaboom")
 	})
 	s := newTestScheduler(t, Options{Workers: 1, Events: log})
-	h := mustSubmit(t, s, testSpec("panics"), SubmitOptions{})
+	h := mustSubmit(t, s, testSpec("panics"))
 	if _, err := h.Wait(context.Background()); err == nil {
 		t.Fatal("panicking job succeeded")
 	}

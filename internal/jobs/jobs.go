@@ -1,8 +1,9 @@
-// Package jobs is the reusable orchestration layer behind cmd/paperbench
-// and cmd/ftesd: a design exploration expressed as a Job (spec →
-// fingerprint → run → artifacts) executed by a Scheduler with a
-// priority + fair-share queue, a bounded worker pool, per-job cooperative
-// timeouts and journal-backed durability.
+// Package jobs is the orchestration layer behind cmd/paperbench and
+// cmd/ftesd. RunFigure renders one figure for both binaries: paperbench
+// calls it directly, once per figure. ftesd runs each exploration as a
+// Job (spec → fingerprint → run → artifacts) on a Scheduler with one
+// FIFO queue, a bounded worker pool, per-job cooperative timeouts and
+// journal-backed durability.
 //
 // A Job's identity is the runstate fingerprint of its Spec, which makes
 // jobs content-addressable: two identical submissions — the same figure
@@ -14,10 +15,10 @@
 // their per-job row journal, so the re-produced artifact is byte-identical
 // to an uninterrupted run.
 //
-// Everything the figures need from PRs 2–5 — context cancellation with
-// deterministic partial results, panic isolation at worker boundaries,
-// runstate journals, per-job obs instruments servable over obshttp — is
-// wired through here, so the binaries stay thin clients.
+// Everything the figures need — context cancellation with deterministic
+// partial results, panic isolation, runstate journals, obs instruments
+// servable over obshttp — is wired through here, so the binaries stay
+// thin clients.
 package jobs
 
 import (
@@ -58,9 +59,9 @@ const (
 )
 
 // Spec is the content of a job: everything that determines its result,
-// and nothing else — observability, tenancy, priorities and timeouts
-// live in SubmitOptions precisely so that they do not perturb the
-// fingerprint two identical explorations share.
+// and nothing else — observability and timeouts stay outside it
+// precisely so that they do not perturb the fingerprint two identical
+// explorations share.
 type Spec struct {
 	// Kind selects the runner: KindFigure or KindDesign.
 	Kind string `json:"kind"`
@@ -83,12 +84,12 @@ type Spec struct {
 	// Markdown renders tables as Markdown instead of ASCII.
 	Markdown bool `json:"markdown,omitempty"`
 	// ShardIndex/ShardCount make a figure job one slice of a sharded
-	// sweep: with ShardCount > 1 the job computes only the rows
-	// shard.Index assigns to ShardIndex, journaling them into the
-	// caller-owned slice journal (OpenSlice, SubmitOptions.RowJournal)
-	// for a later merge. Both participate in the fingerprint, so every
-	// slice is its own content-addressed job. Every figure but cc — one
-	// fixed instance, not a sweep — accepts them.
+	// sweep: with ShardCount > 1 the run computes only the rows
+	// shard.Index assigns to ShardIndex, journaling them into the slice
+	// journal OpenSlice opens (RunFigure's rowJournal) for a later merge.
+	// Both participate in the fingerprint, so every slice is its own
+	// content-addressed run. Every figure but cc — one fixed instance,
+	// not a sweep — accepts them.
 	ShardIndex int `json:"shard_index,omitempty"`
 	ShardCount int `json:"shard_count,omitempty"`
 
@@ -196,30 +197,26 @@ func (s Spec) Fingerprint() (string, error) { return runstate.Fingerprint(s) }
 // best-so-far partial output.
 type Artifacts map[string][]byte
 
-// Instruments bundles a job's observability hooks. The scheduler creates
-// a fresh set per job unless the submitter provides one (paperbench
-// passes its process-wide instruments so -serve, -trace and -metrics see
-// every figure in one place; ftesd keeps the default per-job set and
-// mounts obshttp handlers on it).
+// Instruments bundles a run's observability hooks (nil disables each).
+// paperbench passes its process-wide set to RunFigure, so -serve, -trace
+// and -metrics see every figure in one place; the scheduler creates a
+// fresh set per job, on which ftesd mounts obshttp handlers.
 type Instruments struct {
 	Tracer   *obs.Tracer
 	Metrics  *obs.Registry
 	Progress *obs.Progress
 	Log      *obs.Logger
-	// Events is the job's scope into the scheduler's event log. The
-	// scheduler fills it in when Options.Events is configured and the
-	// submitter left it nil; runners emit low-rate lifecycle events
+	// Events is the job's scope into the scheduler's event log, set when
+	// Options.Events is configured; runners emit low-rate lifecycle events
 	// (app timeouts) through it.
 	Events *obs.EventScope
 }
 
 // Status is a point-in-time snapshot of one job.
 type Status struct {
-	ID       string `json:"id"`
-	Kind     string `json:"kind"`
-	Fig      string `json:"fig,omitempty"`
-	Tenant   string `json:"tenant,omitempty"`
-	Priority int    `json:"priority,omitempty"`
+	ID   string `json:"id"`
+	Kind string `json:"kind"`
+	Fig  string `json:"fig,omitempty"`
 	// State is queued, running, done, failed, canceled, interrupted
 	// (stopped by a scheduler shutdown; it resumes on the next start when
 	// a state directory is configured) or quarantined (failed permanently

@@ -36,52 +36,71 @@ func newTestScheduler(t *testing.T, o Options) *Scheduler {
 	return s
 }
 
-func mustSubmit(t *testing.T, s *Scheduler, spec Spec, so SubmitOptions) *Handle {
+func mustSubmit(t *testing.T, s *Scheduler, spec Spec) *Handle {
 	t.Helper()
-	h, err := s.Submit(spec, so)
+	h, err := s.Submit(spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return h
 }
 
-// TestFairShare: with one worker and two tenants, the queue round-robins
-// between the tenants (a deep backlog from tenant A cannot starve B) and
-// serves higher priorities first within a tenant.
-func TestFairShare(t *testing.T) {
+// TestFIFOOrder: with one blocked worker, queued jobs start in
+// submission order, and canceling a queued job removes it from the line
+// without running it.
+func TestFIFOOrder(t *testing.T) {
 	started := make(chan string)
 	proceed := make(chan struct{})
 	withHook(t, func(ctx context.Context, j *Job) (Artifacts, error) {
-		started <- j.spec.Fig
-		<-proceed
+		// Close cancels ctx, so a failed test never leaves the worker stuck.
+		select {
+		case started <- j.spec.Fig:
+		case <-ctx.Done():
+			return nil, runctl.Err(ctx)
+		}
+		select {
+		case <-proceed:
+		case <-ctx.Done():
+			return nil, runctl.Err(ctx)
+		}
 		return Artifacts{"out": []byte(j.spec.Fig)}, nil
 	})
 	s := newTestScheduler(t, Options{Workers: 1})
 
-	// a1 occupies the sole worker while the backlog builds up.
-	h1 := mustSubmit(t, s, testSpec("a1"), SubmitOptions{Tenant: "A"})
-	if got := <-started; got != "a1" {
-		t.Fatalf("first job %q, want a1", got)
+	// j1 occupies the sole worker while the line builds up.
+	h1 := mustSubmit(t, s, testSpec("j1"))
+	if got := <-started; got != "j1" {
+		t.Fatalf("first job %q, want j1", got)
 	}
-	var handles []*Handle
-	handles = append(handles, mustSubmit(t, s, testSpec("a2"), SubmitOptions{Tenant: "A"}))
-	handles = append(handles, mustSubmit(t, s, testSpec("a3"), SubmitOptions{Tenant: "A", Priority: 5}))
-	handles = append(handles, mustSubmit(t, s, testSpec("a4"), SubmitOptions{Tenant: "A"}))
-	handles = append(handles, mustSubmit(t, s, testSpec("b1"), SubmitOptions{Tenant: "B"}))
-	handles = append(handles, mustSubmit(t, s, testSpec("b2"), SubmitOptions{Tenant: "B"}))
+	handles := []*Handle{h1}
+	for _, label := range []string{"j2", "j3", "j4", "j5"} {
+		handles = append(handles, mustSubmit(t, s, testSpec(label)))
+	}
+	if !s.Cancel(handles[2].ID()) { // j3
+		t.Fatal("Cancel found no queued j3")
+	}
+	s.mu.Lock()
+	waiting := len(s.queue)
+	s.mu.Unlock()
+	if waiting != 3 {
+		t.Fatalf("%d jobs wait after canceling j3, want 3", waiting)
+	}
+	if _, err := handles[2].Wait(context.Background()); !errors.Is(err, runctl.ErrCanceled) {
+		t.Fatalf("canceled queued job err = %v, want ErrCanceled", err)
+	}
 
-	// Tenant A was served last (a1), so B goes next; then A's highest
-	// priority (a3), then B again, then A FIFO.
-	want := []string{"b1", "a3", "b2", "a2", "a4"}
-	proceed <- struct{}{} // release a1
+	want := []string{"j2", "j4", "j5"}
+	proceed <- struct{}{} // release j1
 	for _, w := range want {
-		got := <-started
-		if got != w {
+		if got := <-started; got != w {
 			t.Errorf("execution order got %q, want %q", got, w)
 		}
 		proceed <- struct{}{}
 	}
-	for _, h := range append(handles, h1) {
+	for i, h := range handles {
+		if i == 2 {
+			continue
+		}
 		if _, err := h.Wait(context.Background()); err != nil {
 			t.Errorf("job %s: %v", h.ID(), err)
 		}
@@ -101,8 +120,8 @@ func TestDedup(t *testing.T) {
 	})
 	s := newTestScheduler(t, Options{Workers: 2})
 
-	h1 := mustSubmit(t, s, testSpec("same"), SubmitOptions{})
-	h2 := mustSubmit(t, s, testSpec("same"), SubmitOptions{})
+	h1 := mustSubmit(t, s, testSpec("same"))
+	h2 := mustSubmit(t, s, testSpec("same"))
 	if h1.ID() != h2.ID() {
 		t.Fatalf("ids differ: %s vs %s", h1.ID(), h2.ID())
 	}
@@ -119,7 +138,7 @@ func TestDedup(t *testing.T) {
 		t.Errorf("spec ran %d times, want 1", runs.Load())
 	}
 
-	h3 := mustSubmit(t, s, testSpec("same"), SubmitOptions{})
+	h3 := mustSubmit(t, s, testSpec("same"))
 	a3, err := h3.Wait(context.Background())
 	if err != nil || string(a3["out"]) != "result" {
 		t.Errorf("post-completion dedup: %v %q", err, a3["out"])
@@ -148,9 +167,9 @@ func TestCancelQueued(t *testing.T) {
 		return nil, nil
 	})
 	s := newTestScheduler(t, Options{Workers: 1})
-	mustSubmit(t, s, testSpec("blocker"), SubmitOptions{})
+	mustSubmit(t, s, testSpec("blocker"))
 	<-running
-	h := mustSubmit(t, s, testSpec("victim"), SubmitOptions{})
+	h := mustSubmit(t, s, testSpec("victim"))
 	if !s.Cancel(h.ID()) {
 		t.Fatal("Cancel found no job")
 	}
@@ -179,7 +198,7 @@ func TestCancelRunning(t *testing.T) {
 		return Artifacts{"partial": []byte("p")}, runctl.Err(ctx)
 	})
 	s := newTestScheduler(t, Options{Workers: 1})
-	h := mustSubmit(t, s, testSpec("c"), SubmitOptions{})
+	h := mustSubmit(t, s, testSpec("c"))
 	<-running
 	if !s.Cancel(h.ID()) {
 		t.Fatal("Cancel found no job")
@@ -204,8 +223,11 @@ func TestJobTimeout(t *testing.T) {
 		return nil, runctl.Err(ctx)
 	})
 	s := newTestScheduler(t, Options{Workers: 1})
-	h := mustSubmit(t, s, testSpec("slow"), SubmitOptions{Timeout: time.Millisecond})
-	_, err := h.Wait(context.Background())
+	h, err := s.Submit(testSpec("slow"), time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = h.Wait(context.Background())
 	if !errors.Is(err, runctl.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrCanceled wrapping DeadlineExceeded", err)
 	}
@@ -226,7 +248,7 @@ func TestResubmitAfterCancel(t *testing.T) {
 		return Artifacts{"out": []byte("ok")}, nil
 	})
 	s := newTestScheduler(t, Options{Workers: 1})
-	h1 := mustSubmit(t, s, testSpec("again"), SubmitOptions{})
+	h1 := mustSubmit(t, s, testSpec("again"))
 	for {
 		if st := h1.Status(); st.State == StateRunning {
 			break
@@ -237,7 +259,7 @@ func TestResubmitAfterCancel(t *testing.T) {
 	if _, err := h1.Wait(context.Background()); !errors.Is(err, runctl.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
-	h2 := mustSubmit(t, s, testSpec("again"), SubmitOptions{})
+	h2 := mustSubmit(t, s, testSpec("again"))
 	art, err := h2.Wait(context.Background())
 	if err != nil || string(art["out"]) != "ok" {
 		t.Fatalf("resubmitted job: %v %q", err, art["out"])
@@ -258,7 +280,7 @@ func TestValidation(t *testing.T) {
 		{Kind: KindDesign, Design: []byte("{}"), Slack: "borrowed"}, // bad slack
 	}
 	for _, spec := range bad {
-		if _, err := s.Submit(spec, SubmitOptions{}); err == nil {
+		if _, err := s.Submit(spec, 0); err == nil {
 			t.Errorf("Submit(%+v) accepted an invalid spec", spec)
 		}
 	}
@@ -274,7 +296,7 @@ func tinyFigSpec() Spec {
 // its artifact.
 func TestFigureJobArtifact(t *testing.T) {
 	s := newTestScheduler(t, Options{Workers: 1})
-	h := mustSubmit(t, s, tinyFigSpec(), SubmitOptions{})
+	h := mustSubmit(t, s, tinyFigSpec())
 	art, err := h.Wait(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -289,36 +311,46 @@ func TestFigureJobArtifact(t *testing.T) {
 }
 
 // TestCrashResume: a durable scheduler whose process "dies" mid-figure —
-// the run context is torn down after one fresh row, the completion never
+// Close tears the run down after one fresh row, the completion never
 // journaled — resumes the job on the next start and produces an artifact
 // byte-identical to an uninterrupted run, restoring the finished rows
 // from the per-job row journal instead of recomputing them.
 func TestCrashResume(t *testing.T) {
 	// Clean reference run (own scheduler, no durability).
 	clean := newTestScheduler(t, Options{Workers: 1})
-	want, err := mustSubmit(t, clean, tinyFigSpec(), SubmitOptions{}).Wait(context.Background())
+	want, err := mustSubmit(t, clean, tinyFigSpec()).Wait(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	dir := t.TempDir()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var fresh atomic.Int64
-	testFigRowDone = func(jobID, key string) {
-		// The "crash": after the first freshly computed row, the operator
-		// context goes away mid-job.
-		if fresh.Add(1) == 1 {
-			cancel()
-		}
-	}
-	t.Cleanup(func() { testFigRowDone = nil })
-
 	s1, err := New(Options{Workers: 1, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h1, err := s1.Submit(tinyFigSpec(), SubmitOptions{Context: ctx})
+	var fresh atomic.Int64
+	closed := make(chan error, 1)
+	testFigRowDone = func(key string) {
+		// The "crash": after the first freshly computed row, the scheduler
+		// shuts down mid-job. Close waits for the running job, so it runs
+		// on its own goroutine; the row loop goes on only once Close has
+		// canceled the job, so the next row boundary sees the cancel.
+		if fresh.Add(1) == 1 {
+			go func() { closed <- s1.Close(context.Background()) }()
+			for {
+				s1.mu.Lock()
+				closing := s1.closing
+				s1.mu.Unlock()
+				if closing {
+					return
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	t.Cleanup(func() { testFigRowDone = nil })
+
+	h1, err := s1.Submit(tinyFigSpec(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +360,7 @@ func TestCrashResume(t *testing.T) {
 	if st := h1.Status(); st.State != StateInterrupted {
 		t.Fatalf("state = %s, want interrupted", st.State)
 	}
-	if err := s1.Close(context.Background()); err != nil {
+	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
 	testFigRowDone = nil
@@ -369,7 +401,7 @@ func TestCrashResume(t *testing.T) {
 	if s3.Resumed() != 0 {
 		t.Fatalf("Resumed() after completion = %d, want 0", s3.Resumed())
 	}
-	h3, err := s3.Submit(tinyFigSpec(), SubmitOptions{})
+	h3, err := s3.Submit(tinyFigSpec(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +427,7 @@ func TestCloseInterruptsRunning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := s.Submit(testSpec("x"), SubmitOptions{})
+	h, err := s.Submit(testSpec("x"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +438,7 @@ func TestCloseInterruptsRunning(t *testing.T) {
 	if st := h.Status(); st.State != StateInterrupted {
 		t.Errorf("state = %s, want interrupted", st.State)
 	}
-	if _, err := s.Submit(testSpec("y"), SubmitOptions{}); !errors.Is(err, ErrClosed) {
+	if _, err := s.Submit(testSpec("y"), 0); !errors.Is(err, ErrClosed) {
 		t.Errorf("Submit after Close = %v, want ErrClosed", err)
 	}
 }
@@ -432,7 +464,7 @@ func designSpec(t *testing.T) Spec {
 func TestDesignJob(t *testing.T) {
 	spec := designSpec(t)
 	s := newTestScheduler(t, Options{Workers: 1})
-	h := mustSubmit(t, s, spec, SubmitOptions{})
+	h := mustSubmit(t, s, spec)
 	art, err := h.Wait(context.Background())
 	if err != nil {
 		t.Fatal(err)

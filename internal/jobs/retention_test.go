@@ -34,7 +34,7 @@ func TestFinishedJobsReleaseTraceAndDocument(t *testing.T) {
 	const k = 3
 	var hs []*Handle
 	for i := 0; i < retainedTraces+k; i++ {
-		h := mustSubmit(t, s, docSpec(fmt.Sprint(i)), SubmitOptions{})
+		h := mustSubmit(t, s, docSpec(fmt.Sprint(i)))
 		if _, err := h.Wait(context.Background()); err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
@@ -56,7 +56,7 @@ func TestFinishedJobsReleaseTraceAndDocument(t *testing.T) {
 		}
 	}
 
-	h := mustSubmit(t, s, docSpec("0"), SubmitOptions{})
+	h := mustSubmit(t, s, docSpec("0"))
 	if !h.Joined() || h.Job() != hs[0].Job() {
 		t.Fatal("resubmission of a released done job did not join it")
 	}
@@ -79,7 +79,7 @@ func TestQuarantinedJobKeepsDocument(t *testing.T) {
 	s := newTestScheduler(t, Options{Workers: 1, Retry: fastRetry(2)})
 
 	spec := docSpec("q")
-	h := mustSubmit(t, s, spec, SubmitOptions{})
+	h := mustSubmit(t, s, spec)
 	if _, err := h.Wait(context.Background()); err == nil {
 		t.Fatal("faulty job succeeded")
 	}
@@ -119,7 +119,7 @@ func TestRestoredJobsDropDocument(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, label := range []string{"good", "bad"} {
-		h := mustSubmit(t, s1, docSpec(label), SubmitOptions{})
+		h := mustSubmit(t, s1, docSpec(label))
 		h.Wait(context.Background())
 	}
 	if err := s1.Close(context.Background()); err != nil {
@@ -152,7 +152,7 @@ func TestInstrumentsWhileReleasing(t *testing.T) {
 	const n = 3 * retainedTraces
 	hs := make([]*Handle, n)
 	for i := range hs {
-		hs[i] = mustSubmit(t, s, docSpec(fmt.Sprint(i)), SubmitOptions{})
+		hs[i] = mustSubmit(t, s, docSpec(fmt.Sprint(i)))
 	}
 	var wg sync.WaitGroup
 	for r := 0; r < 2; r++ {

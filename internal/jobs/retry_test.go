@@ -29,7 +29,7 @@ func TestRetryUntilSuccess(t *testing.T) {
 	})
 	s := newTestScheduler(t, Options{Workers: 1, Retry: fastRetry(5)})
 
-	h := mustSubmit(t, s, testSpec("flaky"), SubmitOptions{})
+	h := mustSubmit(t, s, testSpec("flaky"))
 	art, err := h.Wait(context.Background())
 	if err != nil {
 		t.Fatalf("flaky job: %v", err)
@@ -57,14 +57,14 @@ func TestQuarantinePermanentError(t *testing.T) {
 	})
 	s := newTestScheduler(t, Options{Workers: 1, Retry: fastRetry(5)})
 
-	h := mustSubmit(t, s, testSpec("poisoned"), SubmitOptions{})
+	h := mustSubmit(t, s, testSpec("poisoned"))
 	if _, err := h.Wait(context.Background()); err == nil {
 		t.Fatal("poisoned job succeeded")
 	}
 	if st := h.Status(); st.State != StateQuarantined || st.Attempts != 1 {
 		t.Fatalf("status = %s attempts %d, want quarantined attempts 1", st.State, st.Attempts)
 	}
-	h2 := mustSubmit(t, s, testSpec("poisoned"), SubmitOptions{})
+	h2 := mustSubmit(t, s, testSpec("poisoned"))
 	if h2.ID() != h.ID() {
 		t.Fatalf("resubmit got fresh job %s, want sticky %s", h2.ID(), h.ID())
 	}
@@ -86,7 +86,7 @@ func TestQuarantineAfterBudget(t *testing.T) {
 	})
 	s := newTestScheduler(t, Options{Workers: 1, Retry: fastRetry(3)})
 
-	h := mustSubmit(t, s, testSpec("doomed"), SubmitOptions{})
+	h := mustSubmit(t, s, testSpec("doomed"))
 	if _, err := h.Wait(context.Background()); err == nil {
 		t.Fatal("doomed job succeeded")
 	}
@@ -111,7 +111,7 @@ func TestRetryReopensBudget(t *testing.T) {
 	})
 	s := newTestScheduler(t, Options{Workers: 1, Retry: fastRetry(2)})
 
-	h := mustSubmit(t, s, testSpec("recoverable"), SubmitOptions{})
+	h := mustSubmit(t, s, testSpec("recoverable"))
 	if _, err := h.Wait(context.Background()); err == nil {
 		t.Fatal("job succeeded before the fault cleared")
 	}
@@ -155,7 +155,7 @@ func TestQuarantineSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := mustSubmit(t, s1, testSpec("durable"), SubmitOptions{})
+	h := mustSubmit(t, s1, testSpec("durable"))
 	if _, err := h.Wait(context.Background()); err == nil {
 		t.Fatal("job succeeded before the fault cleared")
 	}
@@ -200,7 +200,7 @@ func TestNoPolicyKeepsFailuresTerminal(t *testing.T) {
 	})
 	s := newTestScheduler(t, Options{Workers: 1})
 
-	h := mustSubmit(t, s, testSpec("legacy"), SubmitOptions{})
+	h := mustSubmit(t, s, testSpec("legacy"))
 	if _, err := h.Wait(context.Background()); err == nil {
 		t.Fatal("job succeeded")
 	}

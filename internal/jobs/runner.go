@@ -21,32 +21,36 @@ import (
 	"repro/internal/specio"
 )
 
-// runFigure regenerates one figure into the ArtifactTable artifact. The
-// rendered bytes are exactly what cmd/paperbench historically printed for
-// the figure: the table (or ablation's table group), plus the cc
-// evaluator/improvement lines. Cancellation still produces the artifact —
-// the experiment functions return their completed rows alongside the
-// typed error, so an interrupted job carries its deterministic partial
-// table.
-func runFigure(ctx context.Context, j *Job, rowJ *runstate.Journal) (Artifacts, error) {
-	spec := j.spec
+// testFigRowDone, when non-nil, observes every freshly journaled row of a
+// figure run; the crash-resume tests use it to stop the scheduler at
+// exact row boundaries.
+var testFigRowDone func(rowKey string)
+
+// RunFigure regenerates one figure into the ArtifactTable artifact, the
+// one figure path of both binaries: paperbench calls it directly and the
+// scheduler calls it for ftesd's figure jobs. The rendered bytes are the
+// table (or ablation's table group), plus the cc evaluator/improvement
+// lines. A non-nil rowJournal journals every completed row and restores
+// the rows an earlier run already journaled; spec.ShardIndex/ShardCount
+// select a slice's rows (a slice needs the journal jobs.OpenSlice opens).
+// Cancellation still produces the artifact: the experiment functions
+// return their completed rows alongside the typed error, so an
+// interrupted run carries its deterministic partial table. A panic comes
+// back as a *runctl.PanicError.
+func RunFigure(ctx context.Context, spec Spec, rowJournal *runstate.Journal, inst Instruments) (Artifacts, error) {
 	cfg := experiments.Config{
 		Apps: spec.Apps, Procs: spec.Procs, Seed: spec.Seed,
 		Workers: spec.Workers, AppTimeout: spec.AppTimeout,
 		ShardIndex: spec.ShardIndex, ShardCount: spec.ShardCount,
-		Metrics: j.obs.Metrics, Progress: j.obs.Progress, Log: j.obs.Log,
-		Events: j.obs.Events,
+		Metrics: inst.Metrics, Progress: inst.Progress, Log: inst.Log,
+		Events: inst.Events, RowDone: testFigRowDone,
 	}
-	if rowJ != nil {
+	if rowJournal != nil {
 		// Guarded: a nil *runstate.Journal inside the RowStore interface
 		// would read as non-nil and panic on first use.
-		cfg.Journal = rowJ
+		cfg.Journal = rowJournal
 	}
-	if testFigRowDone != nil {
-		id := j.id
-		cfg.RowDone = func(key string) { testFigRowDone(id, key) }
-	}
-	return renderFigure(ctx, spec, cfg, j.obs)
+	return renderFigure(ctx, spec, cfg, inst)
 }
 
 // MergeOpt tunes a MergeShards call.
@@ -179,8 +183,10 @@ func incompleteReport(fig string, shards, present int, reasons map[int]string, m
 }
 
 // renderFigure dispatches one figure run (live, sharded or merge — the
-// difference lives entirely in cfg) and renders the ArtifactTable bytes.
-func renderFigure(ctx context.Context, spec Spec, cfg experiments.Config, inst Instruments) (Artifacts, error) {
+// difference lives entirely in cfg) and renders the ArtifactTable bytes,
+// containing any panic as a *runctl.PanicError.
+func renderFigure(ctx context.Context, spec Spec, cfg experiments.Config, inst Instruments) (art Artifacts, err error) {
+	defer runctl.Recover("figure "+spec.Fig, &err)
 	span := inst.Tracer.Start("fig." + spec.Fig)
 	defer span.End()
 	cfg.Span = span
@@ -209,7 +215,6 @@ func renderFigure(ctx context.Context, spec Spec, cfg experiments.Config, inst I
 		return renderResult(f(ctx, cfg))
 	}
 
-	var err error
 	switch spec.Fig {
 	case "6a":
 		err = table(experiments.Fig6a)

@@ -34,11 +34,6 @@ const retainedTraces = 16
 // to control execution timing deterministically. Never set in production.
 var testRunHook func(ctx context.Context, j *Job) (Artifacts, error)
 
-// testFigRowDone, when non-nil, observes every freshly journaled row of a
-// figure job; the crash-resume tests use it to stop the scheduler at
-// exact row boundaries.
-var testFigRowDone func(jobID, rowKey string)
-
 // Options configures a Scheduler.
 type Options struct {
 	// Workers bounds how many jobs run concurrently (min 1).
@@ -60,7 +55,7 @@ type Options struct {
 	// job submitted/started/done/failed/canceled/interrupted, dedup hits,
 	// resumes, shard starts, panics recovered.
 	// ftesd opens a durable log under its state dir so the stream
-	// survives restarts; paperbench -serve uses a memory-only log.
+	// survives restarts.
 	Events *obs.EventLog
 	// Retry, when non-nil, is the self-healing policy: a job failing with
 	// a retryable error (retry.IsRetryable — torn journal writes, ENOSPC,
@@ -78,17 +73,11 @@ type Options struct {
 // the owning scheduler's mutex; artifacts and err are immutable once the
 // done channel closes.
 type Job struct {
-	s        *Scheduler
-	id       string
-	spec     Spec
-	tenant   string
-	priority int
-	timeout  time.Duration
-	seq      int64
-
-	obs        Instruments
-	rowJournal *runstate.Journal // submitter-owned; nil → scheduler-owned per-job journal
-	parent     context.Context
+	s       *Scheduler
+	id      string
+	spec    Spec
+	timeout time.Duration
+	obs     Instruments
 
 	state        string
 	userCanceled bool
@@ -121,33 +110,6 @@ func (j *Job) Instruments() Instruments {
 	j.s.mu.Lock()
 	defer j.s.mu.Unlock()
 	return j.obs
-}
-
-// SubmitOptions carry everything about a submission that is not part of
-// the job's content-addressed identity.
-type SubmitOptions struct {
-	// Tenant names the fair-share queue the job waits in ("" is a valid
-	// tenant). The scheduler serves tenants round-robin, so one tenant's
-	// backlog cannot starve another's.
-	Tenant string
-	// Priority orders jobs within a tenant (higher first, FIFO within a
-	// priority).
-	Priority int
-	// Timeout bounds the job's run (0 = none); expiry surfaces as
-	// runctl.ErrCanceled wrapping context.DeadlineExceeded, with the
-	// deterministic partial artifacts every canceled run produces.
-	Timeout time.Duration
-	// Context, when non-nil, parents the job's run context: canceling it
-	// cooperatively stops the job. paperbench passes its signal context;
-	// daemon submissions leave it nil (jobs outlive HTTP requests).
-	Context context.Context
-	// Obs, when non-nil, replaces the per-job instruments.
-	Obs *Instruments
-	// RowJournal, when non-nil, is a caller-owned row journal for figure
-	// jobs (paperbench -journal, or a shard worker's jobs.OpenSlice
-	// journal); the scheduler then neither opens nor closes a per-job one.
-	// A sharded slice (Spec.ShardCount > 1) requires it.
-	RowJournal *runstate.Journal
 }
 
 // Handle is a submitter's reference to a (possibly shared) job.
@@ -192,23 +154,19 @@ func (h *Handle) Wait(ctx context.Context) (Artifacts, error) {
 // Status snapshots the job.
 func (h *Handle) Status() Status { return h.s.status(h.j) }
 
-// Scheduler runs jobs from a priority + fair-share queue on a bounded
-// worker pool. Create one with New and stop it with Close.
+// Scheduler runs jobs from one FIFO queue on a bounded worker pool.
+// Create one with New and stop it with Close.
 type Scheduler struct {
 	opts   Options
 	log    *obs.Logger
 	events *obs.EventLog
 
-	mu         sync.Mutex
-	cond       *sync.Cond
-	jobs       map[string]*Job
-	queues     map[string][]*Job
-	ring       []string // tenants in first-seen order
-	lastTenant int      // ring index served last
-	queued     int
-	closing    bool
-	seq        int64
-	resumed    int
+	mu      sync.Mutex
+	cond    *sync.Cond
+	jobs    map[string]*Job
+	queue   []*Job // waiting jobs in submission order
+	closing bool
+	resumed int
 
 	// traced holds the retainedTraces most recently finished jobs, oldest
 	// at tracedNext; see retireLocked.
@@ -226,10 +184,8 @@ type Scheduler struct {
 
 // submitRecord is the durable form of one accepted submission.
 type submitRecord struct {
-	Spec     Spec   `json:"spec"`
-	Tenant   string `json:"tenant,omitempty"`
-	Priority int    `json:"priority,omitempty"`
-	Timeout  int64  `json:"timeout_ns,omitempty"`
+	Spec    Spec  `json:"spec"`
+	Timeout int64 `json:"timeout_ns,omitempty"`
 }
 
 // doneRecord is the durable form of one completion.
@@ -265,7 +221,6 @@ func New(o Options) (*Scheduler, error) {
 		log:    o.Log,
 		events: o.Events,
 		jobs:   make(map[string]*Job),
-		queues: make(map[string][]*Job),
 
 		mSubmitted:   reg.Counter("jobs.submitted"),
 		mDedup:       reg.Counter("jobs.dedup_hits"),
@@ -282,7 +237,7 @@ func New(o Options) (*Scheduler, error) {
 	reg.GaugeFunc("jobs.queue_depth", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return float64(s.queued)
+		return float64(len(s.queue))
 	})
 	if o.Dir != "" {
 		if err := os.MkdirAll(o.Dir, 0o755); err != nil {
@@ -318,14 +273,14 @@ func (s *Scheduler) recover() {
 	base := map[string]int{}
 	quar := map[string]string{} // id → error text while quarantined
 	for _, r := range rows {
-		if id, ok := cutPrefix(r.Key, "done|"); ok {
+		if id, ok := strings.CutPrefix(r.Key, "done|"); ok {
 			var rec doneRecord
 			if jsonUnmarshal(r.Data, &rec) {
 				done[id] = rec
 			}
 			continue
 		}
-		if id, ok := cutPrefix(r.Key, "job|"); ok {
+		if id, ok := strings.CutPrefix(r.Key, "job|"); ok {
 			var rec submitRecord
 			if jsonUnmarshal(r.Data, &rec) {
 				order = append(order, pending{id, rec})
@@ -334,13 +289,13 @@ func (s *Scheduler) recover() {
 		}
 		// Self-healing rows, replayed in file order so a quarantine after a
 		// manual retry lands quarantined, and vice versa.
-		if rest, ok := cutPrefix(r.Key, "try|"); ok {
+		if rest, ok := strings.CutPrefix(r.Key, "try|"); ok {
 			if id, n, ok := splitAttemptKey(rest); ok && n > attempts[id] {
 				attempts[id] = n
 			}
 			continue
 		}
-		if rest, ok := cutPrefix(r.Key, "quar|"); ok {
+		if rest, ok := strings.CutPrefix(r.Key, "quar|"); ok {
 			if id, _, ok := splitAttemptKey(rest); ok {
 				var rec quarRecord
 				if jsonUnmarshal(r.Data, &rec) && rec.Err != "" {
@@ -351,7 +306,7 @@ func (s *Scheduler) recover() {
 			}
 			continue
 		}
-		if rest, ok := cutPrefix(r.Key, "retry|"); ok {
+		if rest, ok := strings.CutPrefix(r.Key, "retry|"); ok {
 			if id, n, ok := splitAttemptKey(rest); ok {
 				base[id] = n
 				delete(quar, id)
@@ -359,11 +314,7 @@ func (s *Scheduler) recover() {
 		}
 	}
 	for _, p := range order {
-		j := s.newJob(p.id, p.rec.Spec, SubmitOptions{
-			Tenant:   p.rec.Tenant,
-			Priority: p.rec.Priority,
-			Timeout:  time.Duration(p.rec.Timeout),
-		})
+		j := s.newJob(p.id, p.rec.Spec, time.Duration(p.rec.Timeout))
 		j.attempts = attempts[p.id]
 		j.budgetBase = base[p.id]
 		s.jobs[p.id] = j
@@ -419,43 +370,33 @@ func (s *Scheduler) Resumed() int {
 }
 
 // newJob builds a Job (caller inserts it under s.mu where needed).
-func (s *Scheduler) newJob(id string, spec Spec, so SubmitOptions) *Job {
-	j := &Job{
-		s:           s,
-		id:          id,
-		spec:        spec,
-		tenant:      so.Tenant,
-		priority:    so.Priority,
-		timeout:     so.Timeout,
-		parent:      so.Context,
-		rowJournal:  so.RowJournal,
+func (s *Scheduler) newJob(id string, spec Spec, timeout time.Duration) *Job {
+	return &Job{
+		s:       s,
+		id:      id,
+		spec:    spec,
+		timeout: timeout,
+		obs: Instruments{
+			Tracer:   obs.NewTracer(),
+			Metrics:  obs.NewRegistry(),
+			Progress: obs.NewProgress(),
+			Log:      s.log,
+			Events:   s.events.Scoped(id),
+		},
 		state:       StateQueued,
 		submits:     1,
 		submittedAt: time.Now(),
 		done:        make(chan struct{}),
 	}
-	if j.parent == nil {
-		j.parent = context.Background()
-	}
-	if so.Obs != nil {
-		j.obs = *so.Obs
-	} else {
-		j.obs = Instruments{
-			Tracer:   obs.NewTracer(),
-			Metrics:  obs.NewRegistry(),
-			Progress: obs.NewProgress(),
-			Log:      s.log,
-		}
-	}
-	if j.obs.Events == nil {
-		j.obs.Events = s.events.Scoped(id)
-	}
-	return j
 }
 
 // Submit enqueues the spec (or joins the existing job with the same
-// fingerprint) and returns a handle on it.
-func (s *Scheduler) Submit(spec Spec, so SubmitOptions) (*Handle, error) {
+// fingerprint) and returns a handle on it. timeout bounds the job's run
+// (0 = none); expiry surfaces as runctl.ErrCanceled wrapping
+// context.DeadlineExceeded, with the deterministic partial artifacts
+// every canceled run produces. The timeout is not part of the job's
+// content-addressed identity.
+func (s *Scheduler) Submit(spec Spec, timeout time.Duration) (*Handle, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -485,7 +426,7 @@ func (s *Scheduler) Submit(spec Spec, so SubmitOptions) (*Handle, error) {
 			return &Handle{s: s, j: j, joined: true}, nil
 		}
 	}
-	j := s.newJob(id, spec, so)
+	j := s.newJob(id, spec, timeout)
 	s.jobs[id] = j
 	s.mu.Unlock()
 
@@ -493,7 +434,7 @@ func (s *Scheduler) Submit(spec Spec, so SubmitOptions) (*Handle, error) {
 		// Durability before visibility: the submission is on disk before
 		// the job can run, so a crash between accept and completion always
 		// re-enqueues it.
-		rec := submitRecord{Spec: spec, Tenant: so.Tenant, Priority: so.Priority, Timeout: int64(so.Timeout)}
+		rec := submitRecord{Spec: spec, Timeout: int64(timeout)}
 		if err := s.state.Record("job|"+id, rec); err != nil {
 			s.mu.Lock()
 			delete(s.jobs, id)
@@ -502,7 +443,7 @@ func (s *Scheduler) Submit(spec Spec, so SubmitOptions) (*Handle, error) {
 		}
 	}
 	s.mSubmitted.Add(1)
-	s.log.Info("job submitted", "job", id, "kind", spec.Kind, "fig", spec.Fig, "tenant", so.Tenant, "priority", so.Priority)
+	s.log.Info("job submitted", "job", id, "kind", spec.Kind, "fig", spec.Fig)
 	s.events.Emit("job.submitted", id, eventFields(spec))
 
 	s.mu.Lock()
@@ -518,33 +459,13 @@ func (s *Scheduler) Submit(spec Spec, so SubmitOptions) (*Handle, error) {
 	return &Handle{s: s, j: j}, nil
 }
 
-// enqueueLocked inserts j into its tenant's queue: higher priority first,
-// FIFO within a priority. Caller holds s.mu.
+// enqueueLocked appends j to the queue. Caller holds s.mu.
 func (s *Scheduler) enqueueLocked(j *Job) {
-	s.seq++
-	j.seq = s.seq
-	q := s.queues[j.tenant]
-	if _, ok := s.queues[j.tenant]; !ok {
-		s.ring = append(s.ring, j.tenant)
-	}
-	pos := len(q)
-	for i, other := range q {
-		if other.priority < j.priority {
-			pos = i
-			break
-		}
-	}
-	q = append(q, nil)
-	copy(q[pos+1:], q[pos:])
-	q[pos] = j
-	s.queues[j.tenant] = q
-	s.queued++
+	s.queue = append(s.queue, j)
 	s.cond.Signal()
 }
 
 // next blocks until a job is available or the scheduler closes (nil).
-// Fair share: the scan starts at the tenant after the one served last,
-// so tenants take turns regardless of backlog sizes.
 func (s *Scheduler) next() *Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -552,20 +473,11 @@ func (s *Scheduler) next() *Job {
 		if s.closing {
 			return nil
 		}
-		if s.queued > 0 {
-			n := len(s.ring)
-			for k := 1; k <= n; k++ {
-				idx := (s.lastTenant + k) % n
-				q := s.queues[s.ring[idx]]
-				if len(q) == 0 {
-					continue
-				}
-				j := q[0]
-				s.queues[s.ring[idx]] = q[1:]
-				s.lastTenant = idx
-				s.queued--
-				return j
-			}
+		if len(s.queue) > 0 {
+			j := s.queue[0]
+			s.queue[0] = nil // the backing array must not pin a finished job
+			s.queue = s.queue[1:]
+			return j
 		}
 		s.cond.Wait()
 	}
@@ -619,7 +531,7 @@ func (s *Scheduler) runJob(j *Job) {
 		})
 	}
 
-	ctx, cancel := context.WithCancel(j.parent)
+	ctx, cancel := context.WithCancel(context.Background())
 	s.mu.Lock()
 	j.cancel = cancel
 	s.mu.Unlock()
@@ -645,16 +557,16 @@ func (s *Scheduler) execute(ctx context.Context, j *Job) (art Artifacts, err err
 	defer runctl.Recover(fmt.Sprintf("jobs %s runner (job %s)", j.spec.Kind, j.id), &err)
 	switch j.spec.Kind {
 	case KindFigure:
-		rowJ := j.rowJournal
-		switch {
-		case rowJ != nil:
-		case j.spec.ShardCount > 1:
+		if j.spec.ShardCount > 1 {
 			// A slice journals into its sweep's shard directory, which only
-			// the worker that opened it (jobs.OpenSlice) knows. Running it
-			// unsharded or into a scheduler-owned journal would produce rows
-			// no merge can find, so it fails instead.
-			return nil, fmt.Errorf("jobs: sharded figure job %s (shard %d/%d) has no caller-owned row journal; shard sweeps with paperbench -shards", j.id, j.spec.ShardIndex, j.spec.ShardCount)
-		case s.opts.Dir != "":
+			// the paperbench worker that opened it (jobs.OpenSlice) knows. An
+			// old state journal can still restore one; running it unsharded or
+			// into a scheduler-owned journal would produce rows no merge can
+			// find, so it fails instead.
+			return nil, fmt.Errorf("jobs: sharded figure job %s (shard %d/%d) has no row journal; shard sweeps with paperbench -shards", j.id, j.spec.ShardIndex, j.spec.ShardCount)
+		}
+		var rowJ *runstate.Journal
+		if s.opts.Dir != "" {
 			// The row journal is keyed by the job fingerprint, so it can
 			// only ever resume the spec that wrote it.
 			rj, jerr := runstate.Open(filepath.Join(s.opts.Dir, "rows-"+j.id+".jsonl"), j.id, true)
@@ -664,7 +576,7 @@ func (s *Scheduler) execute(ctx context.Context, j *Job) (art Artifacts, err err
 			defer rj.Close()
 			rowJ = rj
 		}
-		return runFigure(ctx, j, rowJ)
+		return RunFigure(ctx, j.spec, rowJ, j.obs)
 	case KindDesign:
 		return runDesign(ctx, j.spec, j.obs)
 	case kindTest:
@@ -678,21 +590,19 @@ func (s *Scheduler) execute(ctx context.Context, j *Job) (art Artifacts, err err
 }
 
 // completeJob records the outcome (unless the job was interrupted by a
-// shutdown or an external cancel, in which case it stays in-flight for
-// the next scheduler over the same state dir) and wakes every waiter.
+// shutdown, in which case it stays in-flight for the next scheduler over
+// the same state dir) and wakes every waiter.
 func (s *Scheduler) completeJob(j *Job, artifacts Artifacts, err error) {
 	s.mu.Lock()
 	closing := s.closing
 	userCanceled := j.userCanceled
 	s.mu.Unlock()
-	parentCanceled := j.parent.Err() != nil
 
-	// A cooperative cancellation that the submitter did not ask for —
-	// scheduler shutdown or the parent context (an operator interrupt)
-	// going away — leaves the job interrupted: its completion is not
-	// journaled, so a durable scheduler resumes it on the next start.
+	// A cooperative cancellation that the submitter did not ask for — a
+	// scheduler shutdown — leaves the job interrupted: its completion is
+	// not journaled, so a durable scheduler resumes it on the next start.
 	interrupted := err != nil && errors.Is(err, runctl.ErrCanceled) &&
-		!userCanceled && (closing || parentCanceled)
+		!userCanceled && closing
 
 	// Self-healing disposition. With a retry policy configured, a failure
 	// that is neither an interruption nor a user cancel goes one of two
@@ -875,8 +785,7 @@ func (s *Scheduler) Retry(id string) (*Handle, error) {
 	}
 	// Fresh Job (the old done channel already closed; waiters saw the
 	// quarantine), same identity and submission parameters.
-	nj := s.newJob(id, j.spec, SubmitOptions{Tenant: j.tenant, Priority: j.priority, Timeout: j.timeout})
-	nj.parent = j.parent
+	nj := s.newJob(id, j.spec, j.timeout)
 	nj.attempts = j.attempts
 	nj.budgetBase = j.attempts
 	nj.submits = j.submits + 1
@@ -941,15 +850,13 @@ func (s *Scheduler) Cancel(id string) bool {
 	}
 	j.userCanceled = true
 	if j.state == StateQueued {
-		// Reap it from its queue so a worker never picks it up. When a
+		// Reap it from the queue so a worker never picks it up. When a
 		// worker already dequeued it (but has not started it yet), leave
 		// completion to that worker's userCanceled check — completing from
 		// both sides would double-close the done channel.
-		q := s.queues[j.tenant]
-		for i, other := range q {
+		for i, other := range s.queue {
 			if other == j {
-				s.queues[j.tenant] = append(q[:i:i], q[i+1:]...)
-				s.queued--
+				s.queue = append(s.queue[:i:i], s.queue[i+1:]...)
 				s.mu.Unlock()
 				s.completeJob(j, nil, fmt.Errorf("%w: canceled while queued", runctl.ErrCanceled))
 				return true
@@ -993,8 +900,6 @@ func (s *Scheduler) status(j *Job) Status {
 		ID:          j.id,
 		Kind:        j.spec.Kind,
 		Fig:         j.spec.Fig,
-		Tenant:      j.tenant,
-		Priority:    j.priority,
 		State:       j.state,
 		Submits:     j.submits,
 		Attempts:    j.attempts,
@@ -1046,14 +951,6 @@ func (s *Scheduler) Close(ctx context.Context) error {
 		return s.state.Close()
 	}
 	return nil
-}
-
-// cutPrefix is strings.CutPrefix (kept local for the 1.22 floor's sake).
-func cutPrefix(s, prefix string) (string, bool) {
-	if len(s) >= len(prefix) && s[:len(prefix)] == prefix {
-		return s[len(prefix):], true
-	}
-	return "", false
 }
 
 // jsonUnmarshal decodes data into v, reporting success; a malformed state

@@ -18,8 +18,7 @@ import (
 // the sweep already in dir is refused before it can write a single row;
 // the journal fingerprint binds the file to its exact (workload, shard
 // index, shard count) coordinates. paperbench shard workers open their
-// slices here and hand the journal to the scheduler as
-// SubmitOptions.RowJournal.
+// slices here and hand the journal to RunFigure.
 func OpenSlice(dir string, spec Spec, resume bool) (*runstate.Journal, error) {
 	fp, err := shard.WorkloadFingerprint(spec.Apps, spec.Procs, spec.Seed)
 	if err != nil {

@@ -23,12 +23,10 @@ func runSweep(t *testing.T, spec Spec, n int) string {
 }
 
 // runSlices computes every slice of an n-shard sweep of spec into the
-// shard directory dir the way paperbench workers do — OpenSlice (resuming
-// earlier rows when resume is set) plus the slice journal as the job's
-// caller-owned row journal — on a scheduler of its own.
+// shard directory dir the way paperbench workers do: OpenSlice (resuming
+// earlier rows when resume is set), then RunFigure into the slice journal.
 func runSlices(t *testing.T, dir string, spec Spec, n int, resume bool) {
 	t.Helper()
-	s := newTestScheduler(t, Options{Workers: 1})
 	for i := 0; i < n; i++ {
 		sl := spec
 		sl.ShardIndex, sl.ShardCount = i, n
@@ -36,7 +34,7 @@ func runSlices(t *testing.T, dir string, spec Spec, n int, resume bool) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = mustSubmit(t, s, sl, SubmitOptions{RowJournal: j}).Wait(context.Background())
+		_, err = RunFigure(context.Background(), sl, j, Instruments{})
 		if cerr := j.Close(); err == nil {
 			err = cerr
 		}
@@ -49,7 +47,7 @@ func runSlices(t *testing.T, dir string, spec Spec, n int, resume bool) {
 // TestSubmitShardedEquivalence: for every kind of figure row — acceptance
 // points (6a and the ablations), rendered policy rows and simulation
 // rows — a sharded sweep, its slices run through the one slice path
-// (OpenSlice + caller-owned RowJournal + MergeShards), merges into a
+// (OpenSlice + RunFigure + MergeShards), merges into a
 // table byte-identical to an unsharded run of the same spec. Running
 // every slice again into the same directory, resuming its journal,
 // merges to the same bytes.
@@ -61,8 +59,7 @@ func TestSubmitShardedEquivalence(t *testing.T) {
 			if fig != "6a" {
 				spec.Procs = []int{10}
 			}
-			clean := newTestScheduler(t, Options{Workers: 1})
-			want, err := mustSubmit(t, clean, spec, SubmitOptions{}).Wait(context.Background())
+			want, err := RunFigure(context.Background(), spec, nil, Instruments{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,11 +87,11 @@ func TestSubmitShardedEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardSliceNeedsDurability: a slice spec with no caller-owned row
-// journal fails loudly, naming paperbench -shards, on memory-only and
-// durable schedulers alike — it neither runs unsharded nor gets a journal
-// the scheduler opens itself. A slice journaled into state.jsonl by an
-// older daemon, which the restart re-enqueues, fails the same way.
+// TestShardSliceNeedsDurability: a slice spec submitted to the scheduler
+// fails loudly, naming paperbench -shards, on memory-only and durable
+// schedulers alike — it neither runs unsharded nor gets a journal the
+// scheduler opens itself. A slice journaled into state.jsonl by an older
+// daemon, which the restart re-enqueues, fails the same way.
 func TestShardSliceNeedsDurability(t *testing.T) {
 	sl := tinyFigSpec()
 	sl.ShardIndex, sl.ShardCount = 0, 2
@@ -124,12 +121,12 @@ func TestShardSliceNeedsDurability(t *testing.T) {
 
 	t.Run("memory", func(t *testing.T) {
 		s := newTestScheduler(t, Options{Workers: 1})
-		refused(t, mustSubmit(t, s, sl, SubmitOptions{}))
+		refused(t, mustSubmit(t, s, sl))
 	})
 	t.Run("durable", func(t *testing.T) {
 		dir := t.TempDir()
 		s := newTestScheduler(t, Options{Workers: 1, Dir: dir})
-		refused(t, mustSubmit(t, s, sl, SubmitOptions{}))
+		refused(t, mustSubmit(t, s, sl))
 		onlyState(t, dir)
 	})
 	t.Run("legacy state row", func(t *testing.T) {

@@ -15,12 +15,12 @@ import (
 // to watchers.
 //
 // Two modes share one type. NewEventLog keeps events in memory only (a
-// bounded ring), which is what `paperbench -serve` uses for the lifetime
-// of one run. OpenEventLog additionally journals every event to an
-// append-only CRC-framed JSONL file — the exact runstate framing, with
-// sequence numbers as row keys — so a daemon restart replays the full
-// history: the ring is rebuilt from disk and new events continue the
-// sequence where the previous process stopped.
+// bounded ring), which is what ftesd uses without -state. OpenEventLog
+// additionally journals every event to an append-only CRC-framed JSONL
+// file — the exact runstate framing, with sequence numbers as row
+// keys — so a daemon restart replays the full history: the ring is
+// rebuilt from disk and new events continue the sequence where the
+// previous process stopped.
 //
 // Like the rest of the package, a nil *EventLog is the disabled log:
 // Emit costs one pointer check, Events returns nothing, and Changed
