@@ -25,8 +25,10 @@ func newSolCache(cap int, entries *atomic.Int64) *solCache {
 	return &solCache{m: make(map[string]*redundancy.Solution), cap: cap, entries: entries}
 }
 
-func (c *solCache) get(key string) (*redundancy.Solution, bool) {
-	sol, ok := c.m[key]
+// get looks up a mapping key without allocating, the way sfpCache.get
+// does.
+func (c *solCache) get(key []byte) (*redundancy.Solution, bool) {
+	sol, ok := c.m[string(key)]
 	return sol, ok
 }
 

@@ -38,7 +38,7 @@ func TestSolCachePutEvictsOneVictim(t *testing.T) {
 	if ev := c.put(keys[4], sol); ev != 1 {
 		t.Fatalf("overflow put evicted %d entries, want 1", ev)
 	}
-	if _, ok := c.get(keys[4]); !ok {
+	if _, ok := c.get([]byte(keys[4])); !ok {
 		t.Fatal("incoming entry was not kept on overflow")
 	}
 	if n := c.entries.Load(); n != 4 {

@@ -15,7 +15,9 @@
 //     to one hardening search: RedundancyOpt revisits level vectors while
 //     it raises and lowers hardening, and no other search ever asks for
 //     them again, so each Evaluator keeps a plain map for the mapping it
-//     is searching and clears it when the next search starts;
+//     is searching and clears it when the next search starts. It maps
+//     an integer key to solutions by value, whose Levels and Ks live on a
+//     per-search slab, so a memo-miss probe allocates nothing;
 //   - a cache of per-node SFP analyses keyed on (node type, hardening
 //     level, mapped process set), so the combinatorial
 //     complete-homogeneous-polynomial setup of sfp.NewNode runs once per
@@ -45,8 +47,8 @@
 // redundancy.Evaluate builds (enforced by TestEvaluatorMatchesFresh).
 //
 // An Evaluator is a single-goroutine handle: its caches, probe memo and
-// scratch buffers (schedule workspace, key buffers, bus) are not safe for
-// concurrent use.
+// scratch buffers (schedule workspace, probe slab, key buffer, bus) are
+// not safe for concurrent use.
 package evalengine
 
 import (
@@ -72,8 +74,8 @@ const (
 
 // Evaluator is a single-goroutine handle onto the memoized evaluation
 // engine for one redundancy problem at a time. Create one with New, move
-// it to the next candidate architecture with SetProblem, and evaluate
-// hardening vectors and mappings with Evaluate / RedundancyOpt. The SFP
+// it to the next candidate architecture with SetProblem, and run
+// hardening searches for mappings with RedundancyOpt. The SFP
 // node cache survives SetProblem (node types recur across candidate
 // architectures); the opt cache and the probe memo are dropped whenever
 // an input that affects them changes.
@@ -111,18 +113,20 @@ type Evaluator struct {
 	// problem change or analysisFor error.
 	lastMapping []int
 	lastLevels  []int
-	// memo is the probe memo of the current hardening search: hardening
-	// vector → solution under memoMapping. memoKey is its own key buffer,
-	// since analysisFor reuses keyBuf in the middle of a probe.
-	memo        map[string]*redundancy.Solution
+	// memo is the probe memo of the current hardening search: memo key of
+	// a hardening vector → solution under memoMapping. A key can stand for
+	// more than one vector once it wraps past 2^64, so a hit is confirmed
+	// against the solution's Levels. The solutions' Levels and Ks live in
+	// slab, which is reset together with the memo.
+	memo        map[uint64]redundancy.Solution
 	memoMapping []int
-	memoKey     []byte
+	slab        []int
 }
 
 // New returns an Evaluator for the given problem. The problem's Mapping
 // field is ignored — mappings are per-call inputs.
 func New(p redundancy.Problem) *Evaluator {
-	e := &Evaluator{st: newStore(), memo: make(map[string]*redundancy.Solution)}
+	e := &Evaluator{st: newStore(), memo: make(map[uint64]redundancy.Solution)}
 	e.set(p)
 	return e
 }
@@ -264,40 +268,58 @@ func appendInts(dst []byte, vals []int) []byte {
 	return dst
 }
 
-// Evaluate returns the solution (re-executions, worst-case schedule
-// length, cost, feasibility) for the given mapping and hardening vector,
-// from the probe memo when this hardening search has already probed it.
-// The memo holds one mapping's probes: a call with another mapping clears
-// it first. Its Schedule is nil; Schedule builds it for a solution the
-// caller keeps. The returned Solution is shared across callers and must
-// be treated as immutable.
-func (e *Evaluator) Evaluate(mapping, levels []int) (*redundancy.Solution, error) {
+// memoKey is the mixed-radix index of a hardening vector: node j's digit
+// is levels[j] − MinLevel + 1, in base MaxLevel − MinLevel + 2, and the
+// last node's digit is the least significant. The index wraps modulo
+// 2^64 on very wide architectures, so equal keys do not prove equal
+// vectors.
+func (e *Evaluator) memoKey(levels []int) uint64 {
+	var k uint64
+	for j, n := range e.prob.Arch.Nodes[:min(len(levels), len(e.prob.Arch.Nodes))] {
+		k = k*uint64(n.MaxLevel()-n.MinLevel()+2) + uint64(levels[j]-n.MinLevel()+1)
+	}
+	return k
+}
+
+// probe returns the solution (re-executions, worst-case schedule length,
+// cost, feasibility) for the given mapping and hardening vector, from the
+// probe memo when this hardening search has already probed it. The memo
+// holds one mapping's probes: a call with another mapping clears it
+// first. Its Schedule is nil; Schedule builds it for a solution the
+// caller keeps. The solution's Levels and Ks point into the probe slab
+// and stay valid until the memo is next cleared.
+func (e *Evaluator) probe(mapping, levels []int) (redundancy.Solution, error) {
 	st := e.st
 	st.live.evaluations.Add(1)
 	if !slices.Equal(e.memoMapping, mapping) {
 		e.clearMemo()
 		e.memoMapping = append(e.memoMapping[:0], mapping...)
 	}
-	e.memoKey = appendInts(e.memoKey[:0], levels)
-	if sol, ok := e.memo[string(e.memoKey)]; ok {
+	key := e.memoKey(levels)
+	sol, resident := e.memo[key]
+	if resident && slices.Equal(sol.Levels, levels) {
 		st.stats.CacheHits++
 		return sol, nil
 	}
 	st.stats.CacheMisses++
 	sol, err := e.evaluate(mapping, levels)
 	if err != nil {
-		return nil, err
+		return redundancy.Solution{}, err
 	}
-	e.memo[string(e.memoKey)] = sol
-	st.live.memoEntries.Add(1)
+	e.memo[key] = sol
+	if !resident {
+		st.live.memoEntries.Add(1)
+	}
 	return sol, nil
 }
 
-// clearMemo empties the probe memo, keeping its map for the next search.
+// clearMemo empties the probe memo and its slab, keeping both for the
+// next search.
 func (e *Evaluator) clearMemo() {
 	e.st.live.memoEntries.Add(-int64(len(e.memo)))
 	clear(e.memo)
 	e.memoMapping = e.memoMapping[:0]
+	e.slab = e.slab[:0]
 }
 
 // evaluate is the memo-miss path: the exact pipeline of
@@ -306,9 +328,9 @@ func (e *Evaluator) clearMemo() {
 // length-only schedule probe on the reusable workspace. The search only
 // ranks the solution, so nothing else of the schedule is written. The
 // layers are timed only when a span or a registry will read the times.
-func (e *Evaluator) evaluate(mapping, levels []int) (*redundancy.Solution, error) {
+func (e *Evaluator) evaluate(mapping, levels []int) (redundancy.Solution, error) {
 	if e.ceilingErr != nil {
-		return nil, e.ceilingErr
+		return redundancy.Solution{}, e.ceilingErr
 	}
 	st := e.st
 	timed := e.span != nil || st.metrics != nil
@@ -318,13 +340,15 @@ func (e *Evaluator) evaluate(mapping, levels []int) (*redundancy.Solution, error
 	}
 	analysis, err := e.analysisFor(mapping, levels)
 	if err != nil {
-		return nil, err
+		return redundancy.Solution{}, err
 	}
-	// One allocation holds Levels and Ks; the allocator appends the counts
-	// into its second half.
-	m := len(levels)
-	buf := append(make([]int, 0, 2*m), levels...)
-	ks, reliable := redundancy.ReExecutionOptAnalysis(buf[m:], analysis, e.ceiling, nil)
+	// Levels and Ks go to the end of the slab; the allocator appends the
+	// counts after the levels. An append that moves the slab leaves the
+	// earlier solutions on the old array, which nothing writes again.
+	base, m := len(e.slab), len(levels)
+	var reliable bool
+	e.slab, reliable = redundancy.ReExecutionOptAnalysis(append(e.slab, levels...), analysis, e.ceiling, nil)
+	ks := e.slab[base+m : base+2*m : base+2*m]
 	if timed {
 		d := time.Since(t)
 		st.stats.ReExecTime += d
@@ -340,11 +364,11 @@ func (e *Evaluator) evaluate(mapping, levels []int) (*redundancy.Solution, error
 		st.mSched.Observe(d)
 	}
 	if err != nil {
-		return nil, err
+		return redundancy.Solution{}, err
 	}
 	st.stats.ScheduleBuilds++
-	return &redundancy.Solution{
-		Levels:      buf[:m:m],
+	return redundancy.Solution{
+		Levels:      e.slab[base : base+m : base+m],
 		Ks:          ks,
 		Length:      length,
 		Cost:        ar.Cost(),
@@ -453,14 +477,13 @@ func (e *Evaluator) analysisFor(mapping, levels []int) (*sfp.Analysis, error) {
 // 6.3 for the given mapping (or evaluates the problem's FixedLevels when
 // set), memoized per mapping: the tabu search of package mapping revisits
 // mappings constantly, and a revisited mapping costs one cache lookup
-// instead of a full hardening search. Like Evaluate's, the returned
-// Solution carries no Schedule, is shared and must be treated as
-// immutable.
+// instead of a full hardening search. The returned Solution carries no
+// Schedule, is shared and must be treated as immutable; its Levels and Ks
+// are its own, never the probe slab's.
 func (e *Evaluator) RedundancyOpt(mapping []int) (*redundancy.Solution, error) {
 	st := e.st
 	st.stats.OptRuns++
-	key := string(appendInts(e.keyBuf[:0], mapping))
-	if sol, ok := st.opts.get(key); ok {
+	if sol, ok := st.opts.get(appendInts(e.keyBuf[:0], mapping)); ok {
 		st.stats.OptHits++
 		return sol, nil
 	}
@@ -469,24 +492,34 @@ func (e *Evaluator) RedundancyOpt(mapping []int) (*redundancy.Solution, error) {
 	// drown the trace, while the ~1k misses are exactly where the time
 	// goes.
 	e.clearMemo()
-	sp := e.span.Child("redundancy-opt", obs.Int("processes", len(mapping)))
+	var sp *obs.Span
+	if e.span != nil {
+		sp = e.span.Child("redundancy-opt", obs.Int("processes", len(mapping)))
+	}
 	start := time.Now()
 	q := e.prob
 	q.Mapping = mapping
-	sol, err := redundancy.RedundancyOptWith(q, func(levels []int) (*redundancy.Solution, error) {
-		return e.Evaluate(mapping, levels)
+	sol, err := redundancy.RedundancyOptWith(q, func(levels []int) (redundancy.Solution, error) {
+		return e.probe(mapping, levels)
 	})
 	st.mOpt.Observe(time.Since(start))
-	if err != nil {
-		sp.SetAttr(obs.String("error", err.Error()))
+	if sp != nil {
+		if err != nil {
+			sp.SetAttr(obs.String("error", err.Error()))
+		} else {
+			sp.SetAttr(obs.Float("cost", sol.Cost), obs.Bool("feasible", sol.Feasible()))
+		}
 		sp.End()
+	}
+	if err != nil {
 		return nil, err
 	}
-	sp.SetAttr(
-		obs.Float("cost", sol.Cost),
-		obs.Bool("feasible", sol.Reliable && sol.Schedulable),
-	)
-	sp.End()
-	st.stats.Evictions += st.opts.put(key, sol)
-	return sol, nil
+	// The winner leaves the search: one fresh slice takes its Levels and
+	// Ks off the slab the next search overwrites. analysisFor reused
+	// keyBuf during the search, so the cache key is built again.
+	m := len(sol.Levels)
+	own := append(append(make([]int, 0, m+len(sol.Ks)), sol.Levels...), sol.Ks...)
+	sol.Levels, sol.Ks = own[:m:m], own[m:]
+	st.stats.Evictions += st.opts.put(string(appendInts(e.keyBuf[:0], mapping)), &sol)
+	return &sol, nil
 }

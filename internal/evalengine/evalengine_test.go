@@ -133,8 +133,8 @@ func levelVectors(ar *platform.Architecture) [][]int {
 
 // checkMatchesFresh exhaustively compares the engine against the
 // free-function path for one problem and mapping: every hardening vector
-// through Evaluate (twice, so the second round exercises the hit path)
-// and the full RedundancyOpt.
+// through probe (twice, so the second round exercises the hit path) and
+// the full RedundancyOpt.
 func checkMatchesFresh(t *testing.T, label string, p redundancy.Problem, mapping []int) {
 	t.Helper()
 	ev := New(p)
@@ -143,14 +143,14 @@ func checkMatchesFresh(t *testing.T, label string, p redundancy.Problem, mapping
 	for round := 0; round < 2; round++ {
 		for _, levels := range levelVectors(p.Arch) {
 			want, werr := redundancy.Evaluate(fresh, levels)
-			got, gerr := ev.Evaluate(mapping, levels)
+			got, gerr := ev.probe(mapping, levels)
 			if (werr == nil) != (gerr == nil) {
 				t.Fatalf("%s levels %v: errors differ: %v vs %v", label, levels, gerr, werr)
 			}
 			if werr != nil {
 				continue
 			}
-			assertSameSolution(t, fmt.Sprintf("%s levels %v round %d", label, levels, round), ev, mapping, got, want)
+			assertSameSolution(t, fmt.Sprintf("%s levels %v round %d", label, levels, round), ev, mapping, &got, want)
 		}
 	}
 	want, werr := redundancy.RedundancyOpt(fresh)
@@ -346,13 +346,13 @@ func TestEvaluateErrors(t *testing.T) {
 		Goal: sfp.Goal{Gamma: paper.Fig1Gamma, Tau: paper.Hour},
 	}
 	ev := New(p)
-	if _, err := ev.Evaluate([]int{0, 0, 0, 9}, []int{0}); err == nil {
+	if _, err := ev.probe([]int{0, 0, 0, 9}, []int{0}); err == nil {
 		t.Error("want error for out-of-range mapping")
 	}
-	if _, err := ev.Evaluate([]int{0, 0, 0, 0}, []int{0, 0}); err == nil {
+	if _, err := ev.probe([]int{0, 0, 0, 0}, []int{0, 0}); err == nil {
 		t.Error("want error for wrong-length levels")
 	}
-	if _, err := ev.Evaluate([]int{0, 0, 0, 0}, []int{99}); err == nil {
+	if _, err := ev.probe([]int{0, 0, 0, 0}, []int{99}); err == nil {
 		t.Error("want error for invalid hardening level")
 	}
 }
@@ -437,15 +437,13 @@ func TestCachesHoldNoSchedules(t *testing.T) {
 			}
 		}
 	}
-	check := func(name string, cache map[string]*redundancy.Solution) {
+	check := func(name string, sol *redundancy.Solution) {
 		t.Helper()
-		for k, sol := range cache {
-			if sol.Schedule != nil {
-				t.Fatalf("%s entry %x holds a schedule", name, k)
-			}
-			if !(sol.Length > 0) {
-				t.Fatalf("%s entry %x has length %v", name, k, sol.Length)
-			}
+		if sol.Schedule != nil {
+			t.Fatalf("%s entry %v holds a schedule", name, sol.Levels)
+		}
+		if !(sol.Length > 0) {
+			t.Fatalf("%s entry %v has length %v", name, sol.Levels, sol.Length)
 		}
 	}
 	for i, m := range sweep {
@@ -455,19 +453,24 @@ func TestCachesHoldNoSchedules(t *testing.T) {
 		if len(ev.memo) == 0 {
 			t.Fatalf("hardening search %d left an empty probe memo", i)
 		}
-		check(fmt.Sprintf("search %d probe-memo", i), ev.memo)
+		for _, sol := range ev.memo {
+			check(fmt.Sprintf("search %d probe-memo", i), &sol)
+		}
 	}
 	opts := ev.st.opts.m
 	if len(opts) != len(sweep) {
 		t.Fatalf("sweep cached %d opt results for %d mappings", len(opts), len(sweep))
 	}
-	check("opt cache", opts)
+	for _, sol := range opts {
+		check("opt cache", sol)
+	}
 }
 
 // TestMemoScopedToSearch: the probe memo belongs to one hardening search.
-// After RedundancyOpt(A) and then RedundancyOpt(B) it holds no entry
-// from A's search and no more entries than B made probes, and the live
-// cache_entries gauge reads its population.
+// After RedundancyOpt(A) and then RedundancyOpt(B) every entry is a vector
+// B's search probed, holding B's solution for it, the memo holds no more
+// entries than B made probes, and the live cache_entries gauge reads its
+// population.
 func TestMemoScopedToSearch(t *testing.T) {
 	p, a := benchProblem(t)
 	b := append([]int(nil), a...)
@@ -479,11 +482,7 @@ func TestMemoScopedToSearch(t *testing.T) {
 	if _, err := ev.RedundancyOpt(a); err != nil {
 		t.Fatal(err)
 	}
-	fromA := make(map[*redundancy.Solution]bool, len(ev.memo))
-	for _, sol := range ev.memo {
-		fromA[sol] = true
-	}
-	if len(fromA) == 0 {
+	if len(ev.memo) == 0 {
 		t.Fatal("A's search left nothing in the probe memo")
 	}
 	before := ev.Stats().Evaluations
@@ -494,9 +493,30 @@ func TestMemoScopedToSearch(t *testing.T) {
 	if probesB == 0 {
 		t.Fatal("B's search made no probes")
 	}
-	for k, sol := range ev.memo {
-		if fromA[sol] {
-			t.Fatalf("probe memo still holds entry %x from A's search", k)
+
+	// The vectors B's search probes, and B's solution for each, from the
+	// uncached search.
+	fresh := p
+	fresh.Mapping = b
+	wantB := make(map[string]*redundancy.Solution)
+	if _, err := redundancy.RedundancyOptWith(fresh, func(levels []int) (redundancy.Solution, error) {
+		sol, err := redundancy.Evaluate(fresh, levels)
+		if err != nil {
+			return redundancy.Solution{}, err
+		}
+		wantB[fmt.Sprint(levels)] = sol
+		return *sol, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, sol := range ev.memo {
+		want, ok := wantB[fmt.Sprint(sol.Levels)]
+		if !ok {
+			t.Fatalf("probe memo holds %v, which B's search never probed", sol.Levels)
+		}
+		if !sameInts(sol.Ks, want.Ks) || sol.Cost != want.Cost || sol.Length != want.Length {
+			t.Fatalf("probe memo entry %v: ks %v cost %v SL %v, B's solution has ks %v cost %v SL %v",
+				sol.Levels, sol.Ks, sol.Cost, sol.Length, want.Ks, want.Cost, want.Length)
 		}
 	}
 	if n := int64(len(ev.memo)); n == 0 || n > probesB {
@@ -504,5 +524,90 @@ func TestMemoScopedToSearch(t *testing.T) {
 	}
 	if got := reg.Snapshot().Gauges["evalengine.live.cache_entries"]; got != float64(len(ev.memo)) {
 		t.Fatalf("live cache_entries %v, probe memo holds %d", got, len(ev.memo))
+	}
+}
+
+// TestOptResultOutlivesSlab: a RedundancyOpt result owns its Levels and
+// Ks. The slab is given room for every search up front, so the winner is
+// found in the array later searches reuse; after those searches, and after
+// the whole array is overwritten, the result still equals the uncached
+// redundancy.RedundancyOpt answer.
+func TestOptResultOutlivesSlab(t *testing.T) {
+	p, a := benchProblem(t)
+	ev := New(p)
+	ev.slab = make([]int, 0, 1<<16)
+	got, err := ev.RedundancyOpt(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pid := range a {
+		m := append([]int(nil), a...)
+		m[pid] = 1 - m[pid]
+		if _, err := ev.RedundancyOpt(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cap(ev.slab) != 1<<16 {
+		t.Fatalf("the searches moved the slab to a new array of %d ints", cap(ev.slab))
+	}
+	whole := ev.slab[:cap(ev.slab)]
+	for i := range whole {
+		whole[i] = -1
+	}
+	fresh := p
+	fresh.Mapping = a
+	want, err := redundancy.RedundancyOpt(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameInts(got.Levels, want.Levels) || !sameInts(got.Ks, want.Ks) ||
+		got.Cost != want.Cost || got.Length != want.Length {
+		t.Fatalf("after later searches the result is levels %v ks %v cost %v SL %v, want levels %v ks %v cost %v SL %v",
+			got.Levels, got.Ks, got.Cost, got.Length, want.Levels, want.Ks, want.Cost, want.Length)
+	}
+}
+
+// TestMemoKeyCollision: on an architecture wide enough for the memo key to
+// wrap past 2^64, two hardening vectors with the same key each get their
+// own solution. Thirty-three three-level nodes give digits in base 4, so
+// the first node's place value is 4^32 = 2^64 and wraps to zero.
+func TestMemoKeyCollision(t *testing.T) {
+	pl := paper.Fig1Platform()
+	nodes := make([]*platform.Node, 33)
+	for j := range nodes {
+		nodes[j] = &pl.Nodes[0]
+	}
+	ar := platform.NewArchitecture(nodes)
+	p := redundancy.Problem{
+		App:  paper.Fig1Application(),
+		Arch: ar,
+		Goal: sfp.Goal{Gamma: paper.Fig1Gamma, Tau: paper.Hour},
+	}
+	mapping := []int{0, 0, 0, 0}
+	low := append([]int(nil), ar.Levels...)
+	high := append([]int(nil), low...)
+	high[0]++
+	ev := New(p)
+	if ev.memoKey(low) != ev.memoKey(high) {
+		t.Fatalf("keys %d and %d differ; the architecture does not wrap the key", ev.memoKey(low), ev.memoKey(high))
+	}
+	fresh := p
+	fresh.Mapping = mapping
+	for i, levels := range [][]int{low, high, low, high} {
+		got, err := ev.probe(mapping, levels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := redundancy.Evaluate(fresh, levels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameInts(got.Levels, levels) || got.Cost != want.Cost || !sameInts(got.Ks, want.Ks) {
+			t.Fatalf("probe %d of %v: levels %v cost %v ks %v, want cost %v ks %v",
+				i, levels, got.Levels, got.Cost, got.Ks, want.Cost, want.Ks)
+		}
+	}
+	if s := ev.Stats(); s.CacheHits != 0 || s.CacheMisses != 4 {
+		t.Errorf("colliding probes: %d hits, %d misses; want every probe to miss", s.CacheHits, s.CacheMisses)
 	}
 }

@@ -81,27 +81,27 @@ func ccProbe(tb testing.TB, n int) (*Evaluator, []int, [2][]int) {
 		for j, nd := range ar.Nodes {
 			levels[i][j] = min(nd.MinLevel()+i, nd.MaxLevel())
 		}
-		if _, err := ev.Evaluate(mapping, levels[i]); err != nil {
+		if _, err := ev.probe(mapping, levels[i]); err != nil {
 			tb.Fatal(err)
 		}
 	}
 	return ev, mapping, levels
 }
 
-// probe runs one memo-miss Evaluate: the memo is cleared first, so the
+// missProbe runs one memo-miss probe: the memo is cleared first, so the
 // full pipeline runs every time, on alternating hardening vectors so the
 // node analyses come from the SFP cache rather than the last probe.
-func probe(tb testing.TB, ev *Evaluator, mapping []int, levels [2][]int, i int) {
+func missProbe(tb testing.TB, ev *Evaluator, mapping []int, levels [2][]int, i int) {
 	ev.clearMemo()
-	if _, err := ev.Evaluate(mapping, levels[i%2]); err != nil {
+	if _, err := ev.probe(mapping, levels[i%2]); err != nil {
 		tb.Fatal(err)
 	}
 }
 
-// TestProbeAllocs pins the allocations of a memo-miss probe with a warm
-// SFP cache: the Solution, one slab for its Levels and Ks, and the memo
-// key. The schedule probe, the SFP analysis and the allocator's failure
-// vector allocate nothing.
+// TestProbeAllocs pins a memo-miss probe with a warm SFP cache at zero
+// allocations: the solution is a memo value, its Levels and Ks go to the
+// probe slab, the memo key is an integer, and the schedule probe, the SFP
+// analysis and the allocator's failure vector allocate nothing.
 func TestProbeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -111,11 +111,11 @@ func TestProbeAllocs(t *testing.T) {
 		built := ev.Stats().SFPBuilds
 		i := 0
 		got := testing.AllocsPerRun(200, func() {
-			probe(t, ev, mapping, levels, i)
+			missProbe(t, ev, mapping, levels, i)
 			i++
 		})
-		if got > 3 {
-			t.Errorf("%d-node cruise controller: %v allocations per probe, want at most 3", n, got)
+		if got != 0 {
+			t.Errorf("%d-node cruise controller: %v allocations per probe, want 0", n, got)
 		}
 		if s := ev.Stats(); s.SFPBuilds != built {
 			t.Errorf("%d-node cruise controller: the probes built %d SFP nodes, want a warm cache", n, s.SFPBuilds-built)
@@ -130,6 +130,6 @@ func BenchmarkProbe(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		probe(b, ev, mapping, levels, i)
+		missProbe(b, ev, mapping, levels, i)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // is a valid empty Stats; Add merges run-level stats into experiment-level
 // aggregates.
 type Stats struct {
-	// Evaluations counts Evaluate requests, including cache hits.
+	// Evaluations counts hardening probes, including probe-memo hits.
 	Evaluations int64
 	// CacheHits and CacheMisses split Evaluations by probe-memo outcome:
 	// a hit is a hardening vector the current hardening search already

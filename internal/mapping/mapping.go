@@ -216,6 +216,11 @@ func OptimizeContext(ctx context.Context, ev *evalengine.Evaluator, initial []in
 		obj  [3]float64
 	}
 
+	// The neighbourhood and the trial mapping are rebuilt in place every
+	// iteration. The engine copies the mappings it keys on, so one trial
+	// slice, restored after each move, serves the whole neighbourhood.
+	var moves []move
+	trial := make([]int, n)
 	noImprove := 0
 	for iter := 0; iter < params.MaxIterations && noImprove < params.MaxNoImprove; iter++ {
 		// Cancellation is checked once per iteration — between evaluations,
@@ -248,7 +253,7 @@ func OptimizeContext(ctx context.Context, ev *evalengine.Evaluator, initial []in
 		// The iteration's neighborhood, in the canonical order (critical
 		// path × target nodes). Selection below scans the same order with
 		// a strict-less comparator.
-		var moves []move
+		moves = moves[:0]
 		for _, pid := range cands {
 			for j := 0; j < numNodes; j++ {
 				if j != cur[pid] {
@@ -268,9 +273,7 @@ func OptimizeContext(ctx context.Context, ev *evalengine.Evaluator, initial []in
 			obs.Int("critical_path", len(cands)),
 			obs.Int("neighborhood", len(moves)))
 		ev.SetTraceSpan(iterSpan)
-		// The engine copies the mappings it keys on, so one trial slice,
-		// restored after each move, serves the whole neighbourhood.
-		trial := append([]int(nil), cur...)
+		copy(trial, cur)
 		for i := range moves {
 			mv := &moves[i]
 			trial[mv.pid] = mv.node

@@ -222,8 +222,9 @@ func Evaluate(p Problem, levels []int) (*Solution, error) {
 
 // EvalFunc evaluates one hardening vector for a fixed problem and
 // mapping. The levels slice is owned by the caller and mutated between
-// calls; implementations must copy whatever they retain.
-type EvalFunc func(levels []int) (*Solution, error)
+// calls; implementations must copy whatever they retain. The Levels and
+// Ks of a returned solution need stay valid only until the search ends.
+type EvalFunc func(levels []int) (Solution, error)
 
 // RedundancyOpt runs the full hardening/re-execution trade-off of Section
 // 6.3 for the problem's mapping. It returns the cheapest feasible solution
@@ -237,9 +238,17 @@ type EvalFunc func(levels []int) (*Solution, error)
 // feasibility is preserved, always keeping the cheapest feasible
 // alternative.
 func RedundancyOpt(p Problem) (*Solution, error) {
-	return RedundancyOptWith(p, func(levels []int) (*Solution, error) {
-		return Evaluate(p, levels)
+	sol, err := RedundancyOptWith(p, func(levels []int) (Solution, error) {
+		s, err := Evaluate(p, levels)
+		if err != nil {
+			return Solution{}, err
+		}
+		return *s, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return &sol, nil
 }
 
 // RedundancyOptWith is RedundancyOpt with the per-vector evaluation
@@ -247,10 +256,11 @@ func RedundancyOpt(p Problem) (*Solution, error) {
 // every probe. The search logic is identical to RedundancyOpt. It ranks
 // probes by feasibility, Cost and Length only, so eval may return
 // solutions without a Schedule; the result then carries none either.
-func RedundancyOptWith(p Problem, eval EvalFunc) (*Solution, error) {
+// It returns one of eval's solutions as is, Levels and Ks included.
+func RedundancyOptWith(p Problem, eval EvalFunc) (Solution, error) {
 	if p.FixedLevels != nil {
 		if len(p.FixedLevels) != len(p.Arch.Nodes) {
-			return nil, fmt.Errorf("redundancy: fixed levels cover %d of %d nodes", len(p.FixedLevels), len(p.Arch.Nodes))
+			return Solution{}, fmt.Errorf("redundancy: fixed levels cover %d of %d nodes", len(p.FixedLevels), len(p.Arch.Nodes))
 		}
 		return eval(p.FixedLevels)
 	}
@@ -260,11 +270,11 @@ func RedundancyOptWith(p Problem, eval EvalFunc) (*Solution, error) {
 	}
 	cur, err := eval(levels)
 	if err != nil {
-		return nil, err
+		return Solution{}, err
 	}
 	// Phase 1: raise hardening greedily until feasible.
 	for !cur.Feasible() {
-		best := (*Solution)(nil)
+		var best Solution
 		bestJ := -1
 		for j, n := range p.Arch.Nodes {
 			if levels[j] >= n.MaxLevel() {
@@ -274,9 +284,9 @@ func RedundancyOptWith(p Problem, eval EvalFunc) (*Solution, error) {
 			cand, err := eval(levels)
 			levels[j]--
 			if err != nil {
-				return nil, err
+				return Solution{}, err
 			}
-			if better(cand, best) {
+			if bestJ < 0 || better(&cand, &best) {
 				best, bestJ = cand, j
 			}
 		}
@@ -289,7 +299,7 @@ func RedundancyOptWith(p Problem, eval EvalFunc) (*Solution, error) {
 	// Phase 2: lower hardening while a cheaper feasible alternative
 	// exists.
 	for {
-		var best *Solution
+		var best Solution
 		bestJ := -1
 		for j, n := range p.Arch.Nodes {
 			if levels[j] <= n.MinLevel() {
@@ -299,12 +309,12 @@ func RedundancyOptWith(p Problem, eval EvalFunc) (*Solution, error) {
 			cand, err := eval(levels)
 			levels[j]++
 			if err != nil {
-				return nil, err
+				return Solution{}, err
 			}
 			if !cand.Feasible() || cand.Cost >= cur.Cost {
 				continue
 			}
-			if best == nil || cand.Cost < best.Cost ||
+			if bestJ < 0 || cand.Cost < best.Cost ||
 				(cand.Cost == best.Cost && cand.Length < best.Length) {
 				best, bestJ = cand, j
 			}
@@ -321,9 +331,6 @@ func RedundancyOptWith(p Problem, eval EvalFunc) (*Solution, error) {
 // reliable beats unreliable; then shorter worst-case schedule; then lower
 // cost.
 func better(a, b *Solution) bool {
-	if b == nil {
-		return true
-	}
 	if a.Feasible() != b.Feasible() {
 		return a.Feasible()
 	}

@@ -59,13 +59,7 @@ func (b *Bus) Reset() {
 // ready and returns the transmission window [start, end). srcNode must be
 // in [0, numNodes).
 func (b *Bus) Schedule(srcNode int, ready float64) (start, end float64) {
-	if srcNode < 0 || srcNode >= b.numNodes {
-		panic(fmt.Sprintf("ttp: srcNode %d outside [0,%d)", srcNode, b.numNodes))
-	}
-	round := b.nextRound[srcNode]
-	if r := b.roundAtOrAfter(srcNode, ready); r > round {
-		round = r
-	}
+	round := b.round(srcNode, ready)
 	b.nextRound[srcNode] = round + 1
 	start = float64(round)*b.RoundLen() + float64(srcNode)*b.slotLen
 	return start, start + b.slotLen
@@ -73,15 +67,24 @@ func (b *Bus) Schedule(srcNode int, ready float64) (start, end float64) {
 
 // Peek returns the window Schedule would book, without booking it.
 func (b *Bus) Peek(srcNode int, ready float64) (start, end float64) {
+	start = float64(b.round(srcNode, ready))*b.RoundLen() + float64(srcNode)*b.slotLen
+	return start, start + b.slotLen
+}
+
+// round returns the round of the slot Schedule books for srcNode: the
+// node's first free round when its slot starts at or after ready, which
+// needs no division, and otherwise the first round at or after ready.
+// The shortcut is exact: below 2^52 rounds the division's floor cannot
+// exceed a round whose slot already starts at or after ready.
+func (b *Bus) round(srcNode int, ready float64) int {
 	if srcNode < 0 || srcNode >= b.numNodes {
 		panic(fmt.Sprintf("ttp: srcNode %d outside [0,%d)", srcNode, b.numNodes))
 	}
 	round := b.nextRound[srcNode]
-	if r := b.roundAtOrAfter(srcNode, ready); r > round {
-		round = r
+	if float64(round)*b.RoundLen()+float64(srcNode)*b.slotLen >= ready {
+		return round
 	}
-	start = float64(round)*b.RoundLen() + float64(srcNode)*b.slotLen
-	return start, start + b.slotLen
+	return max(round, b.roundAtOrAfter(srcNode, ready))
 }
 
 // roundAtOrAfter returns the smallest round whose slot of srcNode starts

@@ -138,3 +138,88 @@ func TestInstantBus(t *testing.T) {
 	}
 	b.Reset() // must not panic
 }
+
+// refRound is the booking rule of Schedule written as a division and a
+// guard only: the first free round of src, or the first round whose slot
+// starts at or after ready when that is later.
+func refRound(b *Bus, src int, ready float64) int {
+	round := b.nextRound[src]
+	if ready <= 0 {
+		return round
+	}
+	offset := float64(src) * b.slotLen
+	r := int((ready - offset) / b.RoundLen())
+	if r < 0 {
+		r = 0
+	}
+	for float64(r)*b.RoundLen()+offset < ready {
+		r++
+	}
+	return max(round, r)
+}
+
+// FuzzBusSchedule checks the booking shortcut of Schedule and Peek, which
+// skips the division whenever the first free slot already starts at or
+// after ready, against refRound: the same round for a first free round
+// below 2^52 and any ready time up to 2^50 rounds.
+func FuzzBusSchedule(f *testing.F) {
+	for _, c := range []struct {
+		nodes  uint8
+		slot   float64
+		src    uint8
+		booked uint64
+		ready  float64
+		atSlot bool // ready at the exact start of the first free slot
+	}{
+		{2, 5, 0, 0, 0, false},
+		{2, 5, 1, 0, -3, false},
+		{3, 4, 1, 2, 28, true},
+		{3, 4, 1, 0, 28, false},
+		{3, 4, 1, 2, 28.5, false},
+		{3, 4, 1, 2, 27.5, false},
+		{3, 0.1, 2, 7, 0, true},
+		{5, 1.3, 4, 1 << 20, 0.5, true},
+		{4, 0.7, 3, 1 << 40, 1e12, true},
+		{7, 0.3, 6, 1<<52 - 1, 1e15, true},
+		{1, 2.5, 0, 1 << 51, -1, false},
+		{2, 5, 1, 3, 34.999999999, false},
+	} {
+		ready := c.ready
+		if c.atSlot {
+			b := NewBus(int(c.nodes), c.slot)
+			ready = float64(c.booked)*b.RoundLen() + float64(c.src)*b.slotLen
+		}
+		f.Add(c.nodes, c.slot, c.src, c.booked, ready)
+	}
+	f.Fuzz(func(t *testing.T, nodes uint8, slot float64, src uint8, booked uint64, ready float64) {
+		n := max(1, int(nodes%17))
+		if !(slot > 0 && slot <= 1e6) {
+			return
+		}
+		b := NewBus(n, slot)
+		s := int(src) % n
+		b.nextRound[s] = int(booked % (1 << 52))
+		if math.Abs(ready) > (1<<50)*b.RoundLen() {
+			return
+		}
+		want := refRound(b, s, ready)
+		if ps, _ := b.Peek(s, ready); ps != float64(want)*b.RoundLen()+float64(s)*slot {
+			t.Fatalf("Peek(%d, %v) with round %d free starts at %v, want round %d", s, ready, b.nextRound[s], ps, want)
+		}
+		// Schedule at ready, then at the end of the window it booked, then
+		// at the exact start of the node's first free slot.
+		r := ready
+		for i := 0; i < 3; i++ {
+			want := refRound(b, s, r)
+			start, end := b.Schedule(s, r)
+			if start != float64(want)*b.RoundLen()+float64(s)*slot || end != start+slot || b.nextRound[s] != want+1 {
+				t.Fatalf("Schedule(%d, %v) booked [%v, %v) and left round %d free, want round %d",
+					s, r, start, end, b.nextRound[s], want)
+			}
+			r = end
+			if i == 1 {
+				r = float64(b.nextRound[s])*b.RoundLen() + float64(s)*slot
+			}
+		}
+	})
+}
