@@ -35,8 +35,9 @@ import (
 var magic = []byte("FTESEVC1")
 
 // Entry is the persisted cache content for one problem fingerprint: the
-// evaluation engine's two memoization layers, keyed exactly as in memory
-// ((levels, mapping) → solution and mapping → optimized solution).
+// evaluation engine's memoized solutions ((levels, mapping) → solution
+// and mapping → optimized solution), each mapping keyed as its processes'
+// node indices in big-endian 16-bit values.
 type Entry struct {
 	Sols map[string]*redundancy.Solution
 	Opts map[string]*redundancy.Solution

@@ -1,6 +1,7 @@
 package evalengine
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/evalcache"
@@ -10,35 +11,68 @@ import (
 	"repro/internal/sfp"
 )
 
-// solCache is the per-mapping RedundancyOpt cache: mapping key →
-// Solution, with a capacity backstop.
+// solCache is the per-mapping RedundancyOpt cache: mapping hash → entry,
+// with a capacity backstop. Two mappings can share a hash, so a hit is
+// confirmed against the mapping the entry keeps.
 type solCache struct {
-	m   map[string]*redundancy.Solution
-	cap int
+	m      map[uint64]*optEntry
+	packed []int // the mapping get looks up, packed
+	cap    int
 	// entries mirrors len(m). It lives outside the cache (in the store's
 	// liveCounts) so a live gauge can read it without reaching the
 	// entries.
 	entries *atomic.Int64
 }
 
-func newSolCache(cap int, entries *atomic.Int64) *solCache {
-	return &solCache{m: make(map[string]*redundancy.Solution), cap: cap, entries: entries}
+// optEntry is a cached solution and its mapping, packed as the mapping's
+// length and then four node indices to an int, 16 bits each: node indices
+// are far below 1<<16.
+type optEntry struct {
+	sol    redundancy.Solution
+	packed []int
 }
 
-// get looks up a mapping key without allocating, the way sfpCache.get
-// does.
-func (c *solCache) get(key []byte) (*redundancy.Solution, bool) {
-	sol, ok := c.m[string(key)]
-	return sol, ok
+func newSolCache(cap int, entries *atomic.Int64) *solCache {
+	return &solCache{m: make(map[uint64]*optEntry), cap: cap, entries: entries}
+}
+
+// pack appends mapping to dst in optEntry's packed form.
+func pack(dst, mapping []int) []int {
+	dst = append(dst, len(mapping))
+	for i, j := range mapping {
+		if i%4 == 0 {
+			dst = append(dst, 0)
+		}
+		dst[len(dst)-1] |= j << (16 * (i % 4))
+	}
+	return dst
+}
+
+// hashWords folds words into the hash h, a multiply-xorshift step each.
+func hashWords[W int | uint64](h uint64, words []W) uint64 {
+	for _, w := range words {
+		h = (h ^ uint64(w)) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	return h
+}
+
+func (c *solCache) get(mapping []int) (*redundancy.Solution, bool) {
+	c.packed = pack(c.packed[:0], mapping)
+	if en := c.m[hashWords(0, c.packed)]; en != nil && slices.Equal(en.packed, c.packed) {
+		return &en.sol, true
+	}
+	return nil, false
 }
 
 // put inserts the entry, reporting how many existing entries were evicted
 // to stay under the cap. Eviction is counted, one victim at a time (an
-// arbitrary resident entry — the keys are content hashes, so any victim is
-// as good as any other), never a silent wholesale drop: the incoming entry
-// is always kept and at most one resident is displaced.
-func (c *solCache) put(key string, sol *redundancy.Solution) (evicted int64) {
-	if _, exists := c.m[key]; !exists {
+// arbitrary resident entry — any victim is as good as any other), never a
+// silent wholesale drop: the incoming entry is always kept and at most one
+// resident is displaced.
+func (c *solCache) put(en *optEntry) (evicted int64) {
+	h := hashWords(0, en.packed)
+	if _, exists := c.m[h]; !exists {
 		if len(c.m) >= c.cap {
 			for k := range c.m {
 				delete(c.m, k)
@@ -48,7 +82,7 @@ func (c *solCache) put(key string, sol *redundancy.Solution) (evicted int64) {
 		}
 		c.entries.Add(1 - evicted)
 	}
-	c.m[key] = sol
+	c.m[h] = en
 	return evicted
 }
 
@@ -57,62 +91,109 @@ func (c *solCache) clear() {
 	clear(c.m)
 }
 
-// sfpCache is the per-node-type SFP analysis cache: (node type, hardening
-// level, mapped process set) → *sfp.Node. It is the expensive, highly
-// reusable layer of the evaluation pipeline: node types recur across
-// candidate architectures, so it survives SetProblem.
-type sfpCache struct {
-	byNode map[*platform.Node]map[string]*sfp.Node
-	count  int
-	cap    int
+// sfpChunk is the number of entries in one chunk of the SFP store.
+const sfpChunk = 64
+
+// sfpStore is the SFP analysis store: (node type, hardening level, mapped
+// process set) → sfp.Node. It is the expensive, highly reusable layer of
+// the evaluation pipeline: node types recur across candidate
+// architectures, so it survives SetProblem. An entry is found through the
+// caller's hash of its key (sfpHash) in a chained hash table, and a hit
+// is confirmed against the stored node, level and process-set words. The
+// entries, their sets and the nodes' probability prefixes live on chunks
+// that never move, so a put allocates only when a chunk fills.
+type sfpStore struct {
+	heads   []int32      // bucket h mod len(heads) → 1 + slot of its chain's head
+	entries [][]sfpEntry // slot s is entries[s/sfpChunk][s%sfpChunk]; its set is
+	sets    [][]uint64   // the nw words at s%sfpChunk·nw in sets[s/sfpChunk]
+	floats  []float64    // the prefix chunk puts append to
+	nw      int          // every set's length in words, fixed by the application
+	puts    int          // slot puts%cap takes the next entry
+	cap     int
 }
 
-func newSFPCache(cap int) *sfpCache {
-	return &sfpCache{byNode: make(map[*platform.Node]map[string]*sfp.Node), cap: cap}
+type sfpEntry struct {
+	node  sfp.Node
+	owner *platform.Node
+	hash  uint64
+	level int32
+	next  int32 // 1 + slot of the next entry in the bucket, 0 at its end
 }
 
-// get looks up the analysis for node n under the (level, process set) key
-// without allocating: indexing a map[string] with string(key) compiles to
-// an allocation-free lookup.
-func (c *sfpCache) get(n *platform.Node, key []byte) (*sfp.Node, bool) {
-	nd, ok := c.byNode[n][string(key)]
-	return nd, ok
+// newSFPStore returns an empty store of at most cap entries.
+func newSFPStore(cap int) *sfpStore {
+	return &sfpStore{heads: make([]int32, sfpChunk), cap: cap}
 }
 
-// put inserts the analysis, reporting how many resident entries were
-// evicted to stay under the cap — the same counted single-victim eviction
-// as solCache.put.
-func (c *sfpCache) put(n *platform.Node, key string, nd *sfp.Node) (evicted int64) {
-	_, exists := c.byNode[n][key]
-	if !exists && c.count >= c.cap {
-	victim:
-		for vn, vm := range c.byNode {
-			for vk := range vm {
-				delete(vm, vk)
-				c.count--
-				evicted++
-				if len(vm) == 0 {
-					delete(c.byNode, vn)
-				}
-				break victim
+// sfpHash is the store's hash of a node analysis key.
+func sfpHash(n *platform.Node, level int, set []uint64) uint64 {
+	return hashWords(uint64(n.ID)<<32^uint64(level), set)
+}
+
+func (s *sfpStore) bucket(h uint64) *int32 { return &s.heads[h&uint64(len(s.heads)-1)] }
+
+func (s *sfpStore) entry(slot int32) *sfpEntry { return &s.entries[slot/sfpChunk][slot%sfpChunk] }
+
+func (s *sfpStore) set(slot int32) []uint64 {
+	i := int(slot%sfpChunk) * s.nw
+	return s.sets[slot/sfpChunk][i : i+s.nw]
+}
+
+// get returns the stored analysis for the key (owner, level, set) whose
+// hash is h, or nil.
+func (s *sfpStore) get(h uint64, owner *platform.Node, level int, set []uint64) *sfp.Node {
+	for p := *s.bucket(h); p != 0; {
+		en := s.entry(p - 1)
+		if en.hash == h && en.owner == owner && int(en.level) == level && slices.Equal(s.set(p-1), set) {
+			return &en.node
+		}
+		p = en.next
+	}
+	return nil
+}
+
+// put builds the analysis of probs for a key get has missed and stores
+// it, counting the build and any eviction in st: at the cap it reuses the
+// oldest slot, one counted victim. A displaced entry's prefix stays on its
+// chunk, since analyses copied out of the store still read it. The
+// returned node is valid until the next put.
+func (s *sfpStore) put(st *Stats, h uint64, owner *platform.Node, level int, set []uint64, probs []float64, maxK int) (*sfp.Node, error) {
+	if need := 2*maxK + 1; cap(s.floats)-len(s.floats) < need {
+		s.floats = make([]float64, 0, max(min(2*cap(s.floats), 1<<13), 256, need))
+	}
+	var nd sfp.Node
+	var err error
+	if s.floats, err = sfp.AppendNode(s.floats, &nd, probs, maxK); err != nil {
+		return nil, err
+	}
+	st.SFPBuilds++
+	s.nw = len(set)
+	slot := int32(s.puts % s.cap)
+	if s.puts++; s.puts > s.cap {
+		st.Evictions++
+		p := s.bucket(s.entry(slot).hash)
+		for *p != slot+1 {
+			p = &s.entry(*p - 1).next
+		}
+		*p = s.entry(slot).next
+	} else {
+		if slot%sfpChunk == 0 {
+			s.entries = append(s.entries, make([]sfpEntry, sfpChunk))
+			s.sets = append(s.sets, make([]uint64, sfpChunk*s.nw))
+		}
+		if s.puts > len(s.heads) { // relink every entry into twice the buckets
+			s.heads = make([]int32, 2*len(s.heads))
+			for i := slot - 1; i >= 0; i-- {
+				en := s.entry(i)
+				en.next, *s.bucket(en.hash) = *s.bucket(en.hash), i+1
 			}
 		}
 	}
-	m := c.byNode[n]
-	if m == nil {
-		m = make(map[string]*sfp.Node)
-		c.byNode[n] = m
-	}
-	if !exists {
-		c.count++
-	}
-	m[key] = nd
-	return evicted
-}
-
-func (c *sfpCache) reset() {
-	clear(c.byNode)
-	c.count = 0
+	en := s.entry(slot)
+	*en = sfpEntry{node: nd, owner: owner, hash: h, level: int32(level), next: *s.bucket(h)}
+	copy(s.set(slot), set)
+	*s.bucket(h) = slot + 1
+	return &en.node, nil
 }
 
 // liveCounts are the values the evalengine.live.* gauges report. They are
@@ -130,7 +211,7 @@ type liveCounts struct {
 // hooks.
 type store struct {
 	opts  *solCache // mapping → RedundancyOpt result
-	sfp   *sfpCache
+	sfp   *sfpStore
 	stats Stats // every counter but Evaluations, which is live
 	live  *liveCounts
 
@@ -168,7 +249,7 @@ func newStore() *store {
 	live := new(liveCounts)
 	return &store{
 		opts: newSolCache(maxOptEntries, &live.optEntries),
-		sfp:  newSFPCache(maxSFPEntries),
+		sfp:  newSFPStore(maxSFPEntries),
 		live: live,
 	}
 }

@@ -2,6 +2,7 @@ package evalengine
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -21,67 +22,232 @@ func TestSolCachePutEvictsOneVictim(t *testing.T) {
 	c := newSolCache(4, new(atomic.Int64))
 	sol := &redundancy.Solution{}
 
-	keys := []string{"key-0", "key-1", "key-2", "key-3", "key-4"}
+	var mappings [][]int
+	for i := 0; i < 5; i++ {
+		mappings = append(mappings, []int{i, 1, 0})
+	}
+	put := func(m []int) int64 { return c.put(&optEntry{*sol, pack(nil, m)}) }
 	var evicted int64
-	for _, k := range keys[:4] {
-		evicted += c.put(k, sol)
+	for _, m := range mappings[:4] {
+		evicted += put(m)
 	}
 	if evicted != 0 {
 		t.Fatalf("evictions while filling to cap: %d", evicted)
 	}
 	// Re-putting a resident key at cap must not evict anything.
-	if ev := c.put(keys[0], sol); ev != 0 {
+	if ev := put(mappings[0]); ev != 0 {
 		t.Fatalf("re-put of resident key evicted %d entries", ev)
 	}
 	// One past cap: exactly one victim, incoming entry kept, population
 	// stays at cap instead of collapsing to one.
-	if ev := c.put(keys[4], sol); ev != 1 {
+	if ev := put(mappings[4]); ev != 1 {
 		t.Fatalf("overflow put evicted %d entries, want 1", ev)
 	}
-	if _, ok := c.get([]byte(keys[4])); !ok {
+	if _, ok := c.get(mappings[4]); !ok {
 		t.Fatal("incoming entry was not kept on overflow")
 	}
 	if n := c.entries.Load(); n != 4 {
 		t.Fatalf("population after overflow = %d, want 4 (wholesale drop regressed)", n)
 	}
+	// A hit is confirmed against the stored mapping, whatever its hash.
+	en := c.m[hashWords(0, pack(nil, mappings[4]))]
+	c.m[hashWords(0, pack(nil, mappings[4][:2]))] = en
+	if _, ok := c.get(mappings[4][:2]); ok {
+		t.Fatal("a hit under another mapping's hash was not confirmed against the mapping")
+	}
 }
 
-// TestSFPCachePutEvictsOneVictim is the same regression for the SFP cache,
-// whose entries are nested under node pointers.
-func TestSFPCachePutEvictsOneVictim(t *testing.T) {
-	const cap = 64
-	c := newSFPCache(cap)
-	nodeA := &platform.Node{}
-	nodeB := &platform.Node{}
-	nd := &sfp.Node{}
+// storeKey is one SFP store key of the tests, with the failure
+// probabilities of its processes in ascending process ID.
+type storeKey struct {
+	owner *platform.Node
+	level int
+	set   []uint64
+}
 
-	var keys []string
-	for i := 0; i < cap+2; i++ {
-		keys = append(keys, fmt.Sprintf("sfp-%d", i))
-	}
-	var evicted int64
-	for i, k := range keys[:cap] {
-		n := nodeA
-		if i%2 == 1 {
-			n = nodeB
+func (k storeKey) probs() []float64 {
+	v := k.owner.Version(k.level)
+	var probs []float64
+	for pid := 0; pid < 64*len(k.set); pid++ {
+		if k.set[pid/64]&(1<<(pid%64)) != 0 {
+			probs = append(probs, v.FailProb[pid])
 		}
-		evicted += c.put(n, k, nd)
+	}
+	return probs
+}
+
+// storeNodes returns two node types with three levels over n processes,
+// with distinct failure probabilities everywhere.
+func storeNodes(n int) []*platform.Node {
+	var out []*platform.Node
+	for id := 0; id < 2; id++ {
+		nd := &platform.Node{ID: platform.NodeID(id)}
+		for h := 1; h <= 3; h++ {
+			v := platform.HVersion{Level: h, FailProb: make([]float64, n)}
+			for pid := range v.FailProb {
+				v.FailProb[pid] = float64(1+pid+7*id) * math.Pow(10, -float64(2+2*h))
+			}
+			nd.Versions = append(nd.Versions, v)
+		}
+		out = append(out, nd)
+	}
+	return out
+}
+
+// assertNode compares every query of an analysis bit for bit with a
+// fresh sfp.NewNode over probs.
+func assertNode(t *testing.T, label string, got *sfp.Node, probs []float64, maxK int) {
+	t.Helper()
+	if got == nil {
+		t.Fatalf("%s: no analysis", label)
+	}
+	want, err := sfp.NewNode(probs, maxK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if !same(got.PrZero(), want.PrZero()) || got.MaxK() != want.MaxK() || got.SaturationK() != want.SaturationK() {
+		t.Fatalf("%s: Pr(0) %v, MaxK %d, saturation %d; want %v, %d, %d", label,
+			got.PrZero(), got.MaxK(), got.SaturationK(), want.PrZero(), want.MaxK(), want.SaturationK())
+	}
+	for k := 0; k <= maxK+1; k++ {
+		if g, w := got.FailureProb(k), want.FailureProb(k); !same(g, w) {
+			t.Fatalf("%s: FailureProb(%d) %v, want %v", label, k, g, w)
+		}
+	}
+	for f := 1; f <= maxK; f++ {
+		g, _ := got.PrExactly(f)
+		w, _ := want.PrExactly(f)
+		if !same(g, w) {
+			t.Fatalf("%s: PrExactly(%d) %v, want %v", label, f, g, w)
+		}
+	}
+}
+
+// getOrPut serves key k under hash h from the store, building it on a
+// miss, and reports whether it was resident and how many entries it
+// evicted.
+func getOrPut(t *testing.T, s *sfpStore, h uint64, k storeKey) (nd *sfp.Node, hit bool, evicted int64) {
+	t.Helper()
+	if nd = s.get(h, k.owner, k.level, k.set); nd != nil {
+		return nd, true, 0
+	}
+	var st Stats
+	nd, err := s.put(&st, h, k.owner, k.level, k.set, k.probs(), sfp.DefaultMaxK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SFPBuilds != 1 {
+		t.Fatalf("a put counted %d builds", st.SFPBuilds)
+	}
+	return nd, false, st.Evictions
+}
+
+// linked counts the entries reachable through the store's buckets.
+func linked(s *sfpStore) int {
+	n := 0
+	for _, p := range s.heads {
+		for ; p != 0; p = s.entry(p - 1).next {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSFPStorePutEvictsOneVictim: at the cap a put displaces exactly one
+// counted victim — it reuses the oldest slot and drops that entry from the
+// index — and never drops the store wholesale.
+func TestSFPStorePutEvictsOneVictim(t *testing.T) {
+	const cap = sfpChunk + 3
+	s := newSFPStore(cap)
+	nodes := storeNodes(64)
+	key := func(i int) storeKey { return storeKey{nodes[i%2], 1 + i%3, []uint64{uint64(i)}} }
+	hash := func(k storeKey) uint64 { return sfpHash(k.owner, k.level, k.set) }
+	var evicted int64
+	for i := 0; i < cap; i++ {
+		_, hit, ev := getOrPut(t, s, hash(key(i)), key(i))
+		if hit {
+			t.Fatalf("key %d resident before its put", i)
+		}
+		evicted += ev
 	}
 	if evicted != 0 {
 		t.Fatalf("evictions while filling to cap: %d", evicted)
 	}
-	if ev := c.put(nodeA, keys[0], nd); ev != 0 {
-		t.Fatalf("re-put of resident key evicted %d entries", ev)
+	if _, hit, _ := getOrPut(t, s, hash(key(0)), key(0)); !hit {
+		t.Fatal("a resident key missed at cap")
 	}
-	if ev := c.put(nodeA, keys[cap], nd); ev != 1 {
-		t.Fatalf("overflow put evicted %d entries, want 1", ev)
+	for i := cap; i < cap+2; i++ {
+		nd, _, ev := getOrPut(t, s, hash(key(i)), key(i))
+		if ev != 1 {
+			t.Fatalf("overflow put %d evicted %d entries, want 1", i, ev)
+		}
+		assertNode(t, fmt.Sprintf("overflow key %d", i), nd, key(i).probs(), sfp.DefaultMaxK)
+		victim := key(i - cap)
+		if s.get(hash(victim), victim.owner, victim.level, victim.set) != nil {
+			t.Fatalf("overflow put %d kept the oldest entry %d", i, i-cap)
+		}
 	}
-	if _, ok := c.get(nodeA, []byte(keys[cap])); !ok {
-		t.Fatal("incoming entry was not kept on overflow")
+	for i := 2; i < cap+2; i++ {
+		k := key(i)
+		assertNode(t, fmt.Sprintf("key %d after overflow", i), s.get(hash(k), k.owner, k.level, k.set), k.probs(), sfp.DefaultMaxK)
 	}
-	if n := c.count; n != cap {
-		t.Fatalf("population after overflow = %d, want %d", n, cap)
+	if n := linked(s); n != cap {
+		t.Fatalf("after overflow: %d linked entries, want %d (wholesale drop regressed)", n, cap)
 	}
+}
+
+// TestSFPStoreHashCollision: two keys forced onto one hash. The second
+// lookup is a confirmed miss, not the first key's analysis, and both are
+// served correctly afterwards.
+func TestSFPStoreHashCollision(t *testing.T) {
+	s := newSFPStore(maxSFPEntries)
+	nodes := storeNodes(70)
+	a := storeKey{nodes[0], 2, []uint64{0b1011, 1 << 5}}
+	b := storeKey{nodes[0], 2, []uint64{0b1011, 1 << 4}}
+	const h = 42
+	if _, hit, _ := getOrPut(t, s, h, a); hit {
+		t.Fatal("empty store hit")
+	}
+	if nd, hit, _ := getOrPut(t, s, h, b); hit {
+		t.Fatal("a colliding key was served the other key's analysis")
+	} else {
+		assertNode(t, "b", nd, b.probs(), sfp.DefaultMaxK)
+	}
+	for _, k := range []storeKey{a, b} {
+		nd, hit, _ := getOrPut(t, s, h, k)
+		if !hit {
+			t.Fatalf("%v: not resident after its put", k.set)
+		}
+		assertNode(t, fmt.Sprint(k.set), nd, k.probs(), sfp.DefaultMaxK)
+	}
+}
+
+// FuzzSFPStore drives a store of a fuzzer-chosen cap with sequences of
+// (node, level, process subset) lookups under fuzzer-chosen hashes, so
+// chains, collisions, table growth and evictions interleave, and holds
+// every analysis it serves to a fresh sfp.NewNode.
+func FuzzSFPStore(f *testing.F) {
+	f.Add([]byte{4, 0, 0, 1, 0, 0, 1, 1, 2, 0, 0, 0, 0, 1, 0, 0})
+	f.Add([]byte{40, 3, 2, 255, 129, 1, 2, 1, 3, 7, 1, 0, 2, 255, 129, 3})
+	nodes := storeNodes(70)
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		s := newSFPStore(1 + int(ops[0]%32))
+		for i := 1; i+5 <= len(ops); i += 5 {
+			op := ops[i : i+5]
+			k := storeKey{nodes[op[0]%2], 1 + int(op[1]%3), []uint64{uint64(op[2]) | uint64(op[3])<<60, uint64(op[3] >> 6)}}
+			h := uint64(op[4] % 4)
+			nd, _, _ := getOrPut(t, s, h, k)
+			assertNode(t, fmt.Sprintf("op %d", i/5), nd, k.probs(), sfp.DefaultMaxK)
+			assertNode(t, fmt.Sprintf("op %d again", i/5), s.get(h, k.owner, k.level, k.set), k.probs(), sfp.DefaultMaxK)
+			if n := linked(s); n != min(s.puts, s.cap) {
+				t.Fatalf("op %d: %d linked entries after %d puts, cap %d", i/5, n, s.puts, s.cap)
+			}
+		}
+	})
 }
 
 // countLiveGauges returns how many evalengine.live.* gauges a registry
@@ -227,7 +393,8 @@ func TestLiveEntryCounts(t *testing.T) {
 	c := newSolCache(32, new(atomic.Int64))
 	sol := &redundancy.Solution{}
 	for i := 0; i < 200; i++ {
-		c.put(fmt.Sprintf("k%d", i%150), sol)
+		m := []int{i % 150}
+		c.put(&optEntry{*sol, pack(nil, m)})
 		if got, want := int(c.entries.Load()), population(c); got != want {
 			t.Fatalf("after put %d: counter %d, map holds %d", i, got, want)
 		}

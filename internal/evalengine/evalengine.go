@@ -18,10 +18,12 @@
 //     is searching and clears it when the next search starts. It maps
 //     an integer key to solutions by value, whose Levels and Ks live on a
 //     per-search slab, so a memo-miss probe allocates nothing;
-//   - a cache of per-node SFP analyses keyed on (node type, hardening
-//     level, mapped process set), so the combinatorial
-//     complete-homogeneous-polynomial setup of sfp.NewNode runs once per
-//     distinct configuration instead of once per probe;
+//   - a store of per-node SFP analyses, hashed on (node type, hardening
+//     level, mapped process bitset) and kept with their probability
+//     prefixes on chunks, so the combinatorial setup of sfp.AppendNode
+//     runs once per distinct configuration and nothing allocates per
+//     probe. In front of it each hardening search, whose mapping is
+//     fixed, fills a [node][level] table of the analyses it has used;
 //   - a sched.Workspace, so schedule probes stop re-deriving adjacency and
 //     re-allocating scratch buffers on every probe;
 //   - the goal's reliability ceiling (sfp.Goal.MaxSystemFailure), computed
@@ -47,12 +49,13 @@
 // redundancy.Evaluate builds (enforced by TestEvaluatorMatchesFresh).
 //
 // An Evaluator is a single-goroutine handle: its caches, probe memo and
-// scratch buffers (schedule workspace, probe slab, key buffer, bus) are
+// scratch buffers (schedule workspace, probe slab, node table, bus) are
 // not safe for concurrent use.
 package evalengine
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -76,7 +79,7 @@ const (
 // engine for one redundancy problem at a time. Create one with New, move
 // it to the next candidate architecture with SetProblem, and run
 // hardening searches for mappings with RedundancyOpt. The SFP
-// node cache survives SetProblem (node types recur across candidate
+// store survives SetProblem (node types recur across candidate
 // architectures); the opt cache and the probe memo are dropped whenever
 // an input that affects them changes.
 type Evaluator struct {
@@ -94,25 +97,23 @@ type Evaluator struct {
 	span *obs.Span
 
 	ws       sched.Workspace
-	keyBuf   []byte
-	buckets  [][]int   // per arch node: pids mapped on it, ascending
 	probsBuf []float64 // scratch for one node's failure probabilities
 	// archBuf is a private clone of the problem's architecture whose
-	// Levels are overwritten per evaluation; anodesBuf is the per-call
-	// node-analysis slice. Neither escapes: schedules reference no
-	// architecture and the analysis is consumed before the next call.
-	archBuf   *platform.Architecture
-	anodesBuf []*sfp.Node
-	// analysis is the per-probe SFP analysis over anodesBuf at the
-	// application period, consumed before the next probe overwrites it.
+	// Levels are overwritten per evaluation; analysis is the per-probe
+	// SFP analysis at the application period. Neither escapes: schedules
+	// reference no architecture and the analysis is consumed before the
+	// next probe overwrites it.
+	archBuf  *platform.Architecture
 	analysis sfp.Analysis
-	// lastMapping/lastLevels memoize the previous analysisFor call: a
-	// hardening search probes many level vectors under one fixed mapping,
-	// so most per-node analyses are the ones already in anodesBuf and can
-	// be reused without touching the SFP cache at all. Cleared on any
-	// problem change or analysisFor error.
-	lastMapping []int
-	lastLevels  []int
+	// table holds copies of the SFP analyses the current hardening search
+	// has used: node j's at level l in column l − MinLevel of row j, and
+	// one at a level off the row in its last column, which never serves a
+	// hit. sets holds each node's process bitset under memoMapping. Both
+	// are rebuilt when mapped is false.
+	table  []tableSlot
+	tableW int
+	sets   []uint64
+	mapped bool
 	// memo is the probe memo of the current hardening search: memo key of
 	// a hardening vector → solution under memoMapping. A key can stand for
 	// more than one vector once it wraps past 2^64, so a hit is confirmed
@@ -129,6 +130,11 @@ func New(p redundancy.Problem) *Evaluator {
 	e := &Evaluator{st: newStore(), memo: make(map[uint64]redundancy.Solution)}
 	e.set(p)
 	return e
+}
+
+type tableSlot struct {
+	nd sfp.Node
+	ok bool
 }
 
 // SetTraceSpan installs the span this evaluator's expensive operations
@@ -174,7 +180,7 @@ func (e *Evaluator) ResetStats() {
 
 // SetProblem rebinds the evaluator to p, invalidating exactly what the
 // change invalidates: a new application or re-execution cap drops
-// everything including the SFP node cache; any other change to the
+// everything including the SFP store; any other change to the
 // architecture node-set, goal, bus, slack model or fixed levels drops the
 // opt cache and the probe memo only. Rebinding to an identical problem
 // keeps all caches warm (core.Run relies on this when re-optimizing the
@@ -190,7 +196,7 @@ func (e *Evaluator) SetProblem(p redundancy.Problem) {
 		e.st.flushPersistent()
 		e.clearMemo()
 		if newApp {
-			e.st.sfp.reset()
+			e.st.sfp = newSFPStore(maxSFPEntries)
 		}
 		e.st.dropSolutions()
 	}
@@ -208,16 +214,10 @@ func (e *Evaluator) set(p redundancy.Problem) {
 		e.analysis.Period = p.App.EffectivePeriod()
 	}
 	e.ceiling, e.ceilingErr = p.Goal.MaxSystemFailure(e.analysis.Period)
-	n := 0
+	e.mapped = false
 	if p.Arch != nil {
-		n = len(p.Arch.Nodes)
 		e.archBuf = p.Arch.Clone()
 	}
-	if cap(e.buckets) < n {
-		e.buckets = make([][]int, n)
-	}
-	e.buckets = e.buckets[:n]
-	e.lastMapping = e.lastMapping[:0]
 }
 
 // compatible reports whether the memoized solutions remain valid under p:
@@ -257,15 +257,6 @@ func (e *Evaluator) maxK() int {
 		return e.prob.MaxK
 	}
 	return sfp.DefaultMaxK
-}
-
-// appendInts encodes vals into dst as fixed-width big-endian 16-bit
-// values; hardening levels and node indices are far below 1<<16.
-func appendInts(dst []byte, vals []int) []byte {
-	for _, v := range vals {
-		dst = append(dst, byte(v>>8), byte(v))
-	}
-	return dst
 }
 
 // memoKey is the mixed-radix index of a hardening vector: node j's digit
@@ -313,18 +304,19 @@ func (e *Evaluator) probe(mapping, levels []int) (redundancy.Solution, error) {
 	return sol, nil
 }
 
-// clearMemo empties the probe memo and its slab, keeping both for the
-// next search.
+// clearMemo empties the probe memo, its slab and the node table, keeping
+// them for the next search.
 func (e *Evaluator) clearMemo() {
 	e.st.live.memoEntries.Add(-int64(len(e.memo)))
 	clear(e.memo)
 	e.memoMapping = e.memoMapping[:0]
 	e.slab = e.slab[:0]
+	e.mapped = false
 }
 
 // evaluate is the memo-miss path: the exact pipeline of
 // redundancy.Evaluate, with the SFP node analyses served from the node
-// cache, the goal test against the precomputed reliability ceiling and a
+// table and store, the goal test against the precomputed reliability ceiling and a
 // length-only schedule probe on the reusable workspace. The search only
 // ranks the solution, so nothing else of the schedule is written. The
 // layers are timed only when a span or a registry will read the times.
@@ -405,42 +397,43 @@ func (e *Evaluator) Schedule(mapping []int, sol *redundancy.Solution) (*sched.Sc
 	return sched.BuildInto(e.input(mapping, sol.Ks), &e.ws)
 }
 
-// analysisFor assembles the SFP analysis for (mapping, levels) from the
-// per-node cache, computing and caching any node analysis not seen before.
-// Process lists are collected in ascending process ID, matching the
-// probability order of the uncached redundancy.ReExecutionOpt path
-// bit-for-bit.
+// analysisFor assembles the SFP analysis for the memo's mapping at levels
+// from the node table, filling it from the SFP store, which builds any
+// node analysis not seen before. Probabilities are collected in ascending
+// process ID, the order of the uncached redundancy.ReExecutionOpt path.
 func (e *Evaluator) analysisFor(mapping, levels []int) (*sfp.Analysis, error) {
 	nodes := e.prob.Arch.Nodes
 	if len(levels) != len(nodes) {
 		return nil, fmt.Errorf("evalengine: levels cover %d of %d nodes", len(levels), len(nodes))
 	}
-	// A repeated mapping (the common case: hardening searches probe many
-	// level vectors under one fixed mapping) keeps its process buckets,
-	// and every node whose level is also unchanged keeps the analysis
-	// already sitting in anodesBuf — no key build, no cache lookup.
-	sameMap := slices.Equal(e.lastMapping, mapping) && len(e.lastLevels) == len(nodes)
-	e.lastMapping = e.lastMapping[:0] // set again only on success
-	if !sameMap {
-		for j := range e.buckets {
-			e.buckets[j] = e.buckets[j][:0]
+	nw := (len(mapping) + 63) / 64
+	if !e.mapped {
+		if n := e.prob.App.NumProcesses(); len(mapping) != n {
+			return nil, fmt.Errorf("evalengine: mapping covers %d of %d processes", len(mapping), n)
 		}
+		e.sets = append(e.sets[:0], make([]uint64, len(nodes)*nw)...)
 		for pid, j := range mapping {
 			if j < 0 || j >= len(nodes) {
 				return nil, fmt.Errorf("evalengine: process %d mapped to invalid node %d", pid, j)
 			}
-			e.buckets[j] = append(e.buckets[j], pid)
+			e.sets[j*nw+pid/64] |= 1 << (pid % 64)
 		}
+		e.tableW = 1
+		for _, n := range nodes {
+			e.tableW = max(e.tableW, len(n.Versions)+1)
+		}
+		e.table = append(e.table[:0], make([]tableSlot, len(nodes)*e.tableW)...)
+		e.mapped = true
 	}
-	if cap(e.anodesBuf) < len(nodes) {
-		e.anodesBuf = make([]*sfp.Node, len(nodes))
-	}
-	anodes := e.anodesBuf[:len(nodes)]
+	anodes := slices.Grow(e.analysis.Nodes[:0], len(nodes))[:len(nodes)]
 	for j, n := range nodes {
-		if sameMap && levels[j] == e.lastLevels[j] && anodes[j] != nil {
-			// Still a cache hit observably — the SFP cache holds this
-			// entry and would have returned it; the memo only skips the
-			// lookup.
+		d := levels[j] - n.MinLevel()
+		if d < 0 || d >= e.tableW-1 {
+			d = e.tableW - 1
+		}
+		slot := &e.table[j*e.tableW+d]
+		anodes[j] = &slot.nd
+		if slot.ok {
 			e.st.stats.SFPHits++
 			continue
 		}
@@ -448,27 +441,26 @@ func (e *Evaluator) analysisFor(mapping, levels []int) (*sfp.Analysis, error) {
 		if v == nil {
 			return nil, fmt.Errorf("evalengine: node %d has no h-version at level %d", j, levels[j])
 		}
-		e.keyBuf = appendInts(appendInts(e.keyBuf[:0], levels[j:j+1]), e.buckets[j])
-		if nd, ok := e.st.sfp.get(n, e.keyBuf); ok {
+		set := e.sets[j*nw : (j+1)*nw]
+		h := sfpHash(n, levels[j], set)
+		nd := e.st.sfp.get(h, n, levels[j], set)
+		if nd != nil {
 			e.st.stats.SFPHits++
-			anodes[j] = nd
-			continue
+		} else {
+			probs := e.probsBuf[:0]
+			for w, word := range set {
+				for ; word != 0; word &= word - 1 {
+					probs = append(probs, v.FailProb[w*64+bits.TrailingZeros64(word)])
+				}
+			}
+			e.probsBuf = probs[:0]
+			var err error
+			if nd, err = e.st.sfp.put(&e.st.stats, h, n, levels[j], set, probs, e.maxK()); err != nil {
+				return nil, fmt.Errorf("evalengine: node %d: %w", j, err)
+			}
 		}
-		probs := e.probsBuf[:0]
-		for _, pid := range e.buckets[j] {
-			probs = append(probs, v.FailProb[pid])
-		}
-		e.probsBuf = probs[:0]
-		nd, err := sfp.NewNode(probs, e.maxK())
-		if err != nil {
-			return nil, fmt.Errorf("evalengine: node %d: %w", j, err)
-		}
-		e.st.stats.SFPBuilds++
-		e.st.stats.Evictions += e.st.sfp.put(n, string(e.keyBuf), nd)
-		anodes[j] = nd
+		slot.nd, slot.ok = *nd, d < e.tableW-1
 	}
-	e.lastMapping = append(e.lastMapping[:0], mapping...)
-	e.lastLevels = append(e.lastLevels[:0], levels...)
 	e.analysis.Nodes = anodes
 	return &e.analysis, nil
 }
@@ -483,7 +475,7 @@ func (e *Evaluator) analysisFor(mapping, levels []int) (*sfp.Analysis, error) {
 func (e *Evaluator) RedundancyOpt(mapping []int) (*redundancy.Solution, error) {
 	st := e.st
 	st.stats.OptRuns++
-	if sol, ok := st.opts.get(appendInts(e.keyBuf[:0], mapping)); ok {
+	if sol, ok := st.opts.get(mapping); ok {
 		st.stats.OptHits++
 		return sol, nil
 	}
@@ -514,12 +506,15 @@ func (e *Evaluator) RedundancyOpt(mapping []int) (*redundancy.Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The winner leaves the search: one fresh slice takes its Levels and
-	// Ks off the slab the next search overwrites. analysisFor reused
-	// keyBuf during the search, so the cache key is built again.
+	// The winner leaves the search: one fresh slice holds the packed
+	// mapping that confirms a cache hit and takes the winner's Levels and
+	// Ks off the slab the next search overwrites.
 	m := len(sol.Levels)
-	own := append(append(make([]int, 0, m+len(sol.Ks)), sol.Levels...), sol.Ks...)
-	sol.Levels, sol.Ks = own[:m:m], own[m:]
-	st.stats.Evictions += st.opts.put(string(appendInts(e.keyBuf[:0], mapping)), &sol)
-	return &sol, nil
+	own := pack(make([]int, 0, 1+(len(mapping)+3)/4+m+len(sol.Ks)), mapping)
+	k := len(own)
+	own = append(append(own, sol.Levels...), sol.Ks...)
+	sol.Levels, sol.Ks = own[k:k+m:k+m], own[k+m:]
+	en := &optEntry{sol, own[:k:k]}
+	st.stats.Evictions += st.opts.put(en)
+	return &en.sol, nil
 }

@@ -3,6 +3,7 @@ package evalengine
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/cc"
@@ -461,8 +462,8 @@ func TestCachesHoldNoSchedules(t *testing.T) {
 	if len(opts) != len(sweep) {
 		t.Fatalf("sweep cached %d opt results for %d mappings", len(opts), len(sweep))
 	}
-	for _, sol := range opts {
-		check("opt cache", sol)
+	for _, en := range opts {
+		check("opt cache", &en.sol)
 	}
 }
 
@@ -609,5 +610,57 @@ func TestMemoKeyCollision(t *testing.T) {
 	}
 	if s := ev.Stats(); s.CacheHits != 0 || s.CacheMisses != 4 {
 		t.Errorf("colliding probes: %d hits, %d misses; want every probe to miss", s.CacheHits, s.CacheMisses)
+	}
+}
+
+// TestEvaluatorWideApplication: on a 70-process application each node's
+// process bitset spans two words. Across hardening searches on several
+// mappings, revisited at the end so their analyses come from the SFP
+// store rather than a table, every node analysis a probe uses equals a
+// fresh sfp.NewNode over the processes mapped on the node at its level.
+func TestEvaluatorWideApplication(t *testing.T) {
+	inst, err := taskgen.Generate(taskgen.DefaultConfig(3, 70, 1e-11, 25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ar := platform.NewArchitecture(collect(inst.Platform, []int{0, 1}))
+	ev := New(redundancy.Problem{
+		App:  inst.App,
+		Arch: ar,
+		Goal: inst.Goal,
+		Bus:  ttp.NewBus(len(ar.Nodes), inst.Platform.Bus.SlotLen),
+	})
+	// Consecutive mappings differ, so every probe misses the probe memo.
+	rng := rand.New(rand.NewSource(70))
+	var mappings [][]int
+	for range 3 {
+		m := make([]int, inst.App.NumProcesses())
+		for pid := range m {
+			m[pid] = rng.Intn(len(ar.Nodes))
+		}
+		mappings = append(mappings, m)
+	}
+	mappings = append(mappings, mappings[0])
+	for i, m := range mappings {
+		for _, a := range ar.Nodes[0].Versions {
+			for _, b := range ar.Nodes[1].Versions {
+				levels := []int{a.Level, b.Level}
+				if _, err := ev.probe(m, levels); err != nil {
+					t.Fatal(err)
+				}
+				for j, nd := range ev.analysis.Nodes {
+					var probs []float64
+					for pid, node := range m {
+						if node == j {
+							probs = append(probs, ar.Nodes[j].Version(levels[j]).FailProb[pid])
+						}
+					}
+					assertNode(t, fmt.Sprintf("mapping %d, levels %v, node %d", i, levels, j), nd, probs, sfp.DefaultMaxK)
+				}
+			}
+		}
+	}
+	if s := ev.Stats(); s.CacheHits != 0 || s.SFPBuilds == 0 || s.SFPHits == 0 {
+		t.Fatalf("%d memo hits, %d node analyses built and %d reused; want no memo hits and both", s.CacheHits, s.SFPBuilds, s.SFPHits)
 	}
 }

@@ -1,8 +1,6 @@
 package evalengine
 
 import (
-	"maps"
-
 	"repro/internal/appmodel"
 	"repro/internal/evalcache"
 	"repro/internal/platform"
@@ -86,8 +84,27 @@ func formatFingerprint(p redundancy.Problem, format int) (string, bool) {
 // than the in-memory backstop admits).
 func (c *solCache) seed(m map[string]*redundancy.Solution) {
 	for k, v := range m {
-		c.put(k, v)
+		mapping := make([]int, len(k)/2)
+		for i := range mapping {
+			mapping[i] = int(k[2*i])<<8 | int(k[2*i+1])
+		}
+		c.put(&optEntry{*v, pack(nil, mapping)})
 	}
+}
+
+// disk returns the entries keyed the way a persisted entry is: each
+// process's node index as a big-endian 16-bit value.
+func (c *solCache) disk() map[string]*redundancy.Solution {
+	out := make(map[string]*redundancy.Solution, len(c.m))
+	for _, en := range c.m {
+		key := make([]byte, 0, 2*en.packed[0])
+		for i := range en.packed[0] {
+			j := en.packed[1+i/4] >> (16 * (i % 4))
+			key = append(key, byte(j>>8), byte(j))
+		}
+		out[string(key)] = &en.sol
+	}
+	return out
 }
 
 // setPersistent installs (or removes, with nil) the disk cache, flushing
@@ -126,10 +143,10 @@ func (st *store) flushPersistent() error {
 	if st.persist == nil || st.persistFP == "" {
 		return nil
 	}
-	opts := maps.Clone(st.opts.m)
-	if len(opts) <= st.persistSeeded {
+	if len(st.opts.m) <= st.persistSeeded {
 		return nil
 	}
+	opts := st.opts.disk()
 	if err := st.persist.Save(st.persistFP, &evalcache.Entry{Opts: opts}); err != nil {
 		return err
 	}

@@ -159,7 +159,7 @@ func TestPersistFormatGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cache.Save(fp1, &evalcache.Entry{Opts: stale(old.st.opts.m)}); err != nil {
+	if err := cache.Save(fp1, &evalcache.Entry{Opts: stale(old.st.opts.disk())}); err != nil {
 		t.Fatal(err)
 	}
 

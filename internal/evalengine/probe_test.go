@@ -1,6 +1,7 @@
 package evalengine
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cc"
@@ -54,7 +55,7 @@ func TestLayerTimesOnlyUnderInstruments(t *testing.T) {
 // ccProbe returns an evaluator on the cruise controller's n-node
 // architecture of index 0 (n = 1 is the first architecture DesignStrategy
 // explores), a round-robin mapping and two hardening vectors, with the
-// SFP node cache warm for both vectors.
+// SFP store warm for both vectors.
 func ccProbe(tb testing.TB, n int) (*Evaluator, []int, [2][]int) {
 	tb.Helper()
 	inst, err := cc.Instance()
@@ -90,7 +91,7 @@ func ccProbe(tb testing.TB, n int) (*Evaluator, []int, [2][]int) {
 
 // missProbe runs one memo-miss probe: the memo is cleared first, so the
 // full pipeline runs every time, on alternating hardening vectors so the
-// node analyses come from the SFP cache rather than the last probe.
+// node analyses come from the SFP store rather than the search's table.
 func missProbe(tb testing.TB, ev *Evaluator, mapping []int, levels [2][]int, i int) {
 	ev.clearMemo()
 	if _, err := ev.probe(mapping, levels[i%2]); err != nil {
@@ -98,10 +99,12 @@ func missProbe(tb testing.TB, ev *Evaluator, mapping []int, levels [2][]int, i i
 	}
 }
 
-// TestProbeAllocs pins a memo-miss probe with a warm SFP cache at zero
-// allocations: the solution is a memo value, its Levels and Ks go to the
-// probe slab, the memo key is an integer, and the schedule probe, the SFP
-// analysis and the allocator's failure vector allocate nothing.
+// TestProbeAllocs pins a memo-miss probe at zero allocations: the solution
+// is a memo value, its Levels and Ks go to the probe slab, the memo key is
+// an integer, and the schedule probe, the SFP analysis and the allocator's
+// failure vector allocate nothing. That holds with every node analysis
+// served from the SFP store, from the search's node table, and built into
+// store chunks with room.
 func TestProbeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -110,15 +113,64 @@ func TestProbeAllocs(t *testing.T) {
 		ev, mapping, levels := ccProbe(t, n)
 		built := ev.Stats().SFPBuilds
 		i := 0
-		got := testing.AllocsPerRun(200, func() {
+		if got := testing.AllocsPerRun(200, func() {
 			missProbe(t, ev, mapping, levels, i)
 			i++
-		})
-		if got != 0 {
-			t.Errorf("%d-node cruise controller: %v allocations per probe, want 0", n, got)
+		}); got != 0 {
+			t.Errorf("%d-node cruise controller, store hits: %v allocations per probe, want 0", n, got)
 		}
 		if s := ev.Stats(); s.SFPBuilds != built {
-			t.Errorf("%d-node cruise controller: the probes built %d SFP nodes, want a warm cache", n, s.SFPBuilds-built)
+			t.Errorf("%d-node cruise controller: the probes built %d SFP nodes, want a warm store", n, s.SFPBuilds-built)
+		}
+
+		// Table hits: the memo forgets the probes but the search goes on,
+		// and an empty store proves nothing reaches it.
+		for _, l := range levels {
+			if _, err := ev.probe(mapping, l); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ev.st.sfp = newSFPStore(maxSFPEntries)
+		if got := testing.AllocsPerRun(200, func() {
+			ev.st.live.memoEntries.Add(-int64(len(ev.memo)))
+			clear(ev.memo)
+			ev.slab = ev.slab[:0]
+			if _, err := ev.probe(mapping, levels[i%2]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}); got != 0 {
+			t.Errorf("%d-node cruise controller, table hits: %v allocations per probe, want 0", n, got)
+		}
+		if s := ev.Stats(); s.SFPBuilds != built {
+			t.Errorf("%d-node cruise controller: table-hit probes built %d SFP nodes", n, s.SFPBuilds-built)
+		}
+
+		// Store misses: every probe builds the analyses of the top
+		// hardening vector into chunks with room, and the store is then
+		// rolled back to forget them.
+		for _, l := range levels {
+			missProbe(t, ev, mapping, [2][]int{l}, 0)
+		}
+		st := ev.st.sfp
+		st.floats = make([]float64, 0, 1<<12)
+		snap, heads := *st, slices.Clone(st.heads)
+		var top [2][]int
+		for _, nd := range ev.prob.Arch.Nodes {
+			top[0] = append(top[0], nd.MaxLevel())
+		}
+		before := ev.Stats().SFPBuilds
+		runs := 0
+		if got := testing.AllocsPerRun(200, func() {
+			*st = snap
+			copy(st.heads, heads)
+			missProbe(t, ev, mapping, top, 0)
+			runs++
+		}); got != 0 {
+			t.Errorf("%d-node cruise controller, store misses: %v allocations per probe, want 0", n, got)
+		}
+		if s := ev.Stats(); s.SFPBuilds < before+int64(runs) {
+			t.Errorf("%d-node cruise controller: %d probes built only %d SFP nodes", n, runs, s.SFPBuilds-before)
 		}
 	}
 }

@@ -28,8 +28,9 @@ type Stats struct {
 	// Evaluator.Schedule for the solutions a caller walks are not counted,
 	// nor is their time in SchedTime.
 	ScheduleBuilds int64
-	// SFPBuilds counts per-node SFP analyses computed (sfp.NewNode);
-	// SFPHits were served from the node-analysis cache.
+	// SFPBuilds counts per-node SFP analyses computed (sfp.AppendNode
+	// into the SFP store); SFPHits were served from a hardening search's
+	// node table or from the store.
 	SFPBuilds int64
 	SFPHits   int64
 	// Invalidations counts SetProblem calls that dropped the opt cache and

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/prob"
 )
@@ -67,12 +68,11 @@ func (g Goal) Validate() error {
 // exactly zero and Pr(f > k) is constant, so the queries answer from the
 // last stored entry.
 type Node struct {
-	pr0  float64
-	maxK int
-	// prf[f] is Pr(f; N_j^h) for f = 1..len(prf)-1 (index 0 unused).
-	prf []float64
-	// fail[k] is Pr(f > k; N_j^h) for k = 0..len(fail)-1.
-	fail []float64
+	pr0         float64
+	maxK, split int32
+	// buf[f-1] is Pr(f; N_j^h) for f = 1..split, and buf[split+k] is
+	// Pr(f > k; N_j^h) for k = 0..len(buf)-split-1.
+	buf []float64
 }
 
 // ErrBadProb is returned when a process failure probability is outside
@@ -84,23 +84,35 @@ var ErrBadProb = errors.New("sfp: process failure probability outside [0,1)")
 // re-executions. An empty probs slice is valid and models a node with no
 // processes (its failure probability is zero).
 func NewNode(probs []float64, maxK int) (*Node, error) {
+	n := new(Node)
+	if _, err := AppendNode(nil, n, probs, maxK); err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// AppendNode builds the analysis NewNode builds into *n, appending its
+// probability prefix (at most 2·maxK+1 values) to slab and returning the
+// extended slab; the prefix then lives in slab's backing array, which the
+// caller must not write again. Nothing is allocated when slab has room.
+// On an ErrBadProb input *n is untouched and slab is returned as given.
+func AppendNode(slab []float64, n *Node, probs []float64, maxK int) ([]float64, error) {
 	if maxK < 0 {
 		maxK = 0
 	}
 	sum := 0.0
 	for _, p := range probs {
 		if !(p >= 0 && p < 1) {
-			return nil, fmt.Errorf("%w: %v", ErrBadProb, p)
+			return slab, fmt.Errorf("%w: %v", ErrBadProb, p)
 		}
 		sum += p
 	}
-	n := &Node{maxK: maxK}
 	// Formula (1), rounded down.
 	pr0 := 1.0
 	for _, p := range probs {
 		pr0 *= 1 - p
 	}
-	n.pr0 = prob.FloorP(pr0)
+	pr0 = prob.FloorP(pr0)
 	// Formula (4) accumulated over k. The paper works in decimal with
 	// 1e-11 accuracy: every Pr(f) is rounded down and the residual
 	// 1 − Pr(0) − Σ Pr(f) is rounded up. Because all rounded quantities
@@ -109,14 +121,13 @@ func NewNode(probs []float64, maxK int) (*Node, error) {
 	// noise cannot push the residual across a tick boundary — this
 	// reproduces Appendix A.2 digit for digit.
 	const ticksPerUnit = int64(1e11)
-	// n.pr0 and n.prf are tick multiples up to one ulp; Round recovers the
-	// exact integer tick count.
-	residualTicks := ticksPerUnit - int64(math.Round(n.pr0*1e11))
+	// pr0 and every Pr(f) are tick multiples up to one ulp; Round recovers
+	// the exact integer tick count.
+	residualTicks := ticksPerUnit - int64(math.Round(pr0*1e11))
 	// The prefix is assembled in fixed-size buffers, which stay on the
 	// stack for the usual maxK, and copied out once its length is known.
 	var prfBuf, failBuf [DefaultMaxK + 1]float64
-	prf, fail := prfBuf[:1], failBuf[:1]
-	fail[0] = clampTicks(residualTicks)
+	prf, fail := prfBuf[:0], append(failBuf[:0], clampTicks(residualTicks))
 	// h_f(p) is computed one fault count at a time: row[i] holds h_{f-1}
 	// over the first i+1 processes and is overwritten in place by h_f.
 	// This is the recurrence of prob.CompleteHomogeneous,
@@ -138,23 +149,21 @@ func NewNode(probs []float64, maxK int) (*Node, error) {
 			hf = hf + x*row[i]
 			row[i] = hf
 		}
-		prf = append(prf, prob.FloorP(n.pr0*hf))
-		residualTicks -= int64(math.Round(prf[f] * 1e11))
+		prf = append(prf, prob.FloorP(pr0*hf))
+		residualTicks -= int64(math.Round(prf[f-1] * 1e11))
 		fail = append(fail, clampTicks(residualTicks))
 		// Saturation: Pr(f) rounds to zero with a margin, and Σp ≤ 1/2
 		// gives h_{f+1} ≤ h_f·Σp ≤ h_f/2 (each multiset of f+1 faults
 		// extends one of f faults by one process). Every later Pr(f) is
 		// then exactly zero and the residual no longer moves.
-		if prf[f] == 0 && n.pr0*hf*1e11 < 0.5 && sum <= 0.5 {
+		if prf[f-1] == 0 && pr0*hf*1e11 < 0.5 && sum <= 0.5 {
 			break
 		}
 	}
-	out := make([]float64, 2*len(fail))
-	n.prf = out[:len(prf):len(prf)]
-	n.fail = out[len(prf):]
-	copy(n.prf, prf)
-	copy(n.fail, fail)
-	return n, nil
+	base := len(slab)
+	slab = append(append(slices.Grow(slab, len(prf)+len(fail)), prf...), fail...)
+	*n = Node{pr0: pr0, maxK: int32(maxK), split: int32(len(prf)), buf: slab[base:len(slab):len(slab)]}
+	return slab, nil
 }
 
 // clampTicks converts a tick count (1 tick = 1e-11) into a probability in
@@ -167,7 +176,7 @@ func clampTicks(t int64) float64 {
 }
 
 // MaxK returns the largest supported re-execution count.
-func (n *Node) MaxK() int { return n.maxK }
+func (n *Node) MaxK() int { return int(n.maxK) }
 
 // PrZero returns Pr(0; N_j^h): the probability that one iteration of the
 // application executes on this node without any fault (formula 1, rounded
@@ -178,13 +187,13 @@ func (n *Node) PrZero() float64 { return n.pr0 }
 // from exactly f faults (formula 3, rounded down). f must be in
 // [1, MaxK()].
 func (n *Node) PrExactly(f int) (float64, error) {
-	if f < 1 || f > n.maxK {
+	if f < 1 || f > int(n.maxK) {
 		return 0, fmt.Errorf("sfp: PrExactly(%d) outside [1,%d]", f, n.maxK)
 	}
-	if f >= len(n.prf) {
+	if f > int(n.split) {
 		return 0, nil // past saturation
 	}
-	return n.prf[f], nil
+	return n.buf[f-1], nil
 }
 
 // FailureProb returns Pr(f > k; N_j^h): the probability that the node
@@ -192,27 +201,23 @@ func (n *Node) PrExactly(f int) (float64, error) {
 // application iteration (formula 4, rounded up). k beyond MaxK saturates
 // at MaxK.
 func (n *Node) FailureProb(k int) float64 {
-	if k < 0 {
-		k = 0
-	}
-	if k >= len(n.fail) {
-		k = len(n.fail) - 1
-	}
-	return n.fail[k]
+	fail := n.buf[n.split:]
+	return fail[min(max(k, 0), len(fail)-1)]
 }
 
 // SaturationK returns the smallest k at which adding further re-executions
 // no longer reduces the node failure probability (it has reached either
 // zero or the rounding floor).
 func (n *Node) SaturationK() int {
-	for k := 0; k < len(n.fail)-1; k++ {
-		if n.fail[k+1] >= n.fail[k] {
+	fail := n.buf[n.split:]
+	for k := 0; k < len(fail)-1; k++ {
+		if fail[k+1] >= fail[k] {
 			return k
 		}
 	}
 	// Past the stored prefix the failure probability is constant, so the
 	// last stored k is the answer whether or not it is MaxK.
-	return len(n.fail) - 1
+	return len(fail) - 1
 }
 
 // SystemFailureProb returns the probability that at least one node fails
