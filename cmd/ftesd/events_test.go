@@ -4,8 +4,8 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -15,66 +15,45 @@ import (
 	"repro/internal/obs"
 )
 
-// TestDaemonEventJournalReplay: the daemon's durable event journal
-// replays identically after a restart — the reopened log serves the same
-// events, and the restarted daemon appends after them.
-func TestDaemonEventJournalReplay(t *testing.T) {
+// TestDaemonDerivedReplay: after a restart over the same state
+// directory, /events?since=0 replays each job's lifecycle, derived from
+// the state journal and marked replayed, ahead of the restarted daemon's
+// own events. No event journal is written next to the state journal.
+func TestDaemonDerivedReplay(t *testing.T) {
 	dir := t.TempDir()
-	logPath := filepath.Join(dir, "events.jsonl")
-	events1, err := obs.OpenEventLog(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg1 := obs.NewRegistry()
-	sched1, err := jobs.New(jobs.Options{Workers: 1, Dir: filepath.Join(dir, "state"), Metrics: reg1, Events: events1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv1 := httptest.NewServer(newDaemon(sched1, reg1, nil, 0, events1, nil))
+	srv1, sched1 := newTestServer(t, jobs.Options{Workers: 1, Dir: dir})
 	_, sr := postJSON(t, srv1.URL+"/jobs", tinyFigBody)
 	if st := pollDone(t, srv1.URL, sr.ID); st.State != jobs.StateDone {
 		t.Fatalf("job: %s (%s)", st.State, st.Error)
-	}
-	types := map[string]bool{}
-	for _, ev := range events1.Events(0) {
-		if ev.Job == sr.ID {
-			types[ev.Type] = true
-		}
-	}
-	for _, want := range []string{"job.submitted", "job.started", "job.done"} {
-		if !types[want] {
-			t.Errorf("event log lacks %s for job %s", want, sr.ID)
-		}
-	}
-	before, err := json.Marshal(events1.Events(0))
-	if err != nil {
-		t.Fatal(err)
 	}
 	srv1.Close()
 	if err := sched1.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := events1.Close(); err != nil {
-		t.Fatal(err)
+	if names, _ := filepath.Glob(filepath.Join(dir, "events*")); len(names) != 0 {
+		t.Errorf("state dir holds an event journal: %v", names)
 	}
 
-	events2, err := obs.OpenEventLog(logPath)
+	events := obs.NewEventLog()
+	srv2, _ := newTestServer(t, jobs.Options{Workers: 1, Dir: dir, Events: events})
+	events.Emit("daemon.up", "", nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, "GET", srv2.URL+"/events?since=0&progress_ms=0", nil)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer events2.Close()
-	after, err := json.Marshal(events2.Events(0))
-	if err != nil {
-		t.Fatal(err)
+	defer resp.Body.Close()
+	seen := readSSEUntil(t, bufio.NewReader(resp.Body), "daemon.up", 20*time.Second)
+	want := []string{"job.submitted", "job.started", "job.done", "daemon.up"}
+	if fmt.Sprint(seen) != fmt.Sprint(want) {
+		t.Errorf("replay after restart = %v, want %v", seen, want)
 	}
-	if string(before) != string(after) {
-		t.Fatalf("replayed event journal differs:\n%s\nwant:\n%s", after, before)
-	}
-	// The restarted daemon keeps appending past the replayed history.
-	seqBefore := events2.Seq()
-	events2.Emit("daemon.up", "", nil)
-	if events2.Seq() != seqBefore+1 {
-		t.Errorf("seq after replayed append = %d, want %d", events2.Seq(), seqBefore+1)
+	for _, ev := range events.Events(0) {
+		if ev.Type != "daemon.up" && (ev.Job != sr.ID || ev.Fields["replayed"] != true) {
+			t.Errorf("derived event %+v not marked replayed for job %s", ev, sr.ID)
+		}
 	}
 }
 
@@ -115,24 +94,9 @@ func readSSEUntil(t *testing.T, body *bufio.Reader, want string, deadline time.D
 }
 
 // TestDaemonEventsSSE: the daemon streams lifecycle events over /events
-// in submission order, the per-job endpoint filters to one job, and
-// /timeseries serves the sampler's history.
+// in submission order, and the per-job endpoint filters to one job.
 func TestDaemonEventsSSE(t *testing.T) {
-	events := obs.NewEventLog()
-	defer events.Close()
-	reg := obs.NewRegistry()
-	sampler := obs.NewSampler(reg, 10*time.Millisecond, 0)
-	sampler.Start()
-	defer sampler.Stop()
-	sched, err := jobs.New(jobs.Options{Workers: 1, Metrics: reg, Events: events})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(newDaemon(sched, reg, nil, 0, events, sampler))
-	t.Cleanup(func() {
-		srv.Close()
-		sched.Close(context.Background())
-	})
+	srv, _ := newTestServer(t, jobs.Options{Workers: 1, Events: obs.NewEventLog()})
 
 	_, sr := postJSON(t, srv.URL+"/jobs", tinyFigBody)
 	if st := pollDone(t, srv.URL, sr.ID); st.State != jobs.StateDone {
@@ -169,21 +133,4 @@ func TestDaemonEventsSSE(t *testing.T) {
 		}
 	}
 
-	// The sampler has been ticking throughout; /timeseries serves ≥ 2
-	// samples of the scheduler counters.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		_, data := get(t, srv.URL+"/timeseries")
-		var ts obs.TimeSeries
-		if err := json.Unmarshal(data, &ts); err != nil {
-			t.Fatalf("/timeseries: %v: %s", err, data)
-		}
-		if len(ts.Samples) >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("/timeseries stuck at %d samples", len(ts.Samples))
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
 }

@@ -24,9 +24,9 @@
 //	       /jobs/{id}/events         this job's lifecycle events (SSE)
 //	GET    /events                   fleet-wide lifecycle event stream
 //	                                 (server-sent events; ?since=0 replays
-//	                                 the journal, durable across restarts
-//	                                 with -state)
-//	GET    /timeseries               sampled counter/gauge history
+//	                                 the buffered history; with -state it
+//	                                 starts with the history derived from
+//	                                 the state journal)
 //	GET    /metrics /healthz ...     daemon-level introspection (scheduler
 //	                                 queue depth, completions, pprof)
 //
@@ -76,11 +76,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"sync/atomic"
 	"syscall"
@@ -109,35 +107,20 @@ func run(args []string, stderr io.Writer) error {
 	jobTimeout := fs.Duration("job-timeout", 0, "default per-job deadline when a submission does not set timeout_ms (0 = none)")
 	logFormat := fs.String("log", "text", "structured log format on stderr: text, json or off")
 	logLevel := fs.String("log-level", "info", "minimum log level: debug, info, warn or error")
-	sample := fs.Duration("sample", time.Second, "interval of the /timeseries metrics sampler")
 	retryN := fs.Int("retry", 0, "self-healing attempt budget: jobs failing with retryable errors re-enqueue with backoff up to N attempts, then quarantine until POST /jobs/{id}/retry (0 or 1 = every failure is terminal)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	lg, err := newLogger(stderr, *logFormat, *logLevel)
+	lg, err := obs.NewFlagLogger(stderr, *logFormat, *logLevel)
 	if err != nil {
 		return err
 	}
 	reg := obs.NewRegistry()
-	// The lifecycle event journal shares the daemon's durability story:
-	// with -state it is an append-only CRC-framed file that replays on
-	// restart, so /events?since=0 shows the fleet's history across
-	// crashes; without -state it lives in memory like everything else.
-	var events *obs.EventLog
-	if *state != "" {
-		// The event journal opens before the scheduler (which would
-		// otherwise create the state dir), so create it here.
-		if err := os.MkdirAll(*state, 0o755); err != nil {
-			return err
-		}
-		if events, err = obs.OpenEventLog(filepath.Join(*state, "events.jsonl")); err != nil {
-			return err
-		}
-	} else {
-		events = obs.NewEventLog()
-	}
-	defer events.Close()
+	// The event log lives in memory. With -state the scheduler fills it
+	// first with the history its state journal records, so
+	// /events?since=0 shows the fleet's jobs across restarts.
+	events := obs.NewEventLog()
 	var pol *retry.Policy
 	if *retryN > 1 {
 		pol = &retry.Policy{MaxAttempts: *retryN}
@@ -149,11 +132,8 @@ func run(args []string, stderr io.Writer) error {
 	if n := sched.Resumed(); n > 0 {
 		fmt.Fprintf(stderr, "ftesd: resumed %d in-flight job(s) from %s\n", n, *state)
 	}
-	sampler := obs.NewSampler(reg, *sample, 0)
-	sampler.Start()
-	defer sampler.Stop()
 
-	d := newDaemon(sched, reg, lg, *jobTimeout, events, sampler)
+	d := newDaemon(sched, reg, lg, *jobTimeout, events)
 	d.drainBound = *drain
 	srv, err := obshttp.ServeHandler(*addr, d, obshttp.Options{DrainTimeout: *drain})
 	if err != nil {
@@ -199,7 +179,6 @@ type daemon struct {
 	lg         *obs.Logger
 	jobTimeout time.Duration
 	events     *obs.EventLog
-	sampler    *obs.Sampler
 	mux        *http.ServeMux
 
 	// draining flips on the first shutdown signal: submissions are then
@@ -209,9 +188,9 @@ type daemon struct {
 	drainBound time.Duration
 }
 
-func newDaemon(sched *jobs.Scheduler, reg *obs.Registry, lg *obs.Logger, jobTimeout time.Duration, events *obs.EventLog, sampler *obs.Sampler) *daemon {
+func newDaemon(sched *jobs.Scheduler, reg *obs.Registry, lg *obs.Logger, jobTimeout time.Duration, events *obs.EventLog) *daemon {
 	d := &daemon{sched: sched, reg: reg, lg: lg, jobTimeout: jobTimeout,
-		events: events, sampler: sampler, mux: http.NewServeMux()}
+		events: events, mux: http.NewServeMux()}
 	d.mux.HandleFunc("POST /jobs", d.submit)
 	d.mux.HandleFunc("GET /jobs", d.list)
 	d.mux.HandleFunc("GET /jobs/{id}", d.status)
@@ -219,12 +198,11 @@ func newDaemon(sched *jobs.Scheduler, reg *obs.Registry, lg *obs.Logger, jobTime
 	d.mux.HandleFunc("POST /jobs/{id}/retry", d.retryJob)
 	d.mux.HandleFunc("GET /jobs/{id}/artifacts/{name}", d.artifact)
 	d.mux.HandleFunc("GET /jobs/{id}/{introspect...}", d.introspect)
-	// Everything else — /metrics, /events, /timeseries, /healthz,
-	// /debug/pprof, the index — is daemon-level introspection: the
-	// scheduler's own instruments (queue depth, queue wait, completions),
-	// the fleet-wide lifecycle event stream and the sampled counter
-	// history.
-	d.mux.Handle("/", obshttp.Handler(obshttp.Options{Registry: reg, Events: events, Sampler: sampler}))
+	// Everything else — /metrics, /events, /healthz, /debug/pprof, the
+	// index — is daemon-level introspection: the scheduler's own
+	// instruments (queue depth, queue wait, completions) and the
+	// fleet-wide lifecycle event stream.
+	d.mux.Handle("/", obshttp.Handler(obshttp.Options{Registry: reg, Events: events}))
 	return d
 }
 
@@ -466,34 +444,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
-}
-
-// newLogger builds the stderr structured logger selected by -log and
-// -log-level ("off" disables logging).
-func newLogger(stderr io.Writer, format, level string) (*obs.Logger, error) {
-	var lvl slog.Level
-	switch level {
-	case "debug":
-		lvl = slog.LevelDebug
-	case "info", "":
-		lvl = slog.LevelInfo
-	case "warn":
-		lvl = slog.LevelWarn
-	case "error":
-		lvl = slog.LevelError
-	default:
-		return nil, fmt.Errorf("unknown -log-level %q (want debug, info, warn or error)", level)
-	}
-	switch format {
-	case "off", "":
-		return nil, nil
-	case "text":
-		return obs.NewTextLogger(stderr, lvl), nil
-	case "json":
-		return obs.NewJSONLogger(stderr, lvl), nil
-	default:
-		return nil, fmt.Errorf("unknown -log format %q (want text, json or off)", format)
-	}
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {

@@ -32,7 +32,7 @@ func newTestServer(t *testing.T, o jobs.Options) (*httptest.Server, *jobs.Schedu
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(newDaemon(sched, reg, nil, 0, o.Events, nil))
+	srv := httptest.NewServer(newDaemon(sched, reg, nil, 0, o.Events))
 	t.Cleanup(func() {
 		srv.Close()
 		sched.Close(context.Background())
@@ -351,7 +351,7 @@ func TestRestartResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv1 := httptest.NewServer(newDaemon(sched1, reg1, nil, 0, nil, nil))
+	srv1 := httptest.NewServer(newDaemon(sched1, reg1, nil, 0, nil))
 	_, sr := postJSON(t, srv1.URL+"/jobs", tinyFigBody)
 	// "Crash": tear the daemon down while the job runs. Close cancels the
 	// run cooperatively; the completion is never journaled, so the job is

@@ -28,11 +28,10 @@
 //
 // Live introspection: -serve ADDR exposes /metrics (Prometheus text
 // exposition), /progress (JSON), /trace (Chrome trace snapshot),
-// /events (progress frames over server-sent events), /timeseries
-// (sampled counter history), /healthz, /debug/vars and /debug/pprof for
-// the duration of the run; -progress renders a throttled status line on
-// stderr. Both are observation-only: the tables are byte-identical with
-// or without them.
+// /events (progress frames over server-sent events), /healthz,
+// /debug/vars and /debug/pprof for the duration of the run; -progress
+// renders a throttled status line on stderr. Both are observation-only:
+// the tables are byte-identical with or without them.
 //
 // Sharded sweeps trace across processes: every worker snapshots its
 // trace into the shard directory, and -merge -trace FILE stitches all
@@ -54,7 +53,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -170,7 +168,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	if *progress || *serve != "" {
 		prog = obs.NewProgress()
 	}
-	lg, err := newLogger(*logFormat, *logLevel)
+	lg, err := obs.NewFlagLogger(stderr, *logFormat, *logLevel)
 	if err != nil {
 		return err
 	}
@@ -205,14 +203,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	}
 
 	if *serve != "" {
-		// The time series exists for the lifetime of the introspection
-		// server: /timeseries keeps a ring of counter snapshots.
-		sampler := obs.NewSampler(reg, time.Second, 0)
-		sampler.Start()
-		defer sampler.Stop()
-		srv, err := obshttp.Serve(*serve, obshttp.Options{
-			Registry: reg, Progress: prog, Tracer: tracer, Sampler: sampler,
-		})
+		srv, err := obshttp.Serve(*serve, obshttp.Options{Registry: reg, Progress: prog, Tracer: tracer})
 		if err != nil {
 			return err
 		}
@@ -506,34 +497,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		<-ctx.Done()
 	}
 	return nil
-}
-
-// newLogger builds the stderr structured logger selected by -log and
-// -log-level ("" format = logging disabled).
-func newLogger(format, level string) (*obs.Logger, error) {
-	var lvl slog.Level
-	switch level {
-	case "debug":
-		lvl = slog.LevelDebug
-	case "info", "":
-		lvl = slog.LevelInfo
-	case "warn":
-		lvl = slog.LevelWarn
-	case "error":
-		lvl = slog.LevelError
-	default:
-		return nil, fmt.Errorf("unknown -log-level %q (want debug, info, warn or error)", level)
-	}
-	switch format {
-	case "":
-		return nil, nil
-	case "text":
-		return obs.NewTextLogger(stderr, lvl), nil
-	case "json":
-		return obs.NewJSONLogger(stderr, lvl), nil
-	default:
-		return nil, fmt.Errorf("unknown -log format %q (want text or json)", format)
-	}
 }
 
 // renderProgress starts the throttled stderr status-line renderer and

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/runctl"
+	"repro/internal/runstate"
 	"repro/internal/specio"
 	"repro/internal/taskgen"
 )
@@ -43,6 +46,13 @@ func mustSubmit(t *testing.T, s *Scheduler, spec Spec) *Handle {
 		t.Fatal(err)
 	}
 	return h
+}
+
+// waitRunning polls until h's job is running.
+func waitRunning(h *Handle) {
+	for h.Status().State != StateRunning {
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestFIFOOrder: with one blocked worker, queued jobs start in
@@ -266,6 +276,117 @@ func TestResubmitAfterCancel(t *testing.T) {
 	}
 }
 
+// TestResubmitOutcomeSurvivesRestart: a failed or canceled job that is
+// resubmitted and then succeeds comes back done after a restart, with
+// its attempt count. The second run's try| and done| rows must not
+// collide with the first run's, or the journal drops them and the
+// restart restores the first outcome. A resubmitted run cut short by
+// the shutdown resumes after the restart instead.
+func TestResubmitOutcomeSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	var runs sync.Map // label → *atomic.Int64
+	withHook(t, func(ctx context.Context, j *Job) (Artifacts, error) {
+		n, _ := runs.LoadOrStore(j.spec.Fig, new(atomic.Int64))
+		switch run := n.(*atomic.Int64).Add(1); {
+		case run == 1 && j.spec.Fig == "cancel", run == 2 && j.spec.Fig == "crash":
+			<-ctx.Done()
+			return nil, runctl.Err(ctx)
+		case run == 1:
+			return nil, errors.New("first run fails")
+		}
+		return Artifacts{"out": []byte("ok")}, nil
+	})
+	s1, err := New(Options{Workers: 1, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, label := range []string{"fail", "cancel", "crash"} {
+		h := mustSubmit(t, s1, testSpec(label))
+		if label == "cancel" {
+			waitRunning(h)
+			s1.Cancel(h.ID())
+		}
+		if _, err := h.Wait(context.Background()); err == nil {
+			t.Fatalf("%s: first run succeeded", label)
+		}
+		h = mustSubmit(t, s1, testSpec(label))
+		ids = append(ids, h.ID())
+		if label == "crash" {
+			waitRunning(h)
+			break
+		}
+		if _, err := h.Wait(context.Background()); err != nil {
+			t.Fatalf("%s: resubmitted run: %v", label, err)
+		}
+		if st := h.Status(); st.State != StateDone || st.Attempts != 2 {
+			t.Fatalf("%s: live status %s attempts %d, want done attempts 2", label, st.State, st.Attempts)
+		}
+	}
+	if err := s1.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newTestScheduler(t, Options{Workers: 1, Dir: dir})
+	if n := s2.Resumed(); n != 1 {
+		t.Errorf("resumed %d jobs, want the crashed run's 1", n)
+	}
+	for i, id := range ids {
+		h, ok := s2.Get(id)
+		if !ok {
+			t.Fatalf("job %d lost across restart", i)
+		}
+		if art, err := h.Wait(context.Background()); err != nil || string(art["out"]) != "ok" {
+			t.Errorf("job %d restored result: %v %q", i, err, art["out"])
+		}
+		want := 2 + i/2 // the crashed job's resumed run is its third
+		if st := h.Status(); st.State != StateDone || st.Attempts != want || st.Error != "" {
+			t.Errorf("job %d restored as %s attempts %d (%s), want done attempts %d", i, st.State, st.Attempts, st.Error, want)
+		}
+	}
+}
+
+// TestLegacyDoneRow: a state journal written before completions were
+// numbered keys them done|<id>; such a row still restores its outcome.
+func TestLegacyDoneRow(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpec("legacy")
+	id, err := spec.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := runstate.Open(filepath.Join(dir, "state.jsonl"), stateFingerprint, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct {
+		key string
+		v   any
+	}{
+		{"job|" + id, submitRecord{Spec: spec}},
+		{"try|" + id + "|1", struct{}{}},
+		{"done|" + id, doneRecord{Artifacts: map[string][]byte{"out": []byte("old")}}},
+	} {
+		if err := st.Record(row.key, row.v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestScheduler(t, Options{Workers: 1, Dir: dir})
+	h, ok := s.Get(id)
+	if !ok {
+		t.Fatal("legacy job not restored")
+	}
+	if art, err := h.Wait(context.Background()); err != nil || string(art["out"]) != "old" {
+		t.Errorf("legacy job restored as %v %q, want done with its artifact", err, art["out"])
+	}
+	if st := h.Status(); st.State != StateDone || st.Attempts != 1 {
+		t.Errorf("legacy job status %s attempts %d, want done attempts 1", st.State, st.Attempts)
+	}
+}
+
 // TestValidation: malformed specs are rejected at Submit.
 func TestValidation(t *testing.T) {
 	s := newTestScheduler(t, Options{})
@@ -440,6 +561,30 @@ func TestCloseInterruptsRunning(t *testing.T) {
 	}
 	if _, err := s.Submit(testSpec("y"), 0); !errors.Is(err, ErrClosed) {
 		t.Errorf("Submit after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestCloseRacesJobStart: a Close that lands while a worker is starting
+// a job still interrupts the run. A job that became running before it
+// became cancelable slipped past Close, which then waited for a run
+// nothing would stop.
+func TestCloseRacesJobStart(t *testing.T) {
+	withHook(t, func(ctx context.Context, j *Job) (Artifacts, error) {
+		<-ctx.Done()
+		return nil, runctl.Err(ctx)
+	})
+	for i := 0; i < 200; i++ {
+		s, err := New(Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustSubmit(t, s, testSpec("x"))
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		err = s.Close(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("iteration %d: %v", i, err)
+		}
 	}
 }
 

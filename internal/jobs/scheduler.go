@@ -53,9 +53,9 @@ type Options struct {
 	Log *obs.Logger
 	// Events, when non-nil, receives the fleet lifecycle event stream:
 	// job submitted/started/done/failed/canceled/interrupted, dedup hits,
-	// resumes, shard starts, panics recovered.
-	// ftesd opens a durable log under its state dir so the stream
-	// survives restarts.
+	// resumes, panics recovered. A durable scheduler first emits the
+	// history its state journal records (see recover), so the stream
+	// survives restarts without a journal of its own.
 	Events *obs.EventLog
 	// Retry, when non-nil, is the self-healing policy: a job failing with
 	// a retryable error (retry.IsRetryable — torn journal writes, ENOSPC,
@@ -86,10 +86,13 @@ type Job struct {
 	// attempts counts runs started across the job's whole durable life,
 	// monotonic even across manual retries (journaled as try| rows).
 	// budgetBase is the attempt count the current budget window started
-	// at: Retry (manual un-quarantine) moves it forward so the policy's
-	// MaxAttempts applies per window, while the history stays monotonic.
+	// at: Retry (manual un-quarantine) and a resubmission move it forward
+	// so the policy's MaxAttempts applies per window, while the history
+	// stays monotonic. completions counts the job's journaled
+	// completions; it numbers their done| rows.
 	attempts    int
 	budgetBase  int
+	completions int
 	submittedAt time.Time
 	startedAt   time.Time
 	finishedAt  time.Time
@@ -188,7 +191,10 @@ type submitRecord struct {
 	Timeout int64 `json:"timeout_ns,omitempty"`
 }
 
-// doneRecord is the durable form of one completion.
+// doneRecord is the durable form of one completion. Keyed
+// done|<id>|<n>, n counting the job's completions: a failed or canceled
+// job can be resubmitted and complete again, and the journal dedups
+// repeated keys. Journals written before the count carry done|<id>.
 type doneRecord struct {
 	Artifacts map[string][]byte `json:"artifacts,omitempty"`
 	Err       string            `json:"err,omitempty"`
@@ -257,98 +263,123 @@ func New(o Options) (*Scheduler, error) {
 	return s, nil
 }
 
-// recover replays the state journal: done jobs become resolved entries,
-// quarantined jobs come back quarantined (with their attempt history, so
-// a restart never resets a budget), and jobs submitted but never
-// completed are re-enqueued in their original submission order.
+// recover replays the state journal in file order. Each row restores the
+// transition it records: done jobs become resolved entries, quarantined
+// jobs come back quarantined (with their attempt history, so a restart
+// never resets a budget), and jobs submitted but never completed are
+// re-enqueued in their original submission order. Each row also emits
+// the event its transition implies, marked replayed because its t_ms is
+// this restart's clock: the state journal is the one record of the
+// fleet's history, and the event log is rebuilt from it.
 func (s *Scheduler) recover() {
-	rows := s.state.RestoredRows()
-	type pending struct {
-		id  string
-		rec submitRecord
+	type entry struct {
+		rec                         submitRecord
+		attempts, base, completions int
+		done                        *doneRecord // the last completion while terminal
+		quar                        string      // error text while quarantined
 	}
-	var order []pending
-	done := map[string]doneRecord{}
-	attempts := map[string]int{}
-	base := map[string]int{}
-	quar := map[string]string{} // id → error text while quarantined
-	for _, r := range rows {
-		if id, ok := strings.CutPrefix(r.Key, "done|"); ok {
-			var rec doneRecord
-			if jsonUnmarshal(r.Data, &rec) {
-				done[id] = rec
-			}
-			continue
+	byID := map[string]*entry{}
+	var order []string
+	replay := func(typ, id string, fields map[string]any) {
+		if s.events == nil {
+			return
 		}
-		if id, ok := strings.CutPrefix(r.Key, "job|"); ok {
+		if fields == nil {
+			fields = map[string]any{}
+		}
+		fields["replayed"] = true
+		s.events.Emit(typ, id, fields)
+	}
+	for _, r := range s.state.RestoredRows() {
+		kind, rest, _ := strings.Cut(r.Key, "|")
+		id, n, numbered := splitAttemptKey(rest)
+		if !numbered {
+			id = rest // job|<id>, or a done|<id> row of an older journal
+		}
+		if kind == "job" {
 			var rec submitRecord
 			if jsonUnmarshal(r.Data, &rec) {
-				order = append(order, pending{id, rec})
+				byID[id] = &entry{rec: rec}
+				order = append(order, id)
+				replay("job.submitted", id, eventFields(rec.Spec))
 			}
 			continue
 		}
-		// Self-healing rows, replayed in file order so a quarantine after a
-		// manual retry lands quarantined, and vice versa.
-		if rest, ok := strings.CutPrefix(r.Key, "try|"); ok {
-			if id, n, ok := splitAttemptKey(rest); ok && n > attempts[id] {
-				attempts[id] = n
-			}
-			continue
+		e := byID[id]
+		if e == nil {
+			continue // no submission row: nothing to restore it onto
 		}
-		if rest, ok := strings.CutPrefix(r.Key, "quar|"); ok {
-			if id, _, ok := splitAttemptKey(rest); ok {
-				var rec quarRecord
-				if jsonUnmarshal(r.Data, &rec) && rec.Err != "" {
-					quar[id] = rec.Err
-				} else {
-					quar[id] = "quarantined by a previous run"
-				}
+		switch kind {
+		case "try":
+			// A new attempt makes the job live again, even after a
+			// completion: it was resubmitted and its run did not finish.
+			e.attempts = max(e.attempts, n)
+			e.done, e.quar = nil, ""
+			f := eventFields(e.rec.Spec)
+			f["attempt"] = n
+			replay("job.started", id, f)
+		case "done":
+			var rec doneRecord
+			if !jsonUnmarshal(r.Data, &rec) {
+				continue
 			}
-			continue
-		}
-		if rest, ok := strings.CutPrefix(r.Key, "retry|"); ok {
-			if id, n, ok := splitAttemptKey(rest); ok {
-				base[id] = n
-				delete(quar, id)
-			}
-		}
-	}
-	for _, p := range order {
-		j := s.newJob(p.id, p.rec.Spec, time.Duration(p.rec.Timeout))
-		j.attempts = attempts[p.id]
-		j.budgetBase = base[p.id]
-		s.jobs[p.id] = j
-		if rec, ok := done[p.id]; ok {
-			j.state = StateDone
-			j.artifacts = Artifacts(rec.Artifacts)
+			e.completions++
+			e.done, e.quar = &rec, ""
 			switch {
 			case rec.Canceled:
-				j.state = StateCanceled
-				j.err = fmt.Errorf("%w: %s", runctl.ErrCanceled, rec.Err)
+				replay("job.canceled", id, nil)
 			case rec.Err != "":
-				j.state = StateFailed
-				j.err = errors.New(rec.Err)
+				replay("job.failed", id, map[string]any{"error": rec.Err})
+			default:
+				replay("job.done", id, nil)
 			}
-			s.retireLocked(j)
-			close(j.done)
-			continue
+		case "quar":
+			var rec quarRecord
+			e.quar = "quarantined by a previous run"
+			if jsonUnmarshal(r.Data, &rec) && rec.Err != "" {
+				e.quar = rec.Err
+			}
+			replay("job.quarantined", id, map[string]any{"attempts": n, "error": e.quar})
+		case "retry":
+			e.base, e.quar = n, ""
+			replay("job.retried", id, map[string]any{"attempts": n})
 		}
-		if msg, ok := quar[p.id]; ok {
+	}
+	for _, id := range order {
+		e := byID[id]
+		j := s.newJob(id, e.rec.Spec, time.Duration(e.rec.Timeout))
+		j.attempts, j.budgetBase, j.completions = e.attempts, e.base, e.completions
+		s.jobs[id] = j
+		switch {
+		case e.done != nil:
+			j.artifacts = Artifacts(e.done.Artifacts)
+			switch {
+			case e.done.Canceled:
+				j.state = StateCanceled
+				j.err = fmt.Errorf("%w: %s", runctl.ErrCanceled, e.done.Err)
+			case e.done.Err != "":
+				j.state = StateFailed
+				j.err = errors.New(e.done.Err)
+			default:
+				j.state = StateDone
+			}
+		case e.quar != "":
 			j.state = StateQuarantined
-			j.err = errors.New(msg)
-			s.retireLocked(j)
-			close(j.done)
+			j.err = errors.New(e.quar)
+		default:
+			s.resumed++
+			s.enqueueLocked(j)
+			s.log.Info("job resumed from state journal", "job", id, "kind", e.rec.Spec.Kind, "fig", e.rec.Spec.Fig)
+			s.events.Emit("job.resumed", id, eventFields(e.rec.Spec))
 			continue
 		}
-		s.resumed++
-		s.enqueueLocked(j)
-		s.log.Info("job resumed from state journal", "job", p.id, "kind", p.rec.Spec.Kind, "fig", p.rec.Spec.Fig)
-		s.events.Emit("job.resumed", p.id, eventFields(p.rec.Spec))
+		s.retireLocked(j)
+		close(j.done)
 	}
 }
 
-// splitAttemptKey parses the "<id>|<n>" tail of a try|/quar|/retry| state
-// row key.
+// splitAttemptKey parses the "<id>|<n>" tail of a try|/done|/quar|/retry|
+// state row key.
 func splitAttemptKey(rest string) (id string, n int, ok bool) {
 	i := strings.LastIndexByte(rest, '|')
 	if i < 1 {
@@ -409,13 +440,15 @@ func (s *Scheduler) Submit(spec Spec, timeout time.Duration) (*Handle, error) {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
+	var prev *Job
 	if j, ok := s.jobs[id]; ok {
 		switch j.state {
 		case StateFailed, StateCanceled:
 			// A terminal non-success does not poison the fingerprint:
-			// resubmitting runs the spec again (the fresh job below simply
-			// replaces the dead one in the index).
-			delete(s.jobs, id)
+			// resubmitting runs the spec again. The fresh job below replaces
+			// the dead one in the index and continues its attempt and
+			// completion counts, so its try| and done| rows get new keys.
+			prev = j
 		default:
 			submits := j.submits + 1
 			j.submits = submits
@@ -427,6 +460,9 @@ func (s *Scheduler) Submit(spec Spec, timeout time.Duration) (*Handle, error) {
 		}
 	}
 	j := s.newJob(id, spec, timeout)
+	if prev != nil {
+		j.attempts, j.budgetBase, j.completions = prev.attempts, prev.attempts, prev.completions
+	}
 	s.jobs[id] = j
 	s.mu.Unlock()
 
@@ -498,15 +534,24 @@ func (s *Scheduler) worker() {
 // runJob executes one job and publishes its completion.
 func (s *Scheduler) runJob(j *Job) {
 	start := time.Now()
+	ctx, cancel := context.WithCancel(context.Background())
 	s.mu.Lock()
 	if j.userCanceled {
 		// Canceled while queued and not yet reaped by Cancel itself —
 		// complete it without running anything.
 		s.mu.Unlock()
+		cancel()
 		s.completeJob(j, nil, fmt.Errorf("%w: canceled before start", runctl.ErrCanceled))
 		return
 	}
+	// The job becomes running and cancelable in one step, so a Cancel or
+	// Close that sees it running always reaches its run. A Close that got
+	// in first (after this worker dequeued it) interrupts it at once.
 	j.state = StateRunning
+	j.cancel = cancel
+	if s.closing {
+		cancel()
+	}
 	j.startedAt = start
 	j.attempts++
 	attempt := j.attempts
@@ -525,16 +570,7 @@ func (s *Scheduler) runJob(j *Job) {
 	startedFields := eventFields(j.spec)
 	startedFields["attempt"] = attempt
 	s.events.Emit("job.started", j.id, startedFields)
-	if j.spec.ShardCount > 1 {
-		s.events.Emit("shard.started", j.id, map[string]any{
-			"index": j.spec.ShardIndex, "count": j.spec.ShardCount, "fig": j.spec.Fig,
-		})
-	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	s.mu.Lock()
-	j.cancel = cancel
-	s.mu.Unlock()
 	runCtx := ctx
 	var cancelTimeout context.CancelFunc
 	if j.timeout > 0 {
@@ -603,6 +639,9 @@ func (s *Scheduler) completeJob(j *Job, artifacts Artifacts, err error) {
 	// not journaled, so a durable scheduler resumes it on the next start.
 	interrupted := err != nil && errors.Is(err, runctl.ErrCanceled) &&
 		!userCanceled && closing
+	// A user cancel the run ended on counts as canceled, live and in the
+	// journal alike; a run that failed on its own error stays failed.
+	canceled := userCanceled && errors.Is(err, runctl.ErrCanceled)
 
 	// Self-healing disposition. With a retry policy configured, a failure
 	// that is neither an interruption nor a user cancel goes one of two
@@ -623,11 +662,15 @@ func (s *Scheduler) completeJob(j *Job, artifacts Artifacts, err error) {
 	}
 
 	if !interrupted && s.state != nil {
-		rec := doneRecord{Artifacts: artifacts, Canceled: userCanceled && err != nil}
+		rec := doneRecord{Artifacts: artifacts, Canceled: canceled}
 		if err != nil {
 			rec.Err = err.Error()
 		}
-		if rerr := s.state.Record("done|"+j.id, rec); rerr != nil {
+		s.mu.Lock()
+		j.completions++
+		n := j.completions
+		s.mu.Unlock()
+		if rerr := s.state.Record(fmt.Sprintf("done|%s|%d", j.id, n), rec); rerr != nil {
 			s.log.Error("job completion not journaled", "job", j.id, "err", rerr.Error())
 		}
 	}
@@ -641,7 +684,7 @@ func (s *Scheduler) completeJob(j *Job, artifacts Artifacts, err error) {
 		j.state = StateInterrupted
 	case err == nil:
 		j.state = StateDone
-	case userCanceled && errors.Is(err, runctl.ErrCanceled):
+	case canceled:
 		j.state = StateCanceled
 	default:
 		j.state = StateFailed
@@ -788,6 +831,7 @@ func (s *Scheduler) Retry(id string) (*Handle, error) {
 	nj := s.newJob(id, j.spec, j.timeout)
 	nj.attempts = j.attempts
 	nj.budgetBase = j.attempts
+	nj.completions = j.completions
 	nj.submits = j.submits + 1
 	s.jobs[id] = nj
 	s.mu.Unlock()

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"log/slog"
 )
@@ -38,6 +39,35 @@ func NewTextLogger(w io.Writer, level slog.Leveler) *Logger {
 // above the given level (nil level = slog.LevelInfo).
 func NewJSONLogger(w io.Writer, level slog.Leveler) *Logger {
 	return NewLogger(slog.NewJSONHandler(w, &slog.HandlerOptions{Level: level}))
+}
+
+// NewFlagLogger builds the logger a binary's -log and -log-level flags
+// select: format text or json, "" or "off" for the disabled logger, at
+// level debug, info ("" too), warn or error.
+func NewFlagLogger(w io.Writer, format, level string) (*Logger, error) {
+	var lvl slog.Level
+	switch level {
+	case "debug":
+		lvl = slog.LevelDebug
+	case "info", "":
+		lvl = slog.LevelInfo
+	case "warn":
+		lvl = slog.LevelWarn
+	case "error":
+		lvl = slog.LevelError
+	default:
+		return nil, fmt.Errorf("unknown -log-level %q (want debug, info, warn or error)", level)
+	}
+	switch format {
+	case "off", "":
+		return nil, nil
+	case "text":
+		return NewTextLogger(w, lvl), nil
+	case "json":
+		return NewJSONLogger(w, lvl), nil
+	default:
+		return nil, fmt.Errorf("unknown -log format %q (want text, json or off)", format)
+	}
 }
 
 // Enabled reports whether the logger emits records at the given level

@@ -11,9 +11,7 @@ import (
 // This file implements the live half of the introspection surface:
 // /events, a Server-Sent Events stream of the fleet lifecycle (job and
 // sweep events from the obs.EventLog, interleaved with periodic progress
-// frames), and /timeseries, the obs.Sampler's sampled counter/gauge
-// history. Together they let `curl -N` watch a sweep end-to-end and
-// reconstruct rates-over-time afterwards, with no external collector.
+// frames), so `curl -N` can watch a sweep end-to-end.
 
 // Tunables for the SSE loop. Variables, not constants, so tests can
 // tighten them; production code never writes them.
@@ -28,9 +26,12 @@ var (
 // handleEvents serves the SSE stream. Replay semantics: events with
 // sequence numbers greater than ?since (or the Last-Event-ID header,
 // standard SSE reconnect) are delivered first, then the stream follows
-// the log live. ?since=now skips replay. ?job=ID (or Options.EventJob)
-// filters lifecycle events to one job. ?progress_ms overrides the
-// progress frame interval (0 disables progress frames).
+// the log live. ?since=now skips replay. A since beyond the log's
+// latest sequence number names an event of an earlier process (sequence
+// numbers restart with the log), so it replays from the start. ?job=ID
+// (or Options.EventJob) filters lifecycle events to one job.
+// ?progress_ms overrides the progress frame interval (0 disables
+// progress frames).
 func handleEvents(o Options) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		fl, ok := w.(http.Flusher)
@@ -48,6 +49,9 @@ func handleEvents(o Options) http.HandlerFunc {
 			} else {
 				since, _ = strconv.ParseInt(v, 10, 64)
 			}
+		}
+		if since > o.Events.Seq() {
+			since = 0
 		}
 		job := o.EventJob
 		if v := r.URL.Query().Get("job"); v != "" {
@@ -82,8 +86,7 @@ func handleEvents(o Options) http.HandlerFunc {
 			evs := o.Events.Events(since)
 			// A client further behind than the ring window gets an explicit
 			// gap marker instead of silently skipped events: the frame names
-			// the missing sequence range so the watcher can decide to resync
-			// from the durable journal (or accept the hole).
+			// the missing sequence range so the watcher knows what it lost.
 			if len(evs) > 0 && evs[0].Seq > since+1 {
 				gap := map[string]int64{
 					"from": since + 1, "to": evs[0].Seq - 1,
@@ -137,19 +140,4 @@ func writeSSE(w http.ResponseWriter, id int64, event string, v any) error {
 	}
 	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
 	return err
-}
-
-// handleTimeseries serves the sampler's ring buffer as JSON; ?last=N
-// limits the response to the most recent N samples.
-func handleTimeseries(o Options) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		last := 0
-		if v := r.URL.Query().Get("last"); v != "" {
-			last, _ = strconv.Atoi(v)
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(o.Sampler.Series(last))
-	}
 }

@@ -166,6 +166,28 @@ func TestEventsSinceAndJobFilter(t *testing.T) {
 	}
 }
 
+// TestEventsSinceFromEarlierProcess: sequence numbers restart with each
+// process, so a client reconnecting with an id beyond the log's latest
+// (one it kept from before a restart) replays from the first buffered
+// event instead of waiting silently for a sequence number far ahead.
+func TestEventsSinceFromEarlierProcess(t *testing.T) {
+	log := obs.NewEventLog()
+	log.Emit("job.submitted", "a", map[string]any{"replayed": true})
+	log.Emit("daemon.up", "", nil)
+
+	srv := httptest.NewServer(Handler(Options{Events: log}))
+	defer srv.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	r, done := openStream(t, srv.URL+"/events?progress_ms=0&since=1000")
+	defer done()
+	frames := readFrames(ctx, t, r, 2)
+	if frames[0].Event != "job.submitted" || frames[0].ID != "1" || frames[1].Event != "daemon.up" {
+		t.Errorf("reconnect past the latest seq replayed %+v, want the log from seq 1", frames)
+	}
+}
+
 // TestEventsJobOption: Options.EventJob pins the filter server-side, the
 // way ftesd's per-job mounts use it.
 func TestEventsJobOption(t *testing.T) {
@@ -214,57 +236,5 @@ func TestEventsProgressFrames(t *testing.T) {
 		if len(st.Phases) != 1 || st.Phases[0].Current != 3 {
 			t.Errorf("progress payload %+v", st)
 		}
-	}
-}
-
-// TestTimeseries: /timeseries serves the sampler ring as JSON and
-// honors ?last.
-func TestTimeseries(t *testing.T) {
-	reg := obs.NewRegistry()
-	c := reg.Counter("evals")
-	smp := obs.NewSampler(reg, 50*time.Millisecond, 16)
-	c.Add(1)
-	smp.Sample()
-	c.Add(1)
-	smp.Sample()
-
-	srv := httptest.NewServer(Handler(Options{Registry: reg, Sampler: smp}))
-	defer srv.Close()
-
-	var ts obs.TimeSeries
-	getJSON(t, srv.URL+"/timeseries", &ts)
-	if ts.IntervalMS != 50 || len(ts.Samples) != 2 {
-		t.Fatalf("series %+v", ts)
-	}
-	if ts.Samples[1].Counters["evals"] != 2 {
-		t.Errorf("latest sample %+v", ts.Samples[1])
-	}
-
-	getJSON(t, srv.URL+"/timeseries?last=1", &ts)
-	if len(ts.Samples) != 1 || ts.Samples[0].Counters["evals"] != 2 {
-		t.Errorf("?last=1 series %+v", ts)
-	}
-
-	// No sampler configured: valid empty series, stable shape.
-	srv2 := httptest.NewServer(Handler(Options{}))
-	defer srv2.Close()
-	getJSON(t, srv2.URL+"/timeseries", &ts)
-	if ts.Samples == nil || len(ts.Samples) != 0 {
-		t.Errorf("nil sampler series %+v", ts)
-	}
-}
-
-func getJSON(t *testing.T, url string, v any) {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s = %d", url, resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		t.Fatal(err)
 	}
 }

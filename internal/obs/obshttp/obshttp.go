@@ -11,12 +11,9 @@
 //	              obs.Tracer (open spans flagged unfinished) — load a
 //	              mid-run trace in Perfetto without stopping anything
 //	/events       Server-Sent Events stream of the obs.EventLog —
-//	              lifecycle events (job submitted/started/done, shards,
-//	              sweeps) with replay via ?since / Last-Event-ID, plus
+//	              lifecycle events (job submitted/started/done, app
+//	              timeouts) with replay via ?since / Last-Event-ID, plus
 //	              periodic progress frames (events.go)
-//	/timeseries   the obs.Sampler ring buffer: counter/gauge values
-//	              sampled at a fixed interval, as JSON — rates over
-//	              time without an external Prometheus
 //	/healthz      liveness: 200 "ok"
 //	/debug/vars   expvar (Go runtime memstats, cmdline)
 //	/debug/pprof  the standard pprof handlers, so `go tool pprof
@@ -72,8 +69,6 @@ type Options struct {
 	// it so each job streams only its own story. Clients can restrict a
 	// daemon-wide stream the same way with ?job=<id>.
 	EventJob string
-	// Sampler feeds /timeseries.
-	Sampler *obs.Sampler
 	// DrainTimeout bounds how long Drain waits for in-flight requests
 	// before force-closing them (0 = DefaultDrainTimeout). Long-running
 	// daemons surface this as a flag (ftesd -drain); paperbench uses the
@@ -109,7 +104,6 @@ func Handler(o Options) http.Handler {
 		_ = o.Tracer.WriteChromeTrace(w)
 	})
 	mux.HandleFunc("/events", handleEvents(o))
-	mux.HandleFunc("/timeseries", handleTimeseries(o))
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -127,7 +121,6 @@ func Handler(o Options) http.Handler {
 			"  /progress     progress snapshot (JSON)\n"+
 			"  /trace        Chrome trace_event snapshot (JSON)\n"+
 			"  /events       lifecycle + progress event stream (SSE; ?since=N, ?job=ID)\n"+
-			"  /timeseries   sampled counter/gauge history (JSON; ?last=N)\n"+
 			"  /healthz      liveness\n"+
 			"  /debug/vars   expvar\n"+
 			"  /debug/pprof  pprof profiles\n")
