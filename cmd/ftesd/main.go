@@ -50,7 +50,8 @@
 // A figure runs as one crash-resumable job: "workers" parallelizes it,
 // -state journals its rows and -retry re-runs it after a transient
 // failure. Sweeps sharded over several processes run through paperbench
-// -shards (supervised by -heal, reassembled by -merge), not the daemon.
+// -shards N -shard-dir D (one launcher that supervises the workers and
+// merges their journals), not the daemon.
 //
 // With -retry N the daemon self-heals: a job failing with a retryable
 // error (ENOSPC, torn writes, a journal still held by a dying worker) is

@@ -11,6 +11,9 @@
 //	paperbench -fig 6a -cpuprofile cpu.pprof  # profile the run
 //	paperbench -fig 6b -serve :8080 -progress # watch a long sweep live
 //	paperbench -fig cc -log json              # structured logs on stderr
+//	paperbench -fig 6b -shards 4 -shard-dir sweep       # launch a sharded sweep
+//	paperbench -fig 6b -shards 4 -shard 2 -shard-dir sweep  # run one slice
+//	paperbench -fig 6b -merge sweep                     # merge finished slices
 //
 // Figures: 6a–6d (the paper's acceptance sweeps), cc (cruise controller),
 // policies (re-execution vs checkpointing vs replication), simulation
@@ -33,10 +36,16 @@
 // renders a throttled status line on stderr. Both are observation-only:
 // the tables are byte-identical with or without them.
 //
-// Sharded sweeps trace across processes: every worker snapshots its
-// trace into the shard directory, and -merge -trace FILE stitches all
-// of them (plus the merge itself) into one timeline, one lane per
-// worker.
+// Sharded sweeps have one launcher: -shards N -shard-dir D without
+// -shard starts one worker subprocess per slice, restarts dead or wedged
+// workers with backoff (each restart resumes its slice journal), and
+// then merges the directory exactly like -merge D. A slice is given up
+// only after 8 consecutive attempts that journal no row. Workers
+// (-shard i) and -merge remain usable by hand, e.g. across machines
+// sharing the directory. Sharded sweeps trace across processes: every
+// worker snapshots its trace into the shard directory, and -trace FILE
+// on the launcher or on -merge stitches all of them (plus the merge
+// itself) into one timeline, one lane per worker.
 //
 // All diagnostics (-progress, -log, -metrics, the -serve banner) go to
 // stderr or to files; stdout carries only the tables, so redirecting it
@@ -139,14 +148,11 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	appTimeout := fs.Duration("app-timeout", 0, "per-application deadline; a timed-out application counts as rejected (runtime and simulation rows leave it out) instead of aborting the sweep (0 = none)")
 	journalPath := fs.String("journal", "", "journal completed experiment rows to this crash-safe append-only file")
 	resume := fs.Bool("resume", false, "with -journal or -shard-dir: restore rows a previous interrupted run already journaled instead of recomputing them")
-	shards := fs.Int("shards", 0, "shard the sweep this many ways; this process computes only shard -shard's rows, journaling them into -shard-dir (every figure but cc)")
-	shardIdx := fs.Int("shard", -1, "with -shards: this worker's shard index in [0, shards)")
+	shards := fs.Int("shards", 0, "shard the sweep this many ways (every figure but cc): without -shard, launch one worker subprocess per slice into -shard-dir, restart dead or wedged workers until every slice is journaled, then merge like -merge")
+	shardIdx := fs.Int("shard", -1, "with -shards: run only as the worker of this shard index in [0, shards), journaling its rows into -shard-dir")
 	shardDir := fs.String("shard-dir", "", "with -shards: the sweep's shard directory (manifest + per-shard journals), shared by all workers")
 	mergeDir := fs.String("merge", "", "merge the per-shard journals in this directory into the final table; computes nothing, and refuses (naming the incomplete shards) unless every shard finished")
 	partial := fs.Bool("partial", false, "with -merge: degrade instead of refusing when shards are missing or damaged — absent rows render as '!' cells and incomplete.json (written next to the journals) names every missing row and its owning shard")
-	heal := fs.Bool("heal", false, "self-healing coordinator: spawn one worker subprocess per shard (-shards/-shard-dir), restart dead or wedged workers with backoff until every slice's journal is complete, then merge in-process — the final table is byte-identical to a clean run")
-	healAttempts := fs.Int("heal-attempts", 25, "with -heal: worker (re)starts allowed per shard before the sweep gives up")
-	healStale := fs.Duration("heal-stale", 10*time.Second, "with -heal: how long a worker's lease heartbeat may go quiet before the supervisor declares it wedged and replaces it")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -240,33 +246,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	if *resume && *journalPath == "" && *shardDir == "" {
 		return fmt.Errorf("-resume requires -journal or -shard-dir")
 	}
-	var rowJournal *runstate.Journal
-	if *journalPath != "" {
-		// The fingerprint pins the workload identity: resuming under a
-		// different -apps/-procs/-seed is refused rather than silently
-		// mixing incompatible rows.
-		fp, err := runstate.Fingerprint(struct {
-			Apps  int   `json:"apps"`
-			Procs []int `json:"procs"`
-			Seed  int64 `json:"seed"`
-		}{base.Apps, base.Procs, base.Seed})
-		if err != nil {
-			return err
-		}
-		j, err := runstate.Open(*journalPath, fp, *resume)
-		if err != nil {
-			return err
-		}
-		defer j.Close()
-		rowJournal = j
-		if reg != nil {
-			reg.GaugeFunc("journal_rows_restored", func() float64 { return float64(j.Restored()) })
-			reg.GaugeFunc("journal_rows_appended", func() float64 { return float64(j.Appended()) })
-		}
-		if *resume && j.Restored() > 0 {
-			fmt.Fprintf(stderr, "paperbench: resuming: %d journaled rows restored from %s\n", j.Restored(), *journalPath)
-		}
-	}
 
 	var selected []string
 	if *fig == "all" {
@@ -301,42 +280,15 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 			return err
 		}
 	}
-	if *heal {
-		if *mergeDir != "" {
-			return fmt.Errorf("-heal runs the sweep; it conflicts with -merge")
-		}
-		if *shardIdx != -1 {
-			return fmt.Errorf("-heal is the supervisor: it owns every slice and conflicts with -shard")
-		}
-		if *shards < 2 {
-			return fmt.Errorf("-heal requires -shards ≥ 2, got %d", *shards)
-		}
-		if *shardDir == "" {
-			return fmt.Errorf("-heal requires -shard-dir")
-		}
-		if *journalPath != "" {
-			return fmt.Errorf("-journal conflicts with -heal (the shard journals live in the shard directory)")
-		}
-		if *healAttempts < 1 {
-			return fmt.Errorf("-heal-attempts %d (want ≥ 1)", *healAttempts)
-		}
-		spec := base
-		spec.Fig = selected[0]
-		return runHeal(ctx, w, healConfig{
-			spec:       spec,
-			shards:     *shards,
-			dir:        *shardDir,
-			attempts:   *healAttempts,
-			staleAfter: *healStale,
-			inst:       jobs.Instruments{Tracer: tracer, Metrics: reg, Progress: prog, Log: lg},
-			trace:      *trace,
-		})
-	}
+	// Without -shard, -shards launches the sweep: it supervises one worker
+	// per slice and then merges the shard directory like -merge.
+	launch := sharded && *shardIdx == -1
+	worker := sharded && !launch
 	if sharded {
 		if *shards < 2 {
 			return fmt.Errorf("-shards %d (want ≥ 2)", *shards)
 		}
-		if *shardIdx < 0 || *shardIdx >= *shards {
+		if !launch && (*shardIdx < 0 || *shardIdx >= *shards) {
 			return fmt.Errorf("-shard %d out of range [0, %d)", *shardIdx, *shards)
 		}
 		if *shardDir == "" {
@@ -345,21 +297,48 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		if *journalPath != "" {
 			return fmt.Errorf("-journal conflicts with -shard-dir (the shard journal lives in the shard directory)")
 		}
+		base.Fig = selected[0]
+	}
+
+	var rowJournal *runstate.Journal
+	var label, rerun string // the row journal, and how to continue it once interrupted
+	if worker {
 		// The manifest pins (workload, figure, shard count); a worker whose
 		// flags disagree with an existing manifest is refused before it can
 		// write a single row into the wrong sweep.
-		base.Fig = selected[0]
 		base.ShardIndex, base.ShardCount = *shardIdx, *shards
-		j, err := jobs.OpenSlice(*shardDir, base, *resume)
-		if err != nil {
-			return err
+		rowJournal, err = jobs.OpenSlice(*shardDir, base, *resume)
+		label = fmt.Sprintf("shard %d/%d", *shardIdx, *shards)
+		rerun = "rerun " + label + " with -resume"
+	} else if *journalPath != "" {
+		// The fingerprint pins the workload identity: resuming under a
+		// different -apps/-procs/-seed is refused rather than silently
+		// mixing incompatible rows.
+		var fp string
+		if fp, err = shard.WorkloadFingerprint(base.Apps, base.Procs, base.Seed); err == nil {
+			rowJournal, err = runstate.Open(*journalPath, fp, *resume)
 		}
+		label, rerun = *journalPath, "rerun with -resume -journal "+*journalPath
+	}
+	if err != nil {
+		return err
+	}
+	if j := rowJournal; j != nil {
 		defer j.Close()
-		rowJournal = j
+		if reg != nil {
+			reg.GaugeFunc("journal_rows_restored", func() float64 { return float64(j.Restored()) })
+			reg.GaugeFunc("journal_rows_appended", func() float64 { return float64(j.Appended()) })
+		}
+		if *resume && j.Restored() > 0 {
+			fmt.Fprintf(stderr, "paperbench: resuming %s: %d journaled rows restored\n", label, j.Restored())
+		}
+	}
+	if worker {
 		// Liveness lease: heartbeats while this worker computes, released
-		// on clean exit. A -heal supervisor reads its mtime to tell dead
-		// from wedged. Advisory — the journal flock above is the actual
-		// mutual exclusion — so a failed install is reported, not fatal.
+		// on clean exit. The launcher reads its mtime to tell a working
+		// worker from a wedged one. Advisory — the journal flock above is
+		// the actual mutual exclusion — so a failed install is reported,
+		// not fatal.
 		if lease, lerr := shard.AcquireLease(*shardDir, *shardIdx, *shards, 0); lerr != nil {
 			fmt.Fprintln(stderr, "paperbench: worker lease:", lerr)
 		} else {
@@ -379,13 +358,10 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 				fmt.Fprintln(stderr, "paperbench: worker trace snapshot:", err)
 			}
 		}()
-		if reg != nil {
-			reg.GaugeFunc("journal_rows_restored", func() float64 { return float64(j.Restored()) })
-			reg.GaugeFunc("journal_rows_appended", func() float64 { return float64(j.Appended()) })
-		}
-		if *resume && j.Restored() > 0 {
-			fmt.Fprintf(stderr, "paperbench: resuming shard %d/%d: %d journaled rows restored\n", *shardIdx, *shards, j.Restored())
-		}
+	}
+	mergeFrom := *mergeDir
+	if launch {
+		mergeFrom = *shardDir
 	}
 
 	// The figures run in order with the process instruments, so -serve,
@@ -401,7 +377,14 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		spec.Fig = name
 		var art jobs.Artifacts
 		var err error
-		if *mergeDir != "" {
+		if launch {
+			// Launch mode computes in worker subprocesses; the merge below
+			// then reads their journals exactly as -merge does.
+			err = launchSweep(ctx, spec, *shards, *shardDir, prog)
+		}
+		switch {
+		case err != nil:
+		case mergeFrom != "":
 			// Merge mode: reassemble the table from the finished per-shard
 			// journals — no computation, byte-identical output.
 			// -partial degrades (missing rows as '!') instead of refusing,
@@ -410,16 +393,16 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 			if *partial {
 				mopts = append(mopts, jobs.Partial)
 			}
-			art, err = jobs.MergeShards(ctx, spec, *mergeDir, inst, mopts...)
+			art, err = jobs.MergeShards(ctx, spec, mergeFrom, inst, mopts...)
 			if rep, ok := art[jobs.ArtifactIncomplete]; ok && err == nil {
-				path := filepath.Join(*mergeDir, jobs.ArtifactIncomplete)
+				path := filepath.Join(mergeFrom, jobs.ArtifactIncomplete)
 				if werr := fsatomic.WriteFile(path, rep); werr != nil {
 					fmt.Fprintln(stderr, "paperbench: incomplete report:", werr)
 				} else {
 					fmt.Fprintf(stderr, "paperbench: partial merge — gap report written to %s\n", path)
 				}
 			}
-		} else {
+		default:
 			// A canceled run still returns its deterministic partial table
 			// alongside the error.
 			art, err = jobs.RunFigure(ctx, spec, rowJournal, inst)
@@ -436,13 +419,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 					if serr := rowJournal.Sync(); serr != nil {
 						fmt.Fprintln(stderr, "paperbench: journal sync:", serr)
 					}
-					if sharded {
-						fmt.Fprintf(stderr, "paperbench: interrupted; %d rows journaled — rerun shard %d/%d with -resume to continue\n",
-							rowJournal.Len(), *shardIdx, *shards)
-					} else {
-						fmt.Fprintf(stderr, "paperbench: interrupted; %d rows journaled — rerun with -resume -journal %s to continue\n",
-							rowJournal.Len(), *journalPath)
-					}
+					fmt.Fprintf(stderr, "paperbench: interrupted; %d rows journaled — %s to continue\n", rowJournal.Len(), rerun)
 				}
 			}
 			return fmt.Errorf("%s: %w", jobs.FigureTitle(name), err)
@@ -451,11 +428,11 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	}
 
 	if *trace != "" {
-		if *mergeDir != "" {
+		if mergeFrom != "" {
 			// Merge mode stitches the fleet: this process's merge spans plus
 			// every worker snapshot found in the shard directory, one
 			// process lane each.
-			n, err := writeMergedTrace(*trace, tracer, *mergeDir, lg)
+			n, err := writeMergedTrace(*trace, tracer, mergeFrom, lg)
 			if err != nil {
 				return fmt.Errorf("-trace: %w", err)
 			}

@@ -34,7 +34,7 @@ type LeaseInfo struct {
 
 // Lease is a live heartbeat on one slice of a sharded sweep: a lease
 // file in the shard directory rewritten (atomic temp+rename) on every
-// interval tick, so a supervisor can tell a working slice (fresh mtime)
+// interval tick, so a launcher can tell a working slice (fresh mtime)
 // from a dead or wedged one (stale mtime). The lease is advisory —
 // mutual exclusion on the journal itself is the runstate flock — so
 // heartbeat write failures are tolerated, not fatal.
@@ -129,21 +129,8 @@ func ReadLease(dir string, index, shards int) (LeaseInfo, time.Time, error) {
 	if err := json.Unmarshal(data, &info); err != nil {
 		// A torn lease (the writer died mid-install before fsatomic
 		// existed, or the fs lied) still carries liveness in its mtime;
-		// report it with zeroed info rather than failing the supervisor.
+		// report it with zeroed info rather than failing the launcher.
 		return LeaseInfo{}, st.ModTime(), nil
 	}
 	return info, st.ModTime(), nil
-}
-
-// LeaseStale reports whether the slice's lease exists and its last
-// heartbeat is older than threshold — the signature of a worker that
-// died (SIGKILL, power cut) or wedged. No lease at all is not stale:
-// either nothing has claimed the slice yet or its owner finished and
-// released.
-func LeaseStale(dir string, index, shards int, threshold time.Duration) (bool, LeaseInfo) {
-	info, mtime, err := ReadLease(dir, index, shards)
-	if err != nil {
-		return false, info
-	}
-	return time.Since(mtime) > threshold, info
 }

@@ -37,23 +37,20 @@ func TestLeaseLifecycle(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if stale, _ := LeaseStale(dir, 1, 3, time.Minute); stale {
-		t.Error("freshly heartbeaten lease reads stale")
+	if _, m3, err := ReadLease(dir, 1, 3); err != nil || time.Since(m3) > time.Minute {
+		t.Errorf("freshly heartbeaten lease mtime %v (%v), want within a minute", m3, err)
 	}
 
 	l.Release()
 	if _, _, err := ReadLease(dir, 1, 3); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("lease after Release: %v, want not-exist", err)
 	}
-	if stale, _ := LeaseStale(dir, 1, 3, 0); stale {
-		t.Error("released (missing) lease reads stale — no lease is not stale")
-	}
 	l.Release() // idempotent
 }
 
 // TestLeaseStaleAfterSilence: once the heartbeat stops (simulated by
-// backdating the file's mtime, as if the worker was SIGKILLed), the lease
-// reads stale and still carries the dead worker's identity.
+// backdating the file's mtime, as if the worker was SIGKILLed), ReadLease
+// reports the old mtime and still carries the dead worker's identity.
 func TestLeaseStaleAfterSilence(t *testing.T) {
 	dir := t.TempDir()
 	l, err := AcquireLease(dir, 0, 2, time.Hour) // heartbeat never fires
@@ -66,15 +63,15 @@ func TestLeaseStaleAfterSilence(t *testing.T) {
 	if err := os.Chtimes(path, old, old); err != nil {
 		t.Fatal(err)
 	}
-	stale, info := LeaseStale(dir, 0, 2, 10*time.Second)
-	if !stale {
-		t.Fatal("minute-old heartbeat not stale at a 10s threshold")
+	info, mtime, err := ReadLease(dir, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if age := time.Since(mtime); age < 10*time.Second || age > 2*time.Minute {
+		t.Fatalf("silenced lease age %v, want about a minute", age)
 	}
 	if info.PID != os.Getpid() {
 		t.Errorf("stale lease identity = %+v", info)
-	}
-	if stale, _ := LeaseStale(dir, 0, 2, 2*time.Minute); stale {
-		t.Error("minute-old heartbeat stale at a 2m threshold")
 	}
 }
 
@@ -114,11 +111,8 @@ func TestReadLeaseTorn(t *testing.T) {
 	if info != (LeaseInfo{}) {
 		t.Errorf("torn lease info = %+v, want zeroed", info)
 	}
-	if mtime.IsZero() {
-		t.Error("torn lease lost its mtime — staleness would be unjudgeable")
-	}
-	if stale, _ := LeaseStale(dir, 1, 2, time.Minute); stale {
-		t.Error("fresh torn lease reads stale")
+	if mtime.IsZero() || time.Since(mtime) > time.Minute {
+		t.Errorf("torn lease mtime %v, want fresh — staleness would be unjudgeable", mtime)
 	}
 }
 
