@@ -54,8 +54,8 @@
 // merges their journals), not the daemon.
 //
 // With -retry N the daemon self-heals: a job failing with a retryable
-// error (ENOSPC, torn writes, a journal still held by a dying worker) is
-// re-enqueued with exponential backoff up to N attempts, then quarantined
+// error (ENOSPC, torn writes, EIO) is re-enqueued with exponential
+// backoff up to N attempts, then quarantined
 // — held, with its attempt history, until POST /jobs/{id}/retry re-opens
 // the budget. Attempt counts are journaled, so restarts never reset them.
 //

@@ -17,7 +17,6 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -26,7 +25,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/retry"
 	"repro/internal/runctl"
-	"repro/internal/runstate"
 	"repro/internal/shard"
 )
 
@@ -140,7 +138,7 @@ func launchSweep(ctx context.Context, spec jobs.Spec, shards int, dir string, pr
 				fmt.Fprintf(stderr, "paperbench: launch: shard %d/%d complete\n", we.idx, shards)
 				continue
 			}
-			if rows := journalRows(dir, we.idx, shards); rows > sl.rows {
+			if rows := shard.JournalRows(dir, we.idx, shards); rows > sl.rows {
 				sl.rows, sl.stalled = rows, 0
 			} else {
 				sl.stalled++
@@ -163,22 +161,14 @@ func launchSweep(ctx context.Context, spec jobs.Spec, shards int, dir string, pr
 // wedged reports whether a slice's running worker, spawned at started,
 // has neither been spawned nor heartbeaten its lease within wedgedAfter.
 // The lease mtime is the only evidence read: a worker that never
-// installed its lease, or that still sits behind a killed predecessor's
-// lease, counts as wedged once the window passes.
+// created its lease, or that still sits behind a killed predecessor's
+// stale lease, counts as wedged once the window passes.
 func wedged(dir string, idx, shards int, started, now time.Time) bool {
 	last := started
-	if _, mtime, err := shard.ReadLease(dir, idx, shards); err == nil && mtime.After(last) {
-		last = mtime
+	if beat, err := shard.LeaseBeat(dir, idx, shards); err == nil && beat.After(last) {
+		last = beat
 	}
 	return now.Sub(last) > wedgedAfter
-}
-
-// journalRows counts the valid rows in a slice's journal. Rows are
-// counted through runstate.Scan, so a torn tail never reads as progress.
-func journalRows(dir string, idx, shards int) int {
-	data, _ := os.ReadFile(filepath.Join(dir, shard.JournalName(idx, shards)))
-	_, _, rows, _ := runstate.Scan(data)
-	return len(rows)
 }
 
 // workerArgs renders the re-exec flag set of one shard worker. Note the

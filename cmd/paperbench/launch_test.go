@@ -152,11 +152,10 @@ func tightenLaunch(t *testing.T, wedge time.Duration) {
 	t.Cleanup(func() { launchBackoff, wedgedAfter = oldBackoff, oldWedge })
 }
 
-// TestLaunchReplacesWedgedWorker: a worker SIGSTOPped as soon as it is up
-// — before its first lease heartbeat, so no lease of its own ever names
-// it — is killed and replaced once neither its spawn nor a lease
-// heartbeat falls within the wedge window, and the table stays
-// byte-identical to a clean run.
+// TestLaunchReplacesWedgedWorker: a worker SIGSTOPped as soon as it is up,
+// so its lease is missing or never stamped again, is killed and replaced
+// once neither its spawn nor a lease heartbeat falls within the wedge
+// window, and the table stays byte-identical to a clean run.
 func TestLaunchReplacesWedgedWorker(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep")

@@ -272,11 +272,9 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		if len(selected) != 1 {
 			return fmt.Errorf("sharded sweeps take exactly one -fig, not %q", *fig)
 		}
-		// Validated as a slice up front, so a figure that cannot shard is
-		// refused before a worker, supervisor or merge touches the directory.
-		sl := base
-		sl.Fig, sl.ShardIndex, sl.ShardCount = selected[0], 0, 2
-		if err := sl.Validate(); err != nil {
+		// Refused up front, before a worker, launcher or merge touches the
+		// shard directory.
+		if err := jobs.CheckShardable(selected[0]); err != nil {
 			return err
 		}
 	}
@@ -301,27 +299,33 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	}
 
 	var rowJournal *runstate.Journal
+	var slice shard.Slice   // the rows this process computes (zero: all)
 	var label, rerun string // the row journal, and how to continue it once interrupted
-	if worker {
-		// The manifest pins (workload, figure, shard count); a worker whose
-		// flags disagree with an existing manifest is refused before it can
-		// write a single row into the wrong sweep.
-		base.ShardIndex, base.ShardCount = *shardIdx, *shards
-		rowJournal, err = jobs.OpenSlice(*shardDir, base, *resume)
-		label = fmt.Sprintf("shard %d/%d", *shardIdx, *shards)
-		rerun = "rerun " + label + " with -resume"
-	} else if *journalPath != "" {
+	if worker || *journalPath != "" {
 		// The fingerprint pins the workload identity: resuming under a
 		// different -apps/-procs/-seed is refused rather than silently
 		// mixing incompatible rows.
-		var fp string
-		if fp, err = shard.WorkloadFingerprint(base.Apps, base.Procs, base.Seed); err == nil {
-			rowJournal, err = runstate.Open(*journalPath, fp, *resume)
+		fp, err := shard.WorkloadFingerprint(base.Apps, base.Procs, base.Seed)
+		if err != nil {
+			return err
 		}
-		label, rerun = *journalPath, "rerun with -resume -journal "+*journalPath
-	}
-	if err != nil {
-		return err
+		if worker {
+			// The manifest pins (workload, figure, shard count); a worker
+			// whose flags disagree with an existing manifest is refused
+			// before it can write a single row into the wrong sweep.
+			m := shard.Manifest{FP: fp, Fig: base.Fig, Shards: *shards,
+				Apps: base.Apps, Procs: base.Procs, Seed: base.Seed}
+			rowJournal, err = shard.OpenSlice(*shardDir, m, *shardIdx, *resume)
+			slice = shard.Slice{Index: *shardIdx, Count: *shards}
+			label = fmt.Sprintf("shard %d/%d", *shardIdx, *shards)
+			rerun = "rerun " + label + " with -resume"
+		} else {
+			rowJournal, err = runstate.Open(*journalPath, fp, *resume)
+			label, rerun = *journalPath, "rerun with -resume -journal "+*journalPath
+		}
+		if err != nil {
+			return err
+		}
 	}
 	if j := rowJournal; j != nil {
 		defer j.Close()
@@ -337,8 +341,8 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		// Liveness lease: heartbeats while this worker computes, released
 		// on clean exit. The launcher reads its mtime to tell a working
 		// worker from a wedged one. Advisory — the journal flock above is
-		// the actual mutual exclusion — so a failed install is reported,
-		// not fatal.
+		// the actual mutual exclusion — so a lease that cannot be created
+		// is reported, not fatal.
 		if lease, lerr := shard.AcquireLease(*shardDir, *shardIdx, *shards, 0); lerr != nil {
 			fmt.Fprintln(stderr, "paperbench: worker lease:", lerr)
 		} else {
@@ -354,7 +358,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		}
 		tracer.SetProcessLabel(fmt.Sprintf("shard %d/%d", *shardIdx, *shards))
 		defer func() {
-			if err := jobs.WriteSliceTrace(*shardDir, base, tracer); err != nil {
+			if err := shard.WriteSliceTrace(*shardDir, *shardIdx, *shards, tracer); err != nil {
 				fmt.Fprintln(stderr, "paperbench: worker trace snapshot:", err)
 			}
 		}()
@@ -389,11 +393,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 			// journals — no computation, byte-identical output.
 			// -partial degrades (missing rows as '!') instead of refusing,
 			// and leaves incomplete.json next to the journals.
-			var mopts []jobs.MergeOpt
-			if *partial {
-				mopts = append(mopts, jobs.Partial)
-			}
-			art, err = jobs.MergeShards(ctx, spec, mergeFrom, inst, mopts...)
+			art, err = jobs.MergeShards(ctx, spec, mergeFrom, inst, *partial)
 			if rep, ok := art[jobs.ArtifactIncomplete]; ok && err == nil {
 				path := filepath.Join(mergeFrom, jobs.ArtifactIncomplete)
 				if werr := fsatomic.WriteFile(path, rep); werr != nil {
@@ -405,7 +405,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		default:
 			// A canceled run still returns its deterministic partial table
 			// alongside the error.
-			art, err = jobs.RunFigure(ctx, spec, rowJournal, inst)
+			art, err = jobs.RunFigure(ctx, spec, slice, rowJournal, inst)
 		}
 		elapsed := time.Since(start)
 		if _, werr := w.Write(art[jobs.ArtifactTable]); werr != nil && err == nil {
@@ -522,14 +522,14 @@ func renderProgress(p *obs.Progress, w io.Writer) (stop func()) {
 
 // writeMergedTrace stitches the merge process's own trace with every
 // worker snapshot in the shard directory into one cross-process Chrome
-// trace at path (jobs.MergeSweepTrace), returning how many process lanes
+// trace at path (shard.MergeSweepTrace), returning how many process lanes
 // it holds.
 func writeMergedTrace(path string, tr *obs.Tracer, dir string, lg *obs.Logger) (int, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return 0, err
 	}
-	n, err := jobs.MergeSweepTrace(f, tr, dir, lg)
+	n, err := shard.MergeSweepTrace(f, tr, dir, lg)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -1,7 +1,7 @@
 // Package faultject is a test-only failpoint registry for injecting
 // storage faults — ENOSPC, short writes, torn renames, and mid-write
 // SIGKILL — at named points in the persistence layer (runstate journal
-// appends, shard manifest and lease installs, evaluation-cache saves).
+// appends, shard manifest installs, evaluation-cache saves).
 //
 // Failpoints are disarmed by default and the disarmed fast path is a
 // single atomic load, so production code can consult them unconditionally.
@@ -9,7 +9,7 @@
 // FTES_FAULTS environment variable (from chaos harnesses that drive real
 // subprocesses):
 //
-//	FTES_FAULTS="runstate.append=kill:every=7;shard.lease=torn:after=1"
+//	FTES_FAULTS="runstate.append=kill:every=7;shard.manifest=torn:after=1"
 //
 // Each clause is point=kind with optional :key=value triggers:
 //

@@ -61,7 +61,10 @@ const (
 // Spec is the content of a job: everything that determines its result,
 // and nothing else — observability and timeouts stay outside it
 // precisely so that they do not perturb the fingerprint two identical
-// explorations share.
+// explorations share. A figure spec always describes the whole sweep:
+// a paperbench shard worker passes its slice coordinates to RunFigure
+// beside the spec, so no job id or rows-<id>.jsonl binding depends on
+// how a sweep was partitioned.
 type Spec struct {
 	// Kind selects the runner: KindFigure or KindDesign.
 	Kind string `json:"kind"`
@@ -83,15 +86,6 @@ type Spec struct {
 	AppTimeout time.Duration `json:"app_timeout,omitempty"`
 	// Markdown renders tables as Markdown instead of ASCII.
 	Markdown bool `json:"markdown,omitempty"`
-	// ShardIndex/ShardCount make a figure job one slice of a sharded
-	// sweep: with ShardCount > 1 the run computes only the rows
-	// shard.Index assigns to ShardIndex, journaling them into the slice
-	// journal OpenSlice opens (RunFigure's rowJournal) for a later merge.
-	// Both participate in the fingerprint, so every slice is its own
-	// content-addressed run. Every figure but cc — one fixed instance,
-	// not a sweep — accepts them.
-	ShardIndex int `json:"shard_index,omitempty"`
-	ShardCount int `json:"shard_count,omitempty"`
 
 	// Design jobs (KindDesign).
 
@@ -134,6 +128,15 @@ func KnownFigure(fig string) bool { _, ok := figureTitles[fig]; return ok }
 // FigureTitle returns the display title of a figure ("" when unknown).
 func FigureTitle(fig string) string { return figureTitles[fig] }
 
+// CheckShardable refuses to shard a figure that is not a sweep: every
+// figure but cc, one fixed instance, shards.
+func CheckShardable(fig string) error {
+	if fig == "cc" {
+		return fmt.Errorf("jobs: figure cc is not shardable (one fixed instance, not a sweep)")
+	}
+	return nil
+}
+
 // Validate checks that the spec describes a runnable job.
 func (s Spec) Validate() error {
 	switch s.Kind {
@@ -147,17 +150,6 @@ func (s Spec) Validate() error {
 			}
 			if len(s.Procs) == 0 {
 				return fmt.Errorf("jobs: figure %s needs at least one process count", s.Fig)
-			}
-		}
-		if s.ShardCount != 0 || s.ShardIndex != 0 {
-			if s.ShardCount < 2 {
-				return fmt.Errorf("jobs: shard count %d (want ≥ 2, or 0 for an unsharded job)", s.ShardCount)
-			}
-			if s.ShardIndex < 0 || s.ShardIndex >= s.ShardCount {
-				return fmt.Errorf("jobs: shard index %d out of range [0, %d)", s.ShardIndex, s.ShardCount)
-			}
-			if s.Fig == "cc" {
-				return fmt.Errorf("jobs: figure cc is not shardable (one fixed instance, not a sweep)")
 			}
 		}
 		return nil

@@ -31,17 +31,19 @@ var testFigRowDone func(rowKey string)
 // scheduler calls it for ftesd's figure jobs. The rendered bytes are the
 // table (or ablation's table group), plus the cc evaluator/improvement
 // lines. A non-nil rowJournal journals every completed row and restores
-// the rows an earlier run already journaled; spec.ShardIndex/ShardCount
-// select a slice's rows (a slice needs the journal jobs.OpenSlice opens).
+// the rows an earlier run already journaled. sl selects the rows of one
+// slice of a sharded sweep — only a paperbench worker passes a non-zero
+// Slice, with the slice journal shard.OpenSlice opened — and is not part
+// of the spec, so a job's content address never depends on it.
 // Cancellation still produces the artifact: the experiment functions
 // return their completed rows alongside the typed error, so an
 // interrupted run carries its deterministic partial table. A panic comes
 // back as a *runctl.PanicError.
-func RunFigure(ctx context.Context, spec Spec, rowJournal *runstate.Journal, inst Instruments) (Artifacts, error) {
+func RunFigure(ctx context.Context, spec Spec, sl shard.Slice, rowJournal *runstate.Journal, inst Instruments) (Artifacts, error) {
 	cfg := experiments.Config{
 		Apps: spec.Apps, Procs: spec.Procs, Seed: spec.Seed,
 		Workers: spec.Workers, AppTimeout: spec.AppTimeout,
-		ShardIndex: spec.ShardIndex, ShardCount: spec.ShardCount,
+		ShardIndex: sl.Index, ShardCount: sl.Count,
 		Metrics: inst.Metrics, Progress: inst.Progress, Log: inst.Log,
 		Events: inst.Events, RowDone: testFigRowDone,
 	}
@@ -53,45 +55,30 @@ func RunFigure(ctx context.Context, spec Spec, rowJournal *runstate.Journal, ins
 	return renderFigure(ctx, spec, cfg, inst)
 }
 
-// MergeOpt tunes a MergeShards call.
-type MergeOpt int
-
-// Partial switches MergeShards from strict to degraded mode: shards whose
-// journals are missing or damaged no longer refuse the merge — their rows
-// render as "!" cells and the ArtifactIncomplete report names every
-// missing row and the shard that owns it. Strict (no options) remains the
-// default: an incomplete sweep refuses loudly rather than produce a table.
-const Partial MergeOpt = 1
-
 // MergeShards reassembles a sharded sweep from its shard directory into
 // the figure's ArtifactTable — byte-identical to a single-process run of
 // the same spec. The merge never computes: every row is restored from the
-// per-shard journals (strict mode), and a missing or damaged shard is a
-// loud *shard.IncompleteError naming the workers to rerun. The manifest
-// must describe exactly the workload and figure the spec asks for, so
-// journals from a different sweep can never be dressed up as this one.
-// Passing Partial degrades instead of refusing; see MergeOpt.
-func MergeShards(ctx context.Context, spec Spec, dir string, inst Instruments, opts ...MergeOpt) (Artifacts, error) {
-	partial := false
-	for _, o := range opts {
-		if o == Partial {
-			partial = true
-		}
-	}
+// per-shard journals, and a missing or damaged shard is a loud
+// *shard.IncompleteError naming the workers to rerun. The manifest must
+// describe exactly the workload and figure the spec asks for, so journals
+// from a different sweep can never be dressed up as this one. With
+// partial set the merge degrades instead of refusing: shards whose
+// journals are missing or damaged render their rows as "!" cells, and
+// the ArtifactIncomplete report names every missing row and the shard
+// that owns it.
+func MergeShards(ctx context.Context, spec Spec, dir string, inst Instruments, partial bool) (Artifacts, error) {
 	if spec.Kind == "" {
 		spec.Kind = KindFigure
 	}
 	if spec.Kind != KindFigure {
 		return nil, fmt.Errorf("jobs: merge of a %s job (only figure sweeps shard)", spec.Kind)
 	}
-	// A merge is validated as a slice of the sweep it merges, so exactly
-	// the figures a slice refuses are refused here.
-	base := spec
-	base.ShardIndex, base.ShardCount = 0, 2
-	if err := base.Validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	base.ShardCount = 0
+	if err := CheckShardable(spec.Fig); err != nil {
+		return nil, err
+	}
 	var (
 		rows    *shard.Rows
 		reasons map[int]string
@@ -106,20 +93,20 @@ func MergeShards(ctx context.Context, spec Spec, dir string, inst Instruments, o
 		return nil, err
 	}
 	m := rows.Manifest()
-	wantFP, err := shard.WorkloadFingerprint(base.Apps, base.Procs, base.Seed)
+	wantFP, err := shard.WorkloadFingerprint(spec.Apps, spec.Procs, spec.Seed)
 	if err != nil {
 		return nil, err
 	}
 	if m.FP != wantFP {
 		return nil, fmt.Errorf("jobs: shard directory %s holds workload %s (fig %s, apps=%d procs=%v seed=%d), merge asked for workload %s (fig %s, apps=%d procs=%v seed=%d)",
-			dir, m.FP, m.Fig, m.Apps, m.Procs, m.Seed, wantFP, base.Fig, base.Apps, base.Procs, base.Seed)
+			dir, m.FP, m.Fig, m.Apps, m.Procs, m.Seed, wantFP, spec.Fig, spec.Apps, spec.Procs, spec.Seed)
 	}
-	if m.Fig != base.Fig {
-		return nil, fmt.Errorf("jobs: shard directory %s holds figure %s, merge asked for %s", dir, m.Fig, base.Fig)
+	if m.Fig != spec.Fig {
+		return nil, fmt.Errorf("jobs: shard directory %s holds figure %s, merge asked for %s", dir, m.Fig, spec.Fig)
 	}
 	cfg := experiments.Config{
-		Apps: base.Apps, Procs: base.Procs, Seed: base.Seed,
-		Workers: base.Workers, AppTimeout: base.AppTimeout,
+		Apps: spec.Apps, Procs: spec.Procs, Seed: spec.Seed,
+		Workers: spec.Workers, AppTimeout: spec.AppTimeout,
 		Journal: rows,
 		// ShardIndex -1 owns every row; RequireJournaled turns any row that
 		// is not in the merged store into an error attributing the
@@ -134,9 +121,9 @@ func MergeShards(ctx context.Context, spec Spec, dir string, inst Instruments, o
 		missing = &experiments.MissingRows{}
 		cfg.Missing = missing
 	}
-	art, err := renderFigure(ctx, base, cfg, inst)
+	art, err := renderFigure(ctx, spec, cfg, inst)
 	if partial && art != nil {
-		rep, jerr := incompleteReport(base.Fig, m.Shards, rows.Len(), reasons, missing.Keys())
+		rep, jerr := incompleteReport(spec.Fig, m.Shards, rows.Len(), reasons, missing.Keys())
 		if jerr != nil {
 			if err == nil {
 				err = jerr

@@ -17,6 +17,7 @@ import (
 	"repro/internal/retry"
 	"repro/internal/runctl"
 	"repro/internal/runstate"
+	"repro/internal/shard"
 )
 
 // ErrClosed is returned by Submit once the scheduler is shutting down.
@@ -58,14 +59,14 @@ type Options struct {
 	// survives restarts without a journal of its own.
 	Events *obs.EventLog
 	// Retry, when non-nil, is the self-healing policy: a job failing with
-	// a retryable error (retry.IsRetryable — torn journal writes, ENOSPC,
-	// a slice journal still flock-held by a dying worker) is re-enqueued
-	// after a backoff delay instead of going terminal, until the policy's
-	// attempt budget is spent. Attempt counts are journaled in state.jsonl
-	// so restarts never reset a budget. A permanent error, or an exhausted
-	// budget, quarantines the job: terminal until a human calls Retry,
-	// with job.quarantined in the event log. Nil keeps the
-	// pre-self-healing behavior: every failure is terminal.
+	// a retryable error (retry.IsRetryable — torn journal writes, ENOSPC)
+	// is re-enqueued after a backoff delay instead of going terminal,
+	// until the policy's attempt budget is spent. Attempt counts are
+	// journaled in state.jsonl so restarts never reset a budget. A
+	// permanent error, or an exhausted budget, quarantines the job:
+	// terminal until a human calls Retry, with job.quarantined in the
+	// event log. Nil keeps the pre-self-healing behavior: every failure
+	// is terminal.
 	Retry *retry.Policy
 }
 
@@ -100,6 +101,11 @@ type Job struct {
 	artifacts Artifacts
 	err       error
 	done      chan struct{}
+
+	// slice is the shard count of a sweep slice an older daemon journaled
+	// (0 otherwise). Spec has no shard coordinates, so the restored spec
+	// reads as the whole sweep; the job fails instead of running it.
+	slice int
 }
 
 // ID returns the job's content fingerprint.
@@ -274,6 +280,7 @@ func New(o Options) (*Scheduler, error) {
 func (s *Scheduler) recover() {
 	type entry struct {
 		rec                         submitRecord
+		slice                       int
 		attempts, base, completions int
 		done                        *doneRecord // the last completion while terminal
 		quar                        string      // error text while quarantined
@@ -298,8 +305,13 @@ func (s *Scheduler) recover() {
 		}
 		if kind == "job" {
 			var rec submitRecord
-			if jsonUnmarshal(r.Data, &rec) {
-				byID[id] = &entry{rec: rec}
+			var legacy struct {
+				Spec struct {
+					ShardCount int `json:"shard_count"`
+				} `json:"spec"`
+			}
+			if jsonUnmarshal(r.Data, &rec) && jsonUnmarshal(r.Data, &legacy) {
+				byID[id] = &entry{rec: rec, slice: legacy.Spec.ShardCount}
 				order = append(order, id)
 				replay("job.submitted", id, eventFields(rec.Spec))
 			}
@@ -349,6 +361,7 @@ func (s *Scheduler) recover() {
 		e := byID[id]
 		j := s.newJob(id, e.rec.Spec, time.Duration(e.rec.Timeout))
 		j.attempts, j.budgetBase, j.completions = e.attempts, e.base, e.completions
+		j.slice = e.slice
 		s.jobs[id] = j
 		switch {
 		case e.done != nil:
@@ -591,16 +604,11 @@ func (s *Scheduler) runJob(j *Job) {
 // inside a runner fails the job, not the scheduler.
 func (s *Scheduler) execute(ctx context.Context, j *Job) (art Artifacts, err error) {
 	defer runctl.Recover(fmt.Sprintf("jobs %s runner (job %s)", j.spec.Kind, j.id), &err)
+	if j.slice != 0 {
+		return nil, fmt.Errorf("jobs: job %s is a slice of a %d-way sharded sweep, which Spec no longer expresses; shard sweeps with paperbench -shards", j.id, j.slice)
+	}
 	switch j.spec.Kind {
 	case KindFigure:
-		if j.spec.ShardCount > 1 {
-			// A slice journals into its sweep's shard directory, which only
-			// the paperbench worker that opened it (jobs.OpenSlice) knows. An
-			// old state journal can still restore one; running it unsharded or
-			// into a scheduler-owned journal would produce rows no merge can
-			// find, so it fails instead.
-			return nil, fmt.Errorf("jobs: sharded figure job %s (shard %d/%d) has no row journal; shard sweeps with paperbench -shards", j.id, j.spec.ShardIndex, j.spec.ShardCount)
-		}
 		var rowJ *runstate.Journal
 		if s.opts.Dir != "" {
 			// The row journal is keyed by the job fingerprint, so it can
@@ -612,7 +620,7 @@ func (s *Scheduler) execute(ctx context.Context, j *Job) (art Artifacts, err err
 			defer rj.Close()
 			rowJ = rj
 		}
-		return RunFigure(ctx, j.spec, rowJ, j.obs)
+		return RunFigure(ctx, j.spec, shard.Slice{}, rowJ, j.obs)
 	case KindDesign:
 		return runDesign(ctx, j.spec, j.obs)
 	case kindTest:
@@ -863,10 +871,6 @@ func eventFields(spec Spec) map[string]any {
 	f := map[string]any{"kind": spec.Kind}
 	if spec.Fig != "" {
 		f["fig"] = spec.Fig
-	}
-	if spec.ShardCount > 1 {
-		f["shard_index"] = spec.ShardIndex
-		f["shard_count"] = spec.ShardCount
 	}
 	return f
 }

@@ -23,18 +23,22 @@ func runSweep(t *testing.T, spec Spec, n int) string {
 }
 
 // runSlices computes every slice of an n-shard sweep of spec into the
-// shard directory dir the way paperbench workers do: OpenSlice (resuming
-// earlier rows when resume is set), then RunFigure into the slice journal.
+// shard directory dir the way paperbench workers do: shard.OpenSlice
+// (resuming earlier rows when resume is set), then RunFigure into the
+// slice journal.
 func runSlices(t *testing.T, dir string, spec Spec, n int, resume bool) {
 	t.Helper()
+	fp, err := shard.WorkloadFingerprint(spec.Apps, spec.Procs, spec.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := shard.Manifest{FP: fp, Fig: spec.Fig, Shards: n, Apps: spec.Apps, Procs: spec.Procs, Seed: spec.Seed}
 	for i := 0; i < n; i++ {
-		sl := spec
-		sl.ShardIndex, sl.ShardCount = i, n
-		j, err := OpenSlice(dir, sl, resume)
+		j, err := shard.OpenSlice(dir, m, i, resume)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = RunFigure(context.Background(), sl, j, Instruments{})
+		_, err = RunFigure(context.Background(), spec, shard.Slice{Index: i, Count: n}, j, Instruments{})
 		if cerr := j.Close(); err == nil {
 			err = cerr
 		}
@@ -47,8 +51,8 @@ func runSlices(t *testing.T, dir string, spec Spec, n int, resume bool) {
 // TestSubmitShardedEquivalence: for every kind of figure row — acceptance
 // points (6a and the ablations), rendered policy rows and simulation
 // rows — a sharded sweep, its slices run through the one slice path
-// (OpenSlice + RunFigure + MergeShards), merges into a
-// table byte-identical to an unsharded run of the same spec. Running
+// (shard.OpenSlice + RunFigure + MergeShards), merges into a table
+// byte-identical to an unsharded run of the same spec. Running
 // every slice again into the same directory, resuming its journal,
 // merges to the same bytes.
 func TestSubmitShardedEquivalence(t *testing.T) {
@@ -59,13 +63,13 @@ func TestSubmitShardedEquivalence(t *testing.T) {
 			if fig != "6a" {
 				spec.Procs = []int{10}
 			}
-			want, err := RunFigure(context.Background(), spec, nil, Instruments{})
+			want, err := RunFigure(context.Background(), spec, shard.Slice{}, nil, Instruments{})
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			dir := runSweep(t, spec, 3)
-			got, err := MergeShards(context.Background(), spec, dir, Instruments{})
+			got, err := MergeShards(context.Background(), spec, dir, Instruments{}, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +79,7 @@ func TestSubmitShardedEquivalence(t *testing.T) {
 			}
 
 			runSlices(t, dir, spec, 3, true)
-			got2, err := MergeShards(context.Background(), spec, dir, Instruments{})
+			got2, err := MergeShards(context.Background(), spec, dir, Instruments{}, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,59 +91,30 @@ func TestSubmitShardedEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardSliceNeedsDurability: a slice spec submitted to the scheduler
-// fails loudly, naming paperbench -shards, on memory-only and durable
-// schedulers alike — it neither runs unsharded nor gets a journal the
-// scheduler opens itself. A slice journaled into state.jsonl by an older
-// daemon, which the restart re-enqueues, fails the same way.
+// TestShardSliceNeedsDurability: Spec has no shard coordinates, so no
+// submission can describe a sweep slice; but a slice an older daemon
+// journaled into state.jsonl still comes back with the restart. It
+// decodes to a different spec than its id names, so it fails loudly,
+// naming paperbench -shards, instead of running unsharded into a row
+// journal no merge can find.
 func TestShardSliceNeedsDurability(t *testing.T) {
-	sl := tinyFigSpec()
-	sl.ShardIndex, sl.ShardCount = 0, 2
-	refused := func(t *testing.T, h *Handle) {
-		t.Helper()
-		art, err := h.Wait(context.Background())
-		if err == nil || !strings.Contains(err.Error(), "paperbench -shards") {
-			t.Errorf("slice without a row journal: %v, want a refusal naming paperbench -shards", err)
-		}
-		if len(art) != 0 {
-			t.Errorf("refused slice produced artifacts %v", art)
-		}
-	}
-	// onlyState: the scheduler wrote nothing but its state journal.
-	onlyState := func(t *testing.T, dir string) {
-		t.Helper()
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			if e.Name() != "state.jsonl" {
-				t.Errorf("refused slice left %s in the state dir", e.Name())
-			}
-		}
-	}
-
-	t.Run("memory", func(t *testing.T) {
-		s := newTestScheduler(t, Options{Workers: 1})
-		refused(t, mustSubmit(t, s, sl))
-	})
-	t.Run("durable", func(t *testing.T) {
-		dir := t.TempDir()
-		s := newTestScheduler(t, Options{Workers: 1, Dir: dir})
-		refused(t, mustSubmit(t, s, sl))
-		onlyState(t, dir)
-	})
 	t.Run("legacy state row", func(t *testing.T) {
 		dir := t.TempDir()
-		id, err := sl.Fingerprint()
+		// The spec exactly as an older daemon encoded slice 0 of 2 of
+		// tinyFigSpec, and the id it fingerprinted to.
+		legacy := json.RawMessage(`{"kind":"figure","fig":"6a","apps":2,"procs":[20],"seed":3,"shard_count":2}`)
+		id, err := runstate.Fingerprint(legacy)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if id != "c808e8d1e0d87802" {
+			t.Fatalf("legacy slice spec fingerprints to %s, want the id an older daemon gave it", id)
 		}
 		st, err := runstate.Open(filepath.Join(dir, "state.jsonl"), stateFingerprint, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.Record("job|"+id, submitRecord{Spec: sl}); err != nil {
+		if err := st.Record("job|"+id, map[string]json.RawMessage{"spec": legacy}); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Close(); err != nil {
@@ -153,8 +128,23 @@ func TestShardSliceNeedsDurability(t *testing.T) {
 		if !ok {
 			t.Fatal("legacy slice not restored")
 		}
-		refused(t, h)
-		onlyState(t, dir)
+		art, err := h.Wait(context.Background())
+		if err == nil || !strings.Contains(err.Error(), "paperbench -shards") {
+			t.Errorf("legacy slice: %v, want a refusal naming paperbench -shards", err)
+		}
+		if len(art) != 0 {
+			t.Errorf("refused slice produced artifacts %v", art)
+		}
+		// The scheduler wrote nothing but its state journal.
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.Name() != "state.jsonl" {
+				t.Errorf("refused slice left %s in the state dir", e.Name())
+			}
+		}
 	})
 }
 
@@ -166,29 +156,29 @@ func TestMergeShardsRefusals(t *testing.T) {
 	// Wrong workload: the manifest fingerprint does not match the spec.
 	other := tinyFigSpec()
 	other.Seed++
-	if _, err := MergeShards(context.Background(), other, dir, Instruments{}); err == nil ||
+	if _, err := MergeShards(context.Background(), other, dir, Instruments{}, false); err == nil ||
 		!strings.Contains(err.Error(), "holds workload") {
 		t.Errorf("merge with wrong seed: %v, want workload mismatch", err)
 	}
 	// Wrong figure: same workload, different fig.
 	fig6c := tinyFigSpec()
 	fig6c.Fig = "6c"
-	if _, err := MergeShards(context.Background(), fig6c, dir, Instruments{}); err == nil ||
+	if _, err := MergeShards(context.Background(), fig6c, dir, Instruments{}, false); err == nil ||
 		!strings.Contains(err.Error(), "figure") {
 		t.Errorf("merge with wrong figure: %v, want figure mismatch", err)
 	}
 	// No sweep directory at all.
-	if _, err := MergeShards(context.Background(), tinyFigSpec(), t.TempDir(), Instruments{}); err == nil {
+	if _, err := MergeShards(context.Background(), tinyFigSpec(), t.TempDir(), Instruments{}, false); err == nil {
 		t.Error("merge of an empty directory succeeded")
 	}
 	// Non-shardable figure.
 	ccSpec := Spec{Kind: KindFigure, Fig: "cc"}
-	if _, err := MergeShards(context.Background(), ccSpec, dir, Instruments{}); err == nil ||
+	if _, err := MergeShards(context.Background(), ccSpec, dir, Instruments{}, false); err == nil ||
 		!strings.Contains(err.Error(), "not shardable") {
 		t.Errorf("merge of non-shardable figure: %v", err)
 	}
 	// And the happy path from the same directory, standalone.
-	art, err := MergeShards(context.Background(), tinyFigSpec(), dir, Instruments{})
+	art, err := MergeShards(context.Background(), tinyFigSpec(), dir, Instruments{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,13 +188,13 @@ func TestMergeShardsRefusals(t *testing.T) {
 }
 
 // TestMergeShardsPartialArtifact: the library-level degraded merge — with
-// one journal gone, strict MergeShards refuses while Partial returns a
-// table with "!" cells plus the ArtifactIncomplete gap report.
+// one journal gone, strict MergeShards refuses while a partial merge
+// returns a table with "!" cells plus the ArtifactIncomplete gap report.
 func TestMergeShardsPartialArtifact(t *testing.T) {
 	dir := runSweep(t, tinyFigSpec(), 3)
 
-	// Complete sweep: Partial is a no-op and the report says complete.
-	art, err := MergeShards(context.Background(), tinyFigSpec(), dir, Instruments{}, Partial)
+	// Complete sweep: the partial merge's report says complete.
+	art, err := MergeShards(context.Background(), tinyFigSpec(), dir, Instruments{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,11 +216,11 @@ func TestMergeShardsPartialArtifact(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, shard.JournalName(0, 3))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MergeShards(context.Background(), tinyFigSpec(), dir, Instruments{}); err == nil ||
+	if _, err := MergeShards(context.Background(), tinyFigSpec(), dir, Instruments{}, false); err == nil ||
 		!strings.Contains(err.Error(), "merge refused") {
 		t.Errorf("strict merge of gapped sweep: %v, want refusal", err)
 	}
-	art, err = MergeShards(context.Background(), tinyFigSpec(), dir, Instruments{}, Partial)
+	art, err = MergeShards(context.Background(), tinyFigSpec(), dir, Instruments{}, true)
 	if err != nil {
 		t.Fatalf("partial merge of gapped sweep: %v", err)
 	}

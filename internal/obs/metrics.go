@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -319,16 +318,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 			h.Min.Round(time.Microsecond), h.Max.Round(time.Microsecond)); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// WriteJSON renders the registry snapshot as JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r.Snapshot()); err != nil {
-		return fmt.Errorf("obs: write metrics: %w", err)
 	}
 	return nil
 }

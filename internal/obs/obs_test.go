@@ -262,12 +262,12 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("text dump missing %q:\n%s", want, text.String())
 		}
 	}
-	var js bytes.Buffer
-	if err := r.WriteJSON(&js); err != nil {
+	js, err := json.Marshal(r.Snapshot())
+	if err != nil {
 		t.Fatal(err)
 	}
 	var back Snapshot
-	if err := json.Unmarshal(js.Bytes(), &back); err != nil {
+	if err := json.Unmarshal(js, &back); err != nil {
 		t.Fatalf("JSON dump does not decode: %v", err)
 	}
 	if back.Counters["a.count"] != 5 {
@@ -288,9 +288,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	if err := r.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 }

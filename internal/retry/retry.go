@@ -1,23 +1,21 @@
-// Package retry implements capped exponential backoff with deterministic
-// seeded jitter, attempt budgets, and error classification for the
-// self-healing sweep layer.
+// Package retry implements capped exponential backoff, attempt budgets,
+// and error classification for the self-healing sweep layer.
 //
 // Classification splits failures into two classes: retryable I/O faults
-// (a full disk, a torn write, a journal flock still held by a worker that
-// is being torn down) where re-running the job after a pause makes
-// progress because the journal resume path restores every completed row,
-// and permanent spec faults (an unparsable design document, an unknown
-// figure) where re-running burns the budget to reach the same error.
-// Wrap errors with Retryable/Permanent to override the default
-// classification; unmarked errors default to permanent, so only faults
-// the storage layer recognizes as transient are retried.
+// (a full disk, a torn write, an interrupted system call) where re-running
+// the job after a pause makes progress because the journal resume path
+// restores every completed row, and permanent spec faults (an unparsable
+// design document, an unknown figure) where re-running burns the budget
+// to reach the same error. Wrap errors with Retryable/Permanent to
+// override the default classification; unmarked errors default to
+// permanent, so only faults the storage layer recognizes as transient are
+// retried.
 package retry
 
 import (
 	"errors"
 	"io"
 	"io/fs"
-	"math"
 	"os"
 	"syscall"
 	"time"
@@ -34,59 +32,22 @@ type Policy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the exponential growth (default 10s).
 	MaxDelay time.Duration
-	// Multiplier is the per-attempt growth factor (default 2).
-	Multiplier float64
-	// Jitter spreads each delay uniformly over [1-Jitter, 1+Jitter)
-	// (default 0.2). Zero jitter is expressed as a negative value.
-	Jitter float64
-	// Seed makes the jitter deterministic: the same (Seed, attempt) pair
-	// always yields the same delay, so chaos runs replay identically.
-	Seed int64
-}
-
-func (p Policy) defaults() Policy {
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 250 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 10 * time.Second
-	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
-	}
-	switch {
-	case p.Jitter < 0:
-		p.Jitter = 0
-	case p.Jitter == 0:
-		p.Jitter = 0.2
-	case p.Jitter > 1:
-		p.Jitter = 1
-	}
-	return p
 }
 
 // Delay returns the pause before re-running after the given failed
-// attempt (1-based): capped exponential in the attempt number, scaled by
-// deterministic seeded jitter.
+// attempt (1-based): BaseDelay doubled per attempt, capped at MaxDelay.
 func (p Policy) Delay(attempt int) time.Duration {
-	p = p.defaults()
-	if attempt < 1 {
-		attempt = 1
+	d, max := p.BaseDelay, p.MaxDelay
+	if d <= 0 {
+		d = 250 * time.Millisecond
 	}
-	d := float64(p.BaseDelay) * math.Pow(p.Multiplier, float64(attempt-1))
-	if d > float64(p.MaxDelay) {
-		d = float64(p.MaxDelay)
+	if max <= 0 {
+		max = 10 * time.Second
 	}
-	if p.Jitter > 0 {
-		// splitmix64 over (seed, attempt) — cheap, stateless, deterministic.
-		u := splitmix64(uint64(p.Seed)*0x9e3779b97f4a7c15 + uint64(attempt))
-		frac := float64(u>>11) / float64(1<<53) // uniform [0,1)
-		d *= 1 - p.Jitter + 2*p.Jitter*frac
+	for n := 1; n < attempt && d < max; n++ {
+		d *= 2
 	}
-	if d < 0 {
-		d = 0
-	}
-	return time.Duration(d)
+	return min(d, max)
 }
 
 // Exhausted reports whether the budget is spent after the given number
@@ -97,13 +58,6 @@ func (p Policy) Exhausted(attempts int) bool {
 		max = 1
 	}
 	return attempts >= max
-}
-
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 type marked struct {
@@ -132,8 +86,8 @@ func Permanent(err error) error {
 
 // transientErrnos are the I/O conditions worth re-running a job for: the
 // disk may drain (ENOSPC), the contended resource may free (EAGAIN,
-// EBUSY, the flock of a dying worker), or the glitch may not recur (EIO,
-// EINTR, broken pipes and reset connections from a co-process).
+// EBUSY), or the glitch may not recur (EIO, EINTR, broken pipes and
+// reset connections from a co-process).
 var transientErrnos = []syscall.Errno{
 	syscall.ENOSPC, syscall.EAGAIN, syscall.EBUSY, syscall.EINTR,
 	syscall.EIO, syscall.EPIPE, syscall.ECONNRESET, syscall.ETIMEDOUT,

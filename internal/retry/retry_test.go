@@ -11,46 +11,43 @@ import (
 	"time"
 )
 
-// TestDelayDeterministic: the same (Seed, attempt) pair always yields the
-// same delay, and different seeds spread.
+// TestDelayDeterministic: Delay is a pure function of the policy and
+// the attempt number, and the zero policy falls back to the default
+// 250ms base and 10s cap.
 func TestDelayDeterministic(t *testing.T) {
-	p := Policy{MaxAttempts: 10, Seed: 7}
-	for attempt := 1; attempt <= 6; attempt++ {
+	p := Policy{MaxAttempts: 10}
+	for attempt := 1; attempt <= 8; attempt++ {
 		if a, b := p.Delay(attempt), p.Delay(attempt); a != b {
 			t.Errorf("attempt %d: Delay not deterministic: %v vs %v", attempt, a, b)
 		}
 	}
-	q := Policy{MaxAttempts: 10, Seed: 8}
-	diff := false
-	for attempt := 1; attempt <= 6; attempt++ {
-		if p.Delay(attempt) != q.Delay(attempt) {
-			diff = true
+	want := []time.Duration{250 * time.Millisecond, 500 * time.Millisecond, time.Second,
+		2 * time.Second, 4 * time.Second, 8 * time.Second, 10 * time.Second, 10 * time.Second}
+	for i, w := range want {
+		if d := p.Delay(i + 1); d != w {
+			t.Errorf("default Delay(%d) = %v, want %v", i+1, d, w)
 		}
-	}
-	if !diff {
-		t.Error("seeds 7 and 8 produced identical schedules; jitter is not seeded")
 	}
 }
 
-// TestDelayGrowthAndCap: delays grow roughly exponentially and never
-// exceed MaxDelay*(1+Jitter).
+// TestDelayGrowthAndCap: delays double from BaseDelay and never exceed
+// MaxDelay, however large the attempt number; attempts below 1 count as
+// the first.
 func TestDelayGrowthAndCap(t *testing.T) {
-	p := Policy{MaxAttempts: 20, BaseDelay: 10 * time.Millisecond, MaxDelay: 100 * time.Millisecond, Jitter: 0.2}
-	if d := p.Delay(1); d < 8*time.Millisecond || d > 12*time.Millisecond {
-		t.Errorf("Delay(1) = %v, want within ±20%% of 10ms", d)
-	}
-	for attempt := 1; attempt <= 30; attempt++ {
-		if d := p.Delay(attempt); d > 120*time.Millisecond {
-			t.Errorf("Delay(%d) = %v, exceeds cap 100ms +20%% jitter", attempt, d)
-		}
-	}
-	// Zero jitter (expressed as negative) pins the schedule exactly.
-	exact := Policy{MaxAttempts: 20, BaseDelay: 10 * time.Millisecond, MaxDelay: 100 * time.Millisecond, Jitter: -1}
+	p := Policy{MaxAttempts: 20, BaseDelay: 10 * time.Millisecond, MaxDelay: 100 * time.Millisecond}
 	want := []time.Duration{10, 20, 40, 80, 100, 100}
 	for i, w := range want {
-		if d := exact.Delay(i + 1); d != w*time.Millisecond {
-			t.Errorf("jitterless Delay(%d) = %v, want %v", i+1, d, w*time.Millisecond)
+		if d := p.Delay(i + 1); d != w*time.Millisecond {
+			t.Errorf("Delay(%d) = %v, want %v", i+1, d, w*time.Millisecond)
 		}
+	}
+	for _, attempt := range []int{7, 64, 1 << 30} {
+		if d := p.Delay(attempt); d != 100*time.Millisecond {
+			t.Errorf("Delay(%d) = %v, want the 100ms cap", attempt, d)
+		}
+	}
+	if d := p.Delay(0); d != 10*time.Millisecond {
+		t.Errorf("Delay(0) = %v, want the 10ms base", d)
 	}
 }
 

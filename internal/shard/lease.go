@@ -1,14 +1,11 @@
 package shard
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
-
-	"repro/internal/fsatomic"
 )
 
 // DefaultLeaseInterval is how often a live worker refreshes its lease
@@ -16,31 +13,21 @@ import (
 const DefaultLeaseInterval = time.Second
 
 // LeaseName returns the lease file name of one slice inside its shard
-// directory, zero-padded like the journal names so listings sort.
+// directory, zero-padded like the journal names so listings sort. The
+// file is empty; its suffix is the one lease files had when they carried
+// a JSON payload, so a new worker takes over an older worker's lease.
 func LeaseName(index, shards int) string {
 	return fmt.Sprintf("lease-%04d-of-%04d.json", index, shards)
 }
 
-// LeaseInfo is the payload of a lease file: who is (or was) working the
-// slice. Liveness is judged by the file's mtime — each heartbeat rewrite
-// bumps it — not by the embedded wall-clock time, which exists for
-// humans reading the file.
-type LeaseInfo struct {
-	PID       int   `json:"pid"`
-	Index     int   `json:"index"`
-	Shards    int   `json:"shards"`
-	UpdatedMS int64 `json:"updated_ms"`
-}
-
-// Lease is a live heartbeat on one slice of a sharded sweep: a lease
-// file in the shard directory rewritten (atomic temp+rename) on every
+// Lease is a live heartbeat on one slice of a sharded sweep: an empty
+// lease file in the shard directory whose mtime is bumped on every
 // interval tick, so a launcher can tell a working slice (fresh mtime)
 // from a dead or wedged one (stale mtime). The lease is advisory —
 // mutual exclusion on the journal itself is the runstate flock — so
-// heartbeat write failures are tolerated, not fatal.
+// heartbeat failures are tolerated, not fatal.
 type Lease struct {
 	path string
-	info LeaseInfo
 
 	mu     sync.Mutex
 	stop   chan struct{}
@@ -48,36 +35,34 @@ type Lease struct {
 	closed bool
 }
 
-// AcquireLease installs the slice's lease file in dir and starts the
-// heartbeat goroutine refreshing it every interval (DefaultLeaseInterval
-// when interval <= 0). An existing lease file — a previous attempt that
-// died without cleaning up — is overwritten: the journal flock, not the
-// lease, arbitrates ownership.
+// AcquireLease creates the slice's empty lease file in dir and starts
+// the heartbeat goroutine refreshing its mtime every interval
+// (DefaultLeaseInterval when interval <= 0). An existing lease file — a
+// previous attempt that died without cleaning up — is truncated and
+// taken over: the journal flock, not the lease, arbitrates ownership.
 func AcquireLease(dir string, index, shards int, interval time.Duration) (*Lease, error) {
 	if interval <= 0 {
 		interval = DefaultLeaseInterval
 	}
 	l := &Lease{
 		path: filepath.Join(dir, LeaseName(index, shards)),
-		info: LeaseInfo{PID: os.Getpid(), Index: index, Shards: shards},
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	if err := l.write(); err != nil {
+	if err := os.WriteFile(l.path, nil, 0o644); err != nil {
+		return nil, fmt.Errorf("shard: acquire lease: %w", err)
+	}
+	if err := l.beat(); err != nil {
 		return nil, fmt.Errorf("shard: acquire lease: %w", err)
 	}
 	go l.heartbeat(interval)
 	return l, nil
 }
 
-func (l *Lease) write() error {
-	info := l.info
-	info.UpdatedMS = time.Now().UnixMilli()
-	b, err := json.Marshal(info)
-	if err != nil {
-		return err
-	}
-	return fsatomic.WriteFileFP(l.path, append(b, '\n'), "shard.lease")
+// beat stamps the lease file's mtime with the current time.
+func (l *Lease) beat() error {
+	now := time.Now()
+	return os.Chtimes(l.path, now, now)
 }
 
 func (l *Lease) heartbeat(interval time.Duration) {
@@ -92,7 +77,7 @@ func (l *Lease) heartbeat(interval time.Duration) {
 			// Best effort: a failed refresh only risks a spurious stale
 			// verdict, which costs one worker restart that resumes from
 			// the journal.
-			l.write()
+			l.beat()
 		}
 	}
 }
@@ -112,25 +97,13 @@ func (l *Lease) Release() {
 	os.Remove(l.path)
 }
 
-// ReadLease reads the slice's lease file and the mtime its last
-// heartbeat landed at. A missing file returns fs.ErrNotExist (wrapped):
-// no attempt is working the slice, or the last one released cleanly.
-func ReadLease(dir string, index, shards int) (LeaseInfo, time.Time, error) {
-	path := filepath.Join(dir, LeaseName(index, shards))
-	st, err := os.Stat(path)
+// LeaseBeat returns the mtime of the slice's last lease heartbeat. A
+// missing lease file returns fs.ErrNotExist (wrapped): no attempt is
+// working the slice, or the last one released cleanly.
+func LeaseBeat(dir string, index, shards int) (time.Time, error) {
+	st, err := os.Stat(filepath.Join(dir, LeaseName(index, shards)))
 	if err != nil {
-		return LeaseInfo{}, time.Time{}, err
+		return time.Time{}, err
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return LeaseInfo{}, time.Time{}, err
-	}
-	var info LeaseInfo
-	if err := json.Unmarshal(data, &info); err != nil {
-		// A torn lease (the writer died mid-install before fsatomic
-		// existed, or the fs lied) still carries liveness in its mtime;
-		// report it with zeroed info rather than failing the launcher.
-		return LeaseInfo{}, st.ModTime(), nil
-	}
-	return info, st.ModTime(), nil
+	return st.ModTime(), nil
 }

@@ -9,26 +9,30 @@ import (
 	"time"
 )
 
-// TestLeaseLifecycle: AcquireLease installs the lease file with the
-// worker's identity, the heartbeat keeps the mtime fresh, and Release
-// removes the file so the slice never reads as stale afterwards.
+// TestLeaseLifecycle: AcquireLease creates an empty lease file, the
+// heartbeat keeps its mtime fresh, and Release removes the file so the
+// slice never reads as stale afterwards.
 func TestLeaseLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	l, err := AcquireLease(dir, 1, 3, 5*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, mtime, err := ReadLease(dir, 1, 3)
+	st, err := os.Stat(filepath.Join(dir, LeaseName(1, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.PID != os.Getpid() || info.Index != 1 || info.Shards != 3 {
-		t.Fatalf("lease info = %+v", info)
+	if st.Size() != 0 {
+		t.Fatalf("lease file holds %d bytes, want none", st.Size())
+	}
+	mtime, err := LeaseBeat(dir, 1, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// The heartbeat advances the mtime without a new Acquire.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		_, m2, err := ReadLease(dir, 1, 3)
+		m2, err := LeaseBeat(dir, 1, 3)
 		if err == nil && m2.After(mtime) {
 			break
 		}
@@ -37,20 +41,20 @@ func TestLeaseLifecycle(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if _, m3, err := ReadLease(dir, 1, 3); err != nil || time.Since(m3) > time.Minute {
+	if m3, err := LeaseBeat(dir, 1, 3); err != nil || time.Since(m3) > time.Minute {
 		t.Errorf("freshly heartbeaten lease mtime %v (%v), want within a minute", m3, err)
 	}
 
 	l.Release()
-	if _, _, err := ReadLease(dir, 1, 3); !errors.Is(err, fs.ErrNotExist) {
+	if _, err := LeaseBeat(dir, 1, 3); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("lease after Release: %v, want not-exist", err)
 	}
 	l.Release() // idempotent
 }
 
 // TestLeaseStaleAfterSilence: once the heartbeat stops (simulated by
-// backdating the file's mtime, as if the worker was SIGKILLed), ReadLease
-// reports the old mtime and still carries the dead worker's identity.
+// backdating the file's mtime, as if the worker was SIGKILLed), LeaseBeat
+// reports the old mtime.
 func TestLeaseStaleAfterSilence(t *testing.T) {
 	dir := t.TempDir()
 	l, err := AcquireLease(dir, 0, 2, time.Hour) // heartbeat never fires
@@ -63,57 +67,46 @@ func TestLeaseStaleAfterSilence(t *testing.T) {
 	if err := os.Chtimes(path, old, old); err != nil {
 		t.Fatal(err)
 	}
-	info, mtime, err := ReadLease(dir, 0, 2)
+	mtime, err := LeaseBeat(dir, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if age := time.Since(mtime); age < 10*time.Second || age > 2*time.Minute {
 		t.Fatalf("silenced lease age %v, want about a minute", age)
 	}
-	if info.PID != os.Getpid() {
-		t.Errorf("stale lease identity = %+v", info)
-	}
 }
 
-// TestLeaseOverwrite: a new attempt overwrites the dead previous
+// TestLeaseOverwrite: a new attempt takes over the dead previous
 // attempt's lease file rather than failing — the journal flock, not the
-// lease, owns mutual exclusion.
+// lease, owns mutual exclusion. That includes a stale lease an older
+// worker left with a JSON payload: the new lease empties it and stamps
+// it fresh.
 func TestLeaseOverwrite(t *testing.T) {
 	dir := t.TempDir()
+	path := filepath.Join(dir, LeaseName(0, 2))
+	if err := os.WriteFile(path, []byte(`{"pid":12,"index":0,"shards":2,"updated_ms":1}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-time.Minute)
+	if err := os.Chtimes(path, old, old); err != nil {
+		t.Fatal(err)
+	}
 	l1, err := AcquireLease(dir, 0, 2, time.Hour)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("acquire over an older worker's lease: %v", err)
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() != 0 || time.Since(st.ModTime()) > 10*time.Second {
+		t.Fatalf("taken-over lease: %v, %v; want an empty file stamped now", st, err)
 	}
 	l2, err := AcquireLease(dir, 0, 2, time.Hour)
 	if err != nil {
 		t.Fatalf("second acquire over an existing lease: %v", err)
 	}
-	if _, _, err := ReadLease(dir, 0, 2); err != nil {
+	if _, err := LeaseBeat(dir, 0, 2); err != nil {
 		t.Fatal(err)
 	}
 	l2.Release()
 	l1.Release()
-}
-
-// TestReadLeaseTorn: a lease whose payload is garbage (torn write on a
-// pre-fsatomic filesystem, or fs corruption) still reports liveness via
-// mtime with zeroed identity instead of erroring the watchdog out.
-func TestReadLeaseTorn(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, LeaseName(1, 2))
-	if err := os.WriteFile(path, []byte(`{"pid": 12`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	info, mtime, err := ReadLease(dir, 1, 2)
-	if err != nil {
-		t.Fatalf("torn lease: %v, want tolerated", err)
-	}
-	if info != (LeaseInfo{}) {
-		t.Errorf("torn lease info = %+v, want zeroed", info)
-	}
-	if mtime.IsZero() || time.Since(mtime) > time.Minute {
-		t.Errorf("torn lease mtime %v, want fresh — staleness would be unjudgeable", mtime)
-	}
 }
 
 // TestLoadPartialDegrades: LoadPartial serves rows from the intact shards

@@ -59,12 +59,16 @@ func JournalName(index, shards int) string {
 	return fmt.Sprintf("shard-%04d-of-%04d.jsonl", index, shards)
 }
 
+// traceFormat names a slice's trace snapshot; MergeSweepTrace globs it
+// with the two numbers wildcarded.
+const traceFormat = "trace-%04d-of-%04d.json"
+
 // TraceName returns the file name of shard index's Chrome trace snapshot
 // in the shard directory, e.g. "trace-0002-of-0007.json". Workers write
 // it next to their journal; the merge step stitches all of them (plus
 // its own trace) into one cross-process timeline with obs.MergeTraces.
 func TraceName(index, shards int) string {
-	return fmt.Sprintf("trace-%04d-of-%04d.json", index, shards)
+	return fmt.Sprintf(traceFormat, index, shards)
 }
 
 // JournalFingerprint returns the runstate fingerprint a per-shard journal
