@@ -250,7 +250,11 @@ func TestArtifactAtTerminalState(t *testing.T) {
 	l := stallDoneLog{stalled: make(chan struct{}), release: make(chan struct{})}
 	var releaseOnce sync.Once
 	release := func() { releaseOnce.Do(func() { close(l.release) }) }
-	srv, _ := newTestServer(t, jobs.Options{Workers: 1, Log: obs.NewTextLogger(l, nil)})
+	lg, err := obs.NewFlagLogger(l, "text", "info")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, _ := newTestServer(t, jobs.Options{Workers: 1, Log: lg})
 	t.Cleanup(release) // runs before the server cleanup closes the scheduler
 
 	code, sr := postJSON(t, srv.URL+"/jobs", doc)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"log/slog"
 	"reflect"
 	"strings"
 	"testing"
@@ -26,10 +25,14 @@ func TestProgressAndLogWiring(t *testing.T) {
 	}
 	pr := obs.NewProgress()
 	var logBuf bytes.Buffer
+	lg, err := obs.NewFlagLogger(&logBuf, "text", "debug")
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := Run(app, pl, Options{
 		Goal:     sfp.Goal{Gamma: paper.Fig1Gamma, Tau: paper.Hour},
 		Progress: pr,
-		Log:      obs.NewTextLogger(&logBuf, slog.LevelDebug),
+		Log:      lg,
 		Metrics:  obs.NewRegistry(),
 		Tracer:   obs.NewTracer(),
 	})

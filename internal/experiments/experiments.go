@@ -20,7 +20,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -29,6 +28,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/sched"
+	"repro/internal/shard"
 	"repro/internal/taskgen"
 )
 
@@ -104,54 +104,22 @@ type Config struct {
 	// Production runs pass a *runstate.Journal; merges pass the read-only
 	// union of per-shard journals. Assign only non-nil concrete values.
 	Journal RowStore
-	// ShardIndex/ShardCount shard the sweep: with ShardCount > 1 this
-	// process computes only the rows that shard.Index assigns to
-	// ShardIndex — the other rows are skipped (rendered as "-" cells) and
-	// contribute nothing to progress totals, so N workers with disjoint
-	// indices cover the grid exactly once. ShardIndex = -1 with
-	// ShardCount > 1 means "own every row" and is used by the merge step
-	// for shard attribution in its error messages.
-	ShardIndex int
-	ShardCount int
-	// RequireJournaled is the merge step's strict mode: a row that does
-	// not restore from Journal is an error naming the shard that should
-	// have produced it, instead of being recomputed. Merges must never
-	// compute — that is what makes the merged table provably the union of
-	// what the workers ran.
-	RequireJournaled bool
-	// Missing, when non-nil alongside RequireJournaled, switches the
-	// strict merge to degraded mode: a row that does not restore is
-	// collected here and rendered as "!" cells instead of failing the
-	// merge. The caller turns the collected keys into an incomplete.json
-	// manifest naming each hole and its owning shard.
-	Missing *MissingRows
+	// Slice shards the sweep: this process computes only the rows the
+	// slice owns (shard.Slice.Owns) — the other rows are skipped (rendered
+	// as "-" cells) and contribute nothing to progress totals, so N
+	// workers with disjoint slices cover the grid exactly once. The zero
+	// Slice computes every row.
+	Slice shard.Slice
+	// Merge renders the figure from Journal alone: a merge never computes
+	// — that is what makes the merged table provably the union of what
+	// the workers ran — so a row Journal cannot serve renders as "!"
+	// cells. The store records it; the caller decides whether the gap is
+	// fatal.
+	Merge bool
 	// RowDone, when non-nil, is called with the journal key of each row
 	// after it was freshly computed (journal-restored rows do not fire
 	// it). Tests use it to cancel at exact row boundaries.
 	RowDone func(key string)
-}
-
-// MissingRows collects, during a degraded merge, the journal key of
-// every row that failed to restore. Safe for concurrent use.
-type MissingRows struct {
-	mu   sync.Mutex
-	keys []string
-}
-
-func (m *MissingRows) add(key string) {
-	m.mu.Lock()
-	m.keys = append(m.keys, key)
-	m.mu.Unlock()
-}
-
-// Keys returns the missing journal keys in the order the render
-// encountered them (deterministic: figure rendering is sequential).
-func (m *MissingRows) Keys() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, len(m.keys))
-	copy(out, m.keys)
-	return out
 }
 
 // DefaultConfig returns a configuration sized for minutes-scale runs.
@@ -241,7 +209,7 @@ func (c Config) acceptanceRow(pt Point, idealBus bool) row[pointRates] {
 // Acceptance evaluates all three strategies at the given point over the
 // configured application batch and returns the acceptance percentages:
 // one acceptance row through the row loop. A point another shard owns, or
-// that a degraded merge found missing, returns nil rates. The context is
+// that a merge found missing, returns nil rates. The context is
 // consulted between applications; a done context cancels the in-flight
 // applications and returns an error wrapping runctl.ErrCanceled.
 func Acceptance(ctx context.Context, cfg Config, pt Point) (Rates, error) {
@@ -268,7 +236,7 @@ var (
 
 // cell formats one strategy's acceptance rate at a point: "-" when the
 // point was not reached before cancellation or belongs to another shard,
-// "!" when a degraded merge found it missing from every journal.
+// "!" when a merge found it missing from every journal.
 func cell(r rowResult[pointRates], s core.Strategy) string {
 	switch r.state {
 	case rowAbsent:

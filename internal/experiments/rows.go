@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/runctl"
-	"repro/internal/shard"
 	"repro/internal/taskgen"
 )
 
@@ -31,7 +30,7 @@ const (
 	rowAbsent rowState = iota
 	// rowDone: the row was computed or restored from the journal.
 	rowDone
-	// rowMissing: a degraded merge found the row in no journal. Renderers
+	// rowMissing: a merge found the row in no journal. Renderers
 	// show "!" cells.
 	rowMissing
 )
@@ -55,13 +54,12 @@ func figure[T any](ctx context.Context, cfg Config, rows []row[T], render func([
 }
 
 // runRows is the one row loop every figure runs through. In order, each
-// row is restored from cfg.Journal; or, in a merge (RequireJournaled),
-// recorded as missing (degraded merge) or refused naming the shard that
-// owes it; or skipped when another shard owns it; or computed and
-// journaled. The context is consulted between rows, and the row functions
-// consult it between applications: cancellation returns every row
-// finished so far with an error wrapping runctl.ErrCanceled, and a row
-// interrupted midway is dropped whole, never journaled half-measured.
+// row is restored from cfg.Journal; or, in a merge, rendered missing; or
+// skipped when another slice owns it; or computed and journaled. The
+// context is consulted between rows, and the row functions consult it
+// between applications: cancellation returns every row finished so far
+// with an error wrapping runctl.ErrCanceled, and a row interrupted midway
+// is dropped whole, never journaled half-measured.
 func runRows[T any](ctx context.Context, cfg Config, rows []row[T]) ([]rowResult[T], error) {
 	out := make([]rowResult[T], len(rows))
 	// Slice-local progress totals: a sharded worker handles only the rows
@@ -69,7 +67,7 @@ func runRows[T any](ctx context.Context, cfg Config, rows []row[T]) ([]rowResult
 	// -progress report against.
 	owned := 0
 	for _, r := range rows {
-		if cfg.owns(r.key) {
+		if cfg.Slice.Owns(r.key) {
 			owned++
 		}
 	}
@@ -90,17 +88,13 @@ func runRows[T any](ctx context.Context, cfg Config, rows []row[T]) ([]rowResult
 			cfg.Log.Info("row restored from journal", "key", r.key)
 			continue
 		}
-		if cfg.RequireJournaled {
-			if cfg.Missing == nil {
-				return out, cfg.missingRow(r.key)
-			}
-			cfg.Missing.add(r.key)
+		if cfg.Merge {
 			cfg.Metrics.Counter("experiments.rows_missing").Add(1)
 			out[i].state = rowMissing
 			ph.Add(1)
 			continue
 		}
-		if !cfg.owns(r.key) {
+		if !cfg.Slice.Owns(r.key) {
 			continue // another shard computes this row; the merge reassembles it
 		}
 		if cerr := runctl.Err(ctx); cerr != nil {
@@ -140,27 +134,6 @@ func (c Config) key(kind, format string, args ...any) string {
 	mp := c.MappingParams
 	return fmt.Sprintf("%s|model=%d|tabu=%d,%d,%d|", kind, c.Model, mp.TabuTenure, mp.MaxNoImprove, mp.MaxIterations) +
 		fmt.Sprintf(format, args...)
-}
-
-// owns reports whether this process is responsible for computing the row
-// with the given journal key under the configured sharding (always true
-// unsharded; ShardIndex -1 owns everything).
-func (c Config) owns(key string) bool {
-	if c.ShardCount <= 1 || c.ShardIndex < 0 {
-		return true
-	}
-	return shard.Index(key, c.ShardCount) == c.ShardIndex
-}
-
-// missingRow is the strict-mode (merge) error for a row that did not
-// restore: it names the shard whose journal should hold the row, so the
-// operator knows which worker to rerun before merging again.
-func (c Config) missingRow(key string) error {
-	if c.ShardCount > 1 {
-		return fmt.Errorf("experiments: row %q is not journaled — shard %d of %d is incomplete (rerun that worker with -resume, then merge again)",
-			key, shard.Index(key, c.ShardCount), c.ShardCount)
-	}
-	return fmt.Errorf("experiments: row %q is not journaled", key)
 }
 
 // addCells renders a row whose payload is its table cells: the cells when

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -47,14 +46,14 @@ func runShardWorker(t *testing.T, dir string, m shard.Manifest, idx int,
 	defer j.Close()
 	cfg := tinyConfig()
 	cfg.Journal = j
-	cfg.ShardIndex, cfg.ShardCount = idx, m.Shards
+	cfg.Slice = shard.Slice{Index: idx, Count: m.Shards}
 	if _, err := fig(context.Background(), cfg); err != nil {
 		t.Fatalf("shard %d/%d: %v", idx, m.Shards, err)
 	}
 }
 
-// mergeShards renders the figure from the merged journals in strict
-// restore-only mode.
+// mergeShards renders the figure from the merged journals in merge mode,
+// refusing with the rows' gaps when there are any.
 func mergeShards(t *testing.T, dir string,
 	fig func(context.Context, Config) (*Table, error)) (*Table, error) {
 	t.Helper()
@@ -64,9 +63,15 @@ func mergeShards(t *testing.T, dir string,
 	}
 	cfg := tinyConfig()
 	cfg.Journal = rows
-	cfg.ShardIndex, cfg.ShardCount = -1, rows.Manifest().Shards
-	cfg.RequireJournaled = true
-	return fig(context.Background(), cfg)
+	cfg.Merge = true
+	tb, err := fig(context.Background(), cfg)
+	if err != nil {
+		return nil, err
+	}
+	if gaps := rows.Gaps(); !gaps.Complete() {
+		return nil, gaps
+	}
+	return tb, nil
 }
 
 // TestShardedSweepEquivalence: for several shard counts, workers run in
@@ -155,59 +160,6 @@ func TestShardedRuntimeStudyEquivalence(t *testing.T) {
 	}
 }
 
-// TestMergeRefusesMissingShard: strict mode fails the merge when a shard
-// never ran, naming it, rather than silently recomputing its rows.
-func TestMergeRefusesMissingShard(t *testing.T) {
-	dir, m := shardSweepDir(t, "6a", 2)
-	runShardWorker(t, dir, m, 0, Fig6a) // shard 1 never runs
-	_, err := mergeShards(t, dir, Fig6a)
-	var ie *shard.IncompleteError
-	if !errors.As(err, &ie) {
-		t.Fatalf("merge with a missing shard: %v, want *shard.IncompleteError", err)
-	}
-	if _, ok := ie.Reasons[1]; !ok {
-		t.Fatalf("error does not name shard 1: %v", ie)
-	}
-}
-
-// TestMergeStrictRefusesPartialJournal: a complete set of journals with a
-// missing row (a worker died before finishing and was never resumed)
-// fails the figure render with the shard attribution, not a recompute.
-func TestMergeStrictRefusesPartialJournal(t *testing.T) {
-	dir, m := shardSweepDir(t, "6a", 2)
-	// Pick a shard that owns at least one of Fig6a's points; that shard
-	// "runs" but journals nothing (a valid header with no rows), as if the
-	// worker died before its first row and was never resumed.
-	empty := -1
-	for idx := 0; idx < 2 && empty < 0; idx++ {
-		c := tinyConfig()
-		c.ShardIndex, c.ShardCount = idx, 2
-		for _, hpd := range HPDs {
-			if c.owns(c.pointKey(Point{SER: 1e-11, HPD: hpd, ArC: 20})) {
-				empty = idx
-				break
-			}
-		}
-	}
-	if empty < 0 {
-		t.Fatal("no shard owns any Fig6a point")
-	}
-	runShardWorker(t, dir, m, 1-empty, Fig6a)
-	j, err := runstate.Open(filepath.Join(dir, shard.JournalName(empty, 2)),
-		shard.JournalFingerprint(m.FP, empty, 2), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	_, err = mergeShards(t, dir, Fig6a)
-	if err == nil {
-		t.Fatal("merge with missing rows succeeded")
-	}
-	if !strings.Contains(err.Error(), "not journaled") || !strings.Contains(err.Error(), "shard") {
-		t.Fatalf("error %q does not attribute the incomplete shard", err)
-	}
-}
-
 // TestShardedProgressTotalsSliceLocal: a sharded worker's progress totals
 // count only the rows its shard owns — the satellite fix for totals that
 // previously assumed the whole grid.
@@ -217,12 +169,11 @@ func TestShardedProgressTotalsSliceLocal(t *testing.T) {
 	cfg.Procs = []int{6, 9, 12} // several keys so the hash splits them across shards
 	strategies := []core.Strategy{core.MIN, core.MAX, core.OPT}
 	ownedBy := func(idx int) int {
-		c := cfg
-		c.ShardIndex, c.ShardCount = idx, 2
+		sl := shard.Slice{Index: idx, Count: 2}
 		owned := 0
-		for _, n := range c.Procs {
+		for _, n := range cfg.Procs {
 			for _, s := range strategies {
-				if c.owns(c.rowKey(1e-11, 25, n, s)) {
+				if sl.Owns(cfg.rowKey(1e-11, 25, n, s)) {
 					owned++
 				}
 			}
@@ -240,7 +191,7 @@ func TestShardedProgressTotalsSliceLocal(t *testing.T) {
 
 	prog := obs.NewProgress()
 	cfg.Progress = prog
-	cfg.ShardIndex, cfg.ShardCount = 0, 2
+	cfg.Slice = shard.Slice{Index: 0, Count: 2}
 	if _, err := RuntimeStudy(context.Background(), cfg, 1e-11, 25); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package faultject is a test-only failpoint registry for injecting
 // storage faults — ENOSPC, short writes, torn renames, and mid-write
 // SIGKILL — at named points in the persistence layer (runstate journal
-// appends, shard manifest installs, evaluation-cache saves).
+// appends, evaluation-cache saves).
 //
 // Failpoints are disarmed by default and the disarmed fast path is a
 // single atomic load, so production code can consult them unconditionally.
@@ -9,24 +9,19 @@
 // FTES_FAULTS environment variable (from chaos harnesses that drive real
 // subprocesses):
 //
-//	FTES_FAULTS="runstate.append=kill:every=7;shard.manifest=torn:after=1"
+//	FTES_FAULTS="runstate.append=kill:every=7"
 //
-// Each clause is point=kind with optional :key=value triggers:
+// Each clause is point=kind with an optional :key=value trigger:
 //
 //	after=N  fire on the Nth hit of the point (once)
 //	every=N  fire on every Nth hit
-//	times=K  fire at most K times (with every=)
-//	p=F      fire with probability F per hit, deterministic by seed
-//	seed=S   seed for p= draws (default 1)
 //
-// With no trigger options the rule fires on every hit. All triggers are
-// deterministic: counters by construction, probabilities by seeded PRNG,
+// With no trigger the rule fires on every hit. Triggers are hit counters,
 // so a chaos run replays identically.
 package faultject
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"strconv"
 	"strings"
@@ -54,14 +49,10 @@ func (f *Fault) Error() string {
 
 type rule struct {
 	kind  string
-	after int     // fire once on the Nth hit (1-based)
-	every int     // fire on every Nth hit
-	times int     // cap on fires (0 = unlimited)
-	prob  float64 // per-hit probability (0 = counter-driven)
-	rng   *rand.Rand
+	after int // fire once on the Nth hit (1-based)
+	every int // fire on every Nth hit
 
-	hits  int
-	fired int
+	hits int
 }
 
 var (
@@ -103,7 +94,6 @@ func Arm(spec string) error {
 		default:
 			return fmt.Errorf("faultject: unknown fault kind %q at %s", r.kind, point)
 		}
-		seed := int64(1)
 		for _, opt := range parts[1:] {
 			k, v, ok := strings.Cut(opt, "=")
 			if !ok {
@@ -122,30 +112,9 @@ func Arm(spec string) error {
 					return fmt.Errorf("faultject: bad every=%q at %s", v, point)
 				}
 				r.every = n
-			case "times":
-				n, err := strconv.Atoi(v)
-				if err != nil || n < 1 {
-					return fmt.Errorf("faultject: bad times=%q at %s", v, point)
-				}
-				r.times = n
-			case "p":
-				p, err := strconv.ParseFloat(v, 64)
-				if err != nil || p < 0 || p > 1 {
-					return fmt.Errorf("faultject: bad p=%q at %s", v, point)
-				}
-				r.prob = p
-			case "seed":
-				n, err := strconv.ParseInt(v, 10, 64)
-				if err != nil {
-					return fmt.Errorf("faultject: bad seed=%q at %s", v, point)
-				}
-				seed = n
 			default:
 				return fmt.Errorf("faultject: unknown option %q at %s", k, point)
 			}
-		}
-		if r.prob > 0 {
-			r.rng = rand.New(rand.NewSource(seed))
 		}
 		if rules == nil {
 			rules = make(map[string]*rule)
@@ -179,23 +148,15 @@ func Fire(point string) *Fault {
 		return nil
 	}
 	r.hits++
-	if r.times > 0 && r.fired >= r.times {
-		return nil
-	}
-	fire := false
+	fire := true
 	switch {
 	case r.after > 0:
 		fire = r.hits == r.after
 	case r.every > 0:
 		fire = r.hits%r.every == 0
-	case r.prob > 0:
-		fire = r.rng.Float64() < r.prob
-	default:
-		fire = true
 	}
 	if !fire {
 		return nil
 	}
-	r.fired++
 	return &Fault{Point: point, Kind: r.kind}
 }

@@ -1,6 +1,7 @@
 package faultject
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -15,10 +16,8 @@ func TestArmGrammar(t *testing.T) {
 		{"runstate.append=vaporize", "unknown fault kind"},
 		{"runstate.append=kill:after=0", "bad after"},
 		{"runstate.append=kill:every=x", "bad every"},
-		{"runstate.append=kill:times=-1", "bad times"},
-		{"runstate.append=kill:p=1.5", "bad p"},
-		{"runstate.append=kill:seed=abc", "bad seed"},
 		{"runstate.append=kill:wat=1", "unknown option"},
+		{"runstate.append=kill:times=2", "unknown option"},
 		{"runstate.append=kill:after", "key=value"},
 	}
 	for _, tc := range bad {
@@ -60,11 +59,11 @@ func TestFireAfter(t *testing.T) {
 	}
 }
 
-// TestFireEveryTimes: every=N fires periodically, capped by times=K.
+// TestFireEveryTimes: every=N fires on every Nth hit.
 func TestFireEveryTimes(t *testing.T) {
 	t.Cleanup(Reset)
 	Reset()
-	if err := Arm("p=short:every=2:times=2"); err != nil {
+	if err := Arm("p=short:every=2"); err != nil {
 		t.Fatal(err)
 	}
 	var fired []int
@@ -73,8 +72,8 @@ func TestFireEveryTimes(t *testing.T) {
 			fired = append(fired, hit)
 		}
 	}
-	if want := []int{2, 4}; len(fired) != 2 || fired[0] != want[0] || fired[1] != want[1] {
-		t.Errorf("every=2:times=2 fired at hits %v, want %v", fired, want)
+	if want := []int{2, 4, 6, 8}; fmt.Sprint(fired) != fmt.Sprint(want) {
+		t.Errorf("every=2 fired at hits %v, want %v", fired, want)
 	}
 }
 
@@ -97,35 +96,5 @@ func TestFireDefaultAndUnknownPoint(t *testing.T) {
 	Reset()
 	if Fire("p") != nil {
 		t.Error("fired after Reset")
-	}
-}
-
-// TestFireProbabilitySeeded: p= draws are deterministic for a fixed seed.
-func TestFireProbabilitySeeded(t *testing.T) {
-	t.Cleanup(Reset)
-	run := func() []int {
-		Reset()
-		if err := Arm("p=kill:p=0.5:seed=42"); err != nil {
-			t.Fatal(err)
-		}
-		var fired []int
-		for hit := 1; hit <= 32; hit++ {
-			if Fire("p") != nil {
-				fired = append(fired, hit)
-			}
-		}
-		return fired
-	}
-	a, b := run(), run()
-	if len(a) == 0 || len(a) == 32 {
-		t.Errorf("p=0.5 over 32 hits fired %d times; suspicious", len(a))
-	}
-	if len(a) != len(b) {
-		t.Fatalf("replays differ in count: %v vs %v", a, b)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("replays diverge: %v vs %v", a, b)
-		}
 	}
 }

@@ -82,8 +82,11 @@ func TestDoneEventPrecedesDedup(t *testing.T) {
 	withHook(t, func(ctx context.Context, j *Job) (Artifacts, error) {
 		return Artifacts{"out": []byte("ok")}, nil
 	})
-	s := newTestScheduler(t, Options{Workers: 1, Events: log,
-		Log: obs.NewTextLogger(slowDoneWriter{}, nil)})
+	lg, err := obs.NewFlagLogger(slowDoneWriter{}, "text", "info")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestScheduler(t, Options{Workers: 1, Events: log, Log: lg})
 	want := fmt.Sprint([]string{"job.submitted", "job.started", "job.done", "job.dedup"})
 	for i := 0; i < 200; i++ {
 		spec := testSpec(fmt.Sprintf("resubmit-%d", i))

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
-	"strconv"
 	"time"
 
 	"repro/internal/cc"
@@ -43,7 +41,7 @@ func RunFigure(ctx context.Context, spec Spec, sl shard.Slice, rowJournal *runst
 	cfg := experiments.Config{
 		Apps: spec.Apps, Procs: spec.Procs, Seed: spec.Seed,
 		Workers: spec.Workers, AppTimeout: spec.AppTimeout,
-		ShardIndex: sl.Index, ShardCount: sl.Count,
+		Slice:   sl,
 		Metrics: inst.Metrics, Progress: inst.Progress, Log: inst.Log,
 		Events: inst.Events, RowDone: testFigRowDone,
 	}
@@ -58,14 +56,14 @@ func RunFigure(ctx context.Context, spec Spec, sl shard.Slice, rowJournal *runst
 // MergeShards reassembles a sharded sweep from its shard directory into
 // the figure's ArtifactTable — byte-identical to a single-process run of
 // the same spec. The merge never computes: every row is restored from the
-// per-shard journals, and a missing or damaged shard is a loud
-// *shard.IncompleteError naming the workers to rerun. The manifest must
-// describe exactly the workload and figure the spec asks for, so journals
-// from a different sweep can never be dressed up as this one. With
-// partial set the merge degrades instead of refusing: shards whose
-// journals are missing or damaged render their rows as "!" cells, and
-// the ArtifactIncomplete report names every missing row and the shard
-// that owns it.
+// per-shard journals, and a row none of them holds renders as "!" cells.
+// The manifest must describe exactly the workload and figure the spec
+// asks for, so journals from a different sweep can never be dressed up as
+// this one. A merge with gaps — a missing or damaged journal, a row no
+// journal holds — is refused with a *shard.IncompleteError naming every
+// incomplete shard, and no artifacts. With partial set it degrades
+// instead: the table keeps its "!" cells, and the ArtifactIncomplete
+// report names every missing row and the shard that owns it.
 func MergeShards(ctx context.Context, spec Spec, dir string, inst Instruments, partial bool) (Artifacts, error) {
 	if spec.Kind == "" {
 		spec.Kind = KindFigure
@@ -79,16 +77,7 @@ func MergeShards(ctx context.Context, spec Spec, dir string, inst Instruments, p
 	if err := CheckShardable(spec.Fig); err != nil {
 		return nil, err
 	}
-	var (
-		rows    *shard.Rows
-		reasons map[int]string
-		err     error
-	)
-	if partial {
-		rows, reasons, err = shard.LoadPartial(dir)
-	} else {
-		rows, err = shard.Load(dir)
-	}
+	rows, err := shard.Load(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -107,66 +96,25 @@ func MergeShards(ctx context.Context, spec Spec, dir string, inst Instruments, p
 	cfg := experiments.Config{
 		Apps: spec.Apps, Procs: spec.Procs, Seed: spec.Seed,
 		Workers: spec.Workers, AppTimeout: spec.AppTimeout,
-		Journal: rows,
-		// ShardIndex -1 owns every row; RequireJournaled turns any row that
-		// is not in the merged store into an error attributing the
-		// incomplete shard instead of a recomputation.
-		ShardIndex: -1, ShardCount: m.Shards,
-		RequireJournaled: true,
-		Metrics:          inst.Metrics, Progress: inst.Progress, Log: inst.Log,
+		Journal: rows, Merge: true,
+		Metrics: inst.Metrics, Progress: inst.Progress, Log: inst.Log,
 		Events: inst.Events,
 	}
-	var missing *experiments.MissingRows
-	if partial {
-		missing = &experiments.MissingRows{}
-		cfg.Missing = missing
-	}
 	art, err := renderFigure(ctx, spec, cfg, inst)
-	if partial && art != nil {
-		rep, jerr := incompleteReport(spec.Fig, m.Shards, rows.Len(), reasons, missing.Keys())
-		if jerr != nil {
-			if err == nil {
-				err = jerr
-			}
-		} else {
-			art[ArtifactIncomplete] = rep
+	if err != nil {
+		return art, err
+	}
+	gaps := rows.Gaps()
+	if !partial {
+		if !gaps.Complete() {
+			return nil, gaps
 		}
+		return art, nil
 	}
-	return art, err
-}
-
-// incompleteReport renders the ArtifactIncomplete JSON of a degraded
-// merge: which shards were unusable and why, and every missing row with
-// the shard that owns it — exactly what to re-run to complete the table.
-func incompleteReport(fig string, shards, present int, reasons map[int]string, missingKeys []string) ([]byte, error) {
-	type missingRow struct {
-		Key   string `json:"key"`
-		Shard int    `json:"shard"`
+	if art[ArtifactIncomplete], err = jsonMarshalIndent(gaps); err != nil {
+		return nil, err
 	}
-	sort.Strings(missingKeys)
-	rows := make([]missingRow, len(missingKeys))
-	for i, k := range missingKeys {
-		rows[i] = missingRow{Key: k, Shard: shard.Index(k, shards)}
-	}
-	byShard := map[string]string{}
-	for i, why := range reasons {
-		byShard[strconv.Itoa(i)] = why
-	}
-	return jsonMarshalIndent(struct {
-		Fig          string            `json:"fig"`
-		Shards       int               `json:"shards"`
-		Complete     bool              `json:"complete"`
-		PresentRows  int               `json:"present_rows"`
-		MissingRows  []missingRow      `json:"missing_rows,omitempty"`
-		ShardReasons map[string]string `json:"shard_reasons,omitempty"`
-	}{
-		Fig:          fig,
-		Shards:       shards,
-		Complete:     len(reasons) == 0 && len(missingKeys) == 0,
-		PresentRows:  present,
-		MissingRows:  rows,
-		ShardReasons: byShard,
-	})
+	return art, nil
 }
 
 // renderFigure dispatches one figure run (live, sharded or merge — the

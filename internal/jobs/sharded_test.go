@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,29 +25,40 @@ func runSweep(t *testing.T, spec Spec, n int) string {
 }
 
 // runSlices computes every slice of an n-shard sweep of spec into the
-// shard directory dir the way paperbench workers do: shard.OpenSlice
-// (resuming earlier rows when resume is set), then RunFigure into the
-// slice journal.
+// shard directory dir, resuming earlier rows when resume is set.
 func runSlices(t *testing.T, dir string, spec Spec, n int, resume bool) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		runSlice(t, dir, spec, i, n, resume)
+	}
+}
+
+// runSlice computes slice i of an n-shard sweep of spec into the shard
+// directory dir the way a paperbench worker does: shard.OpenSlice, then
+// RunFigure into the slice journal.
+func runSlice(t *testing.T, dir string, spec Spec, i, n int, resume bool) {
+	t.Helper()
+	j, err := shard.OpenSlice(dir, sweepManifest(t, spec, n), i, resume)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = RunFigure(context.Background(), spec, shard.Slice{Index: i, Count: n}, j, Instruments{})
+	if cerr := j.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatalf("slice %d/%d: %v", i, n, err)
+	}
+}
+
+// sweepManifest returns the manifest of an n-shard sweep of spec.
+func sweepManifest(t *testing.T, spec Spec, n int) shard.Manifest {
 	t.Helper()
 	fp, err := shard.WorkloadFingerprint(spec.Apps, spec.Procs, spec.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := shard.Manifest{FP: fp, Fig: spec.Fig, Shards: n, Apps: spec.Apps, Procs: spec.Procs, Seed: spec.Seed}
-	for i := 0; i < n; i++ {
-		j, err := shard.OpenSlice(dir, m, i, resume)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = RunFigure(context.Background(), spec, shard.Slice{Index: i, Count: n}, j, Instruments{})
-		if cerr := j.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			t.Fatalf("slice %d/%d: %v", i, n, err)
-		}
-	}
+	return shard.Manifest{FP: fp, Fig: spec.Fig, Shards: n, Apps: spec.Apps, Procs: spec.Procs, Seed: spec.Seed}
 }
 
 // TestSubmitShardedEquivalence: for every kind of figure row — acceptance
@@ -237,5 +250,83 @@ func TestMergeShardsPartialArtifact(t *testing.T) {
 		if m.Shard != 0 {
 			t.Errorf("missing row %q attributed to shard %d, want 0", m.Key, m.Shard)
 		}
+	}
+}
+
+// TestMergeRefusesMissingShard: a strict merge fails when a shard never
+// ran, naming it, rather than silently recomputing its rows, and returns
+// no table.
+func TestMergeRefusesMissingShard(t *testing.T) {
+	dir := t.TempDir()
+	runSlice(t, dir, tinyFigSpec(), 0, 2, false) // shard 1 never runs
+	art, err := MergeShards(context.Background(), tinyFigSpec(), dir, Instruments{}, false)
+	var ie *shard.IncompleteError
+	if !errors.As(err, &ie) {
+		t.Fatalf("merge with a missing shard: %v, want *shard.IncompleteError", err)
+	}
+	if _, ok := ie.Reasons[1]; !ok {
+		t.Fatalf("error does not name shard 1: %v", ie)
+	}
+	if art != nil {
+		t.Errorf("refused merge returned artifacts %v", art)
+	}
+}
+
+// TestMergeStrictRefusesPartialJournal: a complete set of journals with a
+// missing row (a worker died before finishing and was never resumed)
+// fails the strict merge with the shard attribution, not a recompute.
+func TestMergeStrictRefusesPartialJournal(t *testing.T) {
+	spec := tinyFigSpec()
+	dir := t.TempDir()
+	runSlices(t, dir, spec, 2, false)
+	// Pick a shard that owns at least one of the figure's rows and replace
+	// its journal by a valid header with no rows, as if the worker died
+	// before its first row and was never resumed.
+	empty := 0
+	if shard.JournalRows(dir, 0, 2) == 0 {
+		empty = 1
+	}
+	if shard.JournalRows(dir, empty, 2) == 0 {
+		t.Fatal("no shard owns any Fig6a point")
+	}
+	if err := os.Remove(filepath.Join(dir, shard.JournalName(empty, 2))); err != nil {
+		t.Fatal(err)
+	}
+	j, err := shard.OpenSlice(dir, sweepManifest(t, spec, 2), empty, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	_, err = MergeShards(context.Background(), spec, dir, Instruments{}, false)
+	if err == nil {
+		t.Fatal("merge with missing rows succeeded")
+	}
+	if !strings.Contains(err.Error(), "not journaled") || !strings.Contains(err.Error(), "shard") {
+		t.Fatalf("error %q does not attribute the incomplete shard", err)
+	}
+	if want := fmt.Sprintf("shard %d of 2 is incomplete", empty); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not contain %q", err, want)
+	}
+}
+
+// TestIncompleteReportPinned: the degraded merge's gap report for a fixed
+// gapped sweep — the tiny 6a sweep over 3 shards with shard 0's journal
+// removed — is byte-identical to the golden, so its fields, their order
+// and the journal reason text stay what operators and CI's jq read.
+func TestIncompleteReportPinned(t *testing.T) {
+	dir := runSweep(t, tinyFigSpec(), 3)
+	if err := os.Remove(filepath.Join(dir, shard.JournalName(0, 3))); err != nil {
+		t.Fatal(err)
+	}
+	art, err := MergeShards(context.Background(), tinyFigSpec(), dir, Instruments{}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "incomplete-6a-3shards.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := art[ArtifactIncomplete]; !bytes.Equal(got, want) {
+		t.Errorf("incomplete.json:\n%s\nwant:\n%s", got, want)
 	}
 }

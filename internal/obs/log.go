@@ -20,27 +20,6 @@ type Logger struct {
 	sl *slog.Logger
 }
 
-// NewLogger wraps an slog handler; a nil handler yields the disabled
-// (nil) logger.
-func NewLogger(h slog.Handler) *Logger {
-	if h == nil {
-		return nil
-	}
-	return &Logger{sl: slog.New(h)}
-}
-
-// NewTextLogger returns a logger emitting logfmt-style text lines at or
-// above the given level (nil level = slog.LevelInfo).
-func NewTextLogger(w io.Writer, level slog.Leveler) *Logger {
-	return NewLogger(slog.NewTextHandler(w, &slog.HandlerOptions{Level: level}))
-}
-
-// NewJSONLogger returns a logger emitting one JSON object per line at or
-// above the given level (nil level = slog.LevelInfo).
-func NewJSONLogger(w io.Writer, level slog.Leveler) *Logger {
-	return NewLogger(slog.NewJSONHandler(w, &slog.HandlerOptions{Level: level}))
-}
-
 // NewFlagLogger builds the logger a binary's -log and -log-level flags
 // select: format text or json, "" or "off" for the disabled logger, at
 // level debug, info ("" too), warn or error.
@@ -58,13 +37,14 @@ func NewFlagLogger(w io.Writer, format, level string) (*Logger, error) {
 	default:
 		return nil, fmt.Errorf("unknown -log-level %q (want debug, info, warn or error)", level)
 	}
+	opts := &slog.HandlerOptions{Level: lvl}
 	switch format {
 	case "off", "":
 		return nil, nil
 	case "text":
-		return NewTextLogger(w, lvl), nil
+		return &Logger{sl: slog.New(slog.NewTextHandler(w, opts))}, nil
 	case "json":
-		return NewJSONLogger(w, lvl), nil
+		return &Logger{sl: slog.New(slog.NewJSONHandler(w, opts))}, nil
 	default:
 		return nil, fmt.Errorf("unknown -log format %q (want text, json or off)", format)
 	}

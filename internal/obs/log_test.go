@@ -20,14 +20,31 @@ func TestLoggerNilSafe(t *testing.T) {
 	if l.Enabled(slog.LevelError) {
 		t.Error("disabled logger reports Enabled")
 	}
-	if NewLogger(nil) != nil {
-		t.Error("NewLogger(nil) must return the disabled logger")
+	for _, format := range []string{"", "off"} {
+		if l, err := NewFlagLogger(&bytes.Buffer{}, format, ""); l != nil || err != nil {
+			t.Errorf("NewFlagLogger(%q) = %v, %v, want the disabled logger", format, l, err)
+		}
 	}
+	for _, bad := range [][2]string{{"xml", "info"}, {"text", "loud"}} {
+		if _, err := NewFlagLogger(&bytes.Buffer{}, bad[0], bad[1]); err == nil {
+			t.Errorf("NewFlagLogger(%q, %q) accepted", bad[0], bad[1])
+		}
+	}
+}
+
+// mustFlagLogger is NewFlagLogger for a format and level known to be valid.
+func mustFlagLogger(t *testing.T, buf *bytes.Buffer, format, level string) *Logger {
+	t.Helper()
+	l, err := NewFlagLogger(buf, format, level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
 
 func TestTextLogger(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewTextLogger(&buf, slog.LevelInfo)
+	l := mustFlagLogger(t, &buf, "text", "info")
 	l.Debug("hidden")
 	l.With("strategy", "OPT").Info("core.run done", "cost", 56.0, "span", int64(7))
 	out := buf.String()
@@ -46,7 +63,7 @@ func TestTextLogger(t *testing.T) {
 
 func TestJSONLogger(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewJSONLogger(&buf, slog.LevelDebug)
+	l := mustFlagLogger(t, &buf, "json", "debug")
 	l.Debug("acceptance point done", "ser", 1e-11, "jobs", 20)
 	var rec map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {

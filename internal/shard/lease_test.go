@@ -109,9 +109,9 @@ func TestLeaseOverwrite(t *testing.T) {
 	l1.Release()
 }
 
-// TestLoadPartialDegrades: LoadPartial serves rows from the intact shards
-// and names each unusable one with a reason, where strict Load refuses
-// the whole merge; a clean directory yields empty reasons.
+// TestLoadPartialDegrades: Load serves rows from the intact shards and
+// records each unusable one with a reason, which the gaps name; a clean
+// directory has no gaps.
 func TestLoadPartialDegrades(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "sweep")
 	m := testManifest(3)
@@ -122,25 +122,23 @@ func TestLoadPartialDegrades(t *testing.T) {
 	for i := 0; i < m.Shards; i++ {
 		writeShardJournal(t, dir, m, i, keys)
 	}
-	rows, reasons, err := LoadPartial(dir)
+	rows, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reasons) != 0 || rows.Len() != len(keys) {
-		t.Fatalf("clean dir: %d rows, reasons %v", rows.Len(), reasons)
+	if gaps := rows.Gaps(); !gaps.Complete() || rows.Gaps().Present != len(keys) {
+		t.Fatalf("clean dir: %d rows, gaps %v", rows.Gaps().Present, gaps)
 	}
 
-	// Kill shard 1's journal: strict refuses, partial degrades.
+	// Kill shard 1's journal: the rows degrade, the gaps name shard 1.
 	if err := os.Remove(filepath.Join(dir, JournalName(1, m.Shards))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(dir); err == nil {
-		t.Fatal("strict Load accepted a missing journal")
-	}
-	rows, reasons, err = LoadPartial(dir)
+	rows, err = Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reasons := rows.Gaps().Reasons
 	if len(reasons) != 1 || reasons[1] == "" {
 		t.Fatalf("reasons = %v, want shard 1 named", reasons)
 	}
@@ -157,15 +155,15 @@ func TestLoadPartialDegrades(t *testing.T) {
 	if lost == 0 {
 		t.Fatal("test workload assigned no keys to shard 1; pick different keys")
 	}
-	if rows.Len() != len(keys)-lost {
-		t.Errorf("partial rows = %d, want %d", rows.Len(), len(keys)-lost)
+	if rows.Gaps().Present != len(keys)-lost {
+		t.Errorf("partial rows = %d, want %d", rows.Gaps().Present, len(keys)-lost)
 	}
 
 	// A missing manifest is not degradable: nothing binds the directory.
 	if err := os.Remove(filepath.Join(dir, ManifestName)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadPartial(dir); err == nil {
-		t.Fatal("LoadPartial accepted a directory with no manifest")
+	if _, err := Load(dir); err == nil {
+		t.Fatal("Load accepted a directory with no manifest")
 	}
 }

@@ -159,7 +159,7 @@ func EnsureManifest(dir string, m Manifest) error {
 	default:
 		return err // corrupt manifest: fail closed, never overwrite evidence
 	}
-	if err := fsatomic.WriteFileFP(filepath.Join(dir, ManifestName), want, "shard.manifest"); err != nil {
+	if err := fsatomic.WriteFile(filepath.Join(dir, ManifestName), want); err != nil {
 		return fmt.Errorf("shard: install manifest: %w", err)
 	}
 	return nil

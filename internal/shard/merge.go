@@ -8,175 +8,191 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/runstate"
 )
 
-// IncompleteError reports the shards that block a merge, one reason per
-// shard, so the operator knows exactly which workers to rerun (or which
-// journals were damaged) instead of guessing from a generic failure.
+// IncompleteError describes the gaps of a merge: the shard journals Load
+// could not use, one reason per shard, and every row key the merge asked
+// for and no journal held. Its Error is the strict merge's refusal, naming
+// every incomplete shard so the operator knows exactly which workers to
+// rerun (or which journals were damaged); its JSON is the degraded merge's
+// incomplete.json gap report.
 type IncompleteError struct {
 	Dir     string
+	Fig     string
 	Shards  int
-	Reasons map[int]string // shard index → why it cannot be merged
+	Present int            // rows the journals served
+	Reasons map[int]string // shard index → why its journal is unusable
+	Missing []string       // keys no journal held, in lookup order
+}
+
+// Complete reports whether the merge has no gaps at all.
+func (e *IncompleteError) Complete() bool {
+	return len(e.Reasons) == 0 && len(e.Missing) == 0
 }
 
 func (e *IncompleteError) Error() string {
-	idx := make([]int, 0, len(e.Reasons))
-	for i := range e.Reasons {
-		idx = append(idx, i)
+	owed := map[int][]string{}
+	for _, k := range e.Missing {
+		i := Index(k, e.Shards)
+		owed[i] = append(owed[i], k)
 	}
-	sort.Ints(idx)
-	parts := make([]string, len(idx))
-	for k, i := range idx {
-		parts[k] = fmt.Sprintf("shard %d/%d: %s", i, e.Shards, e.Reasons[i])
+	var parts []string
+	incomplete := 0
+	for i := 0; i < e.Shards; i++ {
+		why, bad := e.Reasons[i]
+		if bad {
+			parts = append(parts, fmt.Sprintf("shard %d/%d: %s", i, e.Shards, why))
+		}
+		if keys := owed[i]; len(keys) > 0 {
+			parts = append(parts, fmt.Sprintf("shard %d of %d is incomplete: %d row(s) not journaled, first %q",
+				i, e.Shards, len(keys), keys[0]))
+			bad = true
+		}
+		if bad {
+			incomplete++
+		}
 	}
-	return fmt.Sprintf("shard: merge refused, %d of %d shard journal(s) in %s unusable — %s",
-		len(e.Reasons), e.Shards, e.Dir, strings.Join(parts, "; "))
+	return fmt.Sprintf("shard: merge refused, %d of %d shard(s) in %s incomplete — %s (rerun those workers with -resume, then merge again)",
+		incomplete, e.Shards, e.Dir, strings.Join(parts, "; "))
+}
+
+// MarshalJSON renders the gap report: which shard journals were unusable
+// and why, and every missing row with the shard that owns it — exactly
+// what to rerun to complete the table.
+func (e *IncompleteError) MarshalJSON() ([]byte, error) {
+	type missingRow struct {
+		Key   string `json:"key"`
+		Shard int    `json:"shard"`
+	}
+	keys := append([]string(nil), e.Missing...)
+	sort.Strings(keys)
+	rows := make([]missingRow, len(keys))
+	for i, k := range keys {
+		rows[i] = missingRow{Key: k, Shard: Index(k, e.Shards)}
+	}
+	reasons := map[string]string{}
+	for i, why := range e.Reasons {
+		reasons[strconv.Itoa(i)] = why
+	}
+	return json.Marshal(struct {
+		Fig          string            `json:"fig"`
+		Shards       int               `json:"shards"`
+		Complete     bool              `json:"complete"`
+		PresentRows  int               `json:"present_rows"`
+		MissingRows  []missingRow      `json:"missing_rows,omitempty"`
+		ShardReasons map[string]string `json:"shard_reasons,omitempty"`
+	}{e.Fig, e.Shards, e.Complete(), e.Present, rows, reasons})
 }
 
 // Rows is the read-only union of a sweep's per-shard journals: the merge
 // step's row store. It satisfies the experiments harness's row-store
 // surface — Lookup serves journaled rows, Record refuses (a merge never
-// computes, so nothing may be recorded through it).
+// computes, so nothing may be recorded through it) — and records what it
+// could not serve, which Gaps reports. A merge renders from one goroutine,
+// so Rows is not safe for concurrent use.
 type Rows struct {
+	dir      string
 	manifest Manifest
 	rows     map[string]json.RawMessage
-	bySource map[string]int // row key → shard journal it came from
+	reasons  map[int]string
+	missing  []string
 }
 
 // Manifest returns the manifest the rows were loaded under.
 func (r *Rows) Manifest() Manifest { return r.manifest }
 
-// Len returns the number of distinct journaled rows across all shards.
-func (r *Rows) Len() int { return len(r.rows) }
-
-// Source returns the shard whose journal holds key (-1 when absent).
-func (r *Rows) Source(key string) int {
-	if s, ok := r.bySource[key]; ok {
-		return s
-	}
-	return -1
-}
-
 // Lookup reports whether key was journaled by any shard, unmarshalling
-// its payload into v when v is non-nil.
+// its payload into v when v is non-nil. A key it cannot serve is recorded
+// as missing.
 func (r *Rows) Lookup(key string, v any) bool {
 	data, ok := r.rows[key]
+	if ok && v != nil {
+		ok = json.Unmarshal(data, v) == nil
+	}
 	if !ok {
-		return false
+		r.missing = append(r.missing, key)
 	}
-	if v != nil {
-		if err := json.Unmarshal(data, v); err != nil {
-			return false
-		}
-	}
-	return true
+	return ok
 }
 
 // Record always fails: the merged row store is read-only by construction.
 // Reaching it means a figure tried to compute a row during a merge, which
-// the strict-restore mode of the experiments harness reports first with a
-// better error; this is the backstop.
+// the experiments harness never does in merge mode; this is the backstop.
 func (r *Rows) Record(key string, v any) error {
 	return fmt.Errorf("shard: merge is read-only, refusing to record row %q", key)
 }
 
-// Load opens a shard directory for merging: it verifies the manifest,
-// scans every per-shard journal (rounding a torn tail down to its intact
-// prefix, exactly like a resume would), and checks the merge invariants —
-// every journal present and bound to its expected fingerprint, and every
-// row journaled by the one shard that Index assigns it to. A violated
-// invariant returns an *IncompleteError naming the offending shards;
-// nothing is ever silently dropped or combined.
+// Gaps returns what the merge is missing so far: the shard journals Load
+// could not use and the keys Lookup could not serve. It is never nil;
+// Complete reports whether there are no gaps.
+func (r *Rows) Gaps() *IncompleteError {
+	return &IncompleteError{Dir: r.dir, Fig: r.manifest.Fig, Shards: r.manifest.Shards,
+		Present: len(r.rows), Reasons: r.reasons, Missing: r.missing}
+}
+
+// Load opens a shard directory for merging. It fails only when the
+// manifest does not verify: without it nothing binds the directory to a
+// sweep. It then scans every per-shard journal (rounding a torn tail down
+// to its intact prefix, exactly like a resume would) and checks the merge
+// invariants: every journal present and bound to its expected fingerprint,
+// and every row journaled by the one shard that Index assigns it to. A
+// shard that violates any of them is recorded with its reason and
+// contributes no rows at all — a journal that mixes in foreign rows is
+// distrusted entirely, not salvaged up to the violation. Nothing is ever
+// silently dropped or combined: Gaps names every such shard.
 func Load(dir string) (*Rows, error) {
-	r, bad, err := load(dir)
+	m, err := ReadManifest(dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(bad) > 0 {
-		return nil, &IncompleteError{Dir: dir, Shards: r.manifest.Shards, Reasons: bad}
-	}
-	return r, nil
-}
-
-// LoadPartial opens a shard directory for a degraded merge: shards whose
-// journals are missing, torn below the header, misbound or internally
-// inconsistent are reported in the returned reasons map (and contribute
-// no rows) instead of refusing the whole merge. The manifest itself must
-// still verify — without it nothing binds the directory to a sweep, so
-// there is no safe degradation. A clean directory returns empty reasons.
-func LoadPartial(dir string) (*Rows, map[int]string, error) {
-	r, bad, err := load(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r, bad, nil
-}
-
-// load reads every per-shard journal under the directory's manifest. A
-// shard that violates any merge invariant lands in the reasons map and
-// contributes no rows at all — a journal that mixes in foreign rows is
-// distrusted entirely, not salvaged up to the violation.
-func load(dir string) (*Rows, map[int]string, error) {
-	m, err := ReadManifest(dir)
-	if err != nil {
-		return nil, nil, err
-	}
 	r := &Rows{
+		dir:      dir,
 		manifest: m,
 		rows:     make(map[string]json.RawMessage),
-		bySource: make(map[string]int),
+		reasons:  map[int]string{},
 	}
-	bad := map[int]string{}
 	for i := 0; i < m.Shards; i++ {
 		name := JournalName(i, m.Shards)
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			if errors.Is(err, fs.ErrNotExist) {
-				bad[i] = fmt.Sprintf("journal %s missing (worker never ran?)", name)
+				r.reasons[i] = fmt.Sprintf("journal %s missing (worker never ran?)", name)
 			} else {
-				bad[i] = fmt.Sprintf("journal %s unreadable: %v", name, err)
+				r.reasons[i] = fmt.Sprintf("journal %s unreadable: %v", name, err)
 			}
 			continue
 		}
 		fp, ok, rows, _ := runstate.Scan(data)
 		if !ok {
-			bad[i] = fmt.Sprintf("journal %s has no intact header", name)
+			r.reasons[i] = fmt.Sprintf("journal %s has no intact header", name)
 			continue
 		}
 		if want := JournalFingerprint(m.FP, i, m.Shards); fp != want {
-			bad[i] = fmt.Sprintf("journal %s fingerprint %s, want %s (different workload or shard coordinates)", name, fp, want)
+			r.reasons[i] = fmt.Sprintf("journal %s fingerprint %s, want %s (different workload or shard coordinates)", name, fp, want)
 			continue
 		}
-		staged := make([]runstate.Row, 0, len(rows))
-		stagedKeys := make(map[string]bool, len(rows))
+		staged := make(map[string]json.RawMessage, len(rows))
 		for _, row := range rows {
 			if owner := Index(row.Key, m.Shards); owner != i {
-				bad[i] = fmt.Sprintf("journal %s holds row %q owned by shard %d — journals were mixed or renamed", name, row.Key, owner)
+				r.reasons[i] = fmt.Sprintf("journal %s holds row %q owned by shard %d — journals were mixed or renamed", name, row.Key, owner)
 				break
 			}
-			if stagedKeys[row.Key] {
-				bad[i] = fmt.Sprintf("journal %s holds row %q twice", name, row.Key)
+			if _, dup := staged[row.Key]; dup {
+				r.reasons[i] = fmt.Sprintf("journal %s holds row %q twice", name, row.Key)
 				break
 			}
-			if prev, dup := r.bySource[row.Key]; dup {
-				// Unreachable when the partition invariant holds (the same
-				// key cannot belong to two shards), kept as defense in depth.
-				bad[i] = fmt.Sprintf("row %q journaled by shards %d and %d", row.Key, prev, i)
-				break
-			}
-			staged = append(staged, row)
-			stagedKeys[row.Key] = true
+			staged[row.Key] = row.Data
 		}
-		if _, isBad := bad[i]; isBad {
+		if _, isBad := r.reasons[i]; isBad {
 			continue // distrust the whole journal, commit none of its rows
 		}
-		for _, row := range staged {
-			r.rows[row.Key] = row.Data
-			r.bySource[row.Key] = i
+		for k, data := range staged {
+			r.rows[k] = data
 		}
 	}
-	return r, bad, nil
+	return r, nil
 }

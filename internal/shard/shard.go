@@ -13,11 +13,13 @@
 // or SIGKILL costs at most the row being written, and a restarted worker
 // resumes from its journal exactly like a single-process -resume run.
 //
-// The merge step (Load + the strict row store it returns) never computes:
-// it verifies the manifest, checks every per-shard journal against its
-// bound fingerprint, and re-renders the figure purely from journaled rows
-// — refusing, with an error naming the incomplete shards, when any row
-// that the grid needs is missing.
+// The merge step (Load + the read-only row store it returns) never
+// computes: it verifies the manifest, checks every per-shard journal
+// against its bound fingerprint, and re-renders the figure purely from
+// journaled rows. The store records every gap — an unusable journal, a
+// row no journal holds — and Gaps reports them as one *IncompleteError,
+// which a strict merge returns as its refusal (naming every incomplete
+// shard) and a degraded merge writes out as its gap report.
 package shard
 
 import (

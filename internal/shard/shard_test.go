@@ -193,7 +193,8 @@ func writeShardJournal(t *testing.T, dir string, m Manifest, idx int, keys []str
 }
 
 // TestLoadMergesAllShards: a complete shard directory loads into the
-// union of every journal, each row attributed to its owner.
+// union of every journal with no gaps, and a key no journal holds is
+// recorded as missing, attributed to the shard that owns it.
 func TestLoadMergesAllShards(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "sweep")
 	m := testManifest(3)
@@ -208,8 +209,8 @@ func TestLoadMergesAllShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows.Len() != len(keys) {
-		t.Fatalf("merged %d rows, want %d", rows.Len(), len(keys))
+	if rows.Gaps().Present != len(keys) {
+		t.Fatalf("merged %d rows, want %d", rows.Gaps().Present, len(keys))
 	}
 	for _, k := range keys {
 		var v map[string]float64
@@ -219,12 +220,20 @@ func TestLoadMergesAllShards(t *testing.T) {
 		if v["v"] != float64(len(k)) {
 			t.Fatalf("row %q payload %v", k, v)
 		}
-		if got, want := rows.Source(k), Index(k, m.Shards); got != want {
-			t.Fatalf("row %q attributed to shard %d, want %d", k, got, want)
-		}
 	}
-	if rows.Source("absent") != -1 {
-		t.Error("absent row has a source")
+	if gaps := rows.Gaps(); !gaps.Complete() {
+		t.Fatalf("complete directory has gaps: %v", gaps)
+	}
+	if rows.Lookup("absent", nil) {
+		t.Error("absent row served")
+	}
+	gaps := rows.Gaps()
+	if gaps.Complete() || len(gaps.Missing) != 1 || gaps.Missing[0] != "absent" {
+		t.Fatalf("absent lookup recorded %+v, want one missing key", gaps)
+	}
+	want := fmt.Sprintf("shard %d of %d is incomplete: 1 row(s) not journaled", Index("absent", m.Shards), m.Shards)
+	if !strings.Contains(gaps.Error(), want) {
+		t.Errorf("gaps %q do not attribute the absent row: want %q", gaps, want)
 	}
 	if err := rows.Record("new", 1); err == nil {
 		t.Error("merged rows accepted a Record — merges must be read-only")
@@ -232,8 +241,9 @@ func TestLoadMergesAllShards(t *testing.T) {
 }
 
 // TestLoadRefusesIncomplete: a missing shard journal, a foreign
-// fingerprint and a row in the wrong journal each block the merge with an
-// *IncompleteError naming the offending shard.
+// fingerprint and a row in the wrong journal each leave a gap — an
+// *IncompleteError refusal naming the offending shard — and serve none of
+// that shard's rows.
 func TestLoadRefusesIncomplete(t *testing.T) {
 	keys := []string{"row-a", "row-b", "row-c", "row-d", "row-e"}
 
@@ -247,10 +257,13 @@ func TestLoadRefusesIncomplete(t *testing.T) {
 	}
 	wantIncomplete := func(t *testing.T, dir string, shardIdx int, substr string) {
 		t.Helper()
-		_, err := Load(dir)
-		var ie *IncompleteError
-		if !errors.As(err, &ie) {
-			t.Fatalf("Load = %v, want *IncompleteError", err)
+		rows, err := Load(dir)
+		if err != nil {
+			t.Fatalf("Load = %v, want the gap recorded on the rows", err)
+		}
+		ie := rows.Gaps()
+		if ie.Complete() {
+			t.Fatal("gapped directory reads complete")
 		}
 		reason, ok := ie.Reasons[shardIdx]
 		if !ok {
@@ -259,8 +272,8 @@ func TestLoadRefusesIncomplete(t *testing.T) {
 		if !strings.Contains(reason, substr) {
 			t.Fatalf("shard %d reason %q does not mention %q", shardIdx, reason, substr)
 		}
-		if !strings.Contains(err.Error(), "merge refused") {
-			t.Fatalf("error %q does not read as a refusal", err)
+		if !strings.Contains(ie.Error(), "merge refused") {
+			t.Fatalf("error %q does not read as a refusal", ie)
 		}
 	}
 
@@ -332,8 +345,38 @@ func TestLoadRefusesIncomplete(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rows.Len() != len(many)-1 {
-			t.Fatalf("torn journal merged %d rows, want %d (one torn away)", rows.Len(), len(many)-1)
+		if rows.Gaps().Present != len(many)-1 {
+			t.Fatalf("torn journal merged %d rows, want %d (one torn away)", rows.Gaps().Present, len(many)-1)
+		}
+		if gaps := rows.Gaps(); !gaps.Complete() {
+			t.Fatalf("a torn tail is a missing row, not an unusable journal: %v", gaps)
+		}
+	})
+
+	t.Run("every incomplete shard named", func(t *testing.T) {
+		many := make([]string, 24)
+		for i := range many {
+			many[i] = fmt.Sprintf("row-%02d", i)
+		}
+		dir, m := setup(t, 3)                 // shard 0 never ran
+		writeShardJournal(t, dir, m, 1, many) // shard 1 is complete
+		writeShardJournal(t, dir, m, 2, nil)  // shard 2 journaled none of its rows
+		rows, err := Load(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range many {
+			rows.Lookup(k, nil)
+		}
+		msg := rows.Gaps().Error()
+		for _, want := range []string{"merge refused", "shard 0/3: journal", "shard 0 of 3 is incomplete",
+			"shard 2 of 3 is incomplete", "not journaled"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("refusal %q does not contain %q", msg, want)
+			}
+		}
+		if strings.Contains(msg, "shard 1") {
+			t.Errorf("refusal %q names the complete shard 1", msg)
 		}
 	})
 

@@ -16,6 +16,13 @@ import (
 // Slice is an unsharded run, which computes every row.
 type Slice struct{ Index, Count int }
 
+// Owns reports whether the slice computes the row with the given journal
+// key: every row for an unsharded run (Count < 2), otherwise the rows
+// Index assigns to s.Index. It is the one partition rule of a sweep.
+func (s Slice) Owns(key string) bool {
+	return s.Count < 2 || Index(key, s.Count) == s.Index
+}
+
 // OpenSlice installs (or verifies) the sweep manifest m in the shard
 // directory dir and opens the journal of slice index of m.Shards,
 // restoring the rows an earlier attempt of the same slice already
